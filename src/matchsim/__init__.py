@@ -29,7 +29,9 @@ from .grover import (
     Oracle,
     ResourceLimitError,
     ScheduleUndefinedError,
+    failure_probability,
     iteration_schedule,
+    noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
@@ -45,7 +47,6 @@ from .matchers import (
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
-    noisy_success_probability,
     predicted_total_cost,
     two_level_outcome_distribution,
 )

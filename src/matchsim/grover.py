@@ -1,12 +1,26 @@
 """Amplitude-amplification engines over an abstract index space.
 
-Three interchangeable engines run the same iteration: a real-valued
-statevector simulation (phase flip on marked indices, then inversion
-about the mean), a closed-form engine that samples the known outcome
-distribution without touching amplitudes, and a noisy variant of the
-statevector engine in which each round's oracle independently fails to
-mark anything.  Oracle evaluations are charged to a cost ledger through
-a caller-supplied charge function, multiplied by an uncompute factor.
+Every search here starts uniform over M indices and phase-flips a fixed
+set of k marked ones, so its state never leaves the plane spanned by the
+uniform state over the marked set and the uniform state over the rest.
+In that plane the state is the angle c * theta, theta = asin(sqrt(k/M)),
+for an odd integer c that starts at 1.  A firing round (phase flip, then
+inversion about the mean) advances c by 2.  A round whose oracle drops
+out only inverts about the mean, which reflects the state about the
+uniform direction and maps c to 2 - c.
+
+The reduced engine (``run_analytic``; ``run_noisy_outer`` adds per-round
+dropout) tracks c alone and samples the amplitude vector it implies, so
+its work does not grow with M, and a noiseless run does not grow with
+the round count either.  ``auto`` always resolves to it.  The statevector
+engine (``run_statevector``, ``statevector_amplitudes``) simulates all M
+real amplitudes round by round.  It is the independent reference the
+reduced engine is checked against and runs only when named.  Both
+engines use the random stream the same way (one draw per round when
+dropout is on, then one inverse-CDF draw for the measurement), so on the
+same seed they measure the same index.  Oracle evaluations are charged
+to a cost ledger through a caller-supplied charge function, multiplied
+by an uncompute factor.
 """
 
 from __future__ import annotations
@@ -47,15 +61,19 @@ class NoisyOracleSpec:
 class Oracle:
     """Membership test over the index space plus its query-cost charge.
 
-    ``predicate`` answers whether an index is marked and is free to call;
+    ``marked_indices`` is required: the engines take the marked set from
+    it, and ``predicate`` only checks the measured index.
     ``charge_fn(ledger, times)`` records the ledger cost of ``times``
-    oracle evaluations.  ``marked_indices``, when supplied, lets engines
-    avoid sweeping the predicate over the whole space.
+    oracle evaluations.
     """
 
     predicate: Callable[[int], bool]
     charge_fn: Optional[Callable[[CostLedger, int], None]] = None
     marked_indices: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.marked_indices is None:
+            raise ValueError("Oracle requires marked_indices")
 
     def charge(self, ledger: Optional[CostLedger], times: int) -> None:
         if ledger is not None and self.charge_fn is not None and times > 0:
@@ -82,16 +100,44 @@ class GroverProblem:
 
 @dataclass(frozen=True)
 class GroverOutcome:
-    """Measured index, its post-measurement check, and the marked mass."""
+    """Measured index, its post-measurement check, and the marked mass.
+
+    ``engine`` names the engine that ran; ``fire_pattern`` holds, per
+    round, whether its oracle fired, or is None for a noiseless run.
+    """
 
     measured_index: int
     verified: bool
     iterations_used: int
     predicted_success: float
+    engine: str
+    fire_pattern: Optional[tuple[bool, ...]] = None
 
 
 def _angle(space_size: int, marked_count: int) -> float:
     return math.asin(math.sqrt(marked_count / space_size))
+
+
+def _masses(space_size: int, marked_count: int, c: int) -> tuple[float, float]:
+    """Marked and unmarked probability mass of the state at angle c * theta.
+
+    The unmarked mass is cos^2 directly, never 1 - sin^2, which cancels
+    to zero once it drops below the float spacing near 1.
+    """
+    if marked_count == 0:
+        return 0.0, 1.0
+    angle = c * _angle(space_size, marked_count)
+    unmarked = math.cos(angle) ** 2 if marked_count < space_size else 0.0
+    return math.sin(angle) ** 2, unmarked
+
+
+def _check_counts(space_size: int, marked_count: int, iterations: int) -> None:
+    if space_size < 1:
+        raise ValueError("space_size must be at least 1")
+    if not 0 <= marked_count <= space_size:
+        raise ValueError("marked_count must lie in [0, space_size]")
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
 
 
 def success_probability(space_size: int, marked_count: int, iterations: int) -> float:
@@ -100,16 +146,39 @@ def success_probability(space_size: int, marked_count: int, iterations: int) -> 
     Equals sin^2((2r + 1) * asin(sqrt(k / M))); with r = 0 this is the
     bare sampling probability k / M.
     """
-    if space_size < 1:
-        raise ValueError("space_size must be at least 1")
-    if not 0 <= marked_count <= space_size:
-        raise ValueError("marked_count must lie in [0, space_size]")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    if marked_count == 0:
-        return 0.0
-    theta = _angle(space_size, marked_count)
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    _check_counts(space_size, marked_count, iterations)
+    return _masses(space_size, marked_count, 2 * iterations + 1)[0]
+
+
+def failure_probability(space_size: int, marked_count: int, iterations: int) -> float:
+    """Probability of measuring an unmarked index after ``iterations`` rounds.
+
+    Equals cos^2((2r + 1) * asin(sqrt(k / M))), accurate where it is far
+    below the float spacing near 1 and ``1 - success_probability`` is 0.
+    """
+    _check_counts(space_size, marked_count, iterations)
+    return _masses(space_size, marked_count, 2 * iterations + 1)[1]
+
+
+def noisy_success_probability(space_size: int, iterations: int, failure_prob: float) -> float:
+    """Exact hit probability of a 1-marked search with per-round dropout.
+
+    Averages the marked mass over the 2^r dropout patterns, each of
+    which moves the angle multiple c as in ``run_analytic``; the average
+    collapses to a small distribution over c.
+    """
+    if not 0.0 <= failure_prob <= 1.0:
+        raise ValueError("failure_prob must lie in [0, 1]")
+    theta = _angle(space_size, 1)
+    dist: dict[int, float] = {1: 1.0}
+    for _ in range(iterations):
+        nxt: dict[int, float] = {}
+        for c, p in dist.items():
+            nxt[c + 2] = nxt.get(c + 2, 0.0) + p * (1.0 - failure_prob)
+            if failure_prob > 0.0:
+                nxt[2 - c] = nxt.get(2 - c, 0.0) + p * failure_prob
+        dist = nxt
+    return sum(p * math.sin(c * theta) ** 2 for c, p in dist.items())
 
 
 def iteration_schedule(space_size: int, marked_count: int) -> int:
@@ -148,30 +217,57 @@ def textbook_iteration_count(space_size: int, marked_count: int) -> int:
     return math.floor((math.pi / 4.0) * math.sqrt(space_size / marked_count))
 
 
-def choose_engine(engine: str, space_size: int, cap: int = DEFAULT_STATEVECTOR_CAP) -> str:
-    """Resolve an engine name, mapping ``auto`` by the amplitude cap."""
+def choose_engine(engine: str) -> str:
+    """Resolve an engine name; ``auto`` always picks the reduced engine."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        return "statevector" if space_size <= cap else "analytic"
-    return engine
+    return "analytic" if engine == "auto" else engine
 
 
-def _marked_mask(problem: GroverProblem) -> np.ndarray:
-    mask = np.zeros(problem.space_size, dtype=bool)
-    if problem.oracle.marked_indices is not None:
-        for idx in problem.oracle.marked_indices:
-            if not 0 <= idx < problem.space_size:
-                raise ValueError("marked index out of range")
-            mask[idx] = True
-    else:
-        pred = problem.oracle.predicate
-        for i in range(problem.space_size):
-            if pred(i):
-                mask[i] = True
-    if int(mask.sum()) != problem.marked_count:
+def _sorted_marked(problem: GroverProblem) -> list[int]:
+    """The oracle's marked indices in ascending order, checked against the problem."""
+    marked = sorted(problem.oracle.marked_indices)
+    if len(marked) != problem.marked_count or len(set(marked)) != len(marked):
         raise ValueError("oracle marks a different number of indices than marked_count")
-    return mask
+    if marked and not (0 <= marked[0] and marked[-1] < problem.space_size):
+        raise ValueError("marked index out of range")
+    return marked
+
+
+def _fire_pattern(
+    iterations: int, failure_prob: float, rng: np.random.Generator
+) -> Optional[tuple[bool, ...]]:
+    """Per round, whether the oracle fires; None (and no draws) when noiseless."""
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    if not 0.0 <= failure_prob <= 1.0:
+        raise ValueError("failure_prob must lie in [0, 1]")
+    if failure_prob == 0.0:
+        return None
+    return tuple(draw >= failure_prob for draw in rng.random(iterations).tolist())
+
+
+def _finish(
+    problem: GroverProblem,
+    measured: int,
+    iterations: int,
+    marked_mass: float,
+    engine: str,
+    pattern: Optional[tuple[bool, ...]],
+    ledger: Optional[CostLedger],
+    charge_verification: bool,
+) -> GroverOutcome:
+    verified = bool(problem.oracle.predicate(measured))
+    if charge_verification:
+        problem.oracle.charge(ledger, 1)
+    return GroverOutcome(
+        measured_index=measured,
+        verified=verified,
+        iterations_used=iterations,
+        predicted_success=marked_mass,
+        engine=engine,
+        fire_pattern=pattern,
+    )
 
 
 def statevector_amplitudes(
@@ -185,12 +281,14 @@ def statevector_amplitudes(
     beyond its length (or all rounds when it is None) always fire.  The
     inversion about the mean runs every round regardless.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
     m = problem.space_size
     amps = np.full(m, 1.0 / math.sqrt(m))
-    mask = _marked_mask(problem)
+    mask = np.zeros(m, dtype=bool)
+    mask[_sorted_marked(problem)] = True
     for t in range(iterations):
-        fires = fire_pattern[t] if fire_pattern is not None and t < len(fire_pattern) else True
-        if fires:
+        if fire_pattern is None or t >= len(fire_pattern) or fire_pattern[t]:
             amps[mask] = -amps[mask]
         amps = 2.0 * amps.mean() - amps
     return amps
@@ -204,43 +302,37 @@ def _sample_index(amps: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, len(amps) - 1)
 
 
-def _statevector_run(
-    problem: GroverProblem,
-    iterations: int,
+def _sample_reduced(
+    space_size: int,
+    marked: list[int],
+    marked_mass: float,
+    unmarked_mass: float,
     rng: np.random.Generator,
-    ledger: Optional[CostLedger],
-    failure_prob: float,
-    cap: int,
-    charge_verification: bool,
-) -> GroverOutcome:
-    m = problem.space_size
-    if m > cap:
-        raise ResourceLimitError(
-            f"statevector space of {m} amplitudes exceeds the cap of {cap}"
-        )
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    amps = np.full(m, 1.0 / math.sqrt(m))
-    mask = _marked_mask(problem)
-    for _ in range(iterations):
-        problem.oracle.charge(ledger, problem.uncompute_factor)
-        fires = True
-        if failure_prob > 0.0 and rng.random() < failure_prob:
-            fires = False
-        if fires:
-            amps[mask] = -amps[mask]
-        amps = 2.0 * amps.mean() - amps
-    marked_mass = float(np.sum(amps[mask] * amps[mask]))
-    measured = _sample_index(amps, rng)
-    verified = bool(problem.oracle.predicate(measured))
-    if charge_verification:
-        problem.oracle.charge(ledger, 1)
-    return GroverOutcome(
-        measured_index=measured,
-        verified=verified,
-        iterations_used=iterations,
-        predicted_success=marked_mass,
-    )
+) -> int:
+    """One inverse-CDF draw from the amplitude vector the reduced state implies.
+
+    Each marked index carries marked_mass / k and every other index
+    unmarked_mass / (M - k).  The cumulative mass is walked in index
+    order, one run of unmarked indices at a time, as ``_sample_index``
+    walks the full vector, so both turn one uniform draw into one index.
+    """
+    k = len(marked)
+    per_marked = marked_mass / k if k else 0.0
+    per_unmarked = unmarked_mass / (space_size - k) if k < space_size else 0.0
+    draw = rng.random() * (marked_mass + unmarked_mass)
+    start = 0
+    for idx in marked:
+        run = (idx - start) * per_unmarked
+        if draw < run:
+            return min(start + int(draw / per_unmarked), idx - 1)
+        draw -= run
+        if draw < per_marked:
+            return idx
+        draw -= per_marked
+        start = idx + 1
+    if per_unmarked == 0.0:
+        return marked[-1]
+    return min(start + int(draw / per_unmarked), space_size - 1)
 
 
 def run_statevector(
@@ -250,11 +342,63 @@ def run_statevector(
     ledger: Optional[CostLedger] = None,
     *,
     cap: int = DEFAULT_STATEVECTOR_CAP,
+    failure_prob: float = 0.0,
     charge_verification: bool = False,
 ) -> GroverOutcome:
-    """Run the exact statevector engine and sample one measurement."""
-    return _statevector_run(
-        problem, iterations, rng, ledger, 0.0, cap, charge_verification
+    """Reference run: simulate all amplitudes and sample one measurement.
+
+    With ``failure_prob`` > 0 each round's phase flip independently drops
+    out, as in ``run_noisy_outer``; the reported predicted_success is the
+    marked mass realized under the drawn pattern.
+    """
+    m = problem.space_size
+    if m > cap:
+        raise ResourceLimitError(
+            f"statevector space of {m} amplitudes exceeds the cap of {cap}"
+        )
+    pattern = _fire_pattern(iterations, failure_prob, rng)
+    amps = statevector_amplitudes(problem, iterations, pattern)
+    problem.oracle.charge(ledger, iterations * problem.uncompute_factor)
+    marked = amps[_sorted_marked(problem)]
+    marked_mass = float(np.sum(marked * marked))
+    measured = _sample_index(amps, rng)
+    return _finish(
+        problem, measured, iterations, marked_mass, "statevector", pattern,
+        ledger, charge_verification,
+    )
+
+
+def run_analytic(
+    problem: GroverProblem,
+    iterations: int,
+    rng: np.random.Generator,
+    ledger: Optional[CostLedger] = None,
+    *,
+    failure_prob: float = 0.0,
+    charge_verification: bool = False,
+) -> GroverOutcome:
+    """Reduced run: track the state's angle and sample the outcome it implies.
+
+    Charges the same oracle evaluations as the statevector engine and
+    draws the same index from the same random stream, at a cost
+    independent of the space size.  Noiseless, the angle is
+    (2r + 1) * theta at once; with ``failure_prob`` > 0 each round fires
+    or drops out as in ``run_statevector``.
+    """
+    marked = _sorted_marked(problem)
+    pattern = _fire_pattern(iterations, failure_prob, rng)
+    if pattern is None:
+        c = 2 * iterations + 1
+    else:
+        c = 1
+        for fires in pattern:
+            c = c + 2 if fires else 2 - c
+    problem.oracle.charge(ledger, iterations * problem.uncompute_factor)
+    marked_mass, unmarked_mass = _masses(problem.space_size, problem.marked_count, c)
+    measured = _sample_reduced(problem.space_size, marked, marked_mass, unmarked_mass, rng)
+    return _finish(
+        problem, measured, iterations, marked_mass, "analytic", pattern,
+        ledger, charge_verification,
     )
 
 
@@ -265,76 +409,16 @@ def run_noisy_outer(
     rng: np.random.Generator,
     ledger: Optional[CostLedger] = None,
     *,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
     charge_verification: bool = False,
 ) -> GroverOutcome:
-    """Statevector run where each round's phase flip may independently drop.
+    """Reduced run where each round's phase flip may independently drop.
 
     A dropped round still charges the oracle (the work happens, the
     marking fails) and still applies the inversion about the mean.  The
     reported predicted_success is the marked mass realized under the
-    sampled dropout pattern.
+    sampled dropout pattern, which the outcome also reports.
     """
-    return _statevector_run(
-        problem, iterations, rng, ledger, noise.failure_prob, cap, charge_verification
+    return run_analytic(
+        problem, iterations, rng, ledger,
+        failure_prob=noise.failure_prob, charge_verification=charge_verification,
     )
-
-
-def run_analytic(
-    problem: GroverProblem,
-    iterations: int,
-    rng: np.random.Generator,
-    ledger: Optional[CostLedger] = None,
-    *,
-    charge_verification: bool = False,
-) -> GroverOutcome:
-    """Sample the closed-form outcome distribution without amplitudes.
-
-    Charges the same oracle evaluations as the statevector engine and
-    draws marked with probability sin^2((2r + 1) * theta), so the two
-    engines are exchangeable wherever the noiseless model applies.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    m, k = problem.space_size, problem.marked_count
-    p = success_probability(m, k, iterations)
-    problem.oracle.charge(ledger, iterations * problem.uncompute_factor)
-    marked = problem.oracle.marked_indices
-    hit = k > 0 and (k == m or rng.random() < p)
-    if hit:
-        if marked is not None:
-            measured = marked[int(rng.integers(len(marked)))] if len(marked) > 1 else marked[0]
-        else:
-            measured = _draw_by_predicate(problem, rng, want_marked=True)
-    else:
-        if marked is not None and k > 0:
-            marked_set = set(marked)
-            while True:
-                measured = int(rng.integers(m))
-                if measured not in marked_set:
-                    break
-        elif k == 0:
-            measured = int(rng.integers(m))
-        else:
-            measured = _draw_by_predicate(problem, rng, want_marked=False)
-    verified = bool(problem.oracle.predicate(measured))
-    if charge_verification:
-        problem.oracle.charge(ledger, 1)
-    return GroverOutcome(
-        measured_index=measured,
-        verified=verified,
-        iterations_used=iterations,
-        predicted_success=p,
-    )
-
-
-def _draw_by_predicate(
-    problem: GroverProblem, rng: np.random.Generator, want_marked: bool
-) -> int:
-    # rejection sampling against the predicate; fine for the sparse cases
-    # (k << M when marked, k > 0 rare misses when unmarked) this serves
-    pred = problem.oracle.predicate
-    while True:
-        idx = int(rng.integers(problem.space_size))
-        if bool(pred(idx)) == want_marked:
-            return idx

@@ -23,12 +23,14 @@ import numpy as np
 from .grover import (
     DEFAULT_STATEVECTOR_CAP,
     ENGINES,
+    GroverOutcome,
     GroverProblem,
     NoisyOracleSpec,
     Oracle,
     ResourceLimitError,
     choose_engine,
     iteration_schedule,
+    noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
@@ -50,7 +52,8 @@ class NestedConfig:
     """Knobs for the amplified matchers.
 
     ``block_size`` defaults to ceil(sqrt(n)); ``engine`` picks the
-    search engine (auto switches to analytic past the amplitude cap);
+    search engine (auto runs the reduced engine; statevector runs the
+    full-amplitude reference, noisy runs included);
     ``uncompute_factor`` multiplies every in-iteration oracle charge to
     model running the oracle circuit forward and back; ``noise`` applies
     per-round dropout to the nested matcher's outer stage.
@@ -161,6 +164,34 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     return _classical_report(instance, found, ledger, {"algorithm": "two_sort"})
 
 
+def _search(
+    engine: str,
+    problem: GroverProblem,
+    iterations: int,
+    rng: np.random.Generator,
+    ledger: CostLedger,
+    cap: int,
+    *,
+    noise: Optional[NoisyOracleSpec] = None,
+    charge_verification: bool = False,
+) -> GroverOutcome:
+    """One amplified search: the reference statevector only when named."""
+    if choose_engine(engine) == "statevector":
+        return run_statevector(
+            problem, iterations, rng, ledger, cap=cap,
+            failure_prob=noise.failure_prob if noise is not None else 0.0,
+            charge_verification=charge_verification,
+        )
+    if noise is not None and noise.failure_prob > 0.0:
+        return run_noisy_outer(
+            problem, iterations, noise, rng, ledger,
+            charge_verification=charge_verification,
+        )
+    return run_analytic(
+        problem, iterations, rng, ledger, charge_verification=charge_verification
+    )
+
+
 def naive_grover_pairs(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -191,11 +222,7 @@ def naive_grover_pairs(
     )
     iterations = iteration_schedule(m, 1)
     rng = np.random.default_rng(config.rng_seed)
-    engine = choose_engine(config.engine, m, statevector_cap)
-    if engine == "statevector":
-        outcome = run_statevector(problem, iterations, rng, ledger, cap=statevector_cap)
-    else:
-        outcome = run_analytic(problem, iterations, rng, ledger)
+    outcome = _search(config.engine, problem, iterations, rng, ledger, statevector_cap)
     found = None
     if outcome.verified:
         found = (outcome.measured_index // n, outcome.measured_index % n)
@@ -206,14 +233,12 @@ def naive_grover_pairs(
         ledger=ledger,
         engine_stats={
             "algorithm": "naive_grover",
-            "engine": engine,
+            "engine": outcome.engine,
             "iterations": iterations,
             "pair_space": m,
         },
         rng_seed=config.rng_seed,
-        predicted_success=outcome.predicted_success
-        if engine == "analytic"
-        else success_probability(m, 1, iterations),
+        predicted_success=success_probability(m, 1, iterations),
     )
 
 
@@ -279,20 +304,10 @@ def nested_grover_match(
         space_size=blocks, marked_count=1, oracle=outer_oracle,
         uncompute_factor=config.uncompute_factor,
     )
-    noisy = config.noise is not None and config.noise.failure_prob > 0.0
-    if noisy:
-        engine_outer = "statevector"
-        outer_outcome = run_noisy_outer(
-            outer_problem, r_outer, config.noise, rng, ledger, cap=statevector_cap
-        )
-    else:
-        engine_outer = choose_engine(config.engine, blocks, statevector_cap)
-        if engine_outer == "statevector":
-            outer_outcome = run_statevector(
-                outer_problem, r_outer, rng, ledger, cap=statevector_cap
-            )
-        else:
-            outer_outcome = run_analytic(outer_problem, r_outer, rng, ledger)
+    outer_outcome = _search(
+        config.engine, outer_problem, r_outer, rng, ledger, statevector_cap,
+        noise=config.noise,
+    )
     beta = outer_outcome.measured_index
 
     # final pass: the measured block is rebuilt for real
@@ -310,16 +325,10 @@ def nested_grover_match(
         space_size=n, marked_count=len(inner_marked), oracle=inner_oracle,
         uncompute_factor=config.uncompute_factor,
     )
-    engine_inner = choose_engine(config.engine, n, statevector_cap)
-    if engine_inner == "statevector":
-        inner_outcome = run_statevector(
-            inner_problem, r_inner, rng, ledger,
-            cap=statevector_cap, charge_verification=True,
-        )
-    else:
-        inner_outcome = run_analytic(
-            inner_problem, r_inner, rng, ledger, charge_verification=True
-        )
+    inner_outcome = _search(
+        config.engine, inner_problem, r_inner, rng, ledger, statevector_cap,
+        charge_verification=True,
+    )
 
     found = None
     if inner_outcome.verified:
@@ -350,35 +359,13 @@ def nested_grover_match(
             "outer_marked_block": marked_block,
             "outer_marked_mass": outer_outcome.predicted_success,
             "inner_verified": inner_outcome.verified,
-            "engine_outer": engine_outer,
-            "engine_inner": engine_inner,
+            "outer_fire_pattern": outer_outcome.fire_pattern,
+            "engine_outer": outer_outcome.engine,
+            "engine_inner": inner_outcome.engine,
         },
         rng_seed=config.rng_seed,
         predicted_success=composed_success_probability(n, config),
     )
-
-
-def noisy_success_probability(space_size: int, iterations: int, failure_prob: float) -> float:
-    """Exact hit probability of a 1-marked search with per-round dropout.
-
-    The state stays in the span of the marked index and the uniform
-    unmarked rest, so it is an angle: a firing round advances it by
-    2*theta, a dropped round reflects it about theta.  Averaging over
-    the 2^r dropout patterns collapses to a small distribution over
-    integer multiples of theta.
-    """
-    if not 0.0 <= failure_prob <= 1.0:
-        raise ValueError("failure_prob must lie in [0, 1]")
-    theta = math.asin(math.sqrt(1.0 / space_size))
-    dist: dict[int, float] = {1: 1.0}
-    for _ in range(iterations):
-        nxt: dict[int, float] = {}
-        for c, p in dist.items():
-            nxt[c + 2] = nxt.get(c + 2, 0.0) + p * (1.0 - failure_prob)
-            if failure_prob > 0.0:
-                nxt[2 - c] = nxt.get(2 - c, 0.0) + p * failure_prob
-        dist = nxt
-    return sum(p * math.sin(c * theta) ** 2 for c, p in dist.items())
 
 
 def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:

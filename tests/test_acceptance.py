@@ -15,6 +15,7 @@ from matchsim.grover import (
     GroverProblem,
     NoisyOracleSpec,
     Oracle,
+    failure_probability,
     iteration_schedule,
     run_analytic,
     run_statevector,
@@ -102,6 +103,18 @@ def test_criterion_2_scheduled_failure_bound():
         2, "failure bound", ok,
         f"max failure*M={worst_margin:.3f} over M=4..2^16, {elapsed:.2f}s",
     )
+
+
+def test_failure_probability_at_huge_spaces():
+    # 1 - success_probability cancels to 0 here; cos^2 keeps the digits
+    # (reference values from 60-digit arithmetic)
+    expected = {56: 0.53829647973, 60: 0.0042578717359, 62: 0.75602200798}
+    for exp, want in expected.items():
+        m = 1 << exp
+        r = iteration_schedule(m, 1)
+        scaled = failure_probability(m, 1, r) * m
+        assert scaled <= 1.0
+        assert scaled == pytest.approx(want, rel=1e-6)
 
 
 def test_criterion_3_correctness_oracle():

@@ -1,5 +1,6 @@
 """Tests for sweeps, fits, comparisons, and the command-line front end."""
 
+import hashlib
 import json
 import math
 
@@ -99,6 +100,33 @@ class TestNoisePresets:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (
+                SweepConfig(
+                    algorithm="nested", n_values=(16, 64, 256), trials_per_n=5,
+                    base_seed=77, noise_preset="inv_n",
+                ),
+                "e9182a9af36535f434d5af0dec506e5cf5dc90f05a5ce3ca5918849dd9e19a90",
+            ),
+            (
+                SweepConfig(
+                    algorithm="naive_grover", n_values=(16, 32, 64), trials_per_n=3,
+                    engine="auto",
+                ),
+                "626b4b5af7b3069e99335bf0e9510e8908b7ff223394e3ed270dc2dfd12ac3ed",
+            ),
+        ],
+        ids=["nested_inv_n", "naive_grover_auto"],
+    )
+    def test_outputs_pinned(self, config, digest, monkeypatch):
+        # digests of the CSV text from the full-statevector engine these
+        # sweeps ran on before auto moved to the reduced engine
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        text = run_sweep(config).to_csv_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_row_grid_is_complete(self):
         config = SweepConfig(algorithm="sort_scan", n_values=(4, 16), trials_per_n=3)
         result = run_sweep(config)
@@ -291,7 +319,22 @@ class TestCli:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["engine_stats"]["engine_outer"] == "statevector"  # noise forces it
+        # noisy runs stay on the requested engine; auto and analytic run
+        # the reduced engine
+        assert doc["engine_stats"]["engine_outer"] == "analytic"
+        assert len(doc["engine_stats"]["outer_fire_pattern"]) == 3
+
+    def test_run_with_noise_on_statevector_engine(self, capsys):
+        code = main(
+            [
+                "run", "--algorithm", "nested", "--n", "256", "--seed", "2",
+                "--noise", "inv_n", "--engine", "statevector",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["engine_stats"]["engine_outer"] == "statevector"
+        assert doc["engine_stats"]["engine_inner"] == "statevector"
 
     def test_sweep_writes_requested_outputs(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -14,6 +14,7 @@ from matchsim.grover import (
     ResourceLimitError,
     ScheduleUndefinedError,
     choose_engine,
+    failure_probability,
     iteration_schedule,
     run_analytic,
     run_noisy_outer,
@@ -22,7 +23,8 @@ from matchsim.grover import (
     success_probability,
     textbook_iteration_count,
 )
-from matchsim.model import CostLedger
+from matchsim.matchers import NestedConfig, naive_grover_pairs
+from matchsim.model import CostLedger, generate_instance
 
 
 def first_k_problem(m, k, uncompute_factor=1, charge=None):
@@ -262,11 +264,131 @@ class TestAnalyticEngine:
         assert out.measured_index == 7
 
     def test_choose_engine_auto_respects_cap(self):
-        assert choose_engine("auto", 100, 1000) == "statevector"
-        assert choose_engine("auto", 1001, 1000) == "analytic"
-        assert choose_engine("analytic", 10**9) == "analytic"
+        # auto runs the reduced engine at every size, so the amplitude cap
+        # bounds only runs that name the statevector engine
+        assert choose_engine("auto") == "analytic"
+        assert choose_engine("analytic") == "analytic"
+        assert choose_engine("statevector") == "statevector"
         with pytest.raises(ValueError):
-            choose_engine("quantum", 4)
+            choose_engine("quantum")
+        cap = 64
+        for n in (4, 8, 16):  # pair spaces 16 and 64 fit the cap, 256 does not
+            report = naive_grover_pairs(
+                generate_instance(n, 1), NestedConfig(rng_seed=0), statevector_cap=cap
+            )
+            assert report.engine_stats["engine"] == "analytic"
+        with pytest.raises(ResourceLimitError):
+            naive_grover_pairs(
+                generate_instance(16, 1),
+                NestedConfig(engine="statevector", rng_seed=0),
+                statevector_cap=cap,
+            )
+
+    def test_same_seed_measures_same_index_as_statevector(self):
+        # both engines turn the same uniform draws into the same index
+        for m in [1, 2, 3, 7, 16, 33, 100]:
+            for marked in [(), (0,), (m - 1,), (m // 2,), (0, m // 3, m - 1)]:
+                marked = tuple(sorted(set(marked)))
+                prob = GroverProblem(
+                    space_size=m,
+                    marked_count=len(marked),
+                    oracle=Oracle(predicate=marked.__contains__, marked_indices=marked),
+                )
+                for r in range(6):
+                    for eps in (0.0, 0.3):
+                        for seed in range(8):
+                            sv = run_statevector(
+                                prob, r, np.random.default_rng(seed), failure_prob=eps
+                            )
+                            an = run_analytic(
+                                prob, r, np.random.default_rng(seed), failure_prob=eps
+                            )
+                            assert an.measured_index == sv.measured_index
+                            assert an.fire_pattern == sv.fire_pattern
+                            assert an.predicted_success == pytest.approx(
+                                sv.predicted_success, abs=1e-12
+                            )
+
+    def test_outcome_names_engine_and_pattern(self):
+        prob = first_k_problem(16, 1)
+        an = run_analytic(prob, 3, np.random.default_rng(0))
+        sv = run_statevector(prob, 3, np.random.default_rng(0))
+        assert (an.engine, an.fire_pattern) == ("analytic", None)
+        assert (sv.engine, sv.fire_pattern) == ("statevector", None)
+        noisy = run_noisy_outer(prob, 3, NoisyOracleSpec(0.5), np.random.default_rng(0))
+        assert noisy.engine == "analytic"
+        assert len(noisy.fire_pattern) == 3
+
+    def test_noiseless_run_has_no_per_round_work(self):
+        # a per-round loop could not finish 10^12 rounds
+        r = 10**12
+        led = CostLedger()
+        prob = first_k_problem(
+            1 << 40, 1, uncompute_factor=2,
+            charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
+        )
+        out = run_analytic(prob, r, np.random.default_rng(0), led)
+        assert out.iterations_used == r
+        assert out.predicted_success == pytest.approx(success_probability(1 << 40, 1, r))
+        assert led.l2_queries == 2 * r
+
+
+class TestEngineGuards:
+    def test_oracle_requires_marked_indices(self):
+        with pytest.raises(ValueError):
+            Oracle(predicate=lambda i: i == 0)
+
+    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
+    def test_marked_count_mismatch_rejected(self, engine):
+        bad = GroverProblem(
+            space_size=8,
+            marked_count=2,
+            oracle=Oracle(predicate=lambda i: i == 0, marked_indices=(0,)),
+        )
+        with pytest.raises(ValueError):
+            run_engine(engine, bad)
+
+    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_out_of_range_marked_index_rejected(self, engine, index):
+        bad = GroverProblem(
+            space_size=8,
+            marked_count=1,
+            oracle=Oracle(predicate=lambda i: i == index, marked_indices=(index,)),
+        )
+        with pytest.raises(ValueError):
+            run_engine(engine, bad)
+
+    def test_repeated_marked_index_rejected(self):
+        bad = GroverProblem(
+            space_size=8,
+            marked_count=2,
+            oracle=Oracle(predicate=lambda i: i == 3, marked_indices=(3, 3)),
+        )
+        with pytest.raises(ValueError):
+            run_analytic(bad, 1, np.random.default_rng(0))
+
+
+def run_engine(engine, problem):
+    rng = np.random.default_rng(0)
+    if engine == "noisy":
+        return run_noisy_outer(problem, 1, NoisyOracleSpec(0.5), rng)
+    return run_analytic(problem, 1, rng)
+
+
+class TestFailureProbability:
+    def test_complements_success_where_both_are_resolvable(self):
+        for m, k, r in [(4, 1, 0), (10, 3, 1), (64, 1, 6), (100, 7, 2), (8, 8, 0)]:
+            total = success_probability(m, k, r) + failure_probability(m, k, r)
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_edges(self):
+        assert failure_probability(16, 0, 3) == 1.0
+        assert failure_probability(8, 8, 0) == 0.0
+        with pytest.raises(ValueError):
+            failure_probability(4, 5, 1)
+        with pytest.raises(ValueError):
+            failure_probability(4, 1, -1)
 
 
 class TestNoisyEngine:
