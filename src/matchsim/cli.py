@@ -16,28 +16,24 @@ from .experiments import (
     fit_exponent,
     load_rows,
     noise_spec,
+    output_paths,
     result_from_rows,
+    run_matcher,
     run_sweep,
     statevector_cap_from_env,
 )
 from .grover import ENGINES, ResourceLimitError
-from .matchers import (
-    NestedConfig,
-    classical_sort_scan,
-    classical_two_sort_merge,
-    exhaustive_pairs,
-    naive_grover_pairs,
-    nested_grover_match,
-)
+from .matchers import NestedConfig
 from .model import CostLedger, generate_instance
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = SweepConfig.from_dict(json.load(fh))
+    # run_sweep writes the outputs itself when the config names them
     result = run_sweep(config, statevector_cap=statevector_cap_from_env())
     if config.output is not None:
-        csv_path, json_path = result.write_outputs(config.output)
+        csv_path, json_path = output_paths(config.output)
         print(f"wrote {csv_path} and {json_path}")
     else:
         sys.stdout.write(result.to_json_text())
@@ -47,7 +43,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = generate_instance(args.n, args.seed)
     ledger = CostLedger()
-    cap = statevector_cap_from_env()
     run_config = NestedConfig(
         block_size=args.block_size,
         engine=args.engine,
@@ -55,16 +50,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         noise=noise_spec(args.noise, args.n),
         rng_seed=derive_seed(args.seed, args.n, 0, "run"),
     )
-    if args.algorithm == "exhaustive":
-        report = exhaustive_pairs(instance, ledger)
-    elif args.algorithm == "sort_scan":
-        report = classical_sort_scan(instance, ledger)
-    elif args.algorithm == "two_sort":
-        report = classical_two_sort_merge(instance, ledger)
-    elif args.algorithm == "naive_grover":
-        report = naive_grover_pairs(instance, run_config, ledger, statevector_cap=cap)
-    else:
-        report = nested_grover_match(instance, run_config, ledger, statevector_cap=cap)
+    report = run_matcher(
+        args.algorithm, instance, run_config, ledger, statevector_cap_from_env()
+    )
     doc = {"algorithm": args.algorithm, "n": args.n, "seed": args.seed}
     doc.update(report.as_dict())
     print(json.dumps(doc, indent=2, sort_keys=True))

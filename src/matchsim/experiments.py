@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .grover import DEFAULT_STATEVECTOR_CAP, NoisyOracleSpec, ResourceLimitError
+from .grover import DEFAULT_STATEVECTOR_CAP, ENGINES, NoisyOracleSpec, ResourceLimitError
 from .matchers import (
     NestedConfig,
     classical_sort_scan,
@@ -28,11 +28,19 @@ from .matchers import (
     naive_grover_pairs,
     nested_grover_match,
 )
-from .model import CostLedger, generate_instance
+from .model import CostLedger, MatchInstance, RunReport, generate_instance
 
-ALGORITHMS = ("exhaustive", "sort_scan", "two_sort", "naive_grover", "nested")
+# matcher entry point per algorithm, by name: run_matcher looks each up
+# in this module's globals at call time, so a patched entry point runs
+MATCHERS = {
+    "exhaustive": "exhaustive_pairs",
+    "sort_scan": "classical_sort_scan",
+    "two_sort": "classical_two_sort_merge",
+    "naive_grover": "naive_grover_pairs",
+    "nested": "nested_grover_match",
+}
+ALGORITHMS = tuple(MATCHERS)
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
-SWEEP_ENGINES = ("statevector", "analytic", "auto")
 STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
 
 CSV_COLUMNS = (
@@ -105,6 +113,20 @@ class TrialRow:
         return [str(getattr(self, col)) for col in CSV_COLUMNS]
 
 
+# the JSON types each config key accepts, matched exactly: a JSON boolean
+# parses as a bool, which is not a size or a seed
+_CONFIG_TYPES = {
+    "algorithm": (str,),
+    "n_values": (list, tuple),
+    "trials_per_n": (int,),
+    "base_seed": (int,),
+    "engine": (str,),
+    "noise_preset": (str,),
+    "uncompute_factor": (int,),
+    "output": (str, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of one sweep."""
@@ -133,7 +155,7 @@ class SweepConfig:
             raise ValueError("trials_per_n must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
-        if self.engine not in SWEEP_ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.noise_preset not in NOISE_PRESETS:
             raise ValueError(f"unknown noise preset {self.noise_preset!r}")
@@ -142,24 +164,20 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        known = {
-            "algorithm",
-            "n_values",
-            "trials_per_n",
-            "base_seed",
-            "engine",
-            "noise_preset",
-            "uncompute_factor",
-            "output",
-        }
-        unknown = set(doc) - known
+        """Build a config from parsed JSON; any malformed value is a ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(doc) - set(_CONFIG_TYPES)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
         if "algorithm" not in doc or "n_values" not in doc:
             raise ValueError("config requires 'algorithm' and 'n_values'")
-        kwargs = dict(doc)
-        kwargs["n_values"] = tuple(int(n) for n in doc["n_values"])
-        return cls(**kwargs)
+        for key, value in doc.items():
+            if type(value) not in _CONFIG_TYPES[key] or (
+                key == "n_values" and any(type(n) is not int for n in value)
+            ):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+        return cls(**{**doc, "n_values": tuple(doc["n_values"])})
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -239,28 +257,31 @@ def fit_exponent(
     )
 
 
+def run_matcher(
+    algorithm: str,
+    instance: MatchInstance,
+    run_config: NestedConfig,
+    ledger: CostLedger,
+    cap: int,
+) -> RunReport:
+    """Run one matcher by algorithm name; the classical ones ignore config and cap."""
+    matcher = globals()[MATCHERS[algorithm]]
+    if algorithm in ("naive_grover", "nested"):
+        return matcher(instance, run_config, ledger, statevector_cap=cap)
+    return matcher(instance, ledger)
+
+
 def _run_trial(config: SweepConfig, n: int, trial: int, cap: int) -> TrialRow:
     instance_seed = derive_seed(config.base_seed, n, trial, "instance")
-    run_seed = derive_seed(config.base_seed, n, trial, "run")
     instance = generate_instance(n, instance_seed)
     ledger = CostLedger()
-    if config.algorithm == "exhaustive":
-        report = exhaustive_pairs(instance, ledger)
-    elif config.algorithm == "sort_scan":
-        report = classical_sort_scan(instance, ledger)
-    elif config.algorithm == "two_sort":
-        report = classical_two_sort_merge(instance, ledger)
-    else:
-        run_config = NestedConfig(
-            engine=config.engine,
-            uncompute_factor=config.uncompute_factor,
-            noise=noise_spec(config.noise_preset, n),
-            rng_seed=run_seed,
-        )
-        if config.algorithm == "naive_grover":
-            report = naive_grover_pairs(instance, run_config, ledger, statevector_cap=cap)
-        else:
-            report = nested_grover_match(instance, run_config, ledger, statevector_cap=cap)
+    run_config = NestedConfig(
+        engine=config.engine,
+        uncompute_factor=config.uncompute_factor,
+        noise=noise_spec(config.noise_preset, n),
+        rng_seed=derive_seed(config.base_seed, n, trial, "run"),
+    )
+    report = run_matcher(config.algorithm, instance, run_config, ledger, cap)
     return TrialRow(
         algorithm=config.algorithm,
         n=n,
@@ -329,12 +350,17 @@ class SweepResult:
 
     def write_outputs(self, csv_path: str | Path) -> tuple[Path, Path]:
         """Write rows as CSV and aggregates as JSON next to it."""
-        csv_path = Path(csv_path)
-        json_path = csv_path.with_suffix(".json")
+        csv_path, json_path = output_paths(csv_path)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(self.to_csv_text(), encoding="utf-8")
         json_path.write_text(self.to_json_text(), encoding="utf-8")
         return csv_path, json_path
+
+
+def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
+    """The CSV path a sweep writes and the aggregate JSON path next to it."""
+    csv_path = Path(csv_path)
+    return csv_path, csv_path.with_suffix(".json")
 
 
 def run_sweep(config: SweepConfig, *, statevector_cap: Optional[int] = None) -> SweepResult:

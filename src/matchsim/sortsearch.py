@@ -1,15 +1,20 @@
-"""Instrumented classical kernels: merge sort, block extraction, membership.
+"""Classical kernels: sort, block extraction, membership.
 
-Charges follow a fixed, data-oblivious schedule: a merge of t cells
-always costs t - 1 compares and t moves, and a membership probe always
-walks the full bisection depth.  This makes every kernel's cost a
-function of sizes alone, so predicted ledgers can match instrumented
-ones exactly.  A compare costs 2 reads; a move costs 1 read + 1 write.
+Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
+where a merge of t cells always costs t - 1 compares and t moves, and a
+membership probe that always walks the full bisection depth.  Every
+kernel's cost is therefore a closed form in the sizes alone: the kernels
+compute their results with ``sorted`` and ``bisect`` and charge that
+closed form once.  A compare costs 2 reads; a move costs 1 read + 1
+write.  The merge sort itself is kept in the tests, as the independent
+reference the closed forms are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .model import CostLedger, MatchInstance
@@ -29,22 +34,21 @@ class SortedList:
 
 
 def sort_charges(n: int) -> tuple[int, int]:
-    """(reads, writes) charged by sort_instrumented on n cells."""
+    """(reads, writes) of the merge sort on n cells, level by level.
+
+    A level of width w moves all n cells; each of its n // 2w full merges
+    compares 2w - 1 times, and a trailing run of rem = n % 2w cells
+    compares rem - 1 times only when two runs meet there (rem > w).
+    """
     if n < 0:
         raise ValueError("size must be non-negative")
     reads = writes = 0
     width = 1
     while width < n:
-        lo = 0
-        while lo < n:
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            t = hi - lo
-            # t moves always; t - 1 compares only when two runs meet
-            compares = t - 1 if mid < hi else 0
-            reads += 2 * compares + t
-            writes += t
-            lo = hi
+        full, rem = divmod(n, 2 * width)
+        compares = full * (2 * width - 1) + (rem - 1 if rem > width else 0)
+        reads += 2 * compares + n
+        writes += n
         width *= 2
     return reads, writes
 
@@ -54,42 +58,20 @@ def sort_instrumented(
     ledger: Optional[CostLedger] = None,
     phase: str = "sort",
 ) -> SortedList:
-    """Bottom-up merge sort over (value, index) pairs with fixed charges.
+    """Stable sort of (value, index) pairs, charged as the merge sort.
 
-    Uses one auxiliary buffer of n cells, acquired for the duration of
-    the sort, on top of the n cells the caller already holds.
+    Charges ``sort_charges(n)`` and holds one auxiliary buffer of n
+    cells for the sort, on top of the n cells the caller already holds.
     """
     n = len(pairs)
-    src = list(pairs)
-    if n <= 1:
-        return SortedList(entries=tuple(src))
-    if ledger is not None:
+    entries = tuple(sorted(pairs, key=itemgetter(0)))
+    # zero or one cell needs no merge and no buffer
+    if ledger is not None and n > 1:
+        reads, writes = sort_charges(n)
         ledger.workspace_acquire(n)
-    dst = [src[0]] * n
-    width = 1
-    while width < n:
-        lo = 0
-        while lo < n:
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            t = hi - lo
-            if ledger is not None:
-                compares = t - 1 if mid < hi else 0
-                ledger.charge_batch(phase, mem_reads=2 * compares + t, mem_writes=t)
-            i, j = lo, mid
-            for k in range(lo, hi):
-                if i < mid and (j >= hi or src[i][0] <= src[j][0]):
-                    dst[k] = src[i]
-                    i += 1
-                else:
-                    dst[k] = src[j]
-                    j += 1
-            lo = hi
-        src, dst = dst, src
-        width *= 2
-    if ledger is not None:
+        ledger.charge_batch(phase, mem_reads=reads, mem_writes=writes)
         ledger.workspace_release(n)
-    return SortedList(entries=tuple(src))
+    return SortedList(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -163,13 +145,7 @@ def binary_membership(
     n = len(entries)
     if ledger is not None:
         ledger.charge_batch(phase, mem_reads=2 * membership_probe_depth(n))
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < query_value:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < n and entries[lo][0] == query_value:
-        return entries[lo][1]
+    k = bisect_left(entries, query_value, key=itemgetter(0))
+    if k < n and entries[k][0] == query_value:
+        return entries[k][1]
     return None

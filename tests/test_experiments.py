@@ -6,10 +6,12 @@ import math
 
 import pytest
 
+from matchsim import experiments
 from matchsim.cli import main
 from matchsim.experiments import (
     CSV_COLUMNS,
     SweepConfig,
+    SweepResult,
     compare_report,
     derive_seed,
     fit_exponent,
@@ -17,10 +19,27 @@ from matchsim.experiments import (
     load_rows,
     noise_spec,
     result_from_rows,
+    run_matcher,
     run_sweep,
     statevector_cap_from_env,
 )
 from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError
+from matchsim.matchers import NestedConfig
+from matchsim.model import CostLedger, generate_instance
+
+# configs from_dict must reject with ValueError, keyed by what is wrong
+MALFORMED_CONFIGS = {
+    "string_trials": {"algorithm": "sort_scan", "n_values": [16], "trials_per_n": "3"},
+    "top_level_int": 5,
+    "top_level_list": [{"algorithm": "sort_scan", "n_values": [16]}],
+    "float_size": {"algorithm": "sort_scan", "n_values": [16, 32.7]},
+    "bool_trials": {"algorithm": "sort_scan", "n_values": [16], "trials_per_n": True},
+    "float_seed": {"algorithm": "sort_scan", "n_values": [16], "base_seed": 1.5},
+    "string_sizes": {"algorithm": "sort_scan", "n_values": "16"},
+    "bool_size": {"algorithm": "sort_scan", "n_values": [True, 16]},
+    "list_algorithm": {"algorithm": ["sort_scan"], "n_values": [16]},
+    "int_output": {"algorithm": "sort_scan", "n_values": [16], "output": 7},
+}
 
 
 class TestSweepConfig:
@@ -62,6 +81,11 @@ class TestSweepConfig:
             SweepConfig.from_dict(
                 {"algorithm": "nested", "n_values": [4], "shots": 100}
             )
+
+    @pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_from_dict_rejects_wrong_types(self, doc):
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict(doc)
 
     def test_rejects_bad_preset_and_engine(self):
         with pytest.raises(ValueError):
@@ -223,6 +247,28 @@ class TestRunSweep:
         assert len(rows) == 1
 
 
+class TestRunMatcher:
+    def test_looks_up_patched_entry_points(self, monkeypatch):
+        calls = []
+        original = experiments.classical_sort_scan
+
+        def wrapped(instance, ledger):
+            calls.append(instance.n)
+            return original(instance, ledger)
+
+        monkeypatch.setattr(experiments, "classical_sort_scan", wrapped)
+        run_sweep(SweepConfig(algorithm="sort_scan", n_values=(16, 32)))
+        assert calls == [16, 32]
+
+    def test_every_algorithm_runs(self):
+        instance = generate_instance(16, 3)
+        for algorithm in experiments.ALGORITHMS:
+            report = run_matcher(
+                algorithm, instance, NestedConfig(rng_seed=1), CostLedger(), 1 << 20
+            )
+            assert report.engine_stats["algorithm"] == algorithm
+
+
 class TestFitExponent:
     def test_exact_linear_law(self):
         points = [(n, 7.0 * n) for n in (16, 64, 256, 1024)]
@@ -350,6 +396,24 @@ class TestCli:
         assert out.exists()
         assert (tmp_path / "rows.json").exists()
 
+    def test_sweep_writes_outputs_once(self, tmp_path, capsys, monkeypatch):
+        writes = []
+        original = SweepResult.write_outputs
+
+        def counted(self, csv_path):
+            writes.append(csv_path)
+            return original(self, csv_path)
+
+        monkeypatch.setattr(SweepResult, "write_outputs", counted)
+        out = tmp_path / "rows.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"algorithm": "sort_scan", "n_values": [16], "output": str(out)})
+        )
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert writes == [str(out)]
+        assert capsys.readouterr().out == f"wrote {out} and {tmp_path / 'rows.json'}\n"
+
     def test_sweep_without_output_prints_aggregate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"algorithm": "exhaustive", "n_values": [4]}))
@@ -401,6 +465,13 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algorithm": "nope", "n_values": [4]}))
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_wrongly_typed_config_is_exit_two(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_json_is_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

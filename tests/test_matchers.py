@@ -1,6 +1,8 @@
 """Tests for the five matching strategies and their cost predictions."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,7 +26,7 @@ from matchsim.matchers import (
     two_level_outcome_distribution,
 )
 from matchsim.model import CostLedger, MatchInstance, generate_instance
-from matchsim.sortsearch import membership_probe_depth, sort_charges
+from matchsim.sortsearch import block_view, membership_probe_depth, sort_charges
 
 
 def brute_force_match(instance):
@@ -429,3 +431,108 @@ class TestTwoLevelDistribution:
             two_level_outcome_distribution(
                 generate_instance(256, 0), max_joint_cells=100
             )
+
+
+def _digest(texts):
+    return hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+
+
+RUNS = {
+    "sort_scan": lambda inst, seed: classical_sort_scan(inst),
+    "two_sort": lambda inst, seed: classical_two_sort_merge(inst),
+    "nested": lambda inst, seed: nested_grover_match(inst, NestedConfig(rng_seed=seed)),
+}
+
+# sha256 of the reports over seeds 0-2, recorded while the kernels still
+# merged, walked and charged cell by cell; the closed forms must match
+REPORT_PINS = [
+    ("sort_scan", 2, "00e22724b2e383841d4fb7f02f054155092d5123e7c7bbbb08daf51798b6aa56"),
+    ("sort_scan", 3, "f575a322834ed16adf5f698b965e218fb39dc567b660c33a3faf006265bdde32"),
+    ("sort_scan", 16, "f05d85a16ec458c03ffb14b6fed8f2fdb6be27793a0c077e72f88448339c1ea7"),
+    ("sort_scan", 17, "c2a2d74914195a63c95f3782c43210f2fd0519a89dc13bf51577f77f3d801718"),
+    ("sort_scan", 100, "e06e89ea19dc5cb2757cc96b72c3abcf2fdd63185de35f063c192a6cce4e3e1c"),
+    ("sort_scan", 1024, "5074eac5dee39560b884e11dad0c04ef8ebc42934ac8b69bebd43c65771fd6b1"),
+    ("sort_scan", 4097, "7859526eff954ea6283ee042011240d9cd5255790f7707af630c79e2f5cb0c86"),
+    ("two_sort", 2, "b43a7b0a5cd9994be855836e31e20e2a2230123eebadfb5b59e593fe1131a3bf"),
+    ("two_sort", 3, "765f2fbe60d39717048a0afb5a024fe0f6a99d0f374caac7e82d3e24ff4644de"),
+    ("two_sort", 16, "cc5445e7d12fa3599a57bf81fc61f5e9769bbec240ae80d37526d813e95b380f"),
+    ("two_sort", 17, "5aa2f6b4f6849b80964bbba4737e7ea5b480e29082884446f4bee5f89154ee0a"),
+    ("two_sort", 100, "26570abdea6aa3d40afe9770a4bb72da78ee88e3b0e011683899859425663bcb"),
+    ("two_sort", 1024, "468171d7ffeefe7defcd44eefbc253dac50fe0dd51262941ec0b444aa4478993"),
+    ("two_sort", 4097, "4079249a1f8ef0056bc6269c107772f2fb3ce7a21c8962fd7b1eb3cdefed1071"),
+    ("nested", 2, "508d3726ea079149285411daa2b2e5e48c8e8a418b415be2a3d6a7be33756994"),
+    ("nested", 3, "3781f8d5ae15a1acf07a869dbfe1f115c952c2417ff6b04311b9066270f46f06"),
+    ("nested", 16, "ec729b3f826f9f6c9a0e8110001cab4357444ac476c4d9eb69f27aac86af212a"),
+    ("nested", 17, "72b0046ddb1e204442e0864dd7574ec8a87a524dc051830b36f877de225d9804"),
+    ("nested", 100, "815c8a1a264661433b197ba8a6e67f87bfc4b9b94b5e415cc0db7dab9106c2a2"),
+    ("nested", 1024, "2058801c512eaed263046453bc09cfa209898c521c3c78075b46f9f46433e67f"),
+    ("nested", 4097, "f7ae9324633a86c1c07b43750f64c230a9a51b45e843b958c2f89fd475f35ce1"),
+]
+
+# sha256 of every block's sorted entries and ledger on instance seed 0
+BLOCK_VIEW_PINS = [
+    (16, 4, "37fc7241b0d760a35eac3fce93e51c42ad4c88a25892620c8e5443579f16d5ad"),
+    (17, 5, "4892e12fde511839d4395a5a39cddb65960934e1e998e3649283036b261b118c"),
+    (100, 7, "45c7cdae6f11ec1f5314d1c052fb8a96563f30d96177227cea0a9981e73d3269"),
+    (1024, 32, "7cf601666a103a2b6569fa8a59f39cfa86f4dcc17846869e5b93f91998f2cbda"),
+    (4097, 65, "9519777bc62df76b3e58da6a0b95ec5126165331ebf746f2f1f35d5cb9c9cd14"),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("algorithm,n,digest", REPORT_PINS)
+    def test_reports_pinned(self, algorithm, n, digest):
+        reports = [RUNS[algorithm](generate_instance(n, seed), seed) for seed in range(3)]
+        texts = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
+        assert _digest(texts) == digest
+
+    @pytest.mark.parametrize("n,b,digest", BLOCK_VIEW_PINS)
+    def test_block_view_ledgers_pinned(self, n, b, digest):
+        inst = generate_instance(n, 0)
+        texts = []
+        for index in range(-(-n // b)):
+            led = CostLedger()
+            view = block_view(inst, index, b, led)
+            view.release(led)
+            texts.append(
+                json.dumps([list(view.workspace.entries), led.as_dict()], sort_keys=True)
+            )
+        assert _digest(texts) == digest
+
+
+class CountingLedger(CostLedger):
+    """A ledger that counts every call made to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def charge(self, *args, **kwargs):
+        self.calls += 1
+        super().charge(*args, **kwargs)
+
+    def charge_batch(self, *args, **kwargs):
+        self.calls += 1
+        super().charge_batch(*args, **kwargs)
+
+    def workspace_acquire(self, cells):
+        self.calls += 1
+        super().workspace_acquire(cells)
+
+    def workspace_release(self, cells):
+        self.calls += 1
+        super().workspace_release(cells)
+
+
+class TestChargeCounts:
+    @pytest.mark.parametrize(
+        "matcher,calls",
+        [(classical_sort_scan, 7), (classical_two_sort_merge, 11)],
+        ids=["sort_scan", "two_sort"],
+    )
+    def test_classical_ledger_calls_independent_of_n(self, matcher, calls):
+        # each sort and the probe or walk phase charge once, whatever n
+        for n in (2, 17, 1024):
+            led = CountingLedger()
+            matcher(generate_instance(n, 5), led)
+            assert led.calls == calls, n

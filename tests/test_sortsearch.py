@@ -1,4 +1,10 @@
-"""Tests for the instrumented sort, block extraction, and membership."""
+"""Tests for the instrumented sort, block extraction, and membership.
+
+The package computes with ``sorted``/``bisect`` and charges closed
+forms.  The bottom-up merge sort below is the independent reference:
+it charges every merge as it performs it, so comparing the two keeps
+the closed forms honest.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +18,82 @@ from matchsim.sortsearch import (
     sort_charges,
     sort_instrumented,
 )
+
+
+def reference_merge_sort(pairs, ledger=None):
+    """Bottom-up merge sort over (value, index) pairs, charging each merge.
+
+    A merge of t cells costs t moves, plus t - 1 compares when two runs
+    meet; it holds one auxiliary buffer of n cells while it sorts.
+    """
+    n = len(pairs)
+    src = list(pairs)
+    if n <= 1:
+        return tuple(src)
+    if ledger is not None:
+        ledger.workspace_acquire(n)
+    dst = [src[0]] * n
+    width = 1
+    while width < n:
+        lo = 0
+        while lo < n:
+            mid = min(lo + width, n)
+            hi = min(lo + 2 * width, n)
+            t = hi - lo
+            if ledger is not None:
+                compares = t - 1 if mid < hi else 0
+                ledger.charge_batch("sort", mem_reads=2 * compares + t, mem_writes=t)
+            i, j = lo, mid
+            for k in range(lo, hi):
+                if i < mid and (j >= hi or src[i][0] <= src[j][0]):
+                    dst[k] = src[i]
+                    i += 1
+                else:
+                    dst[k] = src[j]
+                    j += 1
+            lo = hi
+        src, dst = dst, src
+        width *= 2
+    if ledger is not None:
+        ledger.workspace_release(n)
+    return tuple(src)
+
+
+def reference_sort_charges(n):
+    """(reads, writes) of the reference merge sort, by walking its merges."""
+    reads = writes = 0
+    width = 1
+    while width < n:
+        lo = 0
+        while lo < n:
+            mid = min(lo + width, n)
+            hi = min(lo + 2 * width, n)
+            t = hi - lo
+            compares = t - 1 if mid < hi else 0
+            reads += 2 * compares + t
+            writes += t
+            lo = hi
+        width *= 2
+    return reads, writes
+
+
+class TestSortCharges:
+    def test_equals_reference_merge_sort_up_to_1024(self):
+        pairs = [(i, i) for i in range(1025)]
+        for n in range(1025):
+            led = CostLedger()
+            reference_merge_sort(pairs[:n], led)
+            assert sort_charges(n) == (led.mem_reads, led.mem_writes), n
+
+    @pytest.mark.parametrize(
+        "n", [4095, 4096, 4097, 65535, 65536, 65537, 100003, (1 << 20) - 1, 1 << 20]
+    )
+    def test_equals_reference_walk_at_large_sizes(self, n):
+        assert sort_charges(n) == reference_sort_charges(n)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            sort_charges(-1)
 
 
 class TestSortInstrumented:
@@ -41,18 +123,23 @@ class TestSortInstrumented:
             pairs = [(v, i) for i, v in enumerate(values)]
             out = sort_instrumented(pairs, CostLedger())
             assert list(out.values()) == sorted(values)
-            # every source index appears exactly once
-            assert sorted(i for _, i in out.entries) == list(range(n))
+            # stable like the merge sort: equal values keep source order
+            assert out.entries == reference_merge_sort(pairs)
+
+    def test_equal_values_keep_input_order(self):
+        pairs = [(5, 3), (2, 9), (5, 1), (5, 2)]
+        assert sort_instrumented(pairs).entries == reference_merge_sort(pairs)
+        assert sort_instrumented(pairs).entries == ((2, 9), (5, 3), (5, 1), (5, 2))
 
     def test_charges_match_fixed_schedule(self):
+        # closed-form charges against those the reference sort makes merge by merge
         for n in [0, 1, 2, 3, 7, 16, 100, 1024]:
             rng = np.random.default_rng(n)
             pairs = [(int(v), i) for i, v in enumerate(rng.integers(0, 1 << 30, size=n))]
-            led = CostLedger()
+            led, ref = CostLedger(), CostLedger()
             sort_instrumented(pairs, led)
-            reads, writes = sort_charges(n)
-            assert led.mem_reads == reads
-            assert led.mem_writes == writes
+            reference_merge_sort(pairs, ref)
+            assert led.as_dict() == ref.as_dict()
             assert led.l1_queries == 0 and led.l2_queries == 0
 
     def test_charge_bound_at_1024(self):
