@@ -59,8 +59,6 @@ from .model import (
     generate_instance,
 )
 from .sortsearch import (
-    BlockView,
-    SortedList,
     binary_membership,
     block_count,
     block_view,

@@ -20,7 +20,6 @@ from .experiments import (
     result_from_rows,
     run_matcher,
     run_sweep,
-    statevector_cap_from_env,
 )
 from .grover import ENGINES, ResourceLimitError
 from .matchers import NestedConfig
@@ -31,7 +30,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = SweepConfig.from_dict(json.load(fh))
     # run_sweep writes the outputs itself when the config names them
-    result = run_sweep(config, statevector_cap=statevector_cap_from_env())
+    result = run_sweep(config)
     if config.output is not None:
         csv_path, json_path = output_paths(config.output)
         print(f"wrote {csv_path} and {json_path}")
@@ -50,9 +49,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         noise=noise_spec(args.noise, args.n),
         rng_seed=derive_seed(args.seed, args.n, 0, "run"),
     )
-    report = run_matcher(
-        args.algorithm, instance, run_config, ledger, statevector_cap_from_env()
-    )
+    report = run_matcher(args.algorithm, instance, run_config, ledger)
     doc = {"algorithm": args.algorithm, "n": args.n, "seed": args.seed}
     doc.update(report.as_dict())
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -14,12 +14,13 @@ import hashlib
 import io
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .grover import DEFAULT_STATEVECTOR_CAP, ENGINES, NoisyOracleSpec, ResourceLimitError
+# statevector_cap_from_env is re-exported: perfbench's worker records the
+# cap in its provenance through this module
+from .grover import ENGINES, NoisyOracleSpec, ResourceLimitError, statevector_cap_from_env
 from .matchers import (
     NestedConfig,
     classical_sort_scan,
@@ -41,7 +42,6 @@ MATCHERS = {
 }
 ALGORITHMS = tuple(MATCHERS)
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
-STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
 
 CSV_COLUMNS = (
     "algorithm",
@@ -57,20 +57,6 @@ CSV_COLUMNS = (
     "peak_workspace",
     "predicted_success",
 )
-
-
-def statevector_cap_from_env() -> int:
-    """Amplitude cap, overridable through MATCH_SIM_STATEVECTOR_CAP."""
-    raw = os.environ.get(STATEVECTOR_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATEVECTOR_CAP
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise ValueError(f"{STATEVECTOR_CAP_ENV} must be an integer, got {raw!r}") from err
-    if cap < 1:
-        raise ValueError(f"{STATEVECTOR_CAP_ENV} must be positive")
-    return cap
 
 
 def derive_seed(base_seed: int, n: int, trial: int, stream: str) -> int:
@@ -262,16 +248,15 @@ def run_matcher(
     instance: MatchInstance,
     run_config: NestedConfig,
     ledger: CostLedger,
-    cap: int,
 ) -> RunReport:
-    """Run one matcher by algorithm name; the classical ones ignore config and cap."""
+    """Run one matcher by algorithm name; the classical ones ignore config."""
     matcher = globals()[MATCHERS[algorithm]]
     if algorithm in ("naive_grover", "nested"):
-        return matcher(instance, run_config, ledger, statevector_cap=cap)
+        return matcher(instance, run_config, ledger)
     return matcher(instance, ledger)
 
 
-def _run_trial(config: SweepConfig, n: int, trial: int, cap: int) -> TrialRow:
+def _run_trial(config: SweepConfig, n: int, trial: int) -> TrialRow:
     instance_seed = derive_seed(config.base_seed, n, trial, "instance")
     instance = generate_instance(n, instance_seed)
     ledger = CostLedger()
@@ -281,7 +266,7 @@ def _run_trial(config: SweepConfig, n: int, trial: int, cap: int) -> TrialRow:
         noise=noise_spec(config.noise_preset, n),
         rng_seed=derive_seed(config.base_seed, n, trial, "run"),
     )
-    report = run_matcher(config.algorithm, instance, run_config, ledger, cap)
+    report = run_matcher(config.algorithm, instance, run_config, ledger)
     return TrialRow(
         algorithm=config.algorithm,
         n=n,
@@ -363,14 +348,13 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
     return csv_path, csv_path.with_suffix(".json")
 
 
-def run_sweep(config: SweepConfig, *, statevector_cap: Optional[int] = None) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically."""
-    cap = statevector_cap if statevector_cap is not None else statevector_cap_from_env()
     rows: list[TrialRow] = []
     for n in config.n_values:
         for trial in range(config.trials_per_n):
             try:
-                rows.append(_run_trial(config, n, trial, cap))
+                rows.append(_run_trial(config, n, trial))
             except ResourceLimitError as err:
                 raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
     result = SweepResult(config=config, rows=rows)
@@ -379,31 +363,37 @@ def run_sweep(config: SweepConfig, *, statevector_cap: Optional[int] = None) -> 
     return result
 
 
+def _trial_row(fields: list[str]) -> TrialRow:
+    if len(fields) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
+    rec = dict(zip(CSV_COLUMNS, fields))
+    return TrialRow(
+        algorithm=rec["algorithm"],
+        n=int(rec["n"]),
+        trial=int(rec["trial"]),
+        seed=int(rec["seed"]),
+        success=int(rec["success"]),
+        total_cost=int(rec["total_cost"]),
+        l1_queries=int(rec["l1_queries"]),
+        l2_queries=int(rec["l2_queries"]),
+        mem_reads=int(rec["mem_reads"]),
+        mem_writes=int(rec["mem_writes"]),
+        peak_workspace=int(rec["peak_workspace"]),
+        predicted_success=float(rec["predicted_success"]),
+    )
+
+
 def load_rows(csv_path: str | Path) -> list[TrialRow]:
-    """Read sweep rows back from a CSV file."""
+    """Read sweep rows back from a CSV file; a malformed line is a ValueError."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ValueError(f"{csv_path}: unexpected CSV header")
-        rows = []
-        for rec in reader:
-            rows.append(
-                TrialRow(
-                    algorithm=rec["algorithm"],
-                    n=int(rec["n"]),
-                    trial=int(rec["trial"]),
-                    seed=int(rec["seed"]),
-                    success=int(rec["success"]),
-                    total_cost=int(rec["total_cost"]),
-                    l1_queries=int(rec["l1_queries"]),
-                    l2_queries=int(rec["l2_queries"]),
-                    mem_reads=int(rec["mem_reads"]),
-                    mem_writes=int(rec["mem_writes"]),
-                    peak_workspace=int(rec["peak_workspace"]),
-                    predicted_success=float(rec["predicted_success"]),
-                )
-            )
-    return rows
+        reader = csv.reader(fh)
+        try:
+            if tuple(next(reader, ())) != CSV_COLUMNS:
+                raise ValueError("unexpected CSV header")
+            # blank lines carry no row
+            return [_trial_row(fields) for fields in reader if fields]
+        except (ValueError, csv.Error) as err:
+            raise ValueError(f"{csv_path}, line {reader.line_num}: {err}") from err
 
 
 def result_from_rows(rows: Sequence[TrialRow]) -> SweepResult:

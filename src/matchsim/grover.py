@@ -26,6 +26,7 @@ by an uncompute factor.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,12 +35,27 @@ import numpy as np
 from .model import CostLedger
 
 DEFAULT_STATEVECTOR_CAP = 1 << 20
+STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
 
 ENGINES = ("statevector", "analytic", "auto")
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a statevector run would exceed the amplitude cap."""
+
+
+def statevector_cap_from_env() -> int:
+    """Amplitude cap, overridable through MATCH_SIM_STATEVECTOR_CAP."""
+    raw = os.environ.get(STATEVECTOR_CAP_ENV)
+    if raw is None:
+        return DEFAULT_STATEVECTOR_CAP
+    try:
+        cap = int(raw)
+    except ValueError as err:
+        raise ValueError(f"{STATEVECTOR_CAP_ENV} must be an integer, got {raw!r}") from err
+    if cap < 1:
+        raise ValueError(f"{STATEVECTOR_CAP_ENV} must be positive")
+    return cap
 
 
 class ScheduleUndefinedError(ValueError):
@@ -341,16 +357,17 @@ def run_statevector(
     rng: np.random.Generator,
     ledger: Optional[CostLedger] = None,
     *,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
     failure_prob: float = 0.0,
     charge_verification: bool = False,
 ) -> GroverOutcome:
     """Reference run: simulate all amplitudes and sample one measurement.
 
-    With ``failure_prob`` > 0 each round's phase flip independently drops
-    out, as in ``run_noisy_outer``; the reported predicted_success is the
-    marked mass realized under the drawn pattern.
+    Refuses a space above ``statevector_cap_from_env()``, read when the
+    run starts.  With ``failure_prob`` > 0 each round's phase flip
+    independently drops out, as in ``run_noisy_outer``; the reported
+    predicted_success is the marked mass realized under the drawn pattern.
     """
+    cap = statevector_cap_from_env()
     m = problem.space_size
     if m > cap:
         raise ResourceLimitError(

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .grover import (
-    DEFAULT_STATEVECTOR_CAP,
     ENGINES,
     GroverOutcome,
     GroverProblem,
@@ -75,21 +74,31 @@ class NestedConfig:
             raise ValueError("uncompute_factor must be at least 1")
 
 
-def _resolve_block_size(n: int, config: NestedConfig) -> int:
-    if config.block_size is not None:
-        return config.block_size
-    return math.isqrt(n - 1) + 1
+def _nested_shape(n: int, config: NestedConfig) -> tuple[int, int, int, int]:
+    """(block size, block count, outer rounds, inner rounds) of a nested run.
+
+    The block size defaults to ceil(sqrt(n)).
+    """
+    if n < 2:
+        raise ValueError("instance size must be at least 2")
+    b = config.block_size if config.block_size is not None else math.isqrt(n - 1) + 1
+    blocks = block_count(n, b)
+    return b, blocks, iteration_schedule(blocks, 1), iteration_schedule(n, 1)
 
 
-def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunReport:
-    correct = (
+def _is_correct(instance: MatchInstance, found: Optional[tuple[int, int]]) -> bool:
+    """Whether found points at the planted value in both lists."""
+    return (
         found is not None
         and instance.list1[found[0]] == instance.planted_value
         and instance.list2[found[1]] == instance.planted_value
     )
+
+
+def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunReport:
     return RunReport(
         found=found,
-        correct=correct,
+        correct=_is_correct(instance, found),
         ledger=ledger,
         engine_stats=stats,
         rng_seed=None,
@@ -122,19 +131,17 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
     n = instance.n
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.workspace_acquire(n)
-    sorted1 = sort_instrumented(
-        [(v, i) for i, v in enumerate(instance.list1)], ledger, "sort"
-    )
+    sorted1 = sort_instrumented([(v, i) for i, v in enumerate(instance.list1)], ledger)
     # every list2 value is queried once and probed at full depth
     ledger.charge_batch(
         "final_verify", l2_queries=n, mem_reads=2 * membership_probe_depth(n) * n
     )
-    keys = sorted1.values()
+    keys = [v for v, _ in sorted1]
     found = None
     for j, v in enumerate(instance.list2):
         k = bisect_left(keys, v)
         if k < n and keys[k] == v:
-            found = (sorted1.entries[k][1], j)
+            found = (sorted1[k][1], j)
     ledger.workspace_release(n)
     return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
 
@@ -146,17 +153,13 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.charge_batch("sort", l2_queries=n, mem_writes=n)
     ledger.workspace_acquire(2 * n)
-    sorted1 = sort_instrumented(
-        [(v, i) for i, v in enumerate(instance.list1)], ledger, "sort"
-    )
-    sorted2 = sort_instrumented(
-        [(v, j) for j, v in enumerate(instance.list2)], ledger, "sort"
-    )
+    sorted1 = sort_instrumented([(v, i) for i, v in enumerate(instance.list1)], ledger)
+    sorted2 = sort_instrumented([(v, j) for j, v in enumerate(instance.list2)], ledger)
     found = None
     p1 = p2 = 0
     while p1 < n and p2 < n:
-        v1, i1 = sorted1.entries[p1]
-        v2, j2 = sorted2.entries[p2]
+        v1, i1 = sorted1[p1]
+        v2, j2 = sorted2[p2]
         if v1 == v2:
             found = (i1, j2)
             break
@@ -177,7 +180,6 @@ def _search(
     iterations: int,
     rng: np.random.Generator,
     ledger: CostLedger,
-    cap: int,
     *,
     noise: Optional[NoisyOracleSpec] = None,
     charge_verification: bool = False,
@@ -185,7 +187,7 @@ def _search(
     """One amplified search: the reference statevector only when named."""
     if choose_engine(engine) == "statevector":
         return run_statevector(
-            problem, iterations, rng, ledger, cap=cap,
+            problem, iterations, rng, ledger,
             failure_prob=noise.failure_prob if noise is not None else 0.0,
             charge_verification=charge_verification,
         )
@@ -203,8 +205,6 @@ def naive_grover_pairs(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
     ledger: Optional[CostLedger] = None,
-    *,
-    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> RunReport:
     """One flat amplified search over the n^2 pair space.
 
@@ -229,14 +229,13 @@ def naive_grover_pairs(
     )
     iterations = iteration_schedule(m, 1)
     rng = np.random.default_rng(config.rng_seed)
-    outcome = _search(config.engine, problem, iterations, rng, ledger, statevector_cap)
+    outcome = _search(config.engine, problem, iterations, rng, ledger)
     found = None
     if outcome.verified:
         found = (outcome.measured_index // n, outcome.measured_index % n)
-    correct = found == (instance.planted_pos1, instance.planted_pos2)
     return RunReport(
         found=found,
-        correct=correct,
+        correct=_is_correct(instance, found),
         ledger=ledger,
         engine_stats={
             "algorithm": "naive_grover",
@@ -279,8 +278,6 @@ def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
     ledger: Optional[CostLedger] = None,
-    *,
-    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> RunReport:
     """Amplified search over blocks of list1, then a final verify pass.
 
@@ -295,10 +292,7 @@ def nested_grover_match(
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
-    b = _resolve_block_size(n, config)
-    blocks = block_count(n, b)
-    r_outer = iteration_schedule(blocks, 1)
-    r_inner = iteration_schedule(n, 1)
+    b, blocks, r_outer, r_inner = _nested_shape(n, config)
     rng = np.random.default_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
 
@@ -312,17 +306,16 @@ def nested_grover_match(
         uncompute_factor=config.uncompute_factor,
     )
     outer_outcome = _search(
-        config.engine, outer_problem, r_outer, rng, ledger, statevector_cap,
-        noise=config.noise,
+        config.engine, outer_problem, r_outer, rng, ledger, noise=config.noise
     )
     beta = outer_outcome.measured_index
 
     # final pass: the measured block is rebuilt for real
-    block = block_view(instance, beta, b, ledger, phase="sort")
-    depth = membership_probe_depth(block.length)
+    block = block_view(instance, beta, b, ledger)
+    depth = membership_probe_depth(len(block))
     inner_marked = (instance.planted_pos2,) if beta == marked_block else ()
     inner_oracle = Oracle(
-        predicate=lambda j: binary_membership(block.workspace, instance.list2[j]) is not None,
+        predicate=lambda j: binary_membership(block, instance.list2[j]) is not None,
         charge_fn=lambda led, times: led.charge_batch(
             "inner_search", l2_queries=times, mem_reads=2 * depth * times
         ),
@@ -333,28 +326,22 @@ def nested_grover_match(
         uncompute_factor=config.uncompute_factor,
     )
     inner_outcome = _search(
-        config.engine, inner_problem, r_inner, rng, ledger, statevector_cap,
-        charge_verification=True,
+        config.engine, inner_problem, r_inner, rng, ledger, charge_verification=True
     )
 
     found = None
     if inner_outcome.verified:
         j_hat = inner_outcome.measured_index
         # the matching cell was just probed; its source index rides along
-        i_hat = binary_membership(block.workspace, instance.list2[j_hat])
+        i_hat = binary_membership(block, instance.list2[j_hat])
         ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
         if i_hat is not None and instance.list1[i_hat] == instance.list2[j_hat]:
             found = (i_hat, j_hat)
-    block.release(ledger)
+    ledger.workspace_release(len(block))
 
-    correct = (
-        found is not None
-        and instance.list1[found[0]] == instance.planted_value
-        and instance.list2[found[1]] == instance.planted_value
-    )
     return RunReport(
         found=found,
-        correct=correct,
+        correct=_is_correct(instance, found),
         ledger=ledger,
         engine_stats={
             "algorithm": "nested",
@@ -378,12 +365,7 @@ def nested_grover_match(
 def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:
     """Predicted success of the nested matcher: outer hit times final verify."""
     config = config if config is not None else NestedConfig()
-    if n < 2:
-        raise ValueError("instance size must be at least 2")
-    b = _resolve_block_size(n, config)
-    blocks = block_count(n, b)
-    r_outer = iteration_schedule(blocks, 1)
-    r_inner = iteration_schedule(n, 1)
+    _, blocks, r_outer, r_inner = _nested_shape(n, config)
     p_inner = success_probability(n, 1, r_inner)
     if config.noise is not None and config.noise.failure_prob > 0.0:
         p_outer = noisy_success_probability(blocks, r_outer, config.noise.failure_prob)
@@ -400,12 +382,7 @@ def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostL
     is for the full (verified) path on full-size blocks.
     """
     config = config if config is not None else NestedConfig()
-    if n < 2:
-        raise ValueError("instance size must be at least 2")
-    b = _resolve_block_size(n, config)
-    blocks = block_count(n, b)
-    r_outer = iteration_schedule(blocks, 1)
-    r_inner = iteration_schedule(n, 1)
+    b, _, r_outer, r_inner = _nested_shape(n, config)
     u = config.uncompute_factor
     ledger = CostLedger()
     _outer_oracle_charge(ledger, r_outer * u, b, r_inner)
@@ -447,14 +424,11 @@ def two_level_outcome_distribution(
     """
     config = config if config is not None else NestedConfig()
     n = instance.n
-    b = _resolve_block_size(n, config)
-    blocks = block_count(n, b)
+    b, blocks, r_outer, r_inner = _nested_shape(n, config)
     if blocks * n > max_joint_cells:
         raise ResourceLimitError(
             f"joint space of {blocks * n} cells exceeds the cap of {max_joint_cells}"
         )
-    r_outer = iteration_schedule(blocks, 1)
-    r_inner = iteration_schedule(n, 1)
     marked_block = instance.planted_pos1 // b
 
     block_values = [

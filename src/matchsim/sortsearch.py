@@ -4,33 +4,27 @@ Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
 where a merge of t cells always costs t - 1 compares and t moves, and a
 membership probe that always walks the full bisection depth.  Every
 kernel's cost is therefore a closed form in the sizes alone: the kernels
-compute their results with ``sorted`` and ``bisect`` and charge that
-closed form once.  A compare costs 2 reads; a move costs 1 read + 1
-write.  The merge sort itself is kept in the tests, as the independent
-reference the closed forms are checked against.
+compute their results with ``sorted`` and ``bisect``, and the sorts
+charge that closed form once, to the ``"sort"`` phase.  A membership
+lookup charges nothing: its callers charge their probes as
+``2 * membership_probe_depth(n)`` reads each, in whichever phase they
+run.  A compare costs 2 reads; a move costs 1 read + 1 write.  The merge
+sort itself is kept in the tests, as the independent reference the
+closed forms are checked against.
+
+A sorted workspace copy is a tuple of (value, source index) entries in
+ascending value order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .model import CostLedger, MatchInstance
 
-
-@dataclass(frozen=True)
-class SortedList:
-    """Value-ascending workspace copy; each entry is (value, source index)."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
+Entries = tuple[tuple[int, int], ...]
 
 
 def sort_charges(n: int) -> tuple[int, int]:
@@ -54,10 +48,8 @@ def sort_charges(n: int) -> tuple[int, int]:
 
 
 def sort_instrumented(
-    pairs: Sequence[tuple[int, int]],
-    ledger: Optional[CostLedger] = None,
-    phase: str = "sort",
-) -> SortedList:
+    pairs: Sequence[tuple[int, int]], ledger: Optional[CostLedger] = None
+) -> Entries:
     """Stable sort of (value, index) pairs, charged as the merge sort.
 
     Charges ``sort_charges(n)`` and holds one auxiliary buffer of n
@@ -69,24 +61,9 @@ def sort_instrumented(
     if ledger is not None and n > 1:
         reads, writes = sort_charges(n)
         ledger.workspace_acquire(n)
-        ledger.charge_batch(phase, mem_reads=reads, mem_writes=writes)
+        ledger.charge_batch("sort", mem_reads=reads, mem_writes=writes)
         ledger.workspace_release(n)
-    return SortedList(entries=entries)
-
-
-@dataclass(frozen=True)
-class BlockView:
-    """A sorted workspace copy of one contiguous block of list1."""
-
-    block_index: int
-    offset: int
-    length: int
-    workspace: SortedList
-
-    def release(self, ledger: Optional[CostLedger]) -> None:
-        """Give back the block's workspace cells."""
-        if ledger is not None:
-            ledger.workspace_release(self.length)
+    return entries
 
 
 def block_count(n: int, block_size: int) -> int:
@@ -100,12 +77,12 @@ def block_view(
     block_index: int,
     block_size: int,
     ledger: Optional[CostLedger] = None,
-    phase: str = "sort",
-) -> BlockView:
+) -> Entries:
     """Copy one block of list1 into workspace and sort it.
 
     Charges one list1 query plus one write per copied cell, then the
-    sort.  The caller owns the returned workspace until release().
+    sort.  The caller owns the returned entries' workspace cells until
+    it releases them.
     """
     if block_size < 1:
         raise ValueError("block size must be at least 1")
@@ -114,13 +91,10 @@ def block_view(
         raise ValueError(f"block index {block_index} out of range")
     length = min(block_size, instance.n - offset)
     if ledger is not None:
-        ledger.charge_batch(phase, l1_queries=length, mem_writes=length)
+        ledger.charge_batch("sort", l1_queries=length, mem_writes=length)
         ledger.workspace_acquire(length)
     pairs = [(instance.list1[offset + i], offset + i) for i in range(length)]
-    workspace = sort_instrumented(pairs, ledger, phase)
-    return BlockView(
-        block_index=block_index, offset=offset, length=length, workspace=workspace
-    )
+    return sort_instrumented(pairs, ledger)
 
 
 def membership_probe_depth(n: int) -> int:
@@ -130,22 +104,9 @@ def membership_probe_depth(n: int) -> int:
     return n.bit_length()
 
 
-def binary_membership(
-    sorted_list: SortedList,
-    query_value: int,
-    ledger: Optional[CostLedger] = None,
-    phase: str = "final_verify",
-) -> Optional[int]:
-    """Source index of query_value in sorted workspace, or None.
-
-    Always charges the full probe depth (2 reads per probe) so the cost
-    is independent of where, or whether, the value occurs.
-    """
-    entries = sorted_list.entries
-    n = len(entries)
-    if ledger is not None:
-        ledger.charge_batch(phase, mem_reads=2 * membership_probe_depth(n))
+def binary_membership(entries: Entries, query_value: int) -> Optional[int]:
+    """Source index of query_value in sorted entries, or None."""
     k = bisect_left(entries, query_value, key=itemgetter(0))
-    if k < n and entries[k][0] == query_value:
+    if k < len(entries) and entries[k][0] == query_value:
         return entries[k][1]
     return None

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -21,9 +22,8 @@ from matchsim.experiments import (
     result_from_rows,
     run_matcher,
     run_sweep,
-    statevector_cap_from_env,
 )
-from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError
+from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError, statevector_cap_from_env
 from matchsim.matchers import NestedConfig
 from matchsim.model import CostLedger, generate_instance
 
@@ -222,6 +222,20 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             load_rows(bad)
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda f: f[:3], lambda f: f + ["7"], lambda f: f[:5] + ["x"] + f[6:]],
+        ids=["short_row", "long_row", "bad_total_cost"],
+    )
+    def test_load_rows_names_file_and_line(self, mangle, tmp_path):
+        path = tmp_path / "rows.csv"
+        run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4, 8), output=str(path)))
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(mangle(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+            load_rows(path)
+
     def test_statevector_cap_violation_names_size(self, monkeypatch):
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
         config = SweepConfig(
@@ -239,6 +253,18 @@ class TestRunSweep:
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "many")
         with pytest.raises(ValueError):
             statevector_cap_from_env()
+
+    def test_malformed_cap_fails_only_statevector_runs(self, monkeypatch, capsys):
+        # the cap is read when a statevector run starts, and only then
+        monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "many")
+        for algorithm in ("sort_scan", "naive_grover", "nested"):
+            assert run_sweep(SweepConfig(algorithm=algorithm, n_values=(16,))).rows
+        config = SweepConfig(algorithm="naive_grover", n_values=(4,), engine="statevector")
+        with pytest.raises(ValueError, match="MATCH_SIM_STATEVECTOR_CAP"):
+            run_sweep(config)
+        run = ["run", "--algorithm", "naive_grover", "--n", "4"]
+        assert main(run) == 0
+        assert main(run + ["--engine", "statevector"]) == 2
 
     def test_auto_engine_downgrades_instead_of_failing(self, monkeypatch):
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
@@ -263,9 +289,7 @@ class TestRunMatcher:
     def test_every_algorithm_runs(self):
         instance = generate_instance(16, 3)
         for algorithm in experiments.ALGORITHMS:
-            report = run_matcher(
-                algorithm, instance, NestedConfig(rng_seed=1), CostLedger(), 1 << 20
-            )
+            report = run_matcher(algorithm, instance, NestedConfig(rng_seed=1), CostLedger())
             assert report.engine_stats["algorithm"] == algorithm
 
 
@@ -491,6 +515,19 @@ class TestCli:
             )
         )
         assert main(["sweep", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("fields", [3, 13], ids=["short_row", "long_row"])
+    def test_malformed_csv_row_is_exit_two(self, command, fields, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4, 8, 16), output=str(good)))
+        header, first, *rest = good.read_text().splitlines()
+        row = (first.split(",") + ["0"])[:fields]  # 13: one field too many
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, ",".join(row), *rest]) + "\n")
+        argv = {"fit": ["fit", "--input", str(bad)], "compare": ["compare", str(good), str(bad)]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}, line 2: ")
 
     def test_compare_with_single_input_is_exit_two(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -173,10 +173,11 @@ class TestStatevectorEngine:
         sigma = math.sqrt(p_hit * (1 - p_hit) / 4000)
         assert abs(hits / 4000 - p_hit) < 4 * sigma
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "1024")
         prob = first_k_problem(2048, 1)
         with pytest.raises(ResourceLimitError) as err:
-            run_statevector(prob, 1, np.random.default_rng(0), cap=1024)
+            run_statevector(prob, 1, np.random.default_rng(0))
         assert "2048" in str(err.value)
 
     def test_oracle_charges_per_iteration_times_uncompute(self):
@@ -263,7 +264,7 @@ class TestAnalyticEngine:
         assert out.predicted_success > 1 - 1e-9
         assert out.measured_index == 7
 
-    def test_choose_engine_auto_respects_cap(self):
+    def test_choose_engine_auto_respects_cap(self, monkeypatch):
         # auto runs the reduced engine at every size, so the amplitude cap
         # bounds only runs that name the statevector engine
         assert choose_engine("auto") == "analytic"
@@ -271,17 +272,13 @@ class TestAnalyticEngine:
         assert choose_engine("statevector") == "statevector"
         with pytest.raises(ValueError):
             choose_engine("quantum")
-        cap = 64
+        monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
         for n in (4, 8, 16):  # pair spaces 16 and 64 fit the cap, 256 does not
-            report = naive_grover_pairs(
-                generate_instance(n, 1), NestedConfig(rng_seed=0), statevector_cap=cap
-            )
+            report = naive_grover_pairs(generate_instance(n, 1), NestedConfig(rng_seed=0))
             assert report.engine_stats["engine"] == "analytic"
         with pytest.raises(ResourceLimitError):
             naive_grover_pairs(
-                generate_instance(16, 1),
-                NestedConfig(engine="statevector", rng_seed=0),
-                statevector_cap=cap,
+                generate_instance(16, 1), NestedConfig(engine="statevector", rng_seed=0)
             )
 
     def test_same_seed_measures_same_index_as_statevector(self):

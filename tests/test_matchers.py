@@ -493,10 +493,8 @@ class TestPinnedOutputs:
         for index in range(-(-n // b)):
             led = CostLedger()
             view = block_view(inst, index, b, led)
-            view.release(led)
-            texts.append(
-                json.dumps([list(view.workspace.entries), led.as_dict()], sort_keys=True)
-            )
+            led.workspace_release(len(view))
+            texts.append(json.dumps([list(view), led.as_dict()], sort_keys=True))
         assert _digest(texts) == digest
 
 

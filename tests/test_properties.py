@@ -1,5 +1,14 @@
-"""Property tests: the reduced engine against the full statevector, and
-sweep-config parsing against arbitrary JSON."""
+"""Property tests: the reduced engine against the full statevector,
+sweep-config parsing against arbitrary JSON, and the command line
+against arbitrary argument lists."""
+
+import io
+import json
+import os
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +16,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from matchsim.experiments import ALGORITHMS, NOISE_PRESETS, SweepConfig  # noqa: E402
+from matchsim.cli import main  # noqa: E402
+from matchsim.experiments import ALGORITHMS, NOISE_PRESETS, SweepConfig, run_sweep  # noqa: E402
 from matchsim.grover import (  # noqa: E402
     ENGINES,
+    STATEVECTOR_CAP_ENV,
     GroverProblem,
     NoisyOracleSpec,
     Oracle,
@@ -93,3 +104,101 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
     assert all(type(n) is int and n >= 2 for n in config.n_values)
     for value in (config.trials_per_n, config.base_seed, config.uncompute_factor):
         assert type(value) is int
+
+
+# files every example finds in its working directory, plus one it never does
+CLI_FILES = (
+    "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "missing.csv",
+)
+small_ints = st.integers(-64, 64).map(str)
+
+# a token never starts with "-" unless it is a flag or a number, so argparse
+# cannot read junk as an abbreviated flag
+cli_tokens = (
+    st.sampled_from(ALGORITHMS + NOISE_PRESETS + ENGINES + CLI_FILES)
+    | small_ints
+    | st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+)
+
+
+# each subcommand's flags and the values they take (None: takes no value)
+CLI_OPTIONS = {
+    "sweep": {"--config": st.sampled_from(CLI_FILES)},
+    "run": {
+        "--algorithm": st.sampled_from(ALGORITHMS),
+        "--n": small_ints,
+        "--seed": small_ints,
+        "--noise": st.sampled_from(NOISE_PRESETS),
+        "--engine": st.sampled_from(ENGINES),
+        "--uncompute": small_ints,
+        "--block-size": small_ints,
+    },
+    "fit": {"--input": st.sampled_from(CLI_FILES), "--log-normalize": None},
+    "compare": {"--output": st.sampled_from(("out.csv", "good.csv"))},
+}
+CLI_REQUIRED = ("--config", "--algorithm", "--n", "--input")
+CLI_FLAGS = tuple(flag for options in CLI_OPTIONS.values() for flag in options) + ("--help",)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A well-formed command line, half the time with one token replaced or added."""
+    command = draw(st.sampled_from(tuple(CLI_OPTIONS)))
+    argv = [command]
+    for flag, values in CLI_OPTIONS[command].items():
+        if flag in CLI_REQUIRED or draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    if command == "compare":
+        argv += draw(st.lists(st.sampled_from(CLI_FILES), max_size=3))
+    if draw(st.booleans()):
+        where = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(CLI_FLAGS) | cli_tokens)
+        argv[where:where + draw(st.integers(0, 1))] = [token]
+    return argv
+
+
+@pytest.fixture(scope="session")
+def cli_files(tmp_path_factory):
+    """A directory of small valid and malformed CLI inputs."""
+    root = tmp_path_factory.mktemp("cli_files")
+    run_sweep(
+        SweepConfig(algorithm="sort_scan", n_values=(4, 8, 16), output=str(root / "good.csv"))
+    )
+    (root / "good.json").unlink()  # the sweep's aggregate; good.json is a config
+    lines = (root / "good.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    (root / "short.csv").write_text("\n".join(lines) + "\n")
+    configs = {
+        "good.json": {"algorithm": "nested", "n_values": [4, 9], "output": "out.csv"},
+        "bad.json": {"algorithm": "sort_scan", "n_values": [1]},
+        # refused by the amplitude cap before any amplitude is allocated
+        "limit.json": {"algorithm": "naive_grover", "n_values": [1025], "engine": "statevector"},
+    }
+    for name, doc in configs.items():
+        (root / name).write_text(json.dumps(doc))
+    return root
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(cli_argvs())
+@hypothesis.example(["fit", "--input", "short.csv"])
+@hypothesis.example(["compare", "good.csv", "short.csv"])
+@hypothesis.example(["sweep", "--config", "limit.json"])
+def test_any_argv_exits_zero_two_or_three(cli_files, argv):
+    # each example works in a fresh copy, so outputs never clobber inputs;
+    # the default cap keeps limit.json from allocating its amplitudes
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(os.environ):
+        os.environ.pop(STATEVECTOR_CAP_ENV, None)
+        shutil.copytree(cli_files, work, dirs_exist_ok=True)
+        os.chdir(work)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exit_:  # argparse exits on usage errors and --help
+            code = exit_.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3)
