@@ -29,7 +29,7 @@ from .matchers import (
     naive_grover_pairs,
     nested_grover_match,
 )
-from .model import CostLedger, MatchInstance, RunReport, generate_instance
+from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport, generate_instance
 
 # matcher entry point per algorithm, by name: run_matcher looks each up
 # in this module's globals at call time, so a patched entry point runs
@@ -367,7 +367,7 @@ def _trial_row(fields: list[str]) -> TrialRow:
     if len(fields) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
     rec = dict(zip(CSV_COLUMNS, fields))
-    return TrialRow(
+    row = TrialRow(
         algorithm=rec["algorithm"],
         n=int(rec["n"]),
         trial=int(rec["trial"]),
@@ -381,6 +381,21 @@ def _trial_row(fields: list[str]) -> TrialRow:
         peak_workspace=int(rec["peak_workspace"]),
         predicted_success=float(rec["predicted_success"]),
     )
+    for name in (*ACCESS_KINDS, "peak_workspace"):
+        if getattr(row, name) < 0:
+            raise ValueError(f"{name} is negative: {getattr(row, name)}")
+    accesses = sum(getattr(row, kind) for kind in ACCESS_KINDS)
+    if row.total_cost != accesses:
+        raise ValueError(f"total_cost {row.total_cost} is not the sum of its counters, {accesses}")
+    if row.total_cost < 1:
+        raise ValueError("total_cost must be at least 1")
+    if row.success not in (0, 1):
+        raise ValueError(f"success must be 0 or 1, got {row.success}")
+    if row.n < 2:
+        raise ValueError(f"n must be at least 2, got {row.n}")
+    if not 0.0 <= row.predicted_success <= 1.0:
+        raise ValueError(f"predicted_success {row.predicted_success} is outside [0, 1]")
+    return row
 
 
 def load_rows(csv_path: str | Path) -> list[TrialRow]:

@@ -32,16 +32,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import CostLedger
+from .model import CostLedger, ResourceLimitError
 
 DEFAULT_STATEVECTOR_CAP = 1 << 20
 STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
 
 ENGINES = ("statevector", "analytic", "auto")
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a statevector run would exceed the amplitude cap."""
 
 
 def statevector_cap_from_env() -> int:

@@ -15,7 +15,6 @@ against the same cost model, so their ledgers are directly comparable:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,12 +135,13 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
     ledger.charge_batch(
         "final_verify", l2_queries=n, mem_reads=2 * membership_probe_depth(n) * n
     )
-    keys = [v for v, _ in sorted1]
-    found = None
-    for j, v in enumerate(instance.list2):
-        k = bisect_left(keys, v)
-        if k < n and keys[k] == v:
-            found = (sorted1[k][1], j)
+    # sorted1's keys, built natively: reading them out of its tuples costs more
+    keys = np.sort(np.fromiter(instance.list1, dtype=np.uint64, count=n))
+    probes = np.fromiter(instance.list2, dtype=np.uint64, count=n)
+    at = np.minimum(np.searchsorted(keys, probes), n - 1)
+    hits = np.flatnonzero(keys[at] == probes)
+    # the last list2 position that hits wins, as a forward scan would report
+    found = (sorted1[at[hits[-1]]][1], int(hits[-1])) if hits.size else None
     ledger.workspace_release(n)
     return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
 

@@ -19,6 +19,14 @@ PHASES = ("sort", "inner_search", "outer_search", "final_verify")
 
 _VALUE_BOUND = 1 << 64
 
+# Largest list length generate_instance accepts: above the 4^10 sweep
+# sizes, and small enough that 2n - 1 Python ints fit in a few hundred MB.
+MAX_INSTANCE_SIZE = 1 << 22
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a run would exceed a fixed size or amplitude cap."""
+
 
 @dataclass
 class PhaseCosts:
@@ -219,28 +227,49 @@ class MatchInstance:
 
 
 def _draw_distinct(rng: np.random.Generator, count: int) -> list[int]:
-    """Draw ``count`` distinct 64-bit values, preserving draw order."""
+    """Draw ``count`` distinct 64-bit values, preserving draw order.
+
+    Fast path: the first batch of ``max(16, count)`` draws is sorted once
+    and its neighbours compared; if its first ``count`` values hold no
+    repeat, they are the answer.  Otherwise the per-value loop takes over
+    from that same batch, skipping repeats and drawing further batches
+    as needed.  Both paths make the same generator calls and return the
+    same values as the loop alone would.
+    """
+    batch = rng.integers(0, _VALUE_BOUND, size=max(16, count), dtype=np.uint64)
+    head = np.sort(batch[:count])
+    if not np.any(head[1:] == head[:-1]):
+        return batch[:count].tolist()
     seen: set[int] = set()
     out: list[int] = []
-    while len(out) < count:
-        batch = rng.integers(0, _VALUE_BOUND, size=max(16, count - len(out)), dtype=np.uint64)
+    while True:
         for v in batch.tolist():
             if v not in seen:
                 seen.add(v)
                 out.append(v)
                 if len(out) == count:
-                    break
-    return out
+                    return out
+        batch = rng.integers(0, _VALUE_BOUND, size=max(16, count - len(out)), dtype=np.uint64)
+
+
+def check_instance_size(n: int) -> None:
+    """Refuse a size below 2 (ValueError) or above ``MAX_INSTANCE_SIZE``."""
+    if n < 2:
+        raise ValueError("instance size must be at least 2")
+    if n > MAX_INSTANCE_SIZE:
+        raise ResourceLimitError(
+            f"instance size {n} exceeds the cap of {MAX_INSTANCE_SIZE} values per list"
+        )
 
 
 def generate_instance(n: int, seed: int) -> MatchInstance:
     """Deterministically generate a size-``n`` instance from ``seed``.
 
     Draws 2n - 1 distinct 64-bit values, plants the first at a uniform
-    position in each list, and fills the rest disjointly.
+    position in each list, and fills the rest disjointly.  The size is
+    checked before anything is drawn.
     """
-    if n < 2:
-        raise ValueError("instance size must be at least 2")
+    check_instance_size(n)
     rng = np.random.default_rng(seed)
     values = _draw_distinct(rng, 2 * n - 1)
     planted = values[0]

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from matchsim import experiments
+from matchsim import experiments, model
 from matchsim.cli import main
 from matchsim.experiments import (
     CSV_COLUMNS,
@@ -25,7 +25,12 @@ from matchsim.experiments import (
 )
 from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError, statevector_cap_from_env
 from matchsim.matchers import NestedConfig
-from matchsim.model import CostLedger, generate_instance
+from matchsim.model import ACCESS_KINDS, MAX_INSTANCE_SIZE, CostLedger, generate_instance
+
+
+def _never_drawn(*args, **kwargs):
+    raise AssertionError("drew values for an over-cap instance")
+
 
 # configs from_dict must reject with ValueError, keyed by what is wrong
 MALFORMED_CONFIGS = {
@@ -39,6 +44,30 @@ MALFORMED_CONFIGS = {
     "bool_size": {"algorithm": "sort_scan", "n_values": [True, 16]},
     "list_algorithm": {"algorithm": ["sort_scan"], "n_values": [16]},
     "int_output": {"algorithm": "sort_scan", "n_values": [16], "output": 7},
+}
+
+
+def _negate_reads(rec):
+    rec["mem_reads"] = str(-int(rec["mem_reads"]))
+    rec["total_cost"] = str(sum(int(rec[kind]) for kind in ACCESS_KINDS))
+
+
+def _zero_counters(rec):
+    for key in ("total_cost", *ACCESS_KINDS):
+        rec[key] = "0"
+
+
+# CSV rows load_rows must reject: each edit breaks one rule, and the
+# message names what is wrong
+IMPOSSIBLE_ROWS = {
+    "negative_counter": (_negate_reads, "mem_reads is negative"),
+    "total_not_sum": (lambda rec: rec.update(total_cost=str(int(rec["total_cost"]) + 1)),
+                      "not the sum of its counters"),
+    "zero_total": (_zero_counters, "total_cost must be at least 1"),
+    "success_two": (lambda rec: rec.update(success="2"), "success must be 0 or 1"),
+    "n_below_two": (lambda rec: rec.update(n="1"), "n must be at least 2"),
+    "predicted_above_one": (lambda rec: rec.update(predicted_success="1.5"), "outside [0, 1]"),
+    "predicted_nan": (lambda rec: rec.update(predicted_success="nan"), "outside [0, 1]"),
 }
 
 
@@ -528,6 +557,37 @@ class TestCli:
         argv = {"fit": ["fit", "--input", str(bad)], "compare": ["compare", str(good), str(bad)]}
         assert main(argv[command]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}, line 2: ")
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("case", IMPOSSIBLE_ROWS.values(), ids=IMPOSSIBLE_ROWS.keys())
+    def test_impossible_csv_row_is_exit_two(self, command, case, tmp_path, capsys):
+        edit, message = case
+        good = tmp_path / "good.csv"
+        run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4, 8, 16), output=str(good)))
+        header, first, *rest = good.read_text().splitlines()
+        rec = dict(zip(CSV_COLUMNS, first.split(",")))
+        edit(rec)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, ",".join(rec.values()), *rest]) + "\n")
+        argv = {"fit": ["fit", "--input", str(bad)], "compare": ["compare", str(good), str(bad)]}
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}, line 2: ")
+        assert message in err
+
+    def test_run_over_size_cap_is_exit_three(self, monkeypatch, capsys):
+        # refused before any value is drawn, so nothing is allocated
+        monkeypatch.setattr(model, "_draw_distinct", _never_drawn)
+        assert main(["run", "--algorithm", "sort_scan", "--n", "1000000000"]) == 3
+        assert str(MAX_INSTANCE_SIZE) in capsys.readouterr().err
+
+    def test_sweep_over_size_cap_is_exit_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(model, "_draw_distinct", _never_drawn)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithm": "nested", "n_values": [MAX_INSTANCE_SIZE + 1]}))
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"n={MAX_INSTANCE_SIZE + 1}" in err and str(MAX_INSTANCE_SIZE) in err
 
     def test_compare_with_single_input_is_exit_two(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

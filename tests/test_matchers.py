@@ -87,6 +87,23 @@ class TestClassicalSortScan:
         report = classical_sort_scan(inst)
         assert report.found == (4, 15)
 
+    def test_last_hit_wins_over_the_full_64_bit_range(self):
+        # two shared values (not a valid instance): the later list2 position
+        # is reported, and values past 2**63 order as unsigned
+        top = 2**64 - 1
+        inst = MatchInstance(
+            n=4, list1=(2**63, top, 5, 1), list2=(top, 7, 2**63, 9),
+            planted_value=top, planted_pos1=1, planted_pos2=0,
+        )
+        assert classical_sort_scan(inst).found == (0, 2)
+
+    def test_missed_probe_reports_nothing(self):
+        inst = MatchInstance(
+            n=3, list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
+            planted_value=4, planted_pos1=0, planted_pos2=0,
+        )
+        assert classical_sort_scan(inst).found is None
+
     def test_cost_bound(self):
         n = 1024
         led = CostLedger()

@@ -1,17 +1,86 @@
 """Tests for instance generation and cost accounting."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from matchsim import model
 from matchsim.model import (
     ACCESS_KINDS,
+    MAX_INSTANCE_SIZE,
     PHASES,
     CostLedger,
     MatchInstance,
+    ResourceLimitError,
+    check_instance_size,
     generate_instance,
 )
+
+
+def reference_draw_distinct(rng, count):
+    """The per-value loop ``_draw_distinct`` must reproduce exactly."""
+    seen = set()
+    out = []
+    while len(out) < count:
+        batch = rng.integers(0, 1 << 64, size=max(16, count - len(out)), dtype=np.uint64)
+        for v in batch.tolist():
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                if len(out) == count:
+                    break
+    return out
+
+
+class ScriptedRng:
+    """Stands in for a Generator: ``integers`` hands out a fixed stream in order."""
+
+    def __init__(self, stream):
+        self.stream = list(stream)
+        self.calls = []
+
+    def integers(self, low, high, size, dtype):
+        self.calls.append((low, high, size, dtype))
+        if size > len(self.stream):
+            raise AssertionError("scripted stream exhausted")
+        batch, self.stream = self.stream[:size], self.stream[size:]
+        return np.array(batch, dtype=dtype)
+
+
+# sha256 of json.dumps([list1, list2, planted_value, planted_pos1,
+# planted_pos2]), recorded from the per-value loop before it was vectorised
+PINNED_INSTANCES = {
+    (2, 0): "15eb44de2d0aac3a99d5d4834b882113c865087686528634d0e7d5ce5b677530",
+    (2, 1): "dbc2d8ddf742231d1664561dbcc36b45a46397f6c6d558f01bd06e4577b70caa",
+    (2, 2): "109e1b4d11a5f5fb342fd16c5320d59b3e2f3af9064d074ddf8a7d76a5742c64",
+    (2, 2**63 + 5): "4a0a2fa950bd100ec25167322ac363d84acc78f939daed4ffb1cd0261036ec89",
+    (3, 0): "5f211ce6d91178b62d6cfa58019bdf4cd4b78420ac9f250ee49a2bd4b20c27ae",
+    (3, 1): "47a669553f104d6a032e6ec1adff2523771a8c62c75e7927e355a81342d10ee3",
+    (3, 2): "f39873185c1a682030268745f000b3e9489c76f786561351d9b1c153cbacf6fd",
+    (3, 2**63 + 5): "fec5a3e679933e02bbbc0101432d7fde868cfc2147449ef65847b9047ca9571d",
+    (16, 0): "25260ba86040eff714a94e3a0e530f7085bc3d584ebce23dadde6eec1a343309",
+    (16, 1): "ea906290d82d93ecb85cb61e6664efe3919ce9ffb8cc0c7a520ab73d3acf8814",
+    (16, 2): "e29c97fa78c855fe01c575f5ccb0e1763b2975cc1de732018a1ac3ec056dc789",
+    (16, 2**63 + 5): "1bd57de08ae29d8e01db227083e0aae5d02dca02ef0cb4e4f0e3b15d0f0bb9be",
+    (17, 0): "7aa29aa8c9f502b76d0ab012e77f9c373f0d91125fa8ae39d69e7cac5ed7eb33",
+    (17, 1): "f391dc56ae7133faac405752d31f1685b3104aeccb29452851d816897cf32155",
+    (17, 2): "3fc00d76080720ebc6e20f04f0590a16ac335152b9d7bc1dee0f052e26681f64",
+    (17, 2**63 + 5): "01149783e19f806aba96ff81dbefd63f6f6ddc305018848c422f5c0d388b7748",
+    (1024, 0): "3108f0cdd1845f35080afd095058b8acb260343c4a9f9667a6f26ba7132562b0",
+    (1024, 1): "e9ce8b76178ab32f6e080e49102caed8c25f4498ec41a7051de5b30cf8d1a403",
+    (1024, 2): "791716e377a1b6a83d1f13731c581becbca572139d16adbb4fc252495699db52",
+    (1024, 2**63 + 5): "4739a138c1220f23844ed86439a54a05c5d8c2559d46824a7d3c38f822ec2260",
+    (4097, 0): "d3ebf57ead03bdc587d45d6bd72d7b0048c56821b1dc88e1e93fadb74e95f01a",
+    (4097, 1): "659c91733a4ac4ca1799295c53768ec4d6dbff064a52bc7e68ab9728ebba2e13",
+    (4097, 2): "528b3c713152b370f47be4770651b359d7b92e92f4c391b2944ef8545857cede",
+    (4097, 2**63 + 5): "907b8c163d0630c7df301fdc64a263046a1ec17b4e09cb6f4300daeb6cdeaec7",
+    (65536, 0): "b9ddd127d8bba88ce525f21f0ee8838837e321f2d482dd697e3cb26b4e8c0ab5",
+    (65536, 1): "40a5fb34e06b4a2d972281153510f4ed065d685ce34738cadedc9a9b70dd0aa4",
+    (65536, 2): "9c3fb0e1be2c81f4266abf729b5e9075cbb4a5965a1a24085ea5c9747d6034ba",
+    (65536, 2**63 + 5): "7d458273e235fbe8524227ee57f2cc7e178d2e08102b7f36ac693ae14b3f8416",
+}
 
 
 class TestGenerateInstance:
@@ -72,6 +141,72 @@ class TestGenerateInstance:
         inst = generate_instance(32, 5)
         for v in inst.list1 + inst.list2:
             assert 0 <= v < 1 << 64
+
+    @pytest.mark.parametrize("n, seed", PINNED_INSTANCES, ids=str)
+    def test_instances_pinned(self, n, seed):
+        inst = generate_instance(n, seed)
+        doc = [list(inst.list1), list(inst.list2), inst.planted_value,
+               inst.planted_pos1, inst.planted_pos2]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == PINNED_INSTANCES[(n, seed)]
+
+
+class TestDrawDistinct:
+    @pytest.mark.parametrize("count", [1, 3, 15, 16, 17, 1023, 4097])
+    def test_matches_reference_on_real_generator(self, count):
+        for seed in range(3):
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            assert model._draw_distinct(fast_rng, count) == reference_draw_distinct(ref_rng, count)
+            # both leave the generator in the same state
+            assert fast_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    @pytest.mark.parametrize(
+        "count, stream",
+        [
+            # a repeat inside the first batch: one more batch of 16 fills the gap
+            (20, [*range(100, 110), 103, *range(110, 119), *range(200, 216)]),
+            # the second batch repeats values from the first before a new one
+            (20, [*range(100, 119), 100, 105, 100, 118, 300, *range(301, 313)]),
+            # count below 16: a repeat within the first count values
+            (5, [7, 8, 7, 9, 10, 11, *range(50, 60)]),
+            # count below 16: repeats only after the first count values
+            (5, [7, 8, 9, 10, 11, 7, 8, *range(50, 59)]),
+            # a whole second batch of repeats forces a third batch
+            (18, [*range(17), 0, *range(16), *range(500, 516)]),
+            # values at the top of the 64-bit range compare as unsigned
+            (4, [2**64 - 1, 2**63, 2**64 - 1, 2**63 + 1, 5, *range(600, 611), *range(700, 716)]),
+        ],
+        ids=["repeat_in_first", "second_repeats_first", "small_count",
+             "small_count_late_repeat", "third_batch", "top_bits"],
+    )
+    def test_scripted_repeats_match_reference(self, count, stream):
+        fast, ref = ScriptedRng(stream), ScriptedRng(stream)
+        out = model._draw_distinct(fast, count)
+        assert out == reference_draw_distinct(ref, count)
+        assert fast.calls == ref.calls
+        assert len(set(out)) == count
+
+
+class TestInstanceSizeCap:
+    def test_cap_sits_above_the_sweep_sizes(self):
+        assert MAX_INSTANCE_SIZE == 1 << 22
+        check_instance_size(4**10)
+        check_instance_size(MAX_INSTANCE_SIZE)
+
+    def test_one_past_the_cap_is_refused(self):
+        with pytest.raises(ResourceLimitError, match=str(MAX_INSTANCE_SIZE)):
+            check_instance_size(MAX_INSTANCE_SIZE + 1)
+
+    def test_refused_before_anything_is_drawn(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew values for an over-cap instance")
+
+        monkeypatch.setattr(model.np.random, "default_rng", never)
+        monkeypatch.setattr(model, "_draw_distinct", never)
+        for n in (MAX_INSTANCE_SIZE + 1, 10**9, 10**18):
+            with pytest.raises(ResourceLimitError):
+                generate_instance(n, 0)
 
 
 class TestMatchInstance:
