@@ -28,7 +28,7 @@ from .model import CostLedger, generate_instance
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = SweepConfig.from_dict(json.load(fh))
+        config = SweepConfig.from_json(fh.read())
     # run_sweep writes the outputs itself when the config names them
     result = run_sweep(config)
     if config.output is not None:

@@ -167,7 +167,12 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        return cls.from_dict(json.loads(text))
+        """Parse a config file's text; malformed JSON is a ValueError too."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("config JSON nests too deeply") from None
+        return cls.from_dict(doc)
 
     def as_dict(self) -> dict:
         return {

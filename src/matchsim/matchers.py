@@ -89,8 +89,8 @@ def _is_correct(instance: MatchInstance, found: Optional[tuple[int, int]]) -> bo
     """Whether found points at the planted value in both lists."""
     return (
         found is not None
-        and instance.list1[found[0]] == instance.planted_value
-        and instance.list2[found[1]] == instance.planted_value
+        and int(instance.values1[found[0]]) == instance.planted_value
+        and int(instance.values2[found[1]]) == instance.planted_value
     )
 
 
@@ -124,51 +124,69 @@ def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = Non
     return _classical_report(instance, found, ledger, {"algorithm": "exhaustive"})
 
 
+def _shared_positions(keys1: np.ndarray, keys2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ascending keys1 and keys2 that hold a shared value.
+
+    One ``searchsorted`` of the sorted keys2 against keys1: sorted
+    needles walk keys1 in order, several times faster than unsorted
+    ones.  Both position arrays ascend.
+    """
+    at = np.minimum(np.searchsorted(keys1, keys2), len(keys1) - 1)
+    hits = np.flatnonzero(keys1[at] == keys2)
+    return at[hits], hits
+
+
 def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
     """Sort list1, then probe every list2 value against the sorted copy."""
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.workspace_acquire(n)
-    sorted1 = sort_instrumented([(v, i) for i, v in enumerate(instance.list1)], ledger)
+    order1 = sort_instrumented(instance.values1, ledger)
     # every list2 value is queried once and probed at full depth
     ledger.charge_batch(
         "final_verify", l2_queries=n, mem_reads=2 * membership_probe_depth(n) * n
     )
-    # sorted1's keys, built natively: reading them out of its tuples costs more
-    keys = np.sort(np.fromiter(instance.list1, dtype=np.uint64, count=n))
-    probes = np.fromiter(instance.list2, dtype=np.uint64, count=n)
-    at = np.minimum(np.searchsorted(keys, probes), n - 1)
-    hits = np.flatnonzero(keys[at] == probes)
-    # the last list2 position that hits wins, as a forward scan would report
-    found = (sorted1[at[hits[-1]]][1], int(hits[-1])) if hits.size else None
+    # probing in sorted order finds the same hits; the charge above covers them
+    keys1 = instance.values1[order1]
+    at1, _ = _shared_positions(keys1, np.sort(instance.values2))
+    found = None
+    if at1.size:
+        # the last list2 position that hits wins, as a forward scan would report
+        j = int(np.flatnonzero(np.isin(instance.values2, keys1[at1]))[-1])
+        found = (int(order1[np.searchsorted(keys1, instance.values2[j])]), j)
     ledger.workspace_release(n)
     return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
 
 
 def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
-    """Sort both lists and walk them in step until the values collide."""
+    """Sort both lists and walk them in step until the values collide.
+
+    The walk advances past the smaller head until the heads are equal,
+    so its length is a closed form in ranks.  It stops at the smallest
+    shared value v* after p1 = #{list1 < v*} plus p2 = #{list2 < v*}
+    advances and one matching step.  With no shared value it stops when
+    one list runs out: the list whose largest value is the smaller one,
+    after every value of the other list below that largest value.
+    """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.charge_batch("sort", l2_queries=n, mem_writes=n)
     ledger.workspace_acquire(2 * n)
-    sorted1 = sort_instrumented([(v, i) for i, v in enumerate(instance.list1)], ledger)
-    sorted2 = sort_instrumented([(v, j) for j, v in enumerate(instance.list2)], ledger)
+    order1 = sort_instrumented(instance.values1, ledger)
+    order2 = sort_instrumented(instance.values2, ledger)
+    keys1, keys2 = instance.values1[order1], instance.values2[order2]
+    at1, at2 = _shared_positions(keys1, keys2)
     found = None
-    p1 = p2 = 0
-    while p1 < n and p2 < n:
-        v1, i1 = sorted1[p1]
-        v2, j2 = sorted2[p2]
-        if v1 == v2:
-            found = (i1, j2)
-            break
-        if v1 < v2:
-            p1 += 1
-        else:
-            p2 += 1
-    # 2 reads per step: one step per advance, plus the one that matched
-    steps = p1 + p2 + (found is not None)
+    if at1.size:
+        p1, p2 = int(at1[0]), int(at2[0])
+        found = (int(order1[p1]), int(order2[p2]))
+        steps = p1 + p2 + 1
+    else:
+        ended, other = (keys2, keys1) if keys1[-1] > keys2[-1] else (keys1, keys2)
+        steps = n + int(np.searchsorted(other, ended[-1]))
+    # 2 reads per step: each step reads both heads
     ledger.charge_batch("final_verify", mem_reads=2 * steps)
     ledger.workspace_release(2 * n)
     return _classical_report(instance, found, ledger, {"algorithm": "two_sort"})
@@ -217,7 +235,7 @@ def naive_grover_pairs(
     m = n * n
     pair_star = instance.planted_pos1 * n + instance.planted_pos2
     oracle = Oracle(
-        predicate=lambda p: instance.list1[p // n] == instance.list2[p % n],
+        predicate=lambda p: instance.values1[p // n] == instance.values2[p % n],
         charge_fn=lambda led, times: led.charge_batch(
             "outer_search", l1_queries=times, l2_queries=times
         ),
@@ -315,7 +333,7 @@ def nested_grover_match(
     depth = membership_probe_depth(len(block))
     inner_marked = (instance.planted_pos2,) if beta == marked_block else ()
     inner_oracle = Oracle(
-        predicate=lambda j: binary_membership(block, instance.list2[j]) is not None,
+        predicate=lambda j: binary_membership(block, int(instance.values2[j])) is not None,
         charge_fn=lambda led, times: led.charge_batch(
             "inner_search", l2_queries=times, mem_reads=2 * depth * times
         ),
@@ -333,9 +351,10 @@ def nested_grover_match(
     if inner_outcome.verified:
         j_hat = inner_outcome.measured_index
         # the matching cell was just probed; its source index rides along
-        i_hat = binary_membership(block, instance.list2[j_hat])
+        v_hat = int(instance.values2[j_hat])
+        i_hat = binary_membership(block, v_hat)
         ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-        if i_hat is not None and instance.list1[i_hat] == instance.list2[j_hat]:
+        if i_hat is not None and int(instance.values1[i_hat]) == v_hat:
             found = (i_hat, j_hat)
     ledger.workspace_release(len(block))
 

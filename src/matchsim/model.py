@@ -8,8 +8,8 @@ accesses are recorded in a :class:`CostLedger`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,9 @@ PHASES = ("sort", "inner_search", "outer_search", "final_verify")
 _VALUE_BOUND = 1 << 64
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
-# sizes, and small enough that 2n - 1 Python ints fit in a few hundred MB.
+# sizes, and small enough that a two_sort run's 8-byte cells (two uint64
+# lists, two sort permutations, two sorted key copies) fit in a few
+# hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
 
 
@@ -137,96 +139,121 @@ class CostLedger:
         }
 
 
-@dataclass(frozen=True)
 class MatchInstance:
     """Two equal-length lists of distinct values with one shared value.
 
     ``planted_value`` appears at ``list1[planted_pos1]`` and
     ``list2[planted_pos2]`` and nowhere else; no other value occurs in
     both lists, and neither list repeats a value internally.
+
+    The lists are held as read-only uint64 arrays, ``values1`` and
+    ``values2``, which the kernels read.  ``list1`` and ``list2`` are the
+    same values as tuples of Python ints, built on first use.  The
+    constructor takes any sequence of ints for either list and raises
+    ValueError for a value outside [0, 2**64).  Two instances are equal
+    when all their fields hold the same values.
     """
 
-    n: int
-    list1: tuple[int, ...]
-    list2: tuple[int, ...]
-    planted_value: int
-    planted_pos1: int
-    planted_pos2: int
-    seed: Optional[int] = None
+    def __init__(
+        self,
+        n: int,
+        list1,
+        list2,
+        planted_value: int,
+        planted_pos1: int,
+        planted_pos2: int,
+        seed: Optional[int] = None,
+    ) -> None:
+        self.n = n
+        self.values1 = _as_values(list1)
+        self.values2 = _as_values(list2)
+        self.planted_value = planted_value
+        self.planted_pos1 = planted_pos1
+        self.planted_pos2 = planted_pos2
+        self.seed = seed
+
+    @cached_property
+    def list1(self) -> tuple[int, ...]:
+        return tuple(self.values1.tolist())
+
+    @cached_property
+    def list2(self) -> tuple[int, ...]:
+        return tuple(self.values2.tolist())
+
+    def _scalars(self) -> tuple:
+        return (self.n, self.planted_value, self.planted_pos1, self.planted_pos2, self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchInstance):
+            return NotImplemented
+        return (
+            self._scalars() == other._scalars()
+            and np.array_equal(self.values1, other.values1)
+            and np.array_equal(self.values2, other.values2)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"MatchInstance(n={self.n}, planted_value={self.planted_value}, "
+            f"planted_pos1={self.planted_pos1}, planted_pos2={self.planted_pos2}, "
+            f"seed={self.seed})"
+        )
 
     def validate(self) -> None:
         """Check every structural invariant; raise ValueError on failure."""
         if self.n < 2:
             raise ValueError("instance size must be at least 2")
-        if len(self.list1) != self.n or len(self.list2) != self.n:
+        if len(self.values1) != self.n or len(self.values2) != self.n:
             raise ValueError("lists must both have length n")
-        s1, s2 = set(self.list1), set(self.list2)
-        if len(s1) != self.n or len(s2) != self.n:
+        s1, s2 = np.sort(self.values1), np.sort(self.values2)
+        if np.any(s1[1:] == s1[:-1]) or np.any(s2[1:] == s2[:-1]):
             raise ValueError("lists must not repeat values internally")
-        if s1 & s2 != {self.planted_value}:
+        if np.intersect1d(s1, s2, assume_unique=True).tolist() != [self.planted_value]:
             raise ValueError("lists must share exactly the planted value")
         if not (0 <= self.planted_pos1 < self.n and 0 <= self.planted_pos2 < self.n):
             raise ValueError("planted positions out of range")
-        if self.list1[self.planted_pos1] != self.planted_value:
+        if int(self.values1[self.planted_pos1]) != self.planted_value:
             raise ValueError("planted_pos1 does not point at planted_value")
-        if self.list2[self.planted_pos2] != self.planted_value:
+        if int(self.values2[self.planted_pos2]) != self.planted_value:
             raise ValueError("planted_pos2 does not point at planted_value")
-        for v in self.list1 + self.list2:
-            if not (0 <= v < _VALUE_BOUND):
-                raise ValueError("values must fit in 64 bits")
 
     @classmethod
     def from_lists(cls, list1, list2, seed: Optional[int] = None) -> "MatchInstance":
         """Build an instance from explicit lists, locating the shared value."""
-        t1, t2 = tuple(list1), tuple(list2)
-        if len(t1) != len(t2):
+        a1, a2 = _as_values(list1), _as_values(list2)
+        if len(a1) != len(a2):
             raise ValueError("lists must have equal length")
-        shared = set(t1) & set(t2)
+        shared = np.intersect1d(a1, a2)
         if len(shared) != 1:
             raise ValueError(f"lists must share exactly one value, found {len(shared)}")
-        value = shared.pop()
+        value = shared[0]
         inst = cls(
-            n=len(t1),
-            list1=t1,
-            list2=t2,
-            planted_value=value,
-            planted_pos1=t1.index(value),
-            planted_pos2=t2.index(value),
+            n=len(a1),
+            list1=a1,
+            list2=a2,
+            planted_value=int(value),
+            planted_pos1=int(np.argmax(a1 == value)),
+            planted_pos2=int(np.argmax(a2 == value)),
             seed=seed,
         )
         inst.validate()
         return inst
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "seed": self.seed,
-                "list1": list(self.list1),
-                "list2": list(self.list2),
-                "planted_value": self.planted_value,
-                "planted_pos1": self.planted_pos1,
-                "planted_pos2": self.planted_pos2,
-            }
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MatchInstance":
-        doc = json.loads(text)
-        inst = cls(
-            n=int(doc["n"]),
-            list1=tuple(int(v) for v in doc["list1"]),
-            list2=tuple(int(v) for v in doc["list2"]),
-            planted_value=int(doc["planted_value"]),
-            planted_pos1=int(doc["planted_pos1"]),
-            planted_pos2=int(doc["planted_pos2"]),
-            seed=doc.get("seed"),
-        )
-        inst.validate()
-        return inst
+def _as_values(values) -> np.ndarray:
+    """``values`` as a read-only uint64 array; ValueError outside [0, 2**64)."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.uint64):
+        values = tuple(values)
+        # checked here: numpy would raise OverflowError, or wrap a negative int64
+        if values and not (0 <= min(values) and max(values) < _VALUE_BOUND):
+            raise ValueError("values must fit in 64 bits")
+        values = np.array(values, dtype=np.uint64)
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
-def _draw_distinct(rng: np.random.Generator, count: int) -> list[int]:
+def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` distinct 64-bit values, preserving draw order.
 
     Fast path: the first batch of ``max(16, count)`` draws is sorted once
@@ -239,7 +266,7 @@ def _draw_distinct(rng: np.random.Generator, count: int) -> list[int]:
     batch = rng.integers(0, _VALUE_BOUND, size=max(16, count), dtype=np.uint64)
     head = np.sort(batch[:count])
     if not np.any(head[1:] == head[:-1]):
-        return batch[:count].tolist()
+        return batch[:count]
     seen: set[int] = set()
     out: list[int] = []
     while True:
@@ -248,7 +275,7 @@ def _draw_distinct(rng: np.random.Generator, count: int) -> list[int]:
                 seen.add(v)
                 out.append(v)
                 if len(out) == count:
-                    return out
+                    return np.array(out, dtype=np.uint64)
         batch = rng.integers(0, _VALUE_BOUND, size=max(16, count - len(out)), dtype=np.uint64)
 
 
@@ -272,18 +299,17 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     check_instance_size(n)
     rng = np.random.default_rng(seed)
     values = _draw_distinct(rng, 2 * n - 1)
-    planted = values[0]
+    planted = values[:1]
     pos1 = int(rng.integers(n))
     pos2 = int(rng.integers(n))
-    l1 = values[1:n]
-    l1.insert(pos1, planted)
-    l2 = values[n : 2 * n - 1]
-    l2.insert(pos2, planted)
+    # slices and one concatenate each: np.insert costs more per call at small n
+    l1 = np.concatenate((values[1 : pos1 + 1], planted, values[pos1 + 1 : n]))
+    l2 = np.concatenate((values[n : n + pos2], planted, values[n + pos2 :]))
     return MatchInstance(
         n=n,
-        list1=tuple(l1),
-        list2=tuple(l2),
-        planted_value=planted,
+        list1=l1,
+        list2=l2,
+        planted_value=int(planted[0]),
         planted_pos1=pos1,
         planted_pos2=pos2,
         seed=seed,

@@ -3,24 +3,27 @@
 Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
 where a merge of t cells always costs t - 1 compares and t moves, and a
 membership probe that always walks the full bisection depth.  Every
-kernel's cost is therefore a closed form in the sizes alone: the kernels
-compute their results with ``sorted`` and ``bisect``, and the sorts
-charge that closed form once, to the ``"sort"`` phase.  A membership
-lookup charges nothing: its callers charge their probes as
+kernel's cost is therefore a closed form in the sizes alone: a sort is
+one ``np.argsort`` of a uint64 value array, which returns the sorting
+permutation and charges that closed form once, to the ``"sort"`` phase.
+A membership lookup charges nothing: its callers charge their probes as
 ``2 * membership_probe_depth(n)`` reads each, in whichever phase they
 run.  A compare costs 2 reads; a move costs 1 read + 1 write.  The merge
 sort itself is kept in the tests, as the independent reference the
 closed forms are checked against.
 
-A sorted workspace copy is a tuple of (value, source index) entries in
-ascending value order.
+A sorted block (``block_view``, about sqrt(n) cells) is a tuple of
+(value, source index) entries of Python ints in ascending value order,
+which ``binary_membership`` searches with ``bisect``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .model import CostLedger, MatchInstance
 
@@ -47,23 +50,24 @@ def sort_charges(n: int) -> tuple[int, int]:
     return reads, writes
 
 
-def sort_instrumented(
-    pairs: Sequence[tuple[int, int]], ledger: Optional[CostLedger] = None
-) -> Entries:
-    """Stable sort of (value, index) pairs, charged as the merge sort.
+def sort_instrumented(values: np.ndarray, ledger: Optional[CostLedger] = None) -> np.ndarray:
+    """Permutation that sorts ``values`` ascending, charged as the merge sort.
 
-    Charges ``sort_charges(n)`` and holds one auxiliary buffer of n
-    cells for the sort, on top of the n cells the caller already holds.
+    The values of one list are distinct, so this is the merge sort's
+    order; among repeated values the order is unspecified.  Charges
+    ``sort_charges(n)`` and holds one auxiliary buffer of n cells for
+    the sort, on top of the n cells the caller already holds.
     """
-    n = len(pairs)
-    entries = tuple(sorted(pairs, key=itemgetter(0)))
+    n = len(values)
+    # the method: np.argsort's dispatch costs more than a block-sized sort
+    order = values.argsort()
     # zero or one cell needs no merge and no buffer
     if ledger is not None and n > 1:
         reads, writes = sort_charges(n)
         ledger.workspace_acquire(n)
         ledger.charge_batch("sort", mem_reads=reads, mem_writes=writes)
         ledger.workspace_release(n)
-    return entries
+    return order
 
 
 def block_count(n: int, block_size: int) -> int:
@@ -93,8 +97,10 @@ def block_view(
     if ledger is not None:
         ledger.charge_batch("sort", l1_queries=length, mem_writes=length)
         ledger.workspace_acquire(length)
-    pairs = [(instance.list1[offset + i], offset + i) for i in range(length)]
-    return sort_instrumented(pairs, ledger)
+    block = instance.values1[offset : offset + length]
+    order = sort_instrumented(block, ledger)
+    values = block.tolist()
+    return tuple([(values[k], offset + k) for k in order.tolist()])
 
 
 def membership_probe_depth(n: int) -> int:

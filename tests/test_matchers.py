@@ -38,6 +38,55 @@ def brute_force_match(instance):
     return None
 
 
+def reference_sort_scan(instance):
+    """Forward scan of list2 against list1: the last hit wins, a miss is None."""
+    first = {}
+    for i, v in enumerate(instance.list1):
+        first.setdefault(v, i)
+    found = None
+    for j, v in enumerate(instance.list2):
+        if v in first:
+            found = (first[v], j)
+    return found
+
+
+def reference_two_sort_merge(instance):
+    """The step-by-step walk the closed form replaced: (found, ledger).
+
+    Sorts (value, index) entries with ``sorted``, walks both lists one
+    compare at a time, and charges every phase as the matcher does.
+    """
+    ledger = CostLedger()
+    n = instance.n
+    ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
+    ledger.charge_batch("sort", l2_queries=n, mem_writes=n)
+    ledger.workspace_acquire(2 * n)
+    reads, writes = sort_charges(n)
+    for _ in range(2):  # each sort holds one n-cell buffer while it runs
+        ledger.workspace_acquire(n)
+        ledger.charge_batch("sort", mem_reads=reads, mem_writes=writes)
+        ledger.workspace_release(n)
+    sorted1 = sorted((v, i) for i, v in enumerate(instance.list1))
+    sorted2 = sorted((v, j) for j, v in enumerate(instance.list2))
+    found = None
+    p1 = p2 = 0
+    while p1 < n and p2 < n:
+        v1, i1 = sorted1[p1]
+        v2, j2 = sorted2[p2]
+        if v1 == v2:
+            found = (i1, j2)
+            break
+        if v1 < v2:
+            p1 += 1
+        else:
+            p2 += 1
+    # 2 reads per step: one step per advance, plus the one that matched
+    steps = p1 + p2 + (found is not None)
+    ledger.charge_batch("final_verify", mem_reads=2 * steps)
+    ledger.workspace_release(2 * n)
+    return found, ledger
+
+
 class TestExhaustivePairs:
     def test_tiny_hand_instance(self):
         inst = MatchInstance.from_lists([5, 1, 9], [2, 9, 4])
@@ -503,6 +552,16 @@ class TestPinnedOutputs:
         texts = [json.dumps(report.as_dict(), sort_keys=True) for report in reports]
         assert _digest(texts) == digest
 
+    @pytest.mark.parametrize("n", sorted({n for algorithm, n, _ in REPORT_PINS}))
+    def test_two_sort_matches_reference_walk(self, n):
+        for seed in range(3):
+            inst = generate_instance(n, seed)
+            report = classical_two_sort_merge(inst)
+            found, ledger = reference_two_sort_merge(inst)
+            assert report.found == found
+            assert report.ledger.as_dict() == ledger.as_dict()
+            assert classical_sort_scan(inst).found == reference_sort_scan(inst)
+
     @pytest.mark.parametrize("n,b,digest", BLOCK_VIEW_PINS)
     def test_block_view_ledgers_pinned(self, n, b, digest):
         inst = generate_instance(n, 0)
@@ -513,6 +572,17 @@ class TestPinnedOutputs:
             led.workspace_release(len(view))
             texts.append(json.dumps([list(view), led.as_dict()], sort_keys=True))
         assert _digest(texts) == digest
+
+
+class TestArrayPaths:
+    @pytest.mark.parametrize("algorithm", sorted(RUNS))
+    def test_matchers_never_build_the_int_tuples(self, algorithm):
+        # list1/list2 are built on first use; one tolist per run would cost
+        # more than the kernels at large n
+        for n in (2, 17, 1024):
+            inst = generate_instance(n, 4)
+            RUNS[algorithm](inst, 4)
+            assert "list1" not in vars(inst) and "list2" not in vars(inst)
 
 
 class CountingLedger(CostLedger):

@@ -157,7 +157,9 @@ class TestDrawDistinct:
         for seed in range(3):
             fast_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            assert model._draw_distinct(fast_rng, count) == reference_draw_distinct(ref_rng, count)
+            out = model._draw_distinct(fast_rng, count)
+            assert out.dtype == np.uint64
+            assert out.tolist() == reference_draw_distinct(ref_rng, count)
             # both leave the generator in the same state
             assert fast_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
@@ -182,7 +184,7 @@ class TestDrawDistinct:
     )
     def test_scripted_repeats_match_reference(self, count, stream):
         fast, ref = ScriptedRng(stream), ScriptedRng(stream)
-        out = model._draw_distinct(fast, count)
+        out = model._draw_distinct(fast, count).tolist()
         assert out == reference_draw_distinct(ref, count)
         assert fast.calls == ref.calls
         assert len(set(out)) == count
@@ -250,22 +252,44 @@ class TestMatchInstance:
         with pytest.raises(ValueError):
             tampered.validate()
 
-    def test_json_round_trip(self):
-        inst = generate_instance(16, 9)
-        again = MatchInstance.from_json(inst.to_json())
-        assert again == inst
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
+    def test_from_lists_rejects_values_outside_64_bits(self, bad):
+        with pytest.raises(ValueError, match="64 bits"):
+            MatchInstance.from_lists([bad, 1, 2], [2, 5, 6])
+        with pytest.raises(ValueError, match="64 bits"):
+            MatchInstance.from_lists([1, 2, 3], [4, 3, bad])
 
-    def test_json_schema_keys(self):
-        doc = json.loads(generate_instance(4, 0).to_json())
-        assert set(doc) == {
-            "n",
-            "seed",
-            "list1",
-            "list2",
-            "planted_value",
-            "planted_pos1",
-            "planted_pos2",
-        }
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_direct_construction_rejects_values_outside_64_bits(self, bad):
+        with pytest.raises(ValueError, match="64 bits"):
+            MatchInstance(
+                n=2, list1=(bad, 1), list2=(1, 5),
+                planted_value=1, planted_pos1=1, planted_pos2=0,
+            )
+
+    def test_lists_are_python_int_tuples_over_read_only_arrays(self):
+        inst = MatchInstance.from_lists([2**64 - 1, 2**63, 7], [9, 7, 0])
+        assert inst.list1 == (2**64 - 1, 2**63, 7)
+        assert all(type(v) is int for v in inst.list1 + inst.list2)
+        assert inst.values1.dtype == inst.values2.dtype == np.uint64
+        with pytest.raises(ValueError):
+            inst.values1[0] = 1
+        assert type(inst.planted_value) is int and inst.planted_value == 7
+
+    def test_equality_is_by_value(self):
+        inst = generate_instance(8, 1)
+        same = MatchInstance(
+            n=8, list1=list(inst.list1), list2=inst.list2,
+            planted_value=inst.planted_value, planted_pos1=inst.planted_pos1,
+            planted_pos2=inst.planted_pos2, seed=inst.seed,
+        )
+        assert same == inst
+        swapped = MatchInstance(
+            n=8, list1=inst.list2, list2=inst.list1,
+            planted_value=inst.planted_value, planted_pos1=inst.planted_pos2,
+            planted_pos2=inst.planted_pos1, seed=inst.seed,
+        )
+        assert swapped != inst
 
 
 class TestCostLedger:

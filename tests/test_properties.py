@@ -1,6 +1,7 @@
-"""Property tests: the reduced engine against the full statevector,
-sweep-config parsing against arbitrary JSON, and the command line
-against arbitrary argument lists."""
+"""Property tests: the reduced engine against the full statevector, the
+array kernels against their step-by-step references, sweep-config
+parsing against arbitrary JSON, and the command line against arbitrary
+argument lists."""
 
 import io
 import json
@@ -27,6 +28,11 @@ from matchsim.grover import (  # noqa: E402
     run_noisy_outer,
     statevector_amplitudes,
 )
+from matchsim.matchers import classical_sort_scan, classical_two_sort_merge  # noqa: E402
+from matchsim.model import MatchInstance  # noqa: E402
+from matchsim.sortsearch import sort_instrumented  # noqa: E402
+from test_matchers import reference_sort_scan, reference_two_sort_merge  # noqa: E402
+from test_sortsearch import reference_order  # noqa: E402
 
 
 @st.composite
@@ -59,6 +65,68 @@ def test_fire_pattern_replays_to_reported_mass(search):
     amps = statevector_amplitudes(problem, r, fire_pattern=out.fire_pattern)
     replayed = float(np.sum(amps[list(marked)] ** 2))
     assert out.predicted_success == pytest.approx(replayed, abs=1e-12)
+
+
+# 64-bit values, crowded at both ends of the range and around 2**63,
+# where a signed compare would misorder them
+values_64 = (
+    st.integers(0, 2**64 - 1)
+    | st.integers(0, 40)
+    | st.integers(2**63 - 40, 2**63 + 40)
+    | st.integers(2**64 - 40, 2**64 - 1)
+)
+
+
+def arrange(draw, values):
+    """The values shuffled, sorted, or reversed."""
+    how = draw(st.sampled_from(("shuffled", "sorted", "reversed")))
+    if how == "shuffled":
+        return draw(st.permutations(values))
+    return sorted(values, reverse=how == "reversed")
+
+
+@st.composite
+def walk_instances(draw):
+    """Instances whose lists share 1 value (via from_lists), or 0 or 2 (built directly).
+
+    The shared values are the smallest, the largest or any of the drawn
+    values, and each list comes shuffled, sorted or reversed.
+    """
+    n = draw(st.integers(2, 24))
+    shared = draw(st.sampled_from((1, 1, 0, 2)))
+    pool = draw(st.lists(values_64, min_size=2 * n - shared, max_size=2 * n - shared, unique=True))
+    where = draw(st.sampled_from(("smallest", "largest", "any")))
+    if where == "any":
+        pool = draw(st.permutations(pool))
+    else:
+        pool = sorted(pool, reverse=where == "largest")
+    common, rest = pool[:shared], draw(st.permutations(pool[shared:]))
+    list1 = arrange(draw, common + rest[: n - shared])
+    list2 = arrange(draw, common + rest[n - shared :])
+    if shared == 1:
+        return MatchInstance.from_lists(list1, list2)
+    first = common[0] if common else list1[0]
+    return MatchInstance(
+        n=n, list1=list1, list2=list2, planted_value=first,
+        planted_pos1=list1.index(first), planted_pos2=list2.index(first) if common else 0,
+    )
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(walk_instances())
+def test_classical_kernels_match_their_step_by_step_references(instance):
+    report = classical_two_sort_merge(instance)
+    found, ledger = reference_two_sort_merge(instance)
+    assert report.found == found
+    assert report.ledger.as_dict() == ledger.as_dict()
+    assert classical_sort_scan(instance).found == reference_sort_scan(instance)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(values_64, max_size=300, unique=True))
+def test_sort_permutation_is_the_merge_sort_order(values):
+    order = sort_instrumented(np.array(values, dtype=np.uint64))
+    assert order.tolist() == reference_order(values)
 
 
 json_values = st.recursive(
@@ -108,7 +176,8 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
 
 # files every example finds in its working directory, plus one it never does
 CLI_FILES = (
-    "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "missing.csv",
+    "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "deep.json",
+    "missing.csv",
 )
 small_ints = st.integers(-64, 64).map(str)
 
@@ -178,6 +247,8 @@ def cli_files(tmp_path_factory):
     }
     for name, doc in configs.items():
         (root / name).write_text(json.dumps(doc))
+    # nested past the JSON decoder's recursion limit
+    (root / "deep.json").write_text("[" * 100_000)
     return root
 
 
@@ -186,6 +257,7 @@ def cli_files(tmp_path_factory):
 @hypothesis.example(["fit", "--input", "short.csv"])
 @hypothesis.example(["compare", "good.csv", "short.csv"])
 @hypothesis.example(["sweep", "--config", "limit.json"])
+@hypothesis.example(["sweep", "--config", "deep.json"])
 def test_any_argv_exits_zero_two_or_three(cli_files, argv):
     # each example works in a fresh copy, so outputs never clobber inputs;
     # the default cap keeps limit.json from allocating its amplitudes

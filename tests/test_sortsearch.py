@@ -1,9 +1,9 @@
 """Tests for the instrumented sort, block extraction, and membership.
 
-The package computes with ``sorted``/``bisect`` and charges closed
-forms.  The bottom-up merge sort below is the independent reference:
-it charges every merge as it performs it, so comparing the two keeps
-the closed forms honest.
+The package sorts with ``np.argsort`` and charges closed forms.  The
+bottom-up merge sort below is the independent reference: it charges
+every merge as it performs it, so comparing the two keeps the closed
+forms and the sort order honest.
 """
 
 import numpy as np
@@ -59,6 +59,23 @@ def reference_merge_sort(pairs, ledger=None):
     return tuple(src)
 
 
+def reference_order(values):
+    """Source indices in the reference merge sort's order."""
+    return [i for _, i in reference_merge_sort([(v, i) for i, v in enumerate(values)])]
+
+
+def sorted_entries(values):
+    """(value, source index) entries of Python ints, via sort_instrumented."""
+    order = sort_instrumented(np.array(values, dtype=np.uint64)).tolist()
+    return tuple((values[k], k) for k in order)
+
+
+def random_values(rng, n, high=1 << 64):
+    """n distinct uint64 values below high, as Python ints."""
+    draws = rng.integers(0, high, size=2 * n + 8, dtype=np.uint64).tolist()
+    return list(dict.fromkeys(draws))[:n]
+
+
 def reference_sort_charges(n):
     """(reads, writes) of the reference merge sort, by walking its merges."""
     reads = writes = 0
@@ -99,68 +116,60 @@ class TestSortCharges:
 class TestSortInstrumented:
     def test_empty_input_charges_nothing(self):
         led = CostLedger()
-        out = sort_instrumented([], led)
-        assert out == ()
+        out = sort_instrumented(np.array([], dtype=np.uint64), led)
+        assert out.tolist() == []
         assert led.total_cost() == 0
 
     def test_single_cell_charges_nothing(self):
         led = CostLedger()
-        out = sort_instrumented([(4, 0)], led)
-        assert out == ((4, 0),)
+        out = sort_instrumented(np.array([4], dtype=np.uint64), led)
+        assert out.tolist() == [0]
         assert led.total_cost() == 0
 
     def test_three_cells(self):
         led = CostLedger()
-        out = sort_instrumented([(9, 0), (1, 1), (5, 2)], led)
-        assert out == ((1, 1), (5, 2), (9, 0))
+        out = sort_instrumented(np.array([9, 1, 5], dtype=np.uint64), led)
+        assert out.tolist() == [1, 2, 0]
 
     def test_matches_reference_sort_on_random_input(self):
         rng = np.random.default_rng(5)
         for trial in range(30):
             n = int(rng.integers(0, 200))
-            values = [int(v) for v in rng.integers(0, 50, size=n)]  # duplicates likely
-            pairs = [(v, i) for i, v in enumerate(values)]
-            out = sort_instrumented(pairs, CostLedger())
-            assert [v for v, _ in out] == sorted(values)
-            # stable like the merge sort: equal values keep source order
-            assert out == reference_merge_sort(pairs)
-
-    def test_equal_values_keep_input_order(self):
-        pairs = [(5, 3), (2, 9), (5, 1), (5, 2)]
-        assert sort_instrumented(pairs) == reference_merge_sort(pairs)
-        assert sort_instrumented(pairs) == ((2, 9), (5, 3), (5, 1), (5, 2))
+            # a small range makes neighbours close; a list never repeats a value
+            values = random_values(rng, n, high=1000 if trial % 2 else 1 << 64)
+            out = sort_instrumented(np.array(values, dtype=np.uint64), CostLedger())
+            assert [values[k] for k in out.tolist()] == sorted(values)
+            assert out.tolist() == reference_order(values)
 
     def test_charges_match_fixed_schedule(self):
         # closed-form charges against those the reference sort makes merge by merge
         for n in [0, 1, 2, 3, 7, 16, 100, 1024]:
             rng = np.random.default_rng(n)
-            pairs = [(int(v), i) for i, v in enumerate(rng.integers(0, 1 << 30, size=n))]
+            values = rng.integers(0, 1 << 30, size=n, dtype=np.uint64)
             led, ref = CostLedger(), CostLedger()
-            sort_instrumented(pairs, led)
-            reference_merge_sort(pairs, ref)
+            sort_instrumented(values, led)
+            reference_merge_sort([(int(v), i) for i, v in enumerate(values)], ref)
             assert led.as_dict() == ref.as_dict()
             assert led.l1_queries == 0 and led.l2_queries == 0
 
     def test_charge_bound_at_1024(self):
         led = CostLedger()
         rng = np.random.default_rng(0)
-        pairs = [(int(v), i) for i, v in enumerate(rng.integers(0, 1 << 60, size=1024))]
-        sort_instrumented(pairs, led)
+        sort_instrumented(rng.integers(0, 1 << 60, size=1024, dtype=np.uint64), led)
         assert led.total_cost() <= 8 * 1024 * 10  # well under 8 n log2 n
 
     def test_charges_are_data_oblivious(self):
         # already-sorted and reversed inputs must cost the same
         n = 64
-        asc = [(i, i) for i in range(n)]
-        desc = [(n - i, i) for i in range(n)]
+        asc = np.arange(n, dtype=np.uint64)
         led_a, led_d = CostLedger(), CostLedger()
         sort_instrumented(asc, led_a)
-        sort_instrumented(desc, led_d)
+        sort_instrumented(asc[::-1], led_d)
         assert led_a.total_cost() == led_d.total_cost()
 
     def test_workspace_one_auxiliary_buffer(self):
         led = CostLedger()
-        sort_instrumented([(v, v) for v in range(32)], led)
+        sort_instrumented(np.arange(32, dtype=np.uint64), led)
         assert led.peak_workspace == 32
         assert led.live_workspace == 0
 
@@ -216,12 +225,12 @@ class TestBlockView:
 
 class TestBinaryMembership:
     def test_hit_and_miss(self):
-        sl = sort_instrumented([(3, 0), (7, 1), (9, 2), (12, 3)])
+        sl = sorted_entries([3, 7, 9, 12])
         assert binary_membership(sl, 9) == 2
         assert binary_membership(sl, 8) is None
 
     def test_endpoints(self):
-        sl = sort_instrumented([(3, 0), (7, 1), (9, 2), (12, 3)])
+        sl = sorted_entries([3, 7, 9, 12])
         assert binary_membership(sl, 3) == 0
         assert binary_membership(sl, 12) == 3
         assert binary_membership(sl, 2) is None
@@ -237,7 +246,7 @@ class TestBinaryMembership:
         rng = np.random.default_rng(3)
         values = [int(v) for v in rng.integers(0, 1 << 40, size=256)]
         assert len(set(values)) == 256
-        sl = sort_instrumented([(v, i) for i, v in enumerate(values)])
+        sl = sorted_entries(values)
         for i, v in enumerate(values):
             assert binary_membership(sl, v) == i
 
@@ -247,7 +256,7 @@ class TestBinaryMembership:
             n = int(rng.integers(1, 300))
             values = sorted(int(v) for v in rng.integers(0, 1000, size=n))
             values = list(dict.fromkeys(values))  # dedupe, keep sorted
-            sl = sort_instrumented([(v, i) for i, v in enumerate(values)])
+            sl = sorted_entries(values)
             for probe in rng.integers(0, 1000, size=30):
                 probe = int(probe)
                 linear = next((i for i, v in enumerate(values) if v == probe), None)
