@@ -37,7 +37,6 @@ from .grover import (
     run_statevector,
     statevector_amplitudes,
     success_probability,
-    textbook_iteration_count,
 )
 from .matchers import (
     NestedConfig,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,6 +127,7 @@ class GroverOutcome:
     fire_pattern: Optional[tuple[bool, ...]] = None
 
 
+@lru_cache(maxsize=1024)
 def _angle(space_size: int, marked_count: int) -> float:
     return math.asin(math.sqrt(marked_count / space_size))
 
@@ -218,17 +220,6 @@ def iteration_schedule(space_size: int, marked_count: int) -> int:
     return best
 
 
-def textbook_iteration_count(space_size: int, marked_count: int) -> int:
-    """The usual floor((pi / 4) * sqrt(M / k)) round count."""
-    if space_size < 1:
-        raise ValueError("space_size must be at least 1")
-    if marked_count == 0:
-        raise ScheduleUndefinedError("iteration count undefined with no marked elements")
-    if not 0 < marked_count <= space_size:
-        raise ValueError("marked_count must lie in [0, space_size]")
-    return math.floor((math.pi / 4.0) * math.sqrt(space_size / marked_count))
-
-
 def choose_engine(engine: str) -> str:
     """Resolve an engine name; ``auto`` always picks the reduced engine."""
     if engine not in ENGINES:
@@ -238,7 +229,11 @@ def choose_engine(engine: str) -> str:
 
 def _sorted_marked(problem: GroverProblem) -> list[int]:
     """The oracle's marked indices in ascending order, checked against the problem."""
-    marked = sorted(problem.oracle.marked_indices)
+    marked = problem.oracle.marked_indices
+    # a single in-range marked index needs no sort and no repeat check
+    if len(marked) == 1 == problem.marked_count and 0 <= marked[0] < problem.space_size:
+        return [marked[0]]
+    marked = sorted(marked)
     if len(marked) != problem.marked_count or len(set(marked)) != len(marked):
         raise ValueError("oracle marks a different number of indices than marked_count")
     if marked and not (0 <= marked[0] and marked[-1] < problem.space_size):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ from .grover import (
     run_statevector,
     success_probability,
 )
-from .model import CostLedger, MatchInstance, RunReport
+from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport
 from .sortsearch import (
     block_count,
     block_view,
@@ -73,14 +74,18 @@ class NestedConfig:
             raise ValueError("uncompute_factor must be at least 1")
 
 
-def _nested_shape(n: int, config: NestedConfig) -> tuple[int, int, int, int]:
+def _failure_prob(config: NestedConfig) -> float:
+    return config.noise.failure_prob if config.noise is not None else 0.0
+
+
+def _nested_shape(n: int, block_size: Optional[int]) -> tuple[int, int, int, int]:
     """(block size, block count, outer rounds, inner rounds) of a nested run.
 
     The block size defaults to ceil(sqrt(n)).
     """
     if n < 2:
         raise ValueError("instance size must be at least 2")
-    b = config.block_size if config.block_size is not None else math.isqrt(n - 1) + 1
+    b = block_size if block_size is not None else math.isqrt(n - 1) + 1
     blocks = block_count(n, b)
     return b, blocks, iteration_schedule(blocks, 1), iteration_schedule(n, 1)
 
@@ -292,6 +297,63 @@ def _outer_oracle_charge(ledger: CostLedger, times: int, block_size: int, r_inne
     ledger.workspace_release(cells)
 
 
+@dataclass(frozen=True)
+class _NestedPlan:
+    """What a nested run derives from its size and configuration alone.
+
+    ``outer_charges`` holds the accesses of one block-oracle evaluation
+    in ``ACCESS_KINDS`` order, and ``peak_cells`` the workspace it holds
+    at once; ``predicted_success`` is the composed success probability.
+    """
+
+    block_size: int
+    blocks: int
+    r_outer: int
+    r_inner: int
+    outer_charges: tuple[int, int, int, int]
+    peak_cells: int
+    predicted_success: float
+
+    def charge_outer(self, ledger: CostLedger, times: int) -> None:
+        """Charge ``times`` block-oracle evaluations, as ``_outer_oracle_charge`` does."""
+        l1, l2, reads, writes = self.outer_charges
+        ledger.charge_batch(
+            "outer_search",
+            l1_queries=l1 * times,
+            l2_queries=l2 * times,
+            mem_reads=reads * times,
+            mem_writes=writes * times,
+        )
+        ledger.workspace_acquire(self.peak_cells)
+        ledger.workspace_release(self.peak_cells)
+
+
+@lru_cache(maxsize=256)
+def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _NestedPlan:
+    """The plan of a nested run on n values, built once per size and knobs.
+
+    Nothing in it depends on the uncompute factor: the engines multiply
+    the per-evaluation charge by it.
+    """
+    b, blocks, r_outer, r_inner = _nested_shape(n, block_size)
+    one = CostLedger()
+    _outer_oracle_charge(one, 1, b, r_inner)
+    p_inner = success_probability(n, 1, r_inner)
+    if failure_prob > 0.0:
+        p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
+    else:
+        p_outer = success_probability(blocks, 1, r_outer)
+    return _NestedPlan(
+        block_size=b,
+        blocks=blocks,
+        r_outer=r_outer,
+        r_inner=r_inner,
+        outer_charges=tuple(getattr(one, kind) for kind in ACCESS_KINDS),
+        peak_cells=one.peak_workspace,
+        predicted_success=p_outer * p_inner,
+    )
+
+
 def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -310,21 +372,22 @@ def nested_grover_match(
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
-    b, blocks, r_outer, r_inner = _nested_shape(n, config)
+    plan = _nested_plan(n, config.block_size, _failure_prob(config))
+    b = plan.block_size
     rng = np.random.default_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
 
     outer_oracle = Oracle(
         predicate=lambda beta: beta == marked_block,
-        charge_fn=lambda led, times: _outer_oracle_charge(led, times, b, r_inner),
+        charge_fn=plan.charge_outer,
         marked_indices=(marked_block,),
     )
     outer_problem = GroverProblem(
-        space_size=blocks, marked_count=1, oracle=outer_oracle,
+        space_size=plan.blocks, marked_count=1, oracle=outer_oracle,
         uncompute_factor=config.uncompute_factor,
     )
     outer_outcome = _search(
-        config.engine, outer_problem, r_outer, rng, ledger, noise=config.noise
+        config.engine, outer_problem, plan.r_outer, rng, ledger, noise=config.noise
     )
     beta = outer_outcome.measured_index
 
@@ -344,7 +407,7 @@ def nested_grover_match(
         uncompute_factor=config.uncompute_factor,
     )
     inner_outcome = _search(
-        config.engine, inner_problem, r_inner, rng, ledger, charge_verification=True
+        config.engine, inner_problem, plan.r_inner, rng, ledger, charge_verification=True
     )
 
     found = None
@@ -365,9 +428,9 @@ def nested_grover_match(
         engine_stats={
             "algorithm": "nested",
             "block_size": b,
-            "block_count": blocks,
-            "outer_iterations": r_outer,
-            "inner_iterations": r_inner,
+            "block_count": plan.blocks,
+            "outer_iterations": plan.r_outer,
+            "inner_iterations": plan.r_inner,
             "outer_measured_block": beta,
             "outer_marked_block": marked_block,
             "outer_marked_mass": outer_outcome.predicted_success,
@@ -377,20 +440,14 @@ def nested_grover_match(
             "engine_inner": inner_outcome.engine,
         },
         rng_seed=config.rng_seed,
-        predicted_success=composed_success_probability(n, config),
+        predicted_success=plan.predicted_success,
     )
 
 
 def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:
     """Predicted success of the nested matcher: outer hit times final verify."""
     config = config if config is not None else NestedConfig()
-    _, blocks, r_outer, r_inner = _nested_shape(n, config)
-    p_inner = success_probability(n, 1, r_inner)
-    if config.noise is not None and config.noise.failure_prob > 0.0:
-        p_outer = noisy_success_probability(blocks, r_outer, config.noise.failure_prob)
-    else:
-        p_outer = success_probability(blocks, 1, r_outer)
-    return p_outer * p_inner
+    return _nested_plan(n, config.block_size, _failure_prob(config)).predicted_success
 
 
 def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostLedger:
@@ -401,7 +458,7 @@ def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostL
     is for the full (verified) path on full-size blocks.
     """
     config = config if config is not None else NestedConfig()
-    b, _, r_outer, r_inner = _nested_shape(n, config)
+    b, _, r_outer, r_inner = _nested_shape(n, config.block_size)
     u = config.uncompute_factor
     ledger = CostLedger()
     _outer_oracle_charge(ledger, r_outer * u, b, r_inner)
@@ -443,7 +500,7 @@ def two_level_outcome_distribution(
     """
     config = config if config is not None else NestedConfig()
     n = instance.n
-    b, blocks, r_outer, r_inner = _nested_shape(n, config)
+    b, blocks, r_outer, r_inner = _nested_shape(n, config.block_size)
     if blocks * n > max_joint_cells:
         raise ResourceLimitError(
             f"joint space of {blocks * n} cells exceeds the cap of {max_joint_cells}"

@@ -256,6 +256,11 @@ def _as_values(values) -> np.ndarray:
 def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` distinct 64-bit values, preserving draw order.
 
+    Values come straight from the raw stream of the PCG64 bit generator
+    that ``default_rng`` builds.  Over the full 64-bit range that stream
+    is what ``rng.integers(0, 2**64, dtype=np.uint64)`` returns, value
+    for value and with the same generator state after.
+
     Fast path: the first batch of ``max(16, count)`` draws is sorted once
     and its neighbours compared; if its first ``count`` values hold no
     repeat, they are the answer.  Otherwise the per-value loop takes over
@@ -263,9 +268,13 @@ def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
     as needed.  Both paths make the same generator calls and return the
     same values as the loop alone would.
     """
-    batch = rng.integers(0, _VALUE_BOUND, size=max(16, count), dtype=np.uint64)
-    head = np.sort(batch[:count])
-    if not np.any(head[1:] == head[:-1]):
+    draw = rng.bit_generator.random_raw
+    batch = draw(max(16, count))
+    # the sort method and count_nonzero: np.sort and any() cost more to
+    # dispatch than to run at small n
+    head = batch[:count].copy()
+    head.sort()
+    if not np.count_nonzero(head[1:] == head[:-1]):
         return batch[:count]
     seen: set[int] = set()
     out: list[int] = []
@@ -276,7 +285,7 @@ def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
                 out.append(v)
                 if len(out) == count:
                     return np.array(out, dtype=np.uint64)
-        batch = rng.integers(0, _VALUE_BOUND, size=max(16, count - len(out)), dtype=np.uint64)
+        batch = draw(max(16, count - len(out)))
 
 
 def check_instance_size(n: int) -> None:

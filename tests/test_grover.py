@@ -21,7 +21,6 @@ from matchsim.grover import (
     run_statevector,
     statevector_amplitudes,
     success_probability,
-    textbook_iteration_count,
 )
 from matchsim.matchers import NestedConfig, naive_grover_pairs
 from matchsim.model import CostLedger, generate_instance
@@ -38,6 +37,17 @@ def first_k_problem(m, k, uncompute_factor=1, charge=None):
         ),
         uncompute_factor=uncompute_factor,
     )
+
+
+def textbook_iteration_count(space_size, marked_count):
+    """Reference round count: the usual floor((pi / 4) * sqrt(M / k))."""
+    if space_size < 1:
+        raise ValueError("space_size must be at least 1")
+    if marked_count == 0:
+        raise ScheduleUndefinedError("iteration count undefined with no marked elements")
+    if not 0 < marked_count <= space_size:
+        raise ValueError("marked_count must lie in [0, space_size]")
+    return math.floor((math.pi / 4.0) * math.sqrt(space_size / marked_count))
 
 
 def schedule_by_search(m, k):

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from matchsim import grover, matchers
+from matchsim.experiments import SweepConfig, run_sweep
 from matchsim.grover import (
     NoisyOracleSpec,
     iteration_schedule,
@@ -313,8 +315,20 @@ class TestNestedGroverMatch:
         assert abs(hits / trials - 0.5) < 4 * math.sqrt(0.25 / trials)
 
     def test_run_ledger_equals_predicted_ledger(self):
-        for n, seed in [(16, 4), (64, 0), (256, 7), (1024, 2)]:
-            config = NestedConfig(rng_seed=1)
+        # explicit block sizes and uncompute factors catch a plan cached
+        # under too few of the knobs it depends on
+        cases = [
+            (16, 4, NestedConfig(rng_seed=1)),
+            (64, 0, NestedConfig(rng_seed=1)),
+            (256, 7, NestedConfig(rng_seed=1)),
+            (1024, 2, NestedConfig(rng_seed=1)),
+            (64, 0, NestedConfig(block_size=4, rng_seed=1)),
+            (256, 0, NestedConfig(block_size=32, rng_seed=1)),
+            (64, 0, NestedConfig(uncompute_factor=3, rng_seed=1)),
+            (256, 0, NestedConfig(block_size=8, uncompute_factor=3, rng_seed=1)),
+            (1024, 0, NestedConfig(uncompute_factor=3, rng_seed=1)),
+        ]
+        for n, seed, config in cases:
             inst = generate_instance(n, seed)
             led = CostLedger()
             report = nested_grover_match(inst, config, led)
@@ -459,6 +473,87 @@ class TestComposedPrediction:
         assert noisy_success_probability(64, 6, 0.0) == pytest.approx(
             success_probability(64, 1, 6), abs=1e-15
         )
+
+
+PLAN_SIZES = [*range(2, 71), 255, 256, 1024, 4097]
+
+
+class TestNestedPlan:
+    @pytest.mark.parametrize("n", PLAN_SIZES)
+    def test_plan_matches_uncached_recomputation(self, n):
+        for block_size in (None, 1, 3, n, n + 5):
+            shape = matchers._nested_shape(n, block_size)
+            b = block_size if block_size is not None else math.isqrt(n - 1) + 1
+            blocks = -(-n // b)
+            r_outer, r_inner = iteration_schedule(blocks, 1), iteration_schedule(n, 1)
+            assert shape == (b, blocks, r_outer, r_inner)
+            for failure_prob in (0.0, 1 / n, 1 / math.sqrt(n), 1.0):
+                plan = matchers._nested_plan(n, block_size, failure_prob)
+                assert (plan.block_size, plan.blocks, plan.r_outer, plan.r_inner) == shape
+                if failure_prob > 0.0:
+                    p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
+                else:
+                    p_outer = success_probability(blocks, 1, r_outer)
+                expected = p_outer * success_probability(n, 1, r_inner)
+                assert plan.predicted_success == expected
+                noise = NoisyOracleSpec(failure_prob) if failure_prob > 0.0 else None
+                for u in (1, 2, 3):
+                    config = NestedConfig(block_size=block_size, uncompute_factor=u, noise=noise)
+                    assert composed_success_probability(n, config) == expected
+                    charged, reference = CostLedger(), CostLedger()
+                    plan.charge_outer(charged, r_outer * u)
+                    matchers._outer_oracle_charge(reference, r_outer * u, b, r_inner)
+                    assert charged.as_dict() == reference.as_dict()
+                one = CostLedger()
+                matchers._outer_oracle_charge(one, 1, b, r_inner)
+                assert plan.outer_charges == (
+                    one.l1_queries, one.l2_queries, one.mem_reads, one.mem_writes
+                )
+                assert plan.peak_cells == one.peak_workspace
+
+    def test_cold_and_warm_caches_give_the_same_outputs(self, tmp_path):
+        # the criterion-8 sweep, once with every cache emptied, once warm
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm="nested",
+            n_values=(16, 64, 256),
+            trials_per_n=5,
+            base_seed=77,
+            noise_preset="inv_n",
+            output=str(out),
+        )
+        outputs = []
+        for attempt in ("cold", "warm"):
+            if attempt == "cold":
+                matchers._nested_plan.cache_clear()
+                grover._angle.cache_clear()
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] and outputs[0][1]
+
+    def test_a_warm_call_recomputes_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            fn = getattr(matchers, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("iteration_schedule", "noisy_success_probability", "sort_charges"):
+            monkeypatch.setattr(matchers, name, counting(name))
+        inst = generate_instance(16, 3)
+        config = NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=0)
+        matchers._nested_plan.cache_clear()
+        nested_grover_match(inst, config)
+        assert calls  # the warm-up built the plan through the wrapped names
+        calls.clear()
+        nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=1))
+        assert calls == []
 
 
 class TestTwoLevelDistribution:

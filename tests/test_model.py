@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,18 +36,28 @@ def reference_draw_distinct(rng, count):
 
 
 class ScriptedRng:
-    """Stands in for a Generator: ``integers`` hands out a fixed stream in order."""
+    """Stands in for a Generator that hands out a fixed stream in order.
+
+    The reference loop draws with ``integers(0, 2**64, size, np.uint64)``
+    and ``_draw_distinct`` with ``bit_generator.random_raw(size)``; both
+    take the next ``size`` values of the stream and record ``size``.
+    """
 
     def __init__(self, stream):
         self.stream = list(stream)
         self.calls = []
+        self.bit_generator = SimpleNamespace(random_raw=self._take)
 
-    def integers(self, low, high, size, dtype):
-        self.calls.append((low, high, size, dtype))
+    def _take(self, size):
+        self.calls.append(size)
         if size > len(self.stream):
             raise AssertionError("scripted stream exhausted")
         batch, self.stream = self.stream[:size], self.stream[size:]
-        return np.array(batch, dtype=dtype)
+        return np.array(batch, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        return self._take(size)
 
 
 # sha256 of json.dumps([list1, list2, planted_value, planted_pos1,
@@ -188,6 +199,17 @@ class TestDrawDistinct:
         assert out == reference_draw_distinct(ref, count)
         assert fast.calls == ref.calls
         assert len(set(out)) == count
+
+    @pytest.mark.parametrize("size", [16, 31, 2047, 131071])
+    def test_raw_stream_is_the_full_range_integers_stream(self, size):
+        for seed in range(5):
+            raw_rng = np.random.default_rng(seed)
+            int_rng = np.random.default_rng(seed)
+            raw = raw_rng.bit_generator.random_raw(size)
+            ints = int_rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+            assert raw.dtype == np.uint64
+            assert np.array_equal(raw, ints)
+            assert raw_rng.bit_generator.state == int_rng.bit_generator.state
 
 
 class TestInstanceSizeCap:
