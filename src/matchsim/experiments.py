@@ -29,7 +29,15 @@ from .matchers import (
     naive_grover_pairs,
     nested_grover_match,
 )
-from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport, generate_instance
+from .model import (
+    ACCESS_KINDS,
+    CostLedger,
+    MatchInstance,
+    RunReport,
+    forget_seed_words,
+    generate_instance,
+    remember_seed_words,
+)
 
 # matcher entry point per algorithm, by name: run_matcher looks each up
 # in this module's globals at call time, so a patched entry point runs
@@ -41,6 +49,8 @@ MATCHERS = {
     "nested": "nested_grover_match",
 }
 ALGORITHMS = tuple(MATCHERS)
+# the algorithms that take a run config and draw from its run seed
+AMPLIFIED = ("naive_grover", "nested")
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
 
 CSV_COLUMNS = (
@@ -256,20 +266,26 @@ def run_matcher(
 ) -> RunReport:
     """Run one matcher by algorithm name; the classical ones ignore config."""
     matcher = globals()[MATCHERS[algorithm]]
-    if algorithm in ("naive_grover", "nested"):
+    if algorithm in AMPLIFIED:
         return matcher(instance, run_config, ledger)
     return matcher(instance, ledger)
 
 
-def _run_trial(config: SweepConfig, n: int, trial: int) -> TrialRow:
-    instance_seed = derive_seed(config.base_seed, n, trial, "instance")
+def _run_trial(
+    config: SweepConfig,
+    n: int,
+    trial: int,
+    instance_seed: int,
+    run_seed: int,
+    noise: Optional[NoisyOracleSpec],
+) -> TrialRow:
     instance = generate_instance(n, instance_seed)
     ledger = CostLedger()
     run_config = NestedConfig(
         engine=config.engine,
         uncompute_factor=config.uncompute_factor,
-        noise=noise_spec(config.noise_preset, n),
-        rng_seed=derive_seed(config.base_seed, n, trial, "run"),
+        noise=noise,
+        rng_seed=run_seed,
     )
     report = run_matcher(config.algorithm, instance, run_config, ledger)
     return TrialRow(
@@ -354,14 +370,34 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Run every (n, trial) cell of the sweep deterministically."""
+    """Run every (n, trial) cell of the sweep deterministically.
+
+    Each trial's instance and run seeds are derived once, up front, and
+    the seeds the algorithm draws from are hashed in one pass before the
+    first trial (``remember_seed_words``); they are forgotten again when
+    the sweep returns or raises.
+    """
+    base, trials = config.base_seed, range(config.trials_per_n)
+    instance_seeds = [
+        derive_seed(base, n, trial, "instance") for n in config.n_values for trial in trials
+    ]
+    run_seeds = [derive_seed(base, n, trial, "run") for n in config.n_values for trial in trials]
+    seeds = zip(instance_seeds, run_seeds)
     rows: list[TrialRow] = []
-    for n in config.n_values:
-        for trial in range(config.trials_per_n):
-            try:
-                rows.append(_run_trial(config, n, trial))
-            except ResourceLimitError as err:
-                raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+    try:
+        remember_seed_words(
+            instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
+        )
+        for n in config.n_values:
+            noise = noise_spec(config.noise_preset, n)
+            for trial in trials:
+                instance_seed, run_seed = next(seeds)
+                try:
+                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noise))
+                except ResourceLimitError as err:
+                    raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+    finally:
+        forget_seed_words()
     result = SweepResult(config=config, rows=rows)
     if config.output is not None:
         result.write_outputs(config.output)

@@ -36,7 +36,7 @@ from .grover import (
     run_statevector,
     success_probability,
 )
-from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport
+from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport, seeded_rng
 from .sortsearch import (
     block_count,
     block_view,
@@ -251,7 +251,7 @@ def naive_grover_pairs(
         uncompute_factor=config.uncompute_factor,
     )
     iterations = iteration_schedule(m, 1)
-    rng = np.random.default_rng(config.rng_seed)
+    rng = seeded_rng(config.rng_seed)
     outcome = _search(config.engine, problem, iterations, rng, ledger)
     found = None
     if outcome.verified:
@@ -354,6 +354,27 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     )
 
 
+@lru_cache(maxsize=1024)
+def _outer_problem(
+    n: int,
+    block_size: Optional[int],
+    failure_prob: float,
+    marked_block: int,
+    uncompute_factor: int,
+) -> GroverProblem:
+    """The outer search of a nested run, built once per plan and marked block."""
+    plan = _nested_plan(n, block_size, failure_prob)
+    oracle = Oracle(
+        predicate=lambda beta: beta == marked_block,
+        charge_fn=plan.charge_outer,
+        marked_indices=(marked_block,),
+    )
+    return GroverProblem(
+        space_size=plan.blocks, marked_count=1, oracle=oracle,
+        uncompute_factor=uncompute_factor,
+    )
+
+
 def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -372,19 +393,13 @@ def nested_grover_match(
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
-    plan = _nested_plan(n, config.block_size, _failure_prob(config))
+    failure_prob = _failure_prob(config)
+    plan = _nested_plan(n, config.block_size, failure_prob)
     b = plan.block_size
-    rng = np.random.default_rng(config.rng_seed)
+    rng = seeded_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
-
-    outer_oracle = Oracle(
-        predicate=lambda beta: beta == marked_block,
-        charge_fn=plan.charge_outer,
-        marked_indices=(marked_block,),
-    )
-    outer_problem = GroverProblem(
-        space_size=plan.blocks, marked_count=1, oracle=outer_oracle,
-        uncompute_factor=config.uncompute_factor,
+    outer_problem = _outer_problem(
+        n, config.block_size, failure_prob, marked_block, config.uncompute_factor
     )
     outer_outcome = _search(
         config.engine, outer_problem, plan.r_outer, rng, ledger, noise=config.noise

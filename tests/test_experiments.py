@@ -302,6 +302,49 @@ class TestRunSweep:
         assert len(rows) == 1
 
 
+class TestSeedWordsInSweeps:
+    # trials_per_n on either side of the break-even count of remembered seeds
+    @pytest.mark.parametrize(
+        "algorithm,noise,trials",
+        [
+            ("nested", "inv_sqrt_n", 1),
+            ("nested", "inv_sqrt_n", 6),
+            ("naive_grover", "none", 1),
+            ("naive_grover", "none", 5),
+            ("sort_scan", "none", 3),
+            ("sort_scan", "none", 10),
+        ],
+    )
+    def test_outputs_do_not_depend_on_remembering(
+        self, algorithm, noise, trials, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm=algorithm, n_values=(16, 64), trials_per_n=trials, base_seed=5,
+            noise_preset=noise, output=str(out),
+        )
+        drawn = 2 * trials * (2 if algorithm in experiments.AMPLIFIED else 1)
+        slow_path = []
+        original = model.np.random.default_rng
+
+        def counting(seed):
+            slow_path.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(model.np.random, "default_rng", counting)
+        outputs = []
+        for remembering in (True, False):
+            if not remembering:
+                monkeypatch.setattr(experiments, "remember_seed_words", lambda seeds: None)
+            slow_path.clear()
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+            hits = remembering and drawn >= model.SEED_WORDS_BREAK_EVEN
+            assert len(slow_path) == (0 if hits else drawn)
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] and outputs[0][1]
+
+
 class TestRunMatcher:
     def test_looks_up_patched_entry_points(self, monkeypatch):
         calls = []

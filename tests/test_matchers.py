@@ -526,6 +526,7 @@ class TestNestedPlan:
         for attempt in ("cold", "warm"):
             if attempt == "cold":
                 matchers._nested_plan.cache_clear()
+                matchers._outer_problem.cache_clear()
                 grover._angle.cache_clear()
             run_sweep(config)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
@@ -554,6 +555,62 @@ class TestNestedPlan:
         calls.clear()
         nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=1))
         assert calls == []
+
+
+    def test_outer_problem_matches_a_fresh_one(self):
+        cases = [(16, None, 0.0, 2), (64, 3, 1 / 8, 1), (1024, None, 0.03, 3)]
+        for n, block_size, failure_prob, u in cases:
+            plan = matchers._nested_plan(n, block_size, failure_prob)
+            for marked_block in (0, plan.blocks - 1):
+                problem = matchers._outer_problem(n, block_size, failure_prob, marked_block, u)
+                assert problem is matchers._outer_problem(
+                    n, block_size, failure_prob, marked_block, u
+                )
+                assert (problem.space_size, problem.marked_count, problem.uncompute_factor) == (
+                    plan.blocks, 1, u
+                )
+                assert problem.oracle.marked_indices == (marked_block,)
+                assert [problem.oracle.predicate(b) for b in range(plan.blocks)] == [
+                    b == marked_block for b in range(plan.blocks)
+                ]
+                charged, reference = CostLedger(), CostLedger()
+                problem.oracle.charge(charged, 5)
+                matchers._outer_oracle_charge(reference, 5, plan.block_size, plan.r_inner)
+                assert charged.as_dict() == reference.as_dict()
+
+    def test_outer_problem_key_separates_every_field(self):
+        base = (64, None, 0.0, 1, 2)
+        problem = matchers._outer_problem(*base)
+        for changed in [(256, None, 0.0, 1, 2), (64, 4, 0.0, 1, 2), (64, None, 0.5, 1, 2),
+                        (64, None, 0.0, 2, 2), (64, None, 0.0, 1, 3)]:
+            assert matchers._outer_problem(*changed) is not problem
+
+    def test_a_warm_call_builds_only_the_inner_problem(self, monkeypatch):
+        built = []
+        original = matchers.GroverProblem
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["space_size"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matchers, "GroverProblem", counting)
+        inst = generate_instance(64, 5)
+        config = NestedConfig(noise=NoisyOracleSpec(1 / 8), rng_seed=0)
+        matchers._outer_problem.cache_clear()
+        nested_grover_match(inst, config)
+        assert sorted(built) == [8, 64]
+        built.clear()
+        nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 8), rng_seed=1))
+        assert built == [64]
+
+    def test_predicted_total_cost_reads_no_cache(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("predicted_total_cost read a cache")
+
+        monkeypatch.setattr(matchers, "_nested_plan", never)
+        monkeypatch.setattr(matchers, "_outer_problem", never)
+        for n in (16, 64, 1024):
+            assert predicted_total_cost(n).total_cost() > 0
 
 
 class TestTwoLevelDistribution:

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from matchsim import model
+from matchsim import experiments, model
 from matchsim.model import (
     ACCESS_KINDS,
     MAX_INSTANCE_SIZE,
@@ -210,6 +214,156 @@ class TestDrawDistinct:
             assert raw.dtype == np.uint64
             assert np.array_equal(raw, ints)
             assert raw_rng.bit_generator.state == int_rng.bit_generator.state
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def random_seeds(count, seed=2024):
+    # not through default_rng, which some tests below count calls of
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.integers(0, 1 << 64, count, dtype=np.uint64).tolist()
+
+
+def reference_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+class TestSeedWords:
+    def test_equals_seed_sequence_state(self):
+        seeds = EDGE_SEEDS + random_seeds(10_000) + list(range(64))
+        words = model.seed_words(seeds)
+        assert words.shape == (len(seeds), 4)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.array([reference_words(s) for s in seeds]))
+
+    def test_one_seed_and_no_seed(self):
+        assert np.array_equal(model.seed_words([2**64 - 1])[0], reference_words(2**64 - 1))
+        assert model.seed_words([]).shape == (0, 4)
+
+    def test_generator_from_words_is_default_rng(self):
+        seeds = EDGE_SEEDS + random_seeds(40, seed=7)
+        words = model.seed_words(seeds)
+        generator, pcg64, seed_words_shim = model._generator_parts()
+        for seed, row in zip(seeds, words):
+            fast = generator(pcg64(seed_words_shim(row)))
+            ref = np.random.default_rng(seed)
+            assert fast.bit_generator.state == ref.bit_generator.state
+            assert fast.random() == ref.random()
+            for n in (2, 17, 1 << 40):
+                assert fast.integers(n) == ref.integers(n)
+            assert np.array_equal(fast.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+    def test_shim_refuses_any_other_request(self):
+        _, _, seed_words_shim = model._generator_parts()
+        shim = seed_words_shim(model.seed_words([3])[0])
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(RuntimeError, match="seed words"):
+                shim.generate_state(n_words, dtype)
+
+
+class TestSeededRng:
+    @pytest.fixture
+    def default_rng_calls(self, monkeypatch):
+        calls = []
+        original = np.random.default_rng
+
+        def counting(seed):
+            calls.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(model.np.random, "default_rng", counting)
+        yield calls
+        model.forget_seed_words()
+
+    def test_remembered_seeds_skip_default_rng(self, default_rng_calls):
+        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=11)
+        model.remember_seed_words(seeds)
+        for seed in seeds:
+            rng = model.seeded_rng(seed)
+            assert rng.bit_generator.state == np.random.Generator(
+                np.random.PCG64(seed)
+            ).bit_generator.state
+        assert default_rng_calls == []
+
+    def test_a_miss_falls_back_to_default_rng(self, default_rng_calls):
+        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=12))
+        rng = model.seeded_rng(5)
+        assert default_rng_calls == [5]
+        assert rng.random() == np.random.Generator(np.random.PCG64(5)).random()
+
+    def test_nothing_is_remembered_below_break_even(self, default_rng_calls):
+        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN - 1, seed=13)
+        model.remember_seed_words(seeds)
+        assert not model._seed_memo.index
+        for seed in seeds:
+            model.seeded_rng(seed)
+        assert default_rng_calls == seeds
+
+    def test_each_call_builds_a_new_generator(self):
+        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=14)
+        model.remember_seed_words(seeds)
+        try:
+            first, second = model.seeded_rng(seeds[0]), model.seeded_rng(seeds[0])
+            assert first is not second and first.bit_generator is not second.bit_generator
+            assert first.random() == second.random()
+        finally:
+            model.forget_seed_words()
+        assert not model._seed_memo.index
+
+    def test_remembered_words_are_read_only(self):
+        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=15))
+        try:
+            assert not model._seed_memo.words.flags.writeable
+        finally:
+            model.forget_seed_words()
+
+    def test_importing_matchsim_leaves_numpy_random_unloaded(self):
+        # numpy.random costs set-up time; it loads with the first generator
+        src = str(Path(model.__file__).resolve().parents[1])
+        code = "import sys, matchsim; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+    def test_pinned_instances_from_remembered_seeds(self, default_rng_calls):
+        seeds = sorted({seed for _, seed in PINNED_INSTANCES})
+        model.remember_seed_words(seeds + random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=16))
+        for (n, seed), digest in PINNED_INSTANCES.items():
+            inst = generate_instance(n, seed)
+            doc = [list(inst.list1), list(inst.list2), inst.planted_value,
+                   inst.planted_pos1, inst.planted_pos2]
+            assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+        assert default_rng_calls == []
+
+
+class TestSweepSeedMemo:
+    def test_one_fill_holds_every_drawn_seed_and_is_emptied(self, monkeypatch):
+        seen = []
+        original = experiments.generate_instance
+
+        def recording(n, seed):
+            seen.append(len(model._seed_memo.index))
+            return original(n, seed)
+
+        monkeypatch.setattr(experiments, "generate_instance", recording)
+        config = experiments.SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
+        experiments.run_sweep(config)
+        # instance and run seeds of all 6 trials, remembered before the first
+        assert seen == [12] * 6
+        assert not model._seed_memo.index
+
+    def test_memo_is_emptied_when_a_sweep_raises(self):
+        config = experiments.SweepConfig(
+            algorithm="sort_scan", n_values=(16, MAX_INSTANCE_SIZE + 1), trials_per_n=5
+        )
+        with pytest.raises(ResourceLimitError, match=f"n={MAX_INSTANCE_SIZE + 1}, trial=0"):
+            experiments.run_sweep(config)
+        assert not model._seed_memo.index
 
 
 class TestInstanceSizeCap:
