@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -185,16 +186,7 @@ class SweepConfig:
         return cls.from_dict(doc)
 
     def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n_values": list(self.n_values),
-            "trials_per_n": self.trials_per_n,
-            "base_seed": self.base_seed,
-            "engine": self.engine,
-            "noise_preset": self.noise_preset,
-            "uncompute_factor": self.uncompute_factor,
-            "output": self.output,
-        }
+        return {**asdict(self), "n_values": list(self.n_values)}
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -214,13 +206,7 @@ class FitResult:
     log_normalized: bool
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "intercept": self.intercept,
-            "n_points": self.n_points,
-            "log_normalized": self.log_normalized,
-        }
+        return asdict(self)
 
 
 def fit_exponent(
@@ -369,31 +355,36 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
     return csv_path, csv_path.with_suffix(".json")
 
 
+# A sweep derives and remembers the seeds its algorithm draws from this
+# many at a time, so the seed memo stays bounded however many trials run
+# (about 125 B per remembered seed).  Each chunk costs one seed_words
+# call, about 50 us; a sweep of up to this many drawn seeds makes one.
+SEED_MEMO_CHUNK = 4096
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically.
 
-    Each trial's instance and run seeds are derived once, up front, and
-    the seeds the algorithm draws from are hashed in one pass before the
-    first trial (``remember_seed_words``); they are forgotten again when
-    the sweep returns or raises.
+    Cells run in chunks of at most ``SEED_MEMO_CHUNK`` drawn seeds.  A
+    chunk's instance and run seeds are derived up front, and the seeds
+    the algorithm draws from are hashed in one pass before its first
+    trial (``remember_seed_words``), replacing the previous chunk's;
+    they are forgotten again when the sweep returns or raises.
     """
-    base, trials = config.base_seed, range(config.trials_per_n)
-    instance_seeds = [
-        derive_seed(base, n, trial, "instance") for n in config.n_values for trial in trials
-    ]
-    run_seeds = [derive_seed(base, n, trial, "run") for n in config.n_values for trial in trials]
-    seeds = zip(instance_seeds, run_seeds)
+    amplified = config.algorithm in AMPLIFIED
+    cells = itertools.product(config.n_values, range(config.trials_per_n))
+    chunk_cells = SEED_MEMO_CHUNK // 2 if amplified else SEED_MEMO_CHUNK
+    noises = {n: noise_spec(config.noise_preset, n) for n in config.n_values}
+    base = config.base_seed
     rows: list[TrialRow] = []
     try:
-        remember_seed_words(
-            instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
-        )
-        for n in config.n_values:
-            noise = noise_spec(config.noise_preset, n)
-            for trial in trials:
-                instance_seed, run_seed = next(seeds)
+        while chunk := list(itertools.islice(cells, chunk_cells)):
+            instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in chunk]
+            run_seeds = [derive_seed(base, n, trial, "run") for n, trial in chunk]
+            remember_seed_words(instance_seeds + run_seeds if amplified else instance_seeds)
+            for (n, trial), instance_seed, run_seed in zip(chunk, instance_seeds, run_seeds):
                 try:
-                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noise))
+                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noises[n]))
                 except ResourceLimitError as err:
                     raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
     finally:
@@ -407,21 +398,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def _trial_row(fields: list[str]) -> TrialRow:
     if len(fields) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
-    rec = dict(zip(CSV_COLUMNS, fields))
-    row = TrialRow(
-        algorithm=rec["algorithm"],
-        n=int(rec["n"]),
-        trial=int(rec["trial"]),
-        seed=int(rec["seed"]),
-        success=int(rec["success"]),
-        total_cost=int(rec["total_cost"]),
-        l1_queries=int(rec["l1_queries"]),
-        l2_queries=int(rec["l2_queries"]),
-        mem_reads=int(rec["mem_reads"]),
-        mem_writes=int(rec["mem_writes"]),
-        peak_workspace=int(rec["peak_workspace"]),
-        predicted_success=float(rec["predicted_success"]),
-    )
+    # the columns are TrialRow's fields in order: a name, ten counts, a probability
+    row = TrialRow(fields[0], *map(int, fields[1:-1]), float(fields[-1]))
     for name in (*ACCESS_KINDS, "peak_workspace"):
         if getattr(row, name) < 0:
             raise ValueError(f"{name} is negative: {getattr(row, name)}")

@@ -37,10 +37,11 @@ from .grover import (
     success_probability,
 )
 from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport, seeded_rng
-from .sortsearch import (
+from .sortsearch import (  # sort_instrumented: the layer tracer patches it here
     block_count,
     block_view,
     binary_membership,
+    charge_sort,
     membership_probe_depth,
     sort_charges,
     sort_instrumented,
@@ -110,56 +111,60 @@ def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunRepor
     )
 
 
+def _shared_values(values1: np.ndarray, values2: np.ndarray) -> list:
+    """The values both lists hold, ascending.
+
+    One in-place sort of the lists' union puts each next to its twin; a
+    value repeated within one list is a twin too, hence the final check.
+    """
+    union = np.concatenate((values1, values2))
+    union.sort()
+    # dict.fromkeys drops repeats in order; np.unique would import numpy.ma (about 1 MB)
+    twins = dict.fromkeys(union[1:][union[1:] == union[:-1]])
+    return [v for v in twins if (values1 == v).any() and (values2 == v).any()]
+
+
 def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
     """Probe all n^2 pairs; the ground-truth baseline.
 
-    Charges the full pair scan (2 accesses per pair) up front; the match
-    itself is located with a hash join since the outcome is identical.
+    Charges the full pair scan (2 accesses per pair) up front; the pair
+    the scan would reach first is the smallest list1 position holding a
+    shared value, with that value's list2 position.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("outer_search", l1_queries=n * n, l2_queries=n * n)
-    index2 = {v: j for j, v in enumerate(instance.list2)}
+    values1, values2 = instance.values1, instance.values2
     found = None
-    for i, v in enumerate(instance.list1):
-        j = index2.get(v)
-        if j is not None:
-            found = (i, j)
-            break
+    shared = _shared_values(values1, values2)
+    if shared:
+        i = min(int((values1 == v).argmax()) for v in shared)
+        found = (i, int((values2 == values1[i]).argmax()))
     return _classical_report(instance, found, ledger, {"algorithm": "exhaustive"})
 
 
-def _shared_positions(keys1: np.ndarray, keys2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ascending keys1 and keys2 that hold a shared value.
-
-    One ``searchsorted`` of the sorted keys2 against keys1: sorted
-    needles walk keys1 in order, several times faster than unsorted
-    ones.  Both position arrays ascend.
-    """
-    at = np.minimum(np.searchsorted(keys1, keys2), len(keys1) - 1)
-    hits = np.flatnonzero(keys1[at] == keys2)
-    return at[hits], hits
-
-
 def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
-    """Sort list1, then probe every list2 value against the sorted copy."""
+    """Sort list1, then probe every list2 value against the sorted copy.
+
+    Both are charged by closed forms.  The last hit wins, as in a
+    forward scan: the last list2 position holding a shared value
+    (``_shared_values``), with that value's list1 position.
+    """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.workspace_acquire(n)
-    order1 = sort_instrumented(instance.values1, ledger)
+    charge_sort(n, ledger)
     # every list2 value is queried once and probed at full depth
     ledger.charge_batch(
         "final_verify", l2_queries=n, mem_reads=2 * membership_probe_depth(n) * n
     )
-    # probing in sorted order finds the same hits; the charge above covers them
-    keys1 = instance.values1[order1]
-    at1, _ = _shared_positions(keys1, np.sort(instance.values2))
+    values1, values2 = instance.values1, instance.values2
     found = None
-    if at1.size:
-        # the last list2 position that hits wins, as a forward scan would report
-        j = int(np.flatnonzero(np.isin(instance.values2, keys1[at1]))[-1])
-        found = (int(order1[np.searchsorted(keys1, instance.values2[j])]), j)
+    shared = _shared_values(values1, values2)
+    if shared:
+        j = max(int(np.flatnonzero(values2 == v)[-1]) for v in shared)
+        found = (int((values1 == values2[j]).argmax()), j)
     ledger.workspace_release(n)
     return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
 
@@ -172,25 +177,28 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     shared value v* after p1 = #{list1 < v*} plus p2 = #{list2 < v*}
     advances and one matching step.  With no shared value it stops when
     one list runs out: the list whose largest value is the smaller one,
-    after every value of the other list below that largest value.
+    after every value of the other list below that largest value.  The
+    sorts are only charged: ranks and positions are compares of each
+    list against v* (``_shared_values``) or against that largest value.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("sort", l1_queries=n, mem_writes=n)
     ledger.charge_batch("sort", l2_queries=n, mem_writes=n)
     ledger.workspace_acquire(2 * n)
-    order1 = sort_instrumented(instance.values1, ledger)
-    order2 = sort_instrumented(instance.values2, ledger)
-    keys1, keys2 = instance.values1[order1], instance.values2[order2]
-    at1, at2 = _shared_positions(keys1, keys2)
+    charge_sort(n, ledger)
+    charge_sort(n, ledger)
+    values1, values2 = instance.values1, instance.values2
     found = None
-    if at1.size:
-        p1, p2 = int(at1[0]), int(at2[0])
-        found = (int(order1[p1]), int(order2[p2]))
-        steps = p1 + p2 + 1
+    shared = _shared_values(values1, values2)
+    if shared:
+        v = shared[0]
+        found = (int((values1 == v).argmax()), int((values2 == v).argmax()))
+        steps = int(np.count_nonzero(values1 < v) + np.count_nonzero(values2 < v)) + 1
     else:
-        ended, other = (keys2, keys1) if keys1[-1] > keys2[-1] else (keys1, keys2)
-        steps = n + int(np.searchsorted(other, ended[-1]))
+        max1, max2 = values1.max(), values2.max()
+        ended_max, other = (max2, values1) if max1 > max2 else (max1, values2)
+        steps = n + int(np.count_nonzero(other < ended_max))
     # 2 reads per step: each step reads both heads
     ledger.charge_batch("final_verify", mem_reads=2 * steps)
     ledger.workspace_release(2 * n)

@@ -28,9 +28,8 @@ PHASES = ("sort", "inner_search", "outer_search", "final_verify")
 _VALUE_BOUND = 1 << 64
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
-# sizes, and small enough that a two_sort run's 8-byte cells (two uint64
-# lists, two sort permutations, two sorted key copies) fit in a few
-# hundred MB.
+# sizes, and small enough that a classical run's 8-byte cells (two uint64
+# lists and the sorted copy of their union) fit in a few hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
 
 
@@ -396,9 +395,11 @@ SEED_WORDS_BREAK_EVEN = 8
 def remember_seed_words(seeds: Sequence[int]) -> None:
     """Hash ``seeds`` in one pass for ``seeded_rng``, replacing any remembered before.
 
-    Remembers nothing for fewer than ``SEED_WORDS_BREAK_EVEN`` seeds.
+    Remembers nothing, and forgets what was remembered before, for
+    fewer than ``SEED_WORDS_BREAK_EVEN`` seeds.
     """
     global _seed_memo
+    _seed_memo = _NO_SEEDS
     if len(seeds) >= SEED_WORDS_BREAK_EVEN:
         words = seed_words(seeds)
         words.flags.writeable = False

@@ -1,16 +1,17 @@
-"""Classical kernels: sort, block extraction, membership.
+"""Classical kernels: sort charges, block extraction, membership.
 
 Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
 where a merge of t cells always costs t - 1 compares and t moves, and a
 membership probe that always walks the full bisection depth.  Every
-kernel's cost is therefore a closed form in the sizes alone: a sort is
-one ``np.argsort`` of a uint64 value array, which returns the sorting
-permutation and charges that closed form once, to the ``"sort"`` phase.
-A membership lookup charges nothing: its callers charge their probes as
-``2 * membership_probe_depth(n)`` reads each, in whichever phase they
-run.  A compare costs 2 reads; a move costs 1 read + 1 write.  The merge
-sort itself is kept in the tests, as the independent reference the
-closed forms are checked against.
+kernel's cost is therefore a closed form in the sizes alone.
+``charge_sort`` charges a sort's closed form once, to the ``"sort"``
+phase; the classical matchers charge their sorts with it and sort no
+list on its own.  A block sort (``sort_instrumented``) is one
+``np.argsort``.  A membership lookup charges nothing: its callers charge
+their probes as ``2 * membership_probe_depth(n)`` reads each, in
+whichever phase they run.  A compare costs 2 reads; a move costs 1 read
++ 1 write.  The merge sort itself is kept in the tests, as the
+independent reference the closed forms are checked against.
 
 A sorted block (``block_view``, about sqrt(n) cells) is a tuple of
 (value, source index) entries of Python ints in ascending value order,
@@ -50,23 +51,25 @@ def sort_charges(n: int) -> tuple[int, int]:
     return reads, writes
 
 
-def sort_instrumented(values: np.ndarray, ledger: Optional[CostLedger] = None) -> np.ndarray:
-    """Permutation that sorts ``values`` ascending, charged as the merge sort.
-
-    The values of one list are distinct, so this is the merge sort's
-    order; among repeated values the order is unspecified.  Charges
-    ``sort_charges(n)`` and holds one auxiliary buffer of n cells for
-    the sort, on top of the n cells the caller already holds.
-    """
-    n = len(values)
-    # the method: np.argsort's dispatch costs more than a block-sized sort
-    order = values.argsort()
-    # zero or one cell needs no merge and no buffer
+def charge_sort(n: int, ledger: Optional[CostLedger]) -> None:
+    """Charge ``sort_charges(n)`` to the ``"sort"`` phase, holding one
+    n-cell buffer on top of the caller's n cells; under two cells need neither."""
     if ledger is not None and n > 1:
         reads, writes = sort_charges(n)
         ledger.workspace_acquire(n)
         ledger.charge_batch("sort", mem_reads=reads, mem_writes=writes)
         ledger.workspace_release(n)
+
+
+def sort_instrumented(values: np.ndarray, ledger: Optional[CostLedger] = None) -> np.ndarray:
+    """Permutation that sorts ``values`` ascending, charged by ``charge_sort``.
+
+    The values of one list are distinct, so this is the merge sort's
+    order; among repeated values the order is unspecified.
+    """
+    # the method: np.argsort's dispatch costs more than a block-sized sort
+    order = values.argsort()
+    charge_sort(len(values), ledger)
     return order
 
 

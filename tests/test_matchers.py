@@ -148,6 +148,19 @@ class TestClassicalSortScan:
         )
         assert classical_sort_scan(inst).found == (0, 2)
 
+    def test_a_value_repeated_within_one_list_is_not_shared(self):
+        # 7 twins with itself in the union sort but never reaches list2
+        inst = MatchInstance(
+            n=4, list1=(7, 3, 7, 9), list2=(1, 9, 4, 2),
+            planted_value=9, planted_pos1=3, planted_pos2=1,
+        )
+        assert classical_sort_scan(inst).found == reference_sort_scan(inst) == (3, 1)
+        assert exhaustive_pairs(inst).found == brute_force_match(inst) == (3, 1)
+        report = classical_two_sort_merge(inst)
+        found, ledger = reference_two_sort_merge(inst)
+        assert report.found == found == (3, 1)
+        assert report.ledger.as_dict() == ledger.as_dict()
+
     def test_missed_probe_reports_nothing(self):
         inst = MatchInstance(
             n=3, list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
@@ -727,13 +740,14 @@ class TestPinnedOutputs:
 
 
 class TestArrayPaths:
-    @pytest.mark.parametrize("algorithm", sorted(RUNS))
+    @pytest.mark.parametrize("algorithm", sorted(RUNS) + ["exhaustive"])
     def test_matchers_never_build_the_int_tuples(self, algorithm):
         # list1/list2 are built on first use; one tolist per run would cost
         # more than the kernels at large n
-        for n in (2, 17, 1024):
+        run = RUNS.get(algorithm, lambda inst, seed: exhaustive_pairs(inst))
+        for n in (2, 17, 64 if algorithm == "exhaustive" else 1024):
             inst = generate_instance(n, 4)
-            RUNS[algorithm](inst, 4)
+            run(inst, 4)
             assert "list1" not in vars(inst) and "list2" not in vars(inst)
 
 

@@ -301,6 +301,11 @@ class TestSeededRng:
             model.seeded_rng(seed)
         assert default_rng_calls == seeds
 
+    def test_a_call_below_break_even_forgets_the_last_one(self, default_rng_calls):
+        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=17))
+        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN - 1, seed=18))
+        assert not model._seed_memo.index
+
     def test_each_call_builds_a_new_generator(self):
         seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=14)
         model.remember_seed_words(seeds)

@@ -28,10 +28,18 @@ from matchsim.grover import (  # noqa: E402
     run_noisy_outer,
     statevector_amplitudes,
 )
-from matchsim.matchers import classical_sort_scan, classical_two_sort_merge  # noqa: E402
+from matchsim.matchers import (  # noqa: E402
+    classical_sort_scan,
+    classical_two_sort_merge,
+    exhaustive_pairs,
+)
 from matchsim.model import MatchInstance  # noqa: E402
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
-from test_matchers import reference_sort_scan, reference_two_sort_merge  # noqa: E402
+from test_matchers import (  # noqa: E402
+    brute_force_match,
+    reference_sort_scan,
+    reference_two_sort_merge,
+)
 from test_sortsearch import reference_order  # noqa: E402
 
 
@@ -87,13 +95,14 @@ def arrange(draw, values):
 
 @st.composite
 def walk_instances(draw):
-    """Instances whose lists share 1 value (via from_lists), or 0 or 2 (built directly).
+    """Instances whose lists share 1 value (via from_lists), or 0 or 2-4 (built directly).
 
-    The shared values are the smallest, the largest or any of the drawn
-    values, and each list comes shuffled, sorted or reversed.
+    Each list holds distinct values.  The shared values are the
+    smallest, the largest or any of the drawn values, and each list
+    comes shuffled, sorted or reversed.
     """
     n = draw(st.integers(2, 24))
-    shared = draw(st.sampled_from((1, 1, 0, 2)))
+    shared = min(n, draw(st.sampled_from((1, 1, 0, 2, 3, 4))))
     pool = draw(st.lists(values_64, min_size=2 * n - shared, max_size=2 * n - shared, unique=True))
     where = draw(st.sampled_from(("smallest", "largest", "any")))
     if where == "any":
@@ -114,12 +123,18 @@ def walk_instances(draw):
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(walk_instances())
+# three shared values on both sides of 2**63, where a signed compare flips
+@hypothesis.example(MatchInstance(
+    n=4, list1=(2**63, 2**64 - 1, 5, 2**63 - 1), list2=(2**64 - 1, 7, 2**63, 2**63 - 1),
+    planted_value=2**63, planted_pos1=0, planted_pos2=2,
+))
 def test_classical_kernels_match_their_step_by_step_references(instance):
     report = classical_two_sort_merge(instance)
     found, ledger = reference_two_sort_merge(instance)
     assert report.found == found
     assert report.ledger.as_dict() == ledger.as_dict()
     assert classical_sort_scan(instance).found == reference_sort_scan(instance)
+    assert exhaustive_pairs(instance).found == brute_force_match(instance)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
