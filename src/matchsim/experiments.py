@@ -10,12 +10,12 @@ pure power law from a power law with a log factor.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,21 +53,6 @@ ALGORITHMS = tuple(MATCHERS)
 # the algorithms that take a run config and draw from its run seed
 AMPLIFIED = ("naive_grover", "nested")
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
-
-CSV_COLUMNS = (
-    "algorithm",
-    "n",
-    "trial",
-    "seed",
-    "success",
-    "total_cost",
-    "l1_queries",
-    "l2_queries",
-    "mem_reads",
-    "mem_writes",
-    "peak_workspace",
-    "predicted_success",
-)
 
 
 def derive_seed(base_seed: int, n: int, trial: int, stream: str) -> int:
@@ -108,6 +93,9 @@ class TrialRow:
 
     def as_csv_row(self) -> list[str]:
         return [str(getattr(self, col)) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TrialRow))
 
 
 # the JSON types each config key accepts, matched exactly: a JSON boolean
@@ -186,7 +174,16 @@ class SweepConfig:
         return cls.from_dict(doc)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "n_values": list(self.n_values)}
+        return {
+            "algorithm": self.algorithm,
+            "n_values": list(self.n_values),
+            "trials_per_n": self.trials_per_n,
+            "base_seed": self.base_seed,
+            "engine": self.engine,
+            "noise_preset": self.noise_preset,
+            "uncompute_factor": self.uncompute_factor,
+            "output": self.output,
+        }
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -206,7 +203,13 @@ class FitResult:
     log_normalized: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "slope": self.slope,
+            "stderr": self.stderr,
+            "intercept": self.intercept,
+            "n_points": self.n_points,
+            "log_normalized": self.log_normalized,
+        }
 
 
 def fit_exponent(
@@ -355,36 +358,31 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
     return csv_path, csv_path.with_suffix(".json")
 
 
-# A sweep derives and remembers the seeds its algorithm draws from this
-# many at a time, so the seed memo stays bounded however many trials run
-# (about 125 B per remembered seed).  Each chunk costs one seed_words
-# call, about 50 us; a sweep of up to this many drawn seeds makes one.
-SEED_MEMO_CHUNK = 4096
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically.
 
-    Cells run in chunks of at most ``SEED_MEMO_CHUNK`` drawn seeds.  A
-    chunk's instance and run seeds are derived up front, and the seeds
-    the algorithm draws from are hashed in one pass before its first
-    trial (``remember_seed_words``), replacing the previous chunk's;
-    they are forgotten again when the sweep returns or raises.
+    Each trial's instance and run seeds are derived once, up front, and
+    the seeds the algorithm draws from are hashed in one pass before the
+    first trial (``remember_seed_words``); they are forgotten again when
+    the sweep returns or raises.
     """
-    amplified = config.algorithm in AMPLIFIED
-    cells = itertools.product(config.n_values, range(config.trials_per_n))
-    chunk_cells = SEED_MEMO_CHUNK // 2 if amplified else SEED_MEMO_CHUNK
-    noises = {n: noise_spec(config.noise_preset, n) for n in config.n_values}
-    base = config.base_seed
+    base, trials = config.base_seed, range(config.trials_per_n)
+    instance_seeds = [
+        derive_seed(base, n, trial, "instance") for n in config.n_values for trial in trials
+    ]
+    run_seeds = [derive_seed(base, n, trial, "run") for n in config.n_values for trial in trials]
+    seeds = zip(instance_seeds, run_seeds)
     rows: list[TrialRow] = []
     try:
-        while chunk := list(itertools.islice(cells, chunk_cells)):
-            instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in chunk]
-            run_seeds = [derive_seed(base, n, trial, "run") for n, trial in chunk]
-            remember_seed_words(instance_seeds + run_seeds if amplified else instance_seeds)
-            for (n, trial), instance_seed, run_seed in zip(chunk, instance_seeds, run_seeds):
+        remember_seed_words(
+            instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
+        )
+        for n in config.n_values:
+            noise = noise_spec(config.noise_preset, n)
+            for trial in trials:
+                instance_seed, run_seed = next(seeds)
                 try:
-                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noises[n]))
+                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noise))
                 except ResourceLimitError as err:
                     raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
     finally:
@@ -398,8 +396,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def _trial_row(fields: list[str]) -> TrialRow:
     if len(fields) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
-    # the columns are TrialRow's fields in order: a name, ten counts, a probability
-    row = TrialRow(fields[0], *map(int, fields[1:-1]), float(fields[-1]))
+    rec = dict(zip(CSV_COLUMNS, fields))
+    row = TrialRow(
+        algorithm=rec["algorithm"],
+        n=int(rec["n"]),
+        trial=int(rec["trial"]),
+        seed=int(rec["seed"]),
+        success=int(rec["success"]),
+        total_cost=int(rec["total_cost"]),
+        l1_queries=int(rec["l1_queries"]),
+        l2_queries=int(rec["l2_queries"]),
+        mem_reads=int(rec["mem_reads"]),
+        mem_writes=int(rec["mem_writes"]),
+        peak_workspace=int(rec["peak_workspace"]),
+        predicted_success=float(rec["predicted_success"]),
+    )
     for name in (*ACCESS_KINDS, "peak_workspace"):
         if getattr(row, name) < 0:
             raise ValueError(f"{name} is negative: {getattr(row, name)}")

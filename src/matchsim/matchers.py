@@ -111,17 +111,20 @@ def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunRepor
     )
 
 
-def _shared_values(values1: np.ndarray, values2: np.ndarray) -> list:
-    """The values both lists hold, ascending.
+def _shared_values(values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
+    """The values both lists hold, ascending and distinct.
 
-    One in-place sort of the lists' union puts each next to its twin; a
-    value repeated within one list is a twin too, hence the final check.
+    One in-place sort of the lists' union puts each next to its twin.
+    A MatchInstance has at most one twin, shared unless a list repeats
+    it; with more, np.intersect1d keeps the cost O(n log n).
     """
     union = np.concatenate((values1, values2))
     union.sort()
-    # dict.fromkeys drops repeats in order; np.unique would import numpy.ma (about 1 MB)
-    twins = dict.fromkeys(union[1:][union[1:] == union[:-1]])
-    return [v for v in twins if (values1 == v).any() and (values2 == v).any()]
+    twins = union[1:][union[1:] == union[:-1]]
+    if len(twins) > 1:
+        return np.intersect1d(values1, values2)
+    shared = len(twins) == 1 and (values1 == twins[0]).any() and (values2 == twins[0]).any()
+    return twins if shared else twins[:0]
 
 
 def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
@@ -137,8 +140,8 @@ def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = Non
     values1, values2 = instance.values1, instance.values2
     found = None
     shared = _shared_values(values1, values2)
-    if shared:
-        i = min(int((values1 == v).argmax()) for v in shared)
+    if len(shared):
+        i = int(np.isin(values1, shared, kind="sort").argmax())
         found = (i, int((values2 == values1[i]).argmax()))
     return _classical_report(instance, found, ledger, {"algorithm": "exhaustive"})
 
@@ -162,8 +165,8 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
     values1, values2 = instance.values1, instance.values2
     found = None
     shared = _shared_values(values1, values2)
-    if shared:
-        j = max(int(np.flatnonzero(values2 == v)[-1]) for v in shared)
+    if len(shared):
+        j = int(np.flatnonzero(np.isin(values2, shared, kind="sort"))[-1])
         found = (int((values1 == values2[j]).argmax()), j)
     ledger.workspace_release(n)
     return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
@@ -178,8 +181,7 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     advances and one matching step.  With no shared value it stops when
     one list runs out: the list whose largest value is the smaller one,
     after every value of the other list below that largest value.  The
-    sorts are only charged: ranks and positions are compares of each
-    list against v* (``_shared_values``) or against that largest value.
+    sorts are only charged; ranks are compares against either value.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
@@ -191,7 +193,7 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     values1, values2 = instance.values1, instance.values2
     found = None
     shared = _shared_values(values1, values2)
-    if shared:
+    if len(shared):
         v = shared[0]
         found = (int((values1 == v).argmax()), int((values2 == v).argmax()))
         steps = int(np.count_nonzero(values1 < v) + np.count_nonzero(values2 < v)) + 1

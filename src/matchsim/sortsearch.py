@@ -3,15 +3,14 @@
 Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
 where a merge of t cells always costs t - 1 compares and t moves, and a
 membership probe that always walks the full bisection depth.  Every
-kernel's cost is therefore a closed form in the sizes alone.
-``charge_sort`` charges a sort's closed form once, to the ``"sort"``
-phase; the classical matchers charge their sorts with it and sort no
-list on its own.  A block sort (``sort_instrumented``) is one
-``np.argsort``.  A membership lookup charges nothing: its callers charge
-their probes as ``2 * membership_probe_depth(n)`` reads each, in
+kernel's cost is therefore a closed form in the sizes alone, and
+``charge_sort`` charges a sort's to the ``"sort"`` phase.  The classical
+matchers call it without sorting; a block sort (``sort_instrumented``)
+is one ``np.argsort``.  A membership lookup charges nothing: its callers
+charge each probe as ``2 * membership_probe_depth(n)`` reads, in
 whichever phase they run.  A compare costs 2 reads; a move costs 1 read
-+ 1 write.  The merge sort itself is kept in the tests, as the
-independent reference the closed forms are checked against.
++ 1 write.  The tests keep the merge sort itself, as the reference the
+closed forms are checked against.
 
 A sorted block (``block_view``, about sqrt(n) cells) is a tuple of
 (value, source index) entries of Python ints in ascending value order,

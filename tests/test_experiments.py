@@ -344,50 +344,6 @@ class TestSeedWordsInSweeps:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] and outputs[0][1]
 
-    @pytest.mark.parametrize("algorithm,noise", [("nested", "inv_sqrt_n"), ("sort_scan", "none")])
-    def test_chunked_memo_stays_bounded_and_changes_no_byte(
-        self, algorithm, noise, tmp_path, monkeypatch
-    ):
-        out = tmp_path / "rows.csv"
-        config = SweepConfig(
-            algorithm=algorithm, n_values=(16, 64), trials_per_n=7, base_seed=9,
-            noise_preset=noise, output=str(out),
-        )
-        drawn = 2 * 7 * (2 if algorithm in experiments.AMPLIFIED else 1)
-        held = []
-        original = experiments.remember_seed_words
-
-        def remembering(seeds):
-            original(seeds)
-            held.append(len(model._seed_memo.index))
-
-        monkeypatch.setattr(experiments, "remember_seed_words", remembering)
-        chunk = model.SEED_WORDS_BREAK_EVEN
-        outputs = []
-        for size in (chunk, experiments.SEED_MEMO_CHUNK):
-            monkeypatch.setattr(experiments, "SEED_MEMO_CHUNK", size)
-            held.clear()
-            run_sweep(config)
-            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-            # a last chunk below the break-even count is not remembered
-            expected = [size] * (drawn // size) + [0] * (drawn % size > 0)
-            assert held == (expected if size < drawn else [drawn])
-        assert outputs[0] == outputs[1]
-        assert model._seed_memo.index == {}
-
-    def test_two_thousand_seeds_hash_in_one_call(self, monkeypatch):
-        calls = []
-        original = model.seed_words
-
-        def counting(seeds):
-            calls.append(len(seeds))
-            return original(seeds)
-
-        monkeypatch.setattr(model, "seed_words", counting)
-        # the shape of the largest sweep the benchmark runs: 1000 nested trials
-        run_sweep(SweepConfig(algorithm="nested", n_values=(4, 8, 16, 32), trials_per_n=250))
-        assert calls == [2000]
-
 
 class TestRunMatcher:
     def test_looks_up_patched_entry_points(self, monkeypatch):

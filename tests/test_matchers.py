@@ -161,6 +161,27 @@ class TestClassicalSortScan:
         assert report.found == found == (3, 1)
         assert report.ledger.as_dict() == ledger.as_dict()
 
+    @pytest.mark.parametrize(
+        "list1,list2",
+        [
+            # the only twin in the union sort is a repeat: nothing is shared
+            ((7, 3, 7, 9), (1, 8, 4, 2)),
+            # every list1 value twice, three of them shared
+            (tuple(3 * (k // 2) for k in range(512)), (*range(1000, 1509), 30, 600, 3)),
+        ],
+    )
+    def test_lists_that_repeat_values_match_the_references(self, list1, list2):
+        inst = MatchInstance(
+            n=len(list1), list1=list1, list2=list2,
+            planted_value=list1[0], planted_pos1=0, planted_pos2=0,
+        )
+        assert classical_sort_scan(inst).found == reference_sort_scan(inst)
+        assert exhaustive_pairs(inst).found == brute_force_match(inst)
+        report = classical_two_sort_merge(inst)
+        found, ledger = reference_two_sort_merge(inst)
+        assert report.found == found
+        assert report.ledger.as_dict() == ledger.as_dict()
+
     def test_missed_probe_reports_nothing(self):
         inst = MatchInstance(
             n=3, list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
