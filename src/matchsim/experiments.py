@@ -10,14 +10,13 @@ pure power law from a power law with a log factor.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # statevector_cap_from_env is re-exported: perfbench's worker records the
 # cap in its provenance through this module
@@ -74,9 +73,8 @@ def noise_spec(preset: str, n: int) -> Optional[NoisyOracleSpec]:
     raise ValueError(f"unknown noise preset {preset!r}")
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    """One CSV row of a sweep."""
+class TrialRow(NamedTuple):
+    """One CSV row of a sweep, its fields in column order."""
 
     algorithm: str
     n: int
@@ -91,11 +89,8 @@ class TrialRow:
     peak_workspace: int
     predicted_success: float
 
-    def as_csv_row(self) -> list[str]:
-        return [str(getattr(self, col)) for col in CSV_COLUMNS]
 
-
-CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TrialRow))
+CSV_COLUMNS = TrialRow._fields
 
 
 # the JSON types each config key accepts, matched exactly: a JSON boolean
@@ -277,19 +272,20 @@ def _run_trial(
         rng_seed=run_seed,
     )
     report = run_matcher(config.algorithm, instance, run_config, ledger)
+    # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
-        algorithm=config.algorithm,
-        n=n,
-        trial=trial,
-        seed=instance_seed,
-        success=int(report.correct),
-        total_cost=ledger.total_cost(),
-        l1_queries=ledger.l1_queries,
-        l2_queries=ledger.l2_queries,
-        mem_reads=ledger.mem_reads,
-        mem_writes=ledger.mem_writes,
-        peak_workspace=ledger.peak_workspace,
-        predicted_success=report.predicted_success,
+        config.algorithm,
+        n,
+        trial,
+        instance_seed,
+        int(report.correct),
+        ledger.total_cost(),
+        ledger.l1_queries,
+        ledger.l2_queries,
+        ledger.mem_reads,
+        ledger.mem_writes,
+        ledger.peak_workspace,
+        report.predicted_success,
     )
 
 
@@ -335,8 +331,8 @@ class SweepResult:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(row.as_csv_row())
+        # csv writes an int with str and a float with repr: the bytes str gives
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_json_text(self) -> str:

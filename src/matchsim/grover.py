@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -111,8 +111,7 @@ class GroverProblem:
             raise ValueError("uncompute_factor must be at least 1")
 
 
-@dataclass(frozen=True)
-class GroverOutcome:
+class GroverOutcome(NamedTuple):
     """Measured index, its post-measurement check, and the marked mass.
 
     ``engine`` names the engine that ran; ``fire_pattern`` holds, per
@@ -267,14 +266,8 @@ def _finish(
     verified = bool(problem.oracle.predicate(measured))
     if charge_verification:
         problem.oracle.charge(ledger, 1)
-    return GroverOutcome(
-        measured_index=measured,
-        verified=verified,
-        iterations_used=iterations,
-        predicted_success=marked_mass,
-        engine=engine,
-        fire_pattern=pattern,
-    )
+    # by position: keywords cost a NamedTuple twice as much
+    return GroverOutcome(measured, verified, iterations, marked_mass, engine, pattern)
 
 
 def statevector_amplitudes(

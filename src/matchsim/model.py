@@ -26,6 +26,7 @@ ACCESS_KINDS = ("l1_queries", "l2_queries", "mem_reads", "mem_writes")
 PHASES = ("sort", "inner_search", "outer_search", "final_verify")
 
 _VALUE_BOUND = 1 << 64
+_M32 = 0xFFFFFFFF
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
 # sizes, and small enough that a classical run's 8-byte cells (two uint64
@@ -96,7 +97,8 @@ class CostLedger:
         """Charge several kinds at once under a single phase."""
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        if min(l1_queries, l2_queries, mem_reads, mem_writes) < 0:
+        # one int OR is negative exactly when some amount is
+        if l1_queries | l2_queries | mem_reads | mem_writes < 0:
             raise ValueError("charge amount must be non-negative")
         counters = self.phase_breakdown[phase]
         self.l1_queries += l1_queries
@@ -154,11 +156,15 @@ class MatchInstance:
     both lists, and neither list repeats a value internally.
 
     The lists are held as read-only uint64 arrays, ``values1`` and
-    ``values2``, which the kernels read.  ``list1`` and ``list2`` are the
-    same values as tuples of Python ints, built on first use.  The
-    constructor takes any sequence of ints for either list and raises
-    ValueError for a value outside [0, 2**64).  Two instances are equal
-    when all their fields hold the same values.
+    ``values2``, which the kernels read; a generated instance keeps both
+    in one read-only buffer, list1 first.  ``list1`` and ``list2`` are
+    the same values as tuples of Python ints, built on first use.  The
+    constructor takes any sequence of Python or numpy ints for either
+    list, and raises ValueError for any other value (a bool included) or
+    one outside [0, 2**64).  It keeps a read-only uint64 array whose
+    owner is read-only too, and copies anything else, so no writeable
+    array shares memory with an instance.  Two instances are equal when
+    all their fields hold the same values.
     """
 
     def __init__(
@@ -247,17 +253,42 @@ class MatchInstance:
         return inst
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array it views are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    # a foreign owner (bytes, mmap, ...) may be written through another handle
+    return array is None
+
+
 def _as_values(values) -> np.ndarray:
-    """``values`` as a read-only uint64 array; ValueError outside [0, 2**64)."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.uint64):
-        values = tuple(values)
+    """``values`` as a read-only uint64 array that no writeable array shares.
+
+    A read-only uint64 array over read-only owners is kept as it is;
+    anything else is copied.  Raises ValueError for a value that is not
+    a Python or numpy integer (a bool is not), or lies outside [0, 2**64).
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        if _frozen(values):
+            return values
+        values = values.copy()
+    else:
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise ValueError("values must be a sequence of integers") from None
+        # np.array would truncate a float, take a bool as 0 or 1, and raise
+        # TypeError on a string
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+            raise ValueError("values must be integers")
         # checked here: numpy would raise OverflowError, or wrap a negative int64
         if values and not (0 <= min(values) and max(values) < _VALUE_BOUND):
             raise ValueError("values must fit in 64 bits")
         values = np.array(values, dtype=np.uint64)
-    view = values.view()
-    view.flags.writeable = False
-    return view
+    values.flags.writeable = False
+    return values
 
 
 def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -295,11 +326,36 @@ def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
         batch = draw(max(16, count - len(out)))
 
 
+def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two uniform positions below ``n``, for 2 <= n < 2**32, from the raw stream.
+
+    They are what two ``int(rng.integers(n))`` calls return on a PCG64
+    generator that has drawn only raw values so far.  numpy draws each
+    by Lemire's method on one 32-bit word, redrawing while the low half
+    of word * n is below 2**32 mod n.  PCG64 hands out 32-bit words as
+    the low, then the high half of one raw value, so both positions
+    usually come from a single raw draw.
+    """
+    draw = rng.bit_generator.random_raw
+    threshold = (1 << 32) % n
+    positions: list[int] = []
+    high = None
+    while len(positions) < 2:
+        if high is None:
+            raw = draw()
+            word, high = raw & _M32, raw >> 32
+        else:
+            word, high = high, None
+        scaled = word * n
+        if scaled & _M32 >= threshold:
+            positions.append(scaled >> 32)
+    return positions[0], positions[1]
+
+
 # numpy's SeedSequence, specialised to an integer seed in [0, 2**64) and
 # PCG64's request of four uint64 words.  All arithmetic is mod 2**32.
 # hashmix(v) is ``v ^= h; h *= MULT_A; v *= h; v ^= v >> 16`` with one
 # running h from INIT_A, so every step's two constants are known ahead.
-_M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -474,15 +530,18 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     rng = seeded_rng(seed)
     values = _draw_distinct(rng, 2 * n - 1)
     planted = values[:1]
-    pos1 = int(rng.integers(n))
-    pos2 = int(rng.integers(n))
-    # slices and one concatenate each: np.insert costs more per call at small n
-    l1 = np.concatenate((values[1 : pos1 + 1], planted, values[pos1 + 1 : n]))
-    l2 = np.concatenate((values[n : n + pos2], planted, values[n + pos2 :]))
+    pos1, pos2 = _draw_positions(rng, n)
+    # list1 then list2 in one buffer: list1's tail and list2's head are
+    # adjacent draws, so one concatenate of five pieces builds both (six
+    # slice copies into np.empty cost more per call at small n)
+    lists = np.concatenate(
+        (values[1 : pos1 + 1], planted, values[pos1 + 1 : n + pos2], planted, values[n + pos2 :])
+    )
+    lists.flags.writeable = False
     return MatchInstance(
         n=n,
-        list1=l1,
-        list2=l2,
+        list1=lists[:n],
+        list2=lists[n:],
         planted_value=int(planted[0]),
         planted_pos1=pos1,
         planted_pos2=pos2,

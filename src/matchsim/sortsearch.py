@@ -20,6 +20,7 @@ which ``binary_membership`` searches with ``bisect``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -30,12 +31,14 @@ from .model import CostLedger, MatchInstance
 Entries = tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=1024)
 def sort_charges(n: int) -> tuple[int, int]:
     """(reads, writes) of the merge sort on n cells, level by level.
 
     A level of width w moves all n cells; each of its n // 2w full merges
     compares 2w - 1 times, and a trailing run of rem = n % 2w cells
     compares rem - 1 times only when two runs meet there (rem > w).
+    Cached per n: every block sort of a nested run asks for the same n.
     """
     if n < 0:
         raise ValueError("size must be non-negative")

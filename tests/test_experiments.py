@@ -1,6 +1,8 @@
 """Tests for sweeps, fits, comparisons, and the command-line front end."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -179,6 +181,28 @@ class TestRunSweep:
         monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
         text = run_sweep(config).to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_rows_are_immutable(self):
+        row = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4,))).rows[0]
+        for name in CSV_COLUMNS:
+            with pytest.raises(AttributeError):
+                setattr(row, name, 0)
+
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    def test_csv_bytes_equal_str_of_every_field(self, algorithm):
+        # the writer's own conversion (repr for a float) against str per field
+        config = SweepConfig(
+            algorithm=algorithm, n_values=(4, 9, 16), trials_per_n=3, noise_preset="inv_n"
+        )
+        result = run_sweep(config)
+        odd = [0.1, 1e-20, 1.0, 2.0 / 3.0, 5e-324, 0.9999999999999999]
+        result.rows.extend(row._replace(predicted_success=p) for row, p in zip(result.rows, odd))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in result.rows:
+            writer.writerow([str(getattr(row, column)) for column in CSV_COLUMNS])
+        assert result.to_csv_text() == buf.getvalue()
 
     def test_row_grid_is_complete(self):
         config = SweepConfig(algorithm="sort_scan", n_values=(4, 16), trials_per_n=3)

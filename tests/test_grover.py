@@ -398,6 +398,15 @@ class TestFailureProbability:
             failure_probability(4, 1, -1)
 
 
+class TestOutcome:
+    @pytest.mark.parametrize("run", [run_analytic, run_statevector])
+    def test_outcome_is_immutable(self, run):
+        outcome = run(first_k_problem(8, 1), 1, np.random.default_rng(3))
+        for name in outcome._fields:
+            with pytest.raises(AttributeError):
+                setattr(outcome, name, None)
+
+
 class TestNoisyEngine:
     def test_zero_failure_equals_clean_engine(self):
         prob = first_k_problem(32, 1)

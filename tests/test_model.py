@@ -52,12 +52,14 @@ class ScriptedRng:
         self.calls = []
         self.bit_generator = SimpleNamespace(random_raw=self._take)
 
-    def _take(self, size):
+    def _take(self, size=None):
+        # like random_raw: no size draws one value, as a Python int
         self.calls.append(size)
-        if size > len(self.stream):
+        count = 1 if size is None else size
+        if count > len(self.stream):
             raise AssertionError("scripted stream exhausted")
-        batch, self.stream = self.stream[:size], self.stream[size:]
-        return np.array(batch, dtype=np.uint64)
+        batch, self.stream = self.stream[:count], self.stream[count:]
+        return batch[0] if size is None else np.array(batch, dtype=np.uint64)
 
     def integers(self, low, high, size, dtype):
         assert (low, high, dtype) == (0, 1 << 64, np.uint64)
@@ -96,6 +98,34 @@ PINNED_INSTANCES = {
     (65536, 2): "9c3fb0e1be2c81f4266abf729b5e9075cbb4a5965a1a24085ea5c9747d6034ba",
     (65536, 2**63 + 5): "7d458273e235fbe8524227ee57f2cc7e178d2e08102b7f36ac693ae14b3f8416",
 }
+
+
+def reference_assembly(values, n, pos1, pos2):
+    """The two lists as two concatenates of the drawn values built them."""
+    planted = values[:1]
+    l1 = np.concatenate((values[1 : pos1 + 1], planted, values[pos1 + 1 : n]))
+    l2 = np.concatenate((values[n : n + pos2], planted, values[n + pos2 :]))
+    return l1, l2
+
+
+def assert_one_buffer(inst, l1, l2):
+    """Both lists are the halves of one read-only buffer, list1 first."""
+    buffer = inst.values1.base
+    assert buffer is inst.values2.base and buffer is not None
+    assert not buffer.flags.writeable and buffer.base is None
+    assert np.array_equal(buffer, np.concatenate((l1, l2)))
+    assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
+
+
+# raw streams that send _draw_distinct down its per-value loop: the values,
+# then one raw word whose low and high halves give the two positions
+POSITION_WORD = 0xC0000000_80000000
+REPEAT_STREAMS = [
+    # n = 9 draws 17 values: a repeat in the first batch, one value from a second
+    (9, [*range(100, 108), 103, *range(108, 132), POSITION_WORD]),
+    # n = 3 draws 5 values: a repeat among them, filled from the first batch
+    (3, [7, 8, 7, 9, 10, 11, *range(50, 60), POSITION_WORD]),
+]
 
 
 class TestGenerateInstance:
@@ -157,6 +187,27 @@ class TestGenerateInstance:
         for v in inst.list1 + inst.list2:
             assert 0 <= v < 1 << 64
 
+    @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 1024, 4097, 4**9])
+    def test_one_buffer_equals_two_concatenates(self, n):
+        for seed in (0, 1, 2, 2**63 + 5):
+            rng = model.seeded_rng(seed)
+            values = model._draw_distinct(rng, 2 * n - 1)
+            pos1, pos2 = int(rng.integers(n)), int(rng.integers(n))
+            inst = generate_instance(n, seed)
+            assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
+            assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
+
+    @pytest.mark.parametrize("n, stream", REPEAT_STREAMS, ids=["first_batch", "small_count"])
+    def test_one_buffer_on_the_repeat_path(self, n, stream, monkeypatch):
+        monkeypatch.setattr(model, "seeded_rng", lambda seed: ScriptedRng(stream))
+        inst = generate_instance(n, 0)
+        values = np.array(reference_draw_distinct(ScriptedRng(stream), 2 * n - 1), dtype=np.uint64)
+        # half and three quarters of 2**32, scaled by n; neither is redrawn
+        pos1, pos2 = n // 2, 3 * n // 4
+        assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
+        assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
+        inst.validate()
+
     @pytest.mark.parametrize("n, seed", PINNED_INSTANCES, ids=str)
     def test_instances_pinned(self, n, seed):
         inst = generate_instance(n, seed)
@@ -214,6 +265,40 @@ class TestDrawDistinct:
             assert raw.dtype == np.uint64
             assert np.array_equal(raw, ints)
             assert raw_rng.bit_generator.state == int_rng.bit_generator.state
+
+
+class CountingRaw:
+    """A generator's raw stream, counting the values drawn."""
+
+    def __init__(self, rng):
+        self.drawn = 0
+        self.bit_generator = SimpleNamespace(random_raw=self._draw)
+        self._raw = rng.bit_generator.random_raw
+
+    def _draw(self):
+        self.drawn += 1
+        return self._raw()
+
+
+class TestDrawPositions:
+    # 2**31 + 1 redraws about half its words; 2**32 - 1 almost never
+    @pytest.mark.parametrize(
+        "n", [2, 3, 16, 17, 1000, 4**9, 3 << 20, MAX_INSTANCE_SIZE, 2**31 + 1, 2**32 - 1]
+    )
+    def test_equals_two_integers_calls(self, n):
+        redraws = 0
+        for seed in range(60):
+            raw_rng, int_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            # generation draws the values first, raw
+            raw_rng.bit_generator.random_raw(seed % 37)
+            int_rng.bit_generator.random_raw(seed % 37)
+            counting = CountingRaw(raw_rng)
+            positions = model._draw_positions(counting, n)
+            assert positions == (int(int_rng.integers(n)), int(int_rng.integers(n)))
+            assert all(type(p) is int for p in positions)
+            redraws += counting.drawn > 1
+        if n == 2**31 + 1:
+            assert redraws > 10
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -457,6 +542,77 @@ class TestMatchInstance:
             inst.values1[0] = 1
         assert type(inst.planted_value) is int and inst.planted_value == 7
 
+    def test_a_caller_writing_its_array_leaves_the_instance_alone(self):
+        a = np.array([5, 6, 7], dtype=np.uint64)
+        inst = MatchInstance.from_lists(a, [7, 8, 9])
+        a[2] = 1
+        assert inst.values1.tolist() == [5, 6, 7]
+        inst.validate()
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        owner = np.array([5, 6, 7, 8, 9, 7], dtype=np.uint64)
+        view = owner[:3]
+        view.flags.writeable = False
+        inst = MatchInstance.from_lists(view, owner[3:])
+        for values in (inst.values1, inst.values2):
+            assert not values.flags.writeable
+            assert not np.shares_memory(values, owner)
+
+    def test_read_only_array_over_a_read_only_owner_is_kept(self):
+        owner = np.array([5, 6, 7, 7, 8, 9], dtype=np.uint64)
+        owner.flags.writeable = False
+        halves = owner[:3], owner[3:]
+        inst = MatchInstance.from_lists(*halves)
+        assert inst.values1 is halves[0] and inst.values2 is halves[1]
+
+    def test_generated_lists_share_no_writeable_memory(self):
+        inst = generate_instance(16, 3)
+        for values in (inst.values1, inst.values2):
+            assert not values.flags.writeable and not values.base.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1
+            with pytest.raises(ValueError):
+                values.base[0] = 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.5, 2],
+            [True, 2],
+            [np.bool_(True), 2],
+            ["7", 2],
+            [None, 2],
+            np.array([1.0, 2.0]),
+            np.array([True, False]),
+        ],
+        ids=["float", "bool", "numpy_bool", "str", "none", "float_array", "bool_array"],
+    )
+    def test_values_that_are_not_integers_are_refused(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            MatchInstance.from_lists(bad, [2, 3])
+        with pytest.raises(ValueError, match="integers"):
+            MatchInstance(
+                n=2, list1=(2, 3), list2=bad, planted_value=2, planted_pos1=0, planted_pos2=1,
+            )
+
+    def test_a_non_sequence_is_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            MatchInstance.from_lists(7, [7, 8])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.int64(5), np.uint8(6), 7],
+            np.array([5, 6, 7], dtype=np.int64),
+            np.array([5, 6, 7], dtype=np.uint16),
+        ],
+        ids=["numpy_scalars", "int64_array", "uint16_array"],
+    )
+    def test_numpy_integers_are_accepted(self, values):
+        inst = MatchInstance.from_lists(values, [9, 7, 8])
+        assert inst.values1.dtype == np.uint64 and inst.values1.tolist() == [5, 6, 7]
+        assert (inst.planted_value, inst.planted_pos1, inst.planted_pos2) == (7, 2, 1)
+
     def test_equality_is_by_value(self):
         inst = generate_instance(8, 1)
         same = MatchInstance(
@@ -514,6 +670,14 @@ class TestCostLedger:
             led.charge("mem_reads", -1, "sort")
         with pytest.raises(ValueError):
             led.charge_batch("sort", mem_writes=-2)
+        # one negative amount among positive ones, small or past 64 bits
+        for amounts in (
+            {"l1_queries": 3, "mem_reads": -1},
+            {"l2_queries": 1 << 70, "mem_writes": -(1 << 70)},
+        ):
+            with pytest.raises(ValueError):
+                led.charge_batch("sort", **amounts)
+        assert led.total_cost() == 0
 
     def test_phase_breakdown_sums_to_totals(self):
         # randomized charge sequences must keep phase sums consistent

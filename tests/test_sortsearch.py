@@ -112,6 +112,14 @@ class TestSortCharges:
         with pytest.raises(ValueError):
             sort_charges(-1)
 
+    def test_cached_answers_equal_the_reference_walk(self):
+        sort_charges.cache_clear()
+        for n in [0, 1, 2, 3, 17, 4096, 65537]:
+            first = sort_charges(n)
+            assert sort_charges(n) is first
+            assert first == reference_sort_charges(n)
+        assert sort_charges.cache_info().hits == 7
+
 
 class TestSortInstrumented:
     def test_empty_input_charges_nothing(self):
