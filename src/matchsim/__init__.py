@@ -26,7 +26,6 @@ from .grover import (
     GroverOutcome,
     GroverProblem,
     NoisyOracleSpec,
-    Oracle,
     ResourceLimitError,
     ScheduleUndefinedError,
     failure_probability,

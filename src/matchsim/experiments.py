@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -169,16 +169,8 @@ class SweepConfig:
         return cls.from_dict(doc)
 
     def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n_values": list(self.n_values),
-            "trials_per_n": self.trials_per_n,
-            "base_seed": self.base_seed,
-            "engine": self.engine,
-            "noise_preset": self.noise_preset,
-            "uncompute_factor": self.uncompute_factor,
-            "output": self.output,
-        }
+        # json.dumps writes the n_values tuple as a list
+        return asdict(self)
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -198,13 +190,7 @@ class FitResult:
     log_normalized: bool
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "intercept": self.intercept,
-            "n_points": self.n_points,
-            "log_normalized": self.log_normalized,
-        }
+        return asdict(self)
 
 
 def fit_exponent(
@@ -392,21 +378,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def _trial_row(fields: list[str]) -> TrialRow:
     if len(fields) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
-    rec = dict(zip(CSV_COLUMNS, fields))
-    row = TrialRow(
-        algorithm=rec["algorithm"],
-        n=int(rec["n"]),
-        trial=int(rec["trial"]),
-        seed=int(rec["seed"]),
-        success=int(rec["success"]),
-        total_cost=int(rec["total_cost"]),
-        l1_queries=int(rec["l1_queries"]),
-        l2_queries=int(rec["l2_queries"]),
-        mem_reads=int(rec["mem_reads"]),
-        mem_writes=int(rec["mem_writes"]),
-        peak_workspace=int(rec["peak_workspace"]),
-        predicted_success=float(rec["predicted_success"]),
-    )
+    # the algorithm name, then every integer column, then predicted_success
+    row = TrialRow(fields[0], *map(int, fields[1:-1]), float(fields[-1]))
     for name in (*ACCESS_KINDS, "peak_workspace"):
         if getattr(row, name) < 0:
             raise ValueError(f"{name} is negative: {getattr(row, name)}")

@@ -18,9 +18,15 @@ real amplitudes round by round.  It is the independent reference the
 reduced engine is checked against and runs only when named.  Both
 engines use the random stream the same way (one draw per round when
 dropout is on, then one inverse-CDF draw for the measurement), so on the
-same seed they measure the same index.  Oracle evaluations are charged
-to a cost ledger through a caller-supplied charge function, multiplied
-by an uncompute factor.
+same seed they measure the same index.
+
+A search is one record, ``GroverProblem``: the space size, the marked
+set (checked once, when the record is built, and kept sorted), the
+predicate that checks the measured index, and the charge function that
+records oracle evaluations on a cost ledger.  The engines charge
+``iterations * uncompute_factor`` evaluations and call the predicate on
+the measured index; any further charge (such as one verification
+evaluation) is the caller's.
 """
 
 from __future__ import annotations
@@ -71,44 +77,42 @@ class NoisyOracleSpec:
 
 
 @dataclass(frozen=True)
-class Oracle:
-    """Membership test over the index space plus its query-cost charge.
+class GroverProblem:
+    """A search over ``space_size`` indices that phase-flips the ``marked`` ones.
 
-    ``marked_indices`` is required: the engines take the marked set from
-    it, and ``predicate`` only checks the measured index.
+    ``marked`` is validated once here (no repeats, every index in range)
+    and stored in ascending order; the engines read it as is.
+    ``predicate`` only checks the measured index, and
     ``charge_fn(ledger, times)`` records the ledger cost of ``times``
     oracle evaluations.
     """
 
+    space_size: int
+    marked: tuple[int, ...]
     predicate: Callable[[int], bool]
     charge_fn: Optional[Callable[[CostLedger, int], None]] = None
-    marked_indices: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.marked_indices is None:
-            raise ValueError("Oracle requires marked_indices")
-
-    def charge(self, ledger: Optional[CostLedger], times: int) -> None:
-        if ledger is not None and self.charge_fn is not None and times > 0:
-            self.charge_fn(ledger, times)
-
-
-@dataclass(frozen=True)
-class GroverProblem:
-    """A search space of ``space_size`` indices with ``marked_count`` marked."""
-
-    space_size: int
-    marked_count: int
-    oracle: Oracle
     uncompute_factor: int = 1
 
     def __post_init__(self) -> None:
         if self.space_size < 1:
             raise ValueError("space_size must be at least 1")
-        if not 0 <= self.marked_count <= self.space_size:
-            raise ValueError("marked_count must lie in [0, space_size]")
         if self.uncompute_factor < 1:
             raise ValueError("uncompute_factor must be at least 1")
+        marked = tuple(sorted(self.marked))
+        if len(set(marked)) != len(marked):
+            raise ValueError("marked indices repeat")
+        if marked and not (0 <= marked[0] and marked[-1] < self.space_size):
+            raise ValueError("marked index out of range")
+        object.__setattr__(self, "marked", marked)
+
+    @property
+    def marked_count(self) -> int:
+        return len(self.marked)
+
+    def charge(self, ledger: Optional[CostLedger], times: int) -> None:
+        """Record ``times`` oracle evaluations, if there is a ledger and a charge."""
+        if ledger is not None and self.charge_fn is not None and times > 0:
+            self.charge_fn(ledger, times)
 
 
 class GroverOutcome(NamedTuple):
@@ -120,7 +124,6 @@ class GroverOutcome(NamedTuple):
 
     measured_index: int
     verified: bool
-    iterations_used: int
     predicted_success: float
     engine: str
     fire_pattern: Optional[tuple[bool, ...]] = None
@@ -210,13 +213,10 @@ def iteration_schedule(space_size: int, marked_count: int) -> int:
     # exact for k = M (theta = pi/2): any r works, r = 0 is minimal
     target = (math.pi / (2.0 * theta) - 1.0) / 2.0
     lo = max(0, math.floor(target))
-    best = lo
-    best_err = abs((2 * lo + 1) * theta - math.pi / 2.0)
-    for r in (lo + 1,):
-        err = abs((2 * r + 1) * theta - math.pi / 2.0)
-        if err < best_err - 1e-15:
-            best, best_err = r, err
-    return best
+    err_lo = abs((2 * lo + 1) * theta - math.pi / 2.0)
+    err_next = abs((2 * lo + 3) * theta - math.pi / 2.0)
+    # ties keep the smaller count
+    return lo + 1 if err_next < err_lo - 1e-15 else lo
 
 
 def choose_engine(engine: str) -> str:
@@ -224,20 +224,6 @@ def choose_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     return "analytic" if engine == "auto" else engine
-
-
-def _sorted_marked(problem: GroverProblem) -> list[int]:
-    """The oracle's marked indices in ascending order, checked against the problem."""
-    marked = problem.oracle.marked_indices
-    # a single in-range marked index needs no sort and no repeat check
-    if len(marked) == 1 == problem.marked_count and 0 <= marked[0] < problem.space_size:
-        return [marked[0]]
-    marked = sorted(marked)
-    if len(marked) != problem.marked_count or len(set(marked)) != len(marked):
-        raise ValueError("oracle marks a different number of indices than marked_count")
-    if marked and not (0 <= marked[0] and marked[-1] < problem.space_size):
-        raise ValueError("marked index out of range")
-    return marked
 
 
 def _fire_pattern(
@@ -251,23 +237,6 @@ def _fire_pattern(
     if failure_prob == 0.0:
         return None
     return tuple(draw >= failure_prob for draw in rng.random(iterations).tolist())
-
-
-def _finish(
-    problem: GroverProblem,
-    measured: int,
-    iterations: int,
-    marked_mass: float,
-    engine: str,
-    pattern: Optional[tuple[bool, ...]],
-    ledger: Optional[CostLedger],
-    charge_verification: bool,
-) -> GroverOutcome:
-    verified = bool(problem.oracle.predicate(measured))
-    if charge_verification:
-        problem.oracle.charge(ledger, 1)
-    # by position: keywords cost a NamedTuple twice as much
-    return GroverOutcome(measured, verified, iterations, marked_mass, engine, pattern)
 
 
 def statevector_amplitudes(
@@ -286,7 +255,7 @@ def statevector_amplitudes(
     m = problem.space_size
     amps = np.full(m, 1.0 / math.sqrt(m))
     mask = np.zeros(m, dtype=bool)
-    mask[_sorted_marked(problem)] = True
+    mask[list(problem.marked)] = True
     for t in range(iterations):
         if fire_pattern is None or t >= len(fire_pattern) or fire_pattern[t]:
             amps[mask] = -amps[mask]
@@ -304,7 +273,7 @@ def _sample_index(amps: np.ndarray, rng: np.random.Generator) -> int:
 
 def _sample_reduced(
     space_size: int,
-    marked: list[int],
+    marked: tuple[int, ...],
     marked_mass: float,
     unmarked_mass: float,
     rng: np.random.Generator,
@@ -342,7 +311,6 @@ def run_statevector(
     ledger: Optional[CostLedger] = None,
     *,
     failure_prob: float = 0.0,
-    charge_verification: bool = False,
 ) -> GroverOutcome:
     """Reference run: simulate all amplitudes and sample one measurement.
 
@@ -359,13 +327,13 @@ def run_statevector(
         )
     pattern = _fire_pattern(iterations, failure_prob, rng)
     amps = statevector_amplitudes(problem, iterations, pattern)
-    problem.oracle.charge(ledger, iterations * problem.uncompute_factor)
-    marked = amps[_sorted_marked(problem)]
+    problem.charge(ledger, iterations * problem.uncompute_factor)
+    marked = amps[list(problem.marked)]
     marked_mass = float(np.sum(marked * marked))
     measured = _sample_index(amps, rng)
-    return _finish(
-        problem, measured, iterations, marked_mass, "statevector", pattern,
-        ledger, charge_verification,
+    # by position: keywords cost a NamedTuple twice as much
+    return GroverOutcome(
+        measured, bool(problem.predicate(measured)), marked_mass, "statevector", pattern
     )
 
 
@@ -376,7 +344,6 @@ def run_analytic(
     ledger: Optional[CostLedger] = None,
     *,
     failure_prob: float = 0.0,
-    charge_verification: bool = False,
 ) -> GroverOutcome:
     """Reduced run: track the state's angle and sample the outcome it implies.
 
@@ -386,7 +353,6 @@ def run_analytic(
     (2r + 1) * theta at once; with ``failure_prob`` > 0 each round fires
     or drops out as in ``run_statevector``.
     """
-    marked = _sorted_marked(problem)
     pattern = _fire_pattern(iterations, failure_prob, rng)
     if pattern is None:
         c = 2 * iterations + 1
@@ -394,12 +360,12 @@ def run_analytic(
         c = 1
         for fires in pattern:
             c = c + 2 if fires else 2 - c
-    problem.oracle.charge(ledger, iterations * problem.uncompute_factor)
-    marked_mass, unmarked_mass = _masses(problem.space_size, problem.marked_count, c)
+    problem.charge(ledger, iterations * problem.uncompute_factor)
+    marked = problem.marked
+    marked_mass, unmarked_mass = _masses(problem.space_size, len(marked), c)
     measured = _sample_reduced(problem.space_size, marked, marked_mass, unmarked_mass, rng)
-    return _finish(
-        problem, measured, iterations, marked_mass, "analytic", pattern,
-        ledger, charge_verification,
+    return GroverOutcome(
+        measured, bool(problem.predicate(measured)), marked_mass, "analytic", pattern
     )
 
 
@@ -409,8 +375,6 @@ def run_noisy_outer(
     noise: NoisyOracleSpec,
     rng: np.random.Generator,
     ledger: Optional[CostLedger] = None,
-    *,
-    charge_verification: bool = False,
 ) -> GroverOutcome:
     """Reduced run where each round's phase flip may independently drop.
 
@@ -419,7 +383,4 @@ def run_noisy_outer(
     reported predicted_success is the marked mass realized under the
     sampled dropout pattern, which the outcome also reports.
     """
-    return run_analytic(
-        problem, iterations, rng, ledger,
-        failure_prob=noise.failure_prob, charge_verification=charge_verification,
-    )
+    return run_analytic(problem, iterations, rng, ledger, failure_prob=noise.failure_prob)

@@ -26,7 +26,6 @@ from .grover import (
     GroverOutcome,
     GroverProblem,
     NoisyOracleSpec,
-    Oracle,
     ResourceLimitError,
     choose_engine,
     iteration_schedule,
@@ -215,23 +214,16 @@ def _search(
     ledger: CostLedger,
     *,
     noise: Optional[NoisyOracleSpec] = None,
-    charge_verification: bool = False,
 ) -> GroverOutcome:
     """One amplified search: the reference statevector only when named."""
     if choose_engine(engine) == "statevector":
         return run_statevector(
             problem, iterations, rng, ledger,
             failure_prob=noise.failure_prob if noise is not None else 0.0,
-            charge_verification=charge_verification,
         )
     if noise is not None and noise.failure_prob > 0.0:
-        return run_noisy_outer(
-            problem, iterations, noise, rng, ledger,
-            charge_verification=charge_verification,
-        )
-    return run_analytic(
-        problem, iterations, rng, ledger, charge_verification=charge_verification
-    )
+        return run_noisy_outer(problem, iterations, noise, rng, ledger)
+    return run_analytic(problem, iterations, rng, ledger)
 
 
 def naive_grover_pairs(
@@ -249,15 +241,13 @@ def naive_grover_pairs(
     n = instance.n
     m = n * n
     pair_star = instance.planted_pos1 * n + instance.planted_pos2
-    oracle = Oracle(
+    problem = GroverProblem(
+        space_size=m,
+        marked=(pair_star,),
         predicate=lambda p: instance.values1[p // n] == instance.values2[p % n],
         charge_fn=lambda led, times: led.charge_batch(
             "outer_search", l1_queries=times, l2_queries=times
         ),
-        marked_indices=(pair_star,),
-    )
-    problem = GroverProblem(
-        space_size=m, marked_count=1, oracle=oracle,
         uncompute_factor=config.uncompute_factor,
     )
     iterations = iteration_schedule(m, 1)
@@ -374,13 +364,11 @@ def _outer_problem(
 ) -> GroverProblem:
     """The outer search of a nested run, built once per plan and marked block."""
     plan = _nested_plan(n, block_size, failure_prob)
-    oracle = Oracle(
+    return GroverProblem(
+        space_size=plan.blocks,
+        marked=(marked_block,),
         predicate=lambda beta: beta == marked_block,
         charge_fn=plan.charge_outer,
-        marked_indices=(marked_block,),
-    )
-    return GroverProblem(
-        space_size=plan.blocks, marked_count=1, oracle=oracle,
         uncompute_factor=uncompute_factor,
     )
 
@@ -419,21 +407,18 @@ def nested_grover_match(
     # final pass: the measured block is rebuilt for real
     block = block_view(instance, beta, b, ledger)
     depth = membership_probe_depth(len(block))
-    inner_marked = (instance.planted_pos2,) if beta == marked_block else ()
-    inner_oracle = Oracle(
+    inner_problem = GroverProblem(
+        space_size=n,
+        marked=(instance.planted_pos2,) if beta == marked_block else (),
         predicate=lambda j: binary_membership(block, int(instance.values2[j])) is not None,
         charge_fn=lambda led, times: led.charge_batch(
             "inner_search", l2_queries=times, mem_reads=2 * depth * times
         ),
-        marked_indices=inner_marked,
-    )
-    inner_problem = GroverProblem(
-        space_size=n, marked_count=len(inner_marked), oracle=inner_oracle,
         uncompute_factor=config.uncompute_factor,
     )
-    inner_outcome = _search(
-        config.engine, inner_problem, plan.r_inner, rng, ledger, charge_verification=True
-    )
+    inner_outcome = _search(config.engine, inner_problem, plan.r_inner, rng, ledger)
+    # the measured index's verification probe is one more evaluation
+    inner_problem.charge(ledger, 1)
 
     found = None
     if inner_outcome.verified:

@@ -14,7 +14,6 @@ from matchsim.experiments import SweepConfig, run_sweep
 from matchsim.grover import (
     GroverProblem,
     NoisyOracleSpec,
-    Oracle,
     failure_probability,
     iteration_schedule,
     run_analytic,
@@ -70,11 +69,8 @@ def test_criterion_1_engine_equivalence():
             r_top = (iteration_schedule(m, k) if k else 0) + 2
             problem = GroverProblem(
                 space_size=m,
-                marked_count=k,
-                oracle=Oracle(
-                    predicate=lambda i, kk=k: i < kk,
-                    marked_indices=tuple(range(k)),
-                ),
+                marked=tuple(range(k)),
+                predicate=lambda i, kk=k: i < kk,
             )
             for r in range(r_top + 1):
                 sv = run_statevector(problem, r, rng)

@@ -64,3 +64,65 @@ def test_output_check_predicts_every_reported_total_cost(algorithm):
         config = matchsim.NestedConfig(uncompute_factor=2, rng_seed=seed)
         report = experiments.run_matcher(algorithm, instance, config, ledger)
         assert expected_total_cost(algorithm, 2, instance, report) == ledger.total_cost()
+
+
+def traced_sweep(config):
+    """Run a sweep under the layer tracer; return its per-layer metrics."""
+    layers = load_layers()
+    tracer = layers.Tracer()
+    with tracer.installed(layers.layer_sites()):
+        result = experiments.run_sweep(config)
+    return layers.layer_metrics(tracer.stats, 0.0, result.rows)
+
+
+# the tracer's count functions read (problem, iterations) by position
+TRACED_SIZES = (16, 64, 100)
+TRACED_TRIALS = 3
+
+
+def test_traced_noisy_nested_counts_the_outer_rounds(monkeypatch):
+    monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+    config = experiments.SweepConfig(
+        algorithm="nested", n_values=TRACED_SIZES, trials_per_n=TRACED_TRIALS,
+        engine="analytic", noise_preset="inv_n",
+    )
+    metrics = traced_sweep(config)
+    shapes = [matchsim.matchers._nested_shape(n, None) for n in TRACED_SIZES]
+    assert metrics["grover.noisy.calls"] == TRACED_TRIALS * len(TRACED_SIZES)
+    assert metrics["grover.noisy.rounds"] == TRACED_TRIALS * sum(s[2] for s in shapes)
+    assert metrics["grover.statevector.calls"] == 0
+
+
+def test_traced_noisy_nested_on_the_statevector_engine(monkeypatch):
+    monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+    config = experiments.SweepConfig(
+        algorithm="nested", n_values=TRACED_SIZES, trials_per_n=TRACED_TRIALS,
+        engine="statevector", noise_preset="inv_n",
+    )
+    metrics = traced_sweep(config)
+    rounds = amplitude_rounds = 0
+    for n in TRACED_SIZES:
+        _, blocks, r_outer, r_inner = matchsim.matchers._nested_shape(n, None)
+        rounds += TRACED_TRIALS * (r_outer + r_inner)
+        amplitude_rounds += TRACED_TRIALS * (blocks * r_outer + n * r_inner)
+    # the statevector engine takes the dropout itself: no noisy-engine call
+    assert metrics["grover.noisy.calls"] == metrics["grover.noisy.rounds"] == 0
+    assert metrics["grover.statevector.calls"] == 2 * TRACED_TRIALS * len(TRACED_SIZES)
+    assert metrics["grover.statevector.rounds"] == rounds
+    assert metrics["grover.statevector.amplitude_rounds"] == amplitude_rounds
+
+
+def test_traced_naive_grover_counts_amplitude_rounds(monkeypatch):
+    monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+    sizes = (4, 16, 32)
+    config = experiments.SweepConfig(
+        algorithm="naive_grover", n_values=sizes, trials_per_n=2, engine="statevector",
+    )
+    metrics = traced_sweep(config)
+    rounds = [matchsim.iteration_schedule(n * n, 1) for n in sizes]
+    assert metrics["grover.statevector.calls"] == 2 * len(sizes)
+    assert metrics["grover.statevector.rounds"] == 2 * sum(rounds)
+    assert metrics["grover.statevector.amplitude_rounds"] == 2 * sum(
+        n * n * r for n, r in zip(sizes, rounds)
+    )
+    assert metrics["grover.analytic.calls"] == metrics["grover.noisy.calls"] == 0

@@ -1,6 +1,7 @@
 """Tests for sweeps, fits, comparisons, and the command-line front end."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -83,6 +84,24 @@ class TestSweepConfig:
             noise_preset="inv_n",
         )
         assert SweepConfig.from_dict(config.as_dict()) == config
+
+    def test_config_types_name_every_field(self):
+        # from_dict type-checks by _CONFIG_TYPES and as_dict writes every field
+        fields = [f.name for f in dataclasses.fields(SweepConfig)]
+        assert list(experiments._CONFIG_TYPES) == fields
+
+    def test_as_dict_json_writes_sizes_as_a_list(self):
+        config = SweepConfig(algorithm="nested", n_values=(16, 64), output="out.csv")
+        assert json.loads(json.dumps(config.as_dict())) == {
+            "algorithm": "nested",
+            "n_values": [16, 64],
+            "trials_per_n": 1,
+            "base_seed": 0,
+            "engine": "auto",
+            "noise_preset": "none",
+            "uncompute_factor": 2,
+            "output": "out.csv",
+        }
 
     def test_from_json(self):
         text = json.dumps({"algorithm": "sort_scan", "n_values": [4, 16]})

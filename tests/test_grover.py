@@ -10,7 +10,6 @@ from matchsim.grover import (
     DEFAULT_STATEVECTOR_CAP,
     GroverProblem,
     NoisyOracleSpec,
-    Oracle,
     ResourceLimitError,
     ScheduleUndefinedError,
     choose_engine,
@@ -29,12 +28,9 @@ from matchsim.model import CostLedger, generate_instance
 def first_k_problem(m, k, uncompute_factor=1, charge=None):
     return GroverProblem(
         space_size=m,
-        marked_count=k,
-        oracle=Oracle(
-            predicate=lambda i: i < k,
-            charge_fn=charge,
-            marked_indices=tuple(range(k)),
-        ),
+        marked=tuple(range(k)),
+        predicate=lambda i: i < k,
+        charge_fn=charge,
         uncompute_factor=uncompute_factor,
     )
 
@@ -199,23 +195,6 @@ class TestStatevectorEngine:
         run_statevector(prob, 6, np.random.default_rng(0), led)
         assert led.l2_queries == 6 * 2
 
-    def test_verification_charge_opt_in(self):
-        prob = first_k_problem(
-            64, 1, charge=lambda led, t: led.charge("l2_queries", t, "inner_search")
-        )
-        led = CostLedger()
-        run_statevector(prob, 6, np.random.default_rng(0), led, charge_verification=True)
-        assert led.l2_queries == 6 + 1
-
-    def test_marked_count_consistency_checked(self):
-        bad = GroverProblem(
-            space_size=8,
-            marked_count=2,
-            oracle=Oracle(predicate=lambda i: i == 0, marked_indices=(0,)),
-        )
-        with pytest.raises(ValueError):
-            run_statevector(bad, 1, np.random.default_rng(0))
-
 
 class TestAnalyticEngine:
     def test_equivalent_to_statevector_across_grid(self):
@@ -264,11 +243,7 @@ class TestAnalyticEngine:
 
     def test_huge_space_without_amplitudes(self):
         m = 1 << 32
-        prob = GroverProblem(
-            space_size=m,
-            marked_count=1,
-            oracle=Oracle(predicate=lambda i: i == 7, marked_indices=(7,)),
-        )
+        prob = GroverProblem(space_size=m, marked=(7,), predicate=lambda i: i == 7)
         r = iteration_schedule(m, 1)
         out = run_analytic(prob, r, np.random.default_rng(0))
         assert out.predicted_success > 1 - 1e-9
@@ -297,9 +272,7 @@ class TestAnalyticEngine:
             for marked in [(), (0,), (m - 1,), (m // 2,), (0, m // 3, m - 1)]:
                 marked = tuple(sorted(set(marked)))
                 prob = GroverProblem(
-                    space_size=m,
-                    marked_count=len(marked),
-                    oracle=Oracle(predicate=marked.__contains__, marked_indices=marked),
+                    space_size=m, marked=marked, predicate=marked.__contains__
                 )
                 for r in range(6):
                     for eps in (0.0, 0.3):
@@ -335,52 +308,43 @@ class TestAnalyticEngine:
             charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
         )
         out = run_analytic(prob, r, np.random.default_rng(0), led)
-        assert out.iterations_used == r
         assert out.predicted_success == pytest.approx(success_probability(1 << 40, 1, r))
         assert led.l2_queries == 2 * r
 
 
 class TestEngineGuards:
-    def test_oracle_requires_marked_indices(self):
-        with pytest.raises(ValueError):
-            Oracle(predicate=lambda i: i == 0)
+    """The engines read ``problem.marked`` as is: the problem checks it once."""
 
-    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
-    def test_marked_count_mismatch_rejected(self, engine):
-        bad = GroverProblem(
-            space_size=8,
-            marked_count=2,
-            oracle=Oracle(predicate=lambda i: i == 0, marked_indices=(0,)),
-        )
-        with pytest.raises(ValueError):
-            run_engine(engine, bad)
-
-    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
     @pytest.mark.parametrize("index", [-1, 8])
-    def test_out_of_range_marked_index_rejected(self, engine, index):
-        bad = GroverProblem(
-            space_size=8,
-            marked_count=1,
-            oracle=Oracle(predicate=lambda i: i == index, marked_indices=(index,)),
-        )
+    def test_out_of_range_marked_index_rejected(self, index):
         with pytest.raises(ValueError):
-            run_engine(engine, bad)
+            GroverProblem(space_size=8, marked=(index,), predicate=lambda i: i == index)
 
     def test_repeated_marked_index_rejected(self):
-        bad = GroverProblem(
-            space_size=8,
-            marked_count=2,
-            oracle=Oracle(predicate=lambda i: i == 3, marked_indices=(3, 3)),
-        )
         with pytest.raises(ValueError):
-            run_analytic(bad, 1, np.random.default_rng(0))
+            GroverProblem(space_size=8, marked=(3, 3), predicate=lambda i: i == 3)
 
+    def test_marked_set_stored_sorted_and_counted(self):
+        prob = GroverProblem(space_size=8, marked=[5, 0, 3], predicate=lambda i: i in (0, 3, 5))
+        assert prob.marked == (0, 3, 5)
+        assert prob.marked_count == 3
+        assert GroverProblem(space_size=8, marked=(), predicate=bool).marked_count == 0
 
-def run_engine(engine, problem):
-    rng = np.random.default_rng(0)
-    if engine == "noisy":
-        return run_noisy_outer(problem, 1, NoisyOracleSpec(0.5), rng)
-    return run_analytic(problem, 1, rng)
+    @pytest.mark.parametrize("field,value", [("space_size", 0), ("uncompute_factor", 0)])
+    def test_bad_sizes_rejected(self, field, value):
+        kwargs = dict(space_size=8, marked=(0,), predicate=bool, uncompute_factor=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            GroverProblem(**kwargs)
+
+    def test_charge_needs_ledger_charge_fn_and_positive_times(self):
+        seen = []
+        prob = first_k_problem(8, 1, charge=lambda led, t: seen.append(t))
+        prob.charge(None, 3)
+        prob.charge(CostLedger(), 0)
+        prob.charge(CostLedger(), 4)
+        first_k_problem(8, 1).charge(CostLedger(), 5)
+        assert seen == [4]
 
 
 class TestFailureProbability:

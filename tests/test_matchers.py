@@ -592,12 +592,12 @@ class TestNestedPlan:
                 assert (problem.space_size, problem.marked_count, problem.uncompute_factor) == (
                     plan.blocks, 1, u
                 )
-                assert problem.oracle.marked_indices == (marked_block,)
-                assert [problem.oracle.predicate(b) for b in range(plan.blocks)] == [
+                assert problem.marked == (marked_block,)
+                assert [problem.predicate(b) for b in range(plan.blocks)] == [
                     b == marked_block for b in range(plan.blocks)
                 ]
                 charged, reference = CostLedger(), CostLedger()
-                problem.oracle.charge(charged, 5)
+                problem.charge(charged, 5)
                 matchers._outer_oracle_charge(reference, 5, plan.block_size, plan.r_inner)
                 assert charged.as_dict() == reference.as_dict()
 

@@ -24,7 +24,6 @@ from matchsim.grover import (  # noqa: E402
     STATEVECTOR_CAP_ENV,
     GroverProblem,
     NoisyOracleSpec,
-    Oracle,
     run_noisy_outer,
     statevector_amplitudes,
 )
@@ -58,11 +57,7 @@ def noisy_searches(draw):
 @hypothesis.given(noisy_searches())
 def test_fire_pattern_replays_to_reported_mass(search):
     m, marked, r, failure_prob, seed = search
-    problem = GroverProblem(
-        space_size=m,
-        marked_count=len(marked),
-        oracle=Oracle(predicate=marked.__contains__, marked_indices=marked),
-    )
+    problem = GroverProblem(space_size=m, marked=marked, predicate=marked.__contains__)
     out = run_noisy_outer(
         problem, r, NoisyOracleSpec(failure_prob), np.random.default_rng(seed)
     )
