@@ -315,10 +315,15 @@ class TestAnalyticEngine:
 class TestEngineGuards:
     """The engines read ``problem.marked`` as is: the problem checks it once."""
 
+    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
     @pytest.mark.parametrize("index", [-1, 8])
-    def test_out_of_range_marked_index_rejected(self, index):
+    def test_out_of_range_marked_index_rejected(self, engine, index):
+        # the problem refuses the index before either engine can run on it
         with pytest.raises(ValueError):
-            GroverProblem(space_size=8, marked=(index,), predicate=lambda i: i == index)
+            run_engine(
+                engine,
+                GroverProblem(space_size=8, marked=(index,), predicate=lambda i: i == index),
+            )
 
     def test_repeated_marked_index_rejected(self):
         with pytest.raises(ValueError):
@@ -345,6 +350,13 @@ class TestEngineGuards:
         prob.charge(CostLedger(), 4)
         first_k_problem(8, 1).charge(CostLedger(), 5)
         assert seen == [4]
+
+
+def run_engine(engine, problem):
+    rng = np.random.default_rng(0)
+    if engine == "noisy":
+        return run_noisy_outer(problem, 1, NoisyOracleSpec(0.5), rng)
+    return run_analytic(problem, 1, rng)
 
 
 class TestFailureProbability:
