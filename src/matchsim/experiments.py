@@ -218,7 +218,7 @@ def fit_exponent(
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     ssr = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    stderr = math.sqrt(max(ssr, 0.0) / (m - 2) / sxx) if m > 2 else 0.0
+    stderr = math.sqrt(ssr / (m - 2) / sxx)
     return FitResult(
         slope=slope,
         stderr=stderr,

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -129,7 +128,6 @@ class GroverOutcome(NamedTuple):
     fire_pattern: Optional[tuple[bool, ...]] = None
 
 
-@lru_cache(maxsize=1024)
 def _angle(space_size: int, marked_count: int) -> float:
     return math.asin(math.sqrt(marked_count / space_size))
 
@@ -183,6 +181,7 @@ def noisy_success_probability(space_size: int, iterations: int, failure_prob: fl
     which moves the angle multiple c as in ``run_analytic``; the average
     collapses to a small distribution over c.
     """
+    _check_counts(space_size, 1, iterations)
     if not 0.0 <= failure_prob <= 1.0:
         raise ValueError("failure_prob must lie in [0, 1]")
     theta = _angle(space_size, 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .grover import (
     run_statevector,
     success_probability,
 )
-from .model import ACCESS_KINDS, CostLedger, MatchInstance, RunReport, seeded_rng
+from .model import CostLedger, MatchInstance, RunReport, seeded_rng
 from .sortsearch import (  # sort_instrumented: the layer tracer patches it here
     block_count,
     block_view,
@@ -271,11 +271,6 @@ def naive_grover_pairs(
     )
 
 
-def _peak_block_cells(block_size: int) -> int:
-    # block copy plus the sort's auxiliary buffer
-    return block_size + (block_size if block_size >= 2 else 0)
-
-
 def _outer_oracle_charge(ledger: CostLedger, times: int, block_size: int, r_inner: int) -> None:
     """Ledger cost of ``times`` evaluations of the block oracle.
 
@@ -292,66 +287,32 @@ def _outer_oracle_charge(ledger: CostLedger, times: int, block_size: int, r_inne
         mem_reads=(reads_sort + (r_inner + 1) * probe_reads) * times,
         mem_writes=(block_size + writes_sort) * times,
     )
-    cells = _peak_block_cells(block_size)
+    # block copy plus the sort's auxiliary buffer
+    cells = block_size + (block_size if block_size >= 2 else 0)
     ledger.workspace_acquire(cells)
     ledger.workspace_release(cells)
 
 
-@dataclass(frozen=True)
-class _NestedPlan:
-    """What a nested run derives from its size and configuration alone.
-
-    ``outer_charges`` holds the accesses of one block-oracle evaluation
-    in ``ACCESS_KINDS`` order, and ``peak_cells`` the workspace it holds
-    at once; ``predicted_success`` is the composed success probability.
-    """
+class _NestedPlan(NamedTuple):
+    """A nested run's shape and composed success, from its size and knobs alone."""
 
     block_size: int
     blocks: int
     r_outer: int
     r_inner: int
-    outer_charges: tuple[int, int, int, int]
-    peak_cells: int
     predicted_success: float
-
-    def charge_outer(self, ledger: CostLedger, times: int) -> None:
-        """Charge ``times`` block-oracle evaluations, as ``_outer_oracle_charge`` does."""
-        l1, l2, reads, writes = self.outer_charges
-        ledger.charge_batch(
-            "outer_search",
-            l1_queries=l1 * times,
-            l2_queries=l2 * times,
-            mem_reads=reads * times,
-            mem_writes=writes * times,
-        )
-        ledger.workspace_acquire(self.peak_cells)
-        ledger.workspace_release(self.peak_cells)
 
 
 @lru_cache(maxsize=256)
 def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _NestedPlan:
-    """The plan of a nested run on n values, built once per size and knobs.
-
-    Nothing in it depends on the uncompute factor: the engines multiply
-    the per-evaluation charge by it.
-    """
+    """The plan of a nested run on n values, built once per size and knobs."""
     b, blocks, r_outer, r_inner = _nested_shape(n, block_size)
-    one = CostLedger()
-    _outer_oracle_charge(one, 1, b, r_inner)
     p_inner = success_probability(n, 1, r_inner)
     if failure_prob > 0.0:
         p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
     else:
         p_outer = success_probability(blocks, 1, r_outer)
-    return _NestedPlan(
-        block_size=b,
-        blocks=blocks,
-        r_outer=r_outer,
-        r_inner=r_inner,
-        outer_charges=tuple(getattr(one, kind) for kind in ACCESS_KINDS),
-        peak_cells=one.peak_workspace,
-        predicted_success=p_outer * p_inner,
-    )
+    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner)
 
 
 @lru_cache(maxsize=1024)
@@ -368,7 +329,9 @@ def _outer_problem(
         space_size=plan.blocks,
         marked=(marked_block,),
         predicate=lambda beta: beta == marked_block,
-        charge_fn=plan.charge_outer,
+        charge_fn=lambda ledger, times: _outer_oracle_charge(
+            ledger, times, plan.block_size, plan.r_inner
+        ),
         uncompute_factor=uncompute_factor,
     )
 

@@ -7,6 +7,7 @@ change to the instance type that these checks catch would otherwise
 surface only when the benchmark runs.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -126,3 +127,41 @@ def test_traced_naive_grover_counts_amplitude_rounds(monkeypatch):
         n * n * r for n, r in zip(sizes, rounds)
     )
     assert metrics["grover.analytic.calls"] == metrics["grover.noisy.calls"] == 0
+
+
+def imported_names(tree):
+    """Every name an import statement binds in a module, except __future__'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a module may import a name only for someone else to look it up there:
+    # a traced site, a sweep's matcher entry point, or what the worker reads
+    pinned = {(owner.__name__, attr) for owner, attr, _, _ in load_layers().layer_sites()}
+    pinned |= {(experiments.__name__, name) for name in experiments.MATCHERS.values()}
+    worker = ast.parse((PERFBENCH / "worker.py").read_text())
+    pinned |= {
+        (experiments.__name__, node.attr)
+        for node in ast.walk(worker)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "experiments"
+    }
+    package = Path(matchsim.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"matchsim.{path.stem}"
+        unused = {
+            name for name in imported_names(tree)
+            if name not in used and (module, name) not in pinned
+        }
+        assert not unused, (path.name, sorted(unused))

@@ -15,6 +15,7 @@ from matchsim.grover import (
     choose_engine,
     failure_probability,
     iteration_schedule,
+    noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
@@ -94,6 +95,10 @@ class TestSchedules:
             iteration_schedule(4, 5)
         with pytest.raises(ValueError):
             iteration_schedule(0, 1)
+        with pytest.raises(ValueError):
+            noisy_success_probability(0, 3, 0.1)
+        with pytest.raises(ValueError):
+            noisy_success_probability(16, -2, 0.1)
 
     def test_matches_textbook_count_for_single_marked(self):
         for exp in range(2, 17):
