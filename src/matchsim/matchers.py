@@ -35,7 +35,7 @@ from .grover import (
     run_statevector,
     success_probability,
 )
-from .model import CostLedger, MatchInstance, RunReport, seeded_rng
+from .model import CostLedger, MatchInstance, RunReport, _repeats, seeded_rng
 from .sortsearch import (  # sort_instrumented: the layer tracer patches it here
     block_count,
     block_view,
@@ -113,13 +113,11 @@ def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunRepor
 def _shared_values(values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
     """The values both lists hold, ascending and distinct.
 
-    One in-place sort of the lists' union puts each next to its twin.
-    A MatchInstance has at most one twin, shared unless a list repeats
-    it; with more, np.intersect1d keeps the cost O(n log n).
+    A MatchInstance repeats at most one value across its lists
+    (``_repeats``), shared unless a list repeats it; with more,
+    np.intersect1d keeps the cost O(n log n).
     """
-    union = np.concatenate((values1, values2))
-    union.sort()
-    twins = union[1:][union[1:] == union[:-1]]
+    twins = _repeats(values1, values2)
     if len(twins) > 1:
         return np.intersect1d(values1, values2)
     shared = len(twins) == 1 and (values1 == twins[0]).any() and (values2 == twins[0]).any()

@@ -11,7 +11,8 @@ its seeds ahead (a sweep) passes them to :func:`remember_seed_words`,
 which hashes them all in one numpy pass (:func:`seed_words`), and
 clears them with :func:`forget_seed_words`; ``seeded_rng`` then builds
 those generators from their words instead of hashing each seed again.
-numpy.random itself is imported on the first generator built.
+numpy.random itself is imported on the first generator built.  Generation
+and the classical matchers find repeated values with :func:`_repeats`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ _VALUE_BOUND = 1 << 64
 _M32 = 0xFFFFFFFF
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
-# sizes, and small enough that a classical run's 8-byte cells (two uint64
-# lists and the sorted copy of their union) fit in a few hundred MB.
+# sizes, and small enough that a classical run's cells (two uint64 lists
+# and a sorted uint32 key per value) fit in a few hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
 
 
@@ -218,10 +219,9 @@ class MatchInstance:
             raise ValueError("instance size must be at least 2")
         if len(self.values1) != self.n or len(self.values2) != self.n:
             raise ValueError("lists must both have length n")
-        s1, s2 = np.sort(self.values1), np.sort(self.values2)
-        if np.any(s1[1:] == s1[:-1]) or np.any(s2[1:] == s2[:-1]):
+        if len(_repeats(self.values1)) or len(_repeats(self.values2)):
             raise ValueError("lists must not repeat values internally")
-        if np.intersect1d(s1, s2, assume_unique=True).tolist() != [self.planted_value]:
+        if _repeats(self.values1, self.values2).tolist() != [self.planted_value]:
             raise ValueError("lists must share exactly the planted value")
         if not (0 <= self.planted_pos1 < self.n and 0 <= self.planted_pos2 < self.n):
             raise ValueError("planted positions out of range")
@@ -291,62 +291,78 @@ def _as_values(values) -> np.ndarray:
     return values
 
 
+def _repeats(*parts: np.ndarray) -> np.ndarray:
+    """The distinct values that occur more than once across ``parts``, ascending.
+
+    Sorts one uint32 key per value, its first 32-bit half in memory (the
+    low word on a little-endian machine), and compares full values only
+    under keys that repeat: under one shared key, that is a full sort.
+    """
+    words = [np.ascontiguousarray(p).view(np.uint32) for p in parts]
+    keys = np.concatenate([w[::2] for w in words])
+    keys.sort()
+    if not np.count_nonzero(keys[1:] == keys[:-1]):
+        return np.empty(0, dtype=np.uint64)
+    twin_keys = _twins(keys)
+    candidates = np.concatenate([p[_holds(w, twin_keys)[::2]] for p, w in zip(parts, words)])
+    candidates.sort()
+    return _twins(candidates)
+
+
+def _twins(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values a sorted array repeats (np.unique allots ~1 MB, even for few)."""
+    twins = ordered[1:][ordered[1:] == ordered[:-1]]
+    return np.concatenate((twins[:1], twins[1:][twins[1:] != twins[:-1]]))
+
+
+def _holds(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which ``words`` equal one of ``keys``; for a few, one compare each beats np.isin."""
+    if len(keys) > 8:
+        return np.isin(words, keys)
+    hit = words == keys[0]
+    for key in keys[1:]:
+        hit |= words == key
+    return hit
+
+
 def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` distinct 64-bit values, preserving draw order.
 
     Values come straight from the raw stream of the PCG64 bit generator
     that ``seeded_rng`` builds.  Over the full 64-bit range that stream
     is what ``rng.integers(0, 2**64, dtype=np.uint64)`` returns, value
-    for value and with the same generator state after.
-
-    Fast path: the first batch of ``max(16, count)`` draws is sorted once
-    and its neighbours compared; if its first ``count`` values hold no
-    repeat, they are the answer.  Otherwise the per-value loop takes over
-    from that same batch, skipping repeats and drawing further batches
-    as needed.  Both paths make the same generator calls and return the
-    same values as the loop alone would.
+    for value and with the same generator state after.  Each batch is
+    ``max(16, values still missing)`` draws; a repeat is skipped.
     """
-    draw = rng.bit_generator.random_raw
-    batch = draw(max(16, count))
-    # the sort method and count_nonzero: np.sort and any() cost more to
-    # dispatch than to run at small n
-    head = batch[:count].copy()
-    head.sort()
-    if not np.count_nonzero(head[1:] == head[:-1]):
-        return batch[:count]
     seen: set[int] = set()
     out: list[int] = []
     while True:
-        for v in batch.tolist():
+        for v in rng.bit_generator.random_raw(max(16, count - len(out))).tolist():
             if v not in seen:
                 seen.add(v)
                 out.append(v)
                 if len(out) == count:
                     return np.array(out, dtype=np.uint64)
-        batch = draw(max(16, count - len(out)))
 
 
-def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
+def _draw_positions(rng: np.random.Generator, n: int, raw: Optional[int] = None) -> tuple[int, int]:
     """Two uniform positions below ``n``, for 2 <= n < 2**32, from the raw stream.
 
     They are what two ``int(rng.integers(n))`` calls return on a PCG64
-    generator that has drawn only raw values so far.  numpy draws each
-    by Lemire's method on one 32-bit word, redrawing while the low half
-    of word * n is below 2**32 mod n.  PCG64 hands out 32-bit words as
-    the low, then the high half of one raw value, so both positions
-    usually come from a single raw draw.
+    generator that has drawn only raw values so far (``raw``, if given,
+    is the next).  numpy draws each by Lemire's method on one 32-bit
+    word, redrawing while the low half of word * n is below 2**32 mod n.
+    PCG64 hands out 32-bit words as the low, then the high half of one
+    raw value, so both positions usually come from a single raw draw.
     """
-    draw = rng.bit_generator.random_raw
     threshold = (1 << 32) % n
     positions: list[int] = []
-    high = None
+    halves: list[int] = []
     while len(positions) < 2:
-        if high is None:
-            raw = draw()
-            word, high = raw & _M32, raw >> 32
-        else:
-            word, high = high, None
-        scaled = word * n
+        if not halves:
+            raw = rng.bit_generator.random_raw() if raw is None else raw
+            halves, raw = [raw >> 32, raw & _M32], None  # popped low half first
+        scaled = halves.pop() * n
         if scaled & _M32 >= threshold:
             positions.append(scaled >> 32)
     return positions[0], positions[1]
@@ -524,29 +540,30 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
 
     Draws 2n - 1 distinct 64-bit values, plants the first at a uniform
     position in each list, and fills the rest disjointly.  The size is
-    checked before anything is drawn.
+    checked before anything is drawn.  One raw draw holds the values,
+    the rest of ``_draw_distinct``'s first batch and the positions' word,
+    and becomes the instance's buffer; on a repeat, a fresh generator
+    redraws the values through ``_draw_distinct``.
     """
     check_instance_size(n)
     rng = seeded_rng(seed)
-    values = _draw_distinct(rng, 2 * n - 1)
-    planted = values[:1]
-    pos1, pos2 = _draw_positions(rng, n)
-    # list1 then list2 in one buffer: list1's tail and list2's head are
-    # adjacent draws, so one concatenate of five pieces builds both (six
-    # slice copies into np.empty cost more per call at small n)
-    lists = np.concatenate(
-        (values[1 : pos1 + 1], planted, values[pos1 + 1 : n + pos2], planted, values[n + pos2 :])
-    )
+    count = 2 * n - 1
+    words = rng.bit_generator.random_raw(max(16, count) + 1)
+    raw = int(words[-1])
+    if len(_repeats(words[:count])):
+        rng, raw = seeded_rng(seed), None
+        # the last word is a placeholder that the moves below overwrite
+        words = np.append(_draw_distinct(rng, count), words[:1])
+    pos1, pos2 = _draw_positions(rng, n, raw)
+    lists = words if len(words) == 2 * n else words[: 2 * n].copy()
+    planted = int(lists[0])
+    # shift list2's tail right and list1's head left: a slot for the planted value in each
+    lists[n + pos2 + 1 :] = lists[n + pos2 : -1]
+    lists[n + pos2] = planted
+    lists[:pos1] = lists[1 : pos1 + 1]
+    lists[pos1] = planted
     lists.flags.writeable = False
-    return MatchInstance(
-        n=n,
-        list1=lists[:n],
-        list2=lists[n:],
-        planted_value=int(planted[0]),
-        planted_pos1=pos1,
-        planted_pos2=pos2,
-        seed=seed,
-    )
+    return MatchInstance(n, lists[:n], lists[n:], planted, pos1, pos2, seed)
 
 
 @dataclass

@@ -22,7 +22,6 @@ from matchsim.experiments import (
     geometric_mean,
     load_rows,
     noise_spec,
-    result_from_rows,
     run_matcher,
     run_sweep,
 )
@@ -663,12 +662,12 @@ class TestCli:
 
     def test_run_over_size_cap_is_exit_three(self, monkeypatch, capsys):
         # refused before any value is drawn, so nothing is allocated
-        monkeypatch.setattr(model, "_draw_distinct", _never_drawn)
+        monkeypatch.setattr(model, "seeded_rng", _never_drawn)
         assert main(["run", "--algorithm", "sort_scan", "--n", "1000000000"]) == 3
         assert str(MAX_INSTANCE_SIZE) in capsys.readouterr().err
 
     def test_sweep_over_size_cap_is_exit_three(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(model, "_draw_distinct", _never_drawn)
+        monkeypatch.setattr(model, "seeded_rng", _never_drawn)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algorithm": "nested", "n_values": [MAX_INSTANCE_SIZE + 1]}))
         assert main(["sweep", "--config", str(cfg)]) == 3

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from matchsim.grover import (
-    DEFAULT_STATEVECTOR_CAP,
     GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,

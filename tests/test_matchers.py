@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 
-import numpy as np
 import pytest
 
 from matchsim import matchers
@@ -151,9 +150,9 @@ class TestClassicalSortScan:
     @pytest.mark.parametrize(
         "list1,list2",
         [
-            # 7 twins with itself in the union sort but never reaches list2
+            # 7 repeats within list1 but never reaches list2
             ((7, 3, 7, 9), (1, 9, 4, 2)),
-            # the only twin in the union sort is a repeat: nothing is shared
+            # the only repeated value is list1's own: nothing is shared
             ((7, 3, 7, 9), (1, 8, 4, 2)),
             # every list1 value twice, three of them shared
             (tuple(3 * (k // 2) for k in range(512)), (*range(1000, 1509), 30, 600, 3)),
@@ -753,6 +752,30 @@ class TestArrayPaths:
             inst = generate_instance(n, 4)
             run(inst, 4)
             assert "list1" not in vars(inst) and "list2" not in vars(inst)
+
+    @pytest.mark.parametrize(
+        "matcher", [exhaustive_pairs, classical_sort_scan, classical_two_sort_merge],
+        ids=["exhaustive", "sort_scan", "two_sort"],
+    )
+    def test_classical_reports_equal_on_read_only_strided_views(self, matcher):
+        # the twin search reads 32-bit keys through a contiguous view
+        for n, seed in ((2, 0), (17, 1), (64, 2), (1024, 3)):
+            inst = generate_instance(n, seed)
+            strided = MatchInstance(
+                n, strided_copy(inst.values1), strided_copy(inst.values2),
+                inst.planted_value, inst.planted_pos1, inst.planted_pos2, seed,
+            )
+            for values in (strided.values1, strided.values2):
+                assert values.strides == (16,) and not values.flags.writeable
+            assert matcher(strided).as_dict() == matcher(inst).as_dict()
+            assert strided == inst
+
+
+def strided_copy(values):
+    """The same values as a read-only view of every other word of a frozen buffer."""
+    wide = values.repeat(2)
+    wide.flags.writeable = False
+    return wide[::2]
 
 
 class CountingLedger(CostLedger):

@@ -217,6 +217,104 @@ class TestGenerateInstance:
         assert digest == PINNED_INSTANCES[(n, seed)]
 
 
+class TestOneDraw:
+    """Without a repeat, generation takes all its words in one raw draw."""
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 17])
+    def test_equal_low_words_stay_on_the_fast_path(self, n, monkeypatch):
+        # the planted value and another share their low word, not their value
+        values = [(1 << 32) | 5, (2 << 32) | 5, *range(100, 100 + 2 * n - 3)]
+        filler = list(range(900, 900 + max(16, 2 * n - 1) - len(values)))
+        scripted = ScriptedRng([*values, *filler, POSITION_WORD])
+        monkeypatch.setattr(model, "seeded_rng", lambda seed: scripted)
+        inst = generate_instance(n, 0)
+        assert scripted.calls == [max(16, 2 * n - 1) + 1] and not scripted.stream
+        pos1, pos2 = n // 2, 3 * n // 4
+        assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
+        values = np.array(values, dtype=np.uint64)
+        assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
+        # below n = 9 the draw holds discarded words; from n = 9 it is the buffer
+        assert len(inst.values1.base) == 2 * n
+        inst.validate()
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_a_rejected_low_half_redraws_as_draw_positions_does(self, n, monkeypatch):
+        # a low half of 0 is below 2**32 mod n, so the next raw value is drawn
+        count = 2 * n - 1
+        words = [0xC0000000_00000000, 0x00000000_80000000]
+        stream = [*range(100, 100 + max(16, count)), *words, 77]
+        scripted = ScriptedRng(stream)
+        monkeypatch.setattr(model, "seeded_rng", lambda seed: scripted)
+        inst = generate_instance(n, 0)
+        assert scripted.calls == [max(16, count) + 1, None] and scripted.stream == [77]
+        positions = model._draw_positions(ScriptedRng(words), n)
+        assert (inst.planted_pos1, inst.planted_pos2) == positions == (3 * n // 4, n // 2)
+        values = np.array(stream[:count], dtype=np.uint64)
+        assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+
+
+def reference_repeats(*parts):
+    """The values occurring more than once across ``parts``, by np.unique."""
+    values, counts = np.unique(np.concatenate(parts), return_counts=True)
+    return values[counts > 1]
+
+
+def frozen_strided(values):
+    """``values`` as a read-only view of every other word of a frozen buffer."""
+    wide = np.asarray(values, dtype=np.uint64).repeat(2)
+    wide.flags.writeable = False
+    return wide[::2]
+
+
+class TestRepeats:
+    @pytest.mark.parametrize(
+        "sizes",
+        [(0,), (1,), (2,), (17,), (4097,), (0, 0), (1, 1), (2, 17), (17, 4097),
+         (0, 1, 2), (1, 17, 2), (17, 4097, 17)],
+        ids=str,
+    )
+    def test_equals_unique_counts(self, sizes):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, *sizes])
+            pool = rng.integers(0, 1 << 64, sum(sizes), dtype=np.uint64)
+            if len(pool) > 1:
+                # copy values over others, within and across parts, some thrice
+                sources, targets = rng.integers(len(pool), size=(2, 1 + len(pool) // 8))
+                pool[targets] = pool[sources]
+            parts = np.split(pool, np.cumsum(sizes)[:-1])
+            out = model._repeats(*parts)
+            assert out.dtype == np.uint64
+            assert np.array_equal(out, reference_repeats(*parts))
+
+    def test_every_value_sharing_one_low_word(self):
+        shared = np.arange(4097, dtype=np.uint64) << np.uint64(32)
+        for parts in [(shared,), (shared, shared[::3]), (shared[:17], shared[17:], shared[5:9])]:
+            out = model._repeats(*parts)
+            assert np.array_equal(out, reference_repeats(*parts))
+        assert not len(model._repeats(shared))
+
+    def test_values_at_the_top_of_the_range(self):
+        # 2**63 shares its low word with 0, 2**64 - 1 with 2**32 - 1
+        top = [2**64 - 1, 2**63, 0, 2**32 - 1, 2**63 + 1, 2**64 - 2]
+        for parts in [(top, top[:2]), (top, [2**63, 5]), (top[:3], top[3:], [2**64 - 1])]:
+            parts = [np.array(p, dtype=np.uint64) for p in parts]
+            assert np.array_equal(model._repeats(*parts), reference_repeats(*parts))
+        assert model._repeats(np.array(top, dtype=np.uint64)).tolist() == []
+        assert model._repeats(*parts).tolist() == [2**64 - 1]
+
+    def test_read_only_strided_parts(self):
+        rng = np.random.default_rng(5)
+        pool = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+        pool[[7, 150, 299]] = pool[[0, 1, 150]]
+        pool.flags.writeable = False
+        parts = [frozen_strided(pool[:100]), frozen_strided(pool[100:]), pool[::-1][:50]]
+        for part in parts:
+            assert not part.flags.writeable and not part.flags.c_contiguous
+        out = model._repeats(*parts)
+        assert np.array_equal(out, reference_repeats(*parts))
+        assert np.array_equal(out, model._repeats(*[p.copy() for p in parts]))
+
+
 class TestDrawDistinct:
     @pytest.mark.parametrize("count", [1, 3, 15, 16, 17, 1023, 4097])
     def test_matches_reference_on_real_generator(self, count):
@@ -471,7 +569,7 @@ class TestInstanceSizeCap:
             raise AssertionError("drew values for an over-cap instance")
 
         monkeypatch.setattr(model.np.random, "default_rng", never)
-        monkeypatch.setattr(model, "_draw_distinct", never)
+        monkeypatch.setattr(model, "seeded_rng", never)
         for n in (MAX_INSTANCE_SIZE + 1, 10**9, 10**18):
             with pytest.raises(ResourceLimitError):
                 generate_instance(n, 0)
