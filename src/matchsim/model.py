@@ -30,9 +30,13 @@ _VALUE_BOUND = 1 << 64
 _M32 = 0xFFFFFFFF
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
-# sizes, and small enough that a classical run's cells (two uint64 lists
-# and a sorted uint32 key per value) fit in a few hundred MB.
+# sizes, and small enough that a classical run's 8-byte cells (two uint64
+# lists and the sorted copy of their union) fit in a few hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
+
+# _repeats filters by 32-bit key up to 2^17 values (m random ones repeat about
+# m^2 / 2^33 keys) and 8 repeated keys; beyond, a plain sort costs as little
+_KEYED_VALUES, _KEY_PASSES = 1 << 17, 8
 
 
 class ResourceLimitError(RuntimeError):
@@ -294,17 +298,24 @@ def _as_values(values) -> np.ndarray:
 def _repeats(*parts: np.ndarray) -> np.ndarray:
     """The distinct values that occur more than once across ``parts``, ascending.
 
-    Sorts one uint32 key per value, its first 32-bit half in memory (the
-    low word on a little-endian machine), and compares full values only
-    under keys that repeat: under one shared key, that is a full sort.
+    Up to ``_KEYED_VALUES`` values, it sorts one uint32 key per value (its first
+    32-bit half in memory) and, if at most ``_KEY_PASSES`` keys repeat, sorts
+    only the values under them.  Otherwise it sorts all values.
     """
-    words = [np.ascontiguousarray(p).view(np.uint32) for p in parts]
-    keys = np.concatenate([w[::2] for w in words])
-    keys.sort()
-    if not np.count_nonzero(keys[1:] == keys[:-1]):
-        return np.empty(0, dtype=np.uint64)
-    twin_keys = _twins(keys)
-    candidates = np.concatenate([p[_holds(w, twin_keys)[::2]] for p, w in zip(parts, words)])
+    if sum(len(p) for p in parts) <= _KEYED_VALUES:
+        words = [np.ascontiguousarray(p).view(np.uint32)[::2] for p in parts]
+        keys = np.concatenate(words)
+        keys.sort()
+        if not np.count_nonzero(keys[1:] == keys[:-1]):
+            return np.empty(0, dtype=np.uint64)
+        twin_keys = _twins(keys)
+        if len(twin_keys) <= _KEY_PASSES:  # np.isin would copy strided words: page faults
+            hits = [w == twin_keys[0] for w in words]
+            for key in twin_keys[1:]:
+                for hit, w in zip(hits, words):
+                    hit |= w == key
+            parts = tuple(p[hit] for p, hit in zip(parts, hits))
+    candidates = np.concatenate(parts)
     candidates.sort()
     return _twins(candidates)
 
@@ -313,16 +324,6 @@ def _twins(ordered: np.ndarray) -> np.ndarray:
     """The distinct values a sorted array repeats (np.unique allots ~1 MB, even for few)."""
     twins = ordered[1:][ordered[1:] == ordered[:-1]]
     return np.concatenate((twins[:1], twins[1:][twins[1:] != twins[:-1]]))
-
-
-def _holds(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which ``words`` equal one of ``keys``; for a few, one compare each beats np.isin."""
-    if len(keys) > 8:
-        return np.isin(words, keys)
-    hit = words == keys[0]
-    for key in keys[1:]:
-        hit |= words == key
-    return hit
 
 
 def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -540,10 +541,9 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
 
     Draws 2n - 1 distinct 64-bit values, plants the first at a uniform
     position in each list, and fills the rest disjointly.  The size is
-    checked before anything is drawn.  One raw draw holds the values,
-    the rest of ``_draw_distinct``'s first batch and the positions' word,
-    and becomes the instance's buffer; on a repeat, a fresh generator
-    redraws the values through ``_draw_distinct``.
+    checked before anything is drawn.  One raw draw holds the values, the
+    rest of ``_draw_distinct``'s first batch and the positions' word, and
+    becomes the buffer; a repeat redraws through ``_draw_distinct``.
     """
     check_instance_size(n)
     rng = seeded_rng(seed)

@@ -28,6 +28,7 @@ from matchsim.matchers import (
 )
 from matchsim.model import CostLedger, MatchInstance, generate_instance
 from matchsim.sortsearch import block_view, sort_charges
+from test_model import frozen_strided
 
 
 def brute_force_match(instance):
@@ -762,20 +763,13 @@ class TestArrayPaths:
         for n, seed in ((2, 0), (17, 1), (64, 2), (1024, 3)):
             inst = generate_instance(n, seed)
             strided = MatchInstance(
-                n, strided_copy(inst.values1), strided_copy(inst.values2),
+                n, frozen_strided(inst.values1), frozen_strided(inst.values2),
                 inst.planted_value, inst.planted_pos1, inst.planted_pos2, seed,
             )
             for values in (strided.values1, strided.values2):
                 assert values.strides == (16,) and not values.flags.writeable
             assert matcher(strided).as_dict() == matcher(inst).as_dict()
             assert strided == inst
-
-
-def strided_copy(values):
-    """The same values as a read-only view of every other word of a frozen buffer."""
-    wide = values.repeat(2)
-    wide.flags.writeable = False
-    return wide[::2]
 
 
 class CountingLedger(CostLedger):

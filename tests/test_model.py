@@ -267,6 +267,12 @@ def frozen_strided(values):
 
 
 class TestRepeats:
+    @pytest.fixture(autouse=True, params=["keyed", "sorted"])
+    def path(self, request, monkeypatch):
+        """Run each check through the 32-bit key filter and through the plain sort."""
+        if request.param == "sorted":
+            monkeypatch.setattr(model, "_KEYED_VALUES", 0)
+
     @pytest.mark.parametrize(
         "sizes",
         [(0,), (1,), (2,), (17,), (4097,), (0, 0), (1, 1), (2, 17), (17, 4097),
@@ -313,6 +319,15 @@ class TestRepeats:
         out = model._repeats(*parts)
         assert np.array_equal(out, reference_repeats(*parts))
         assert np.array_equal(out, model._repeats(*[p.copy() for p in parts]))
+
+
+def test_repeats_either_side_of_the_key_filter_bound():
+    rng = np.random.default_rng(7)
+    for total in (model._KEYED_VALUES, model._KEYED_VALUES + 1):
+        pool = rng.integers(0, 1 << 64, total, dtype=np.uint64)
+        pool[[-1, 9]] = pool[[0, 5]]
+        parts = (pool[: total // 2], pool[total // 2 :])
+        assert np.array_equal(model._repeats(*parts), reference_repeats(*parts))
 
 
 class TestDrawDistinct:
