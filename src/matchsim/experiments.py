@@ -141,6 +141,9 @@ class SweepConfig:
             raise ValueError(f"unknown noise preset {self.noise_preset!r}")
         if self.uncompute_factor < 1:
             raise ValueError("uncompute_factor must be at least 1")
+        # the aggregate JSON goes next to the CSV, under the .json suffix
+        if self.output is not None and Path(self.output).suffix.lower() == ".json":
+            raise ValueError(f"output {self.output!r} would be overwritten by the sweep's JSON")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":

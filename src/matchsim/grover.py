@@ -12,13 +12,13 @@ uniform direction and maps c to 2 - c.
 The reduced engine (``run_analytic``; ``run_noisy_outer`` adds per-round
 dropout) tracks c alone and samples the amplitude vector it implies, so
 its work does not grow with M, and a noiseless run does not grow with
-the round count either.  ``auto`` always resolves to it.  The statevector
-engine (``run_statevector``, ``statevector_amplitudes``) simulates all M
-real amplitudes round by round.  It is the independent reference the
-reduced engine is checked against and runs only when named.  Both
-engines use the random stream the same way (one draw per round when
-dropout is on, then one inverse-CDF draw for the measurement), so on the
-same seed they measure the same index.
+the round count either.  The statevector engine (``run_statevector``,
+``statevector_amplitudes``) simulates all M real amplitudes round by
+round.  It is the independent reference the reduced engine is checked
+against and runs only when named.  Both engines use the random stream
+the same way (one draw per round when dropout is on, then one
+inverse-CDF draw for the measurement), so on the same seed they measure
+the same index.
 
 A search is one record, ``GroverProblem``: the space size, the marked
 set (checked once, when the record is built, and kept sorted), the
@@ -202,12 +202,9 @@ def iteration_schedule(space_size: int, marked_count: int) -> int:
     Ties break toward the smaller count.  At the returned count the
     failure probability is at most marked_count / space_size.
     """
-    if space_size < 1:
-        raise ValueError("space_size must be at least 1")
+    _check_counts(space_size, marked_count, 0)
     if marked_count == 0:
         raise ScheduleUndefinedError("iteration schedule undefined with no marked elements")
-    if not 0 < marked_count <= space_size:
-        raise ValueError("marked_count must lie in [0, space_size]")
     theta = _angle(space_size, marked_count)
     # exact for k = M (theta = pi/2): any r works, r = 0 is minimal
     target = (math.pi / (2.0 * theta) - 1.0) / 2.0
@@ -216,13 +213,6 @@ def iteration_schedule(space_size: int, marked_count: int) -> int:
     err_next = abs((2 * lo + 3) * theta - math.pi / 2.0)
     # ties keep the smaller count
     return lo + 1 if err_next < err_lo - 1e-15 else lo
-
-
-def choose_engine(engine: str) -> str:
-    """Resolve an engine name; ``auto`` always picks the reduced engine."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    return "analytic" if engine == "auto" else engine
 
 
 def _fire_pattern(

@@ -27,7 +27,6 @@ from .grover import (
     GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
-    choose_engine,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
@@ -99,17 +98,6 @@ def _is_correct(instance: MatchInstance, found: Optional[tuple[int, int]]) -> bo
     )
 
 
-def _classical_report(instance: MatchInstance, found, ledger, stats) -> RunReport:
-    return RunReport(
-        found=found,
-        correct=_is_correct(instance, found),
-        ledger=ledger,
-        engine_stats=stats,
-        rng_seed=None,
-        predicted_success=1.0,
-    )
-
-
 def _shared_values(values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
     """The values both lists hold, ascending and distinct.
 
@@ -140,7 +128,7 @@ def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = Non
     if len(shared):
         i = int(np.isin(values1, shared, kind="sort").argmax())
         found = (i, int((values2 == values1[i]).argmax()))
-    return _classical_report(instance, found, ledger, {"algorithm": "exhaustive"})
+    return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "exhaustive"})
 
 
 def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
@@ -166,7 +154,7 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
         j = int(np.flatnonzero(np.isin(values2, shared, kind="sort"))[-1])
         found = (int((values1 == values2[j]).argmax()), j)
     ledger.workspace_release(n)
-    return _classical_report(instance, found, ledger, {"algorithm": "sort_scan"})
+    return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "sort_scan"})
 
 
 def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
@@ -201,7 +189,7 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     # 2 reads per step: each step reads both heads
     ledger.charge_batch("final_verify", mem_reads=2 * steps)
     ledger.workspace_release(2 * n)
-    return _classical_report(instance, found, ledger, {"algorithm": "two_sort"})
+    return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "two_sort"})
 
 
 def _search(
@@ -213,8 +201,8 @@ def _search(
     *,
     noise: Optional[NoisyOracleSpec] = None,
 ) -> GroverOutcome:
-    """One amplified search: the reference statevector only when named."""
-    if choose_engine(engine) == "statevector":
+    """One amplified search: the statevector when named, else the reduced engine."""
+    if engine == "statevector":
         return run_statevector(
             problem, iterations, rng, ledger,
             failure_prob=noise.failure_prob if noise is not None else 0.0,
@@ -305,31 +293,23 @@ class _NestedPlan(NamedTuple):
 def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _NestedPlan:
     """The plan of a nested run on n values, built once per size and knobs."""
     b, blocks, r_outer, r_inner = _nested_shape(n, block_size)
+    # with no dropout this is success_probability(blocks, 1, r_outer), bit for bit
+    p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
     p_inner = success_probability(n, 1, r_inner)
-    if failure_prob > 0.0:
-        p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
-    else:
-        p_outer = success_probability(blocks, 1, r_outer)
     return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner)
 
 
 @lru_cache(maxsize=1024)
 def _outer_problem(
-    n: int,
-    block_size: Optional[int],
-    failure_prob: float,
-    marked_block: int,
-    uncompute_factor: int,
+    n: int, block_size: Optional[int], marked_block: int, uncompute_factor: int
 ) -> GroverProblem:
-    """The outer search of a nested run, built once per plan and marked block."""
-    plan = _nested_plan(n, block_size, failure_prob)
+    """The outer search of a nested run, built once per shape and marked block."""
+    b, blocks, _, r_inner = _nested_shape(n, block_size)
     return GroverProblem(
-        space_size=plan.blocks,
+        space_size=blocks,
         marked=(marked_block,),
         predicate=lambda beta: beta == marked_block,
-        charge_fn=lambda ledger, times: _outer_oracle_charge(
-            ledger, times, plan.block_size, plan.r_inner
-        ),
+        charge_fn=lambda ledger, times: _outer_oracle_charge(ledger, times, b, r_inner),
         uncompute_factor=uncompute_factor,
     )
 
@@ -352,14 +332,11 @@ def nested_grover_match(
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
-    failure_prob = _failure_prob(config)
-    plan = _nested_plan(n, config.block_size, failure_prob)
+    plan = _nested_plan(n, config.block_size, _failure_prob(config))
     b = plan.block_size
     rng = seeded_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
-    outer_problem = _outer_problem(
-        n, config.block_size, failure_prob, marked_block, config.uncompute_factor
-    )
+    outer_problem = _outer_problem(n, config.block_size, marked_block, config.uncompute_factor)
     outer_outcome = _search(
         config.engine, outer_problem, plan.r_outer, rng, ledger, noise=config.noise
     )
@@ -491,12 +468,9 @@ def two_level_outcome_distribution(
     e0[0] = 1.0
     uniform = np.full(n, 1.0 / math.sqrt(n))
     w = e0 - uniform
-    norm = np.linalg.norm(w)
-    if norm < 1e-12:
-        prep = np.eye(n)
-    else:
-        w /= norm
-        prep = np.eye(n) - 2.0 * np.outer(w, w)
+    # n >= 2 (``_nested_shape``), so w is never zero
+    w /= np.linalg.norm(w)
+    prep = np.eye(n) - 2.0 * np.outer(w, w)
     diffusion = np.full((n, n), 2.0 / n) - np.eye(n)
 
     rotations = []

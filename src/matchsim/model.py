@@ -82,13 +82,7 @@ class CostLedger:
         """Add ``amount`` accesses of one kind, attributed to ``phase``."""
         if kind not in ACCESS_KINDS:
             raise ValueError(f"unknown access kind {kind!r}")
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        if amount < 0:
-            raise ValueError("charge amount must be non-negative")
-        setattr(self, kind, getattr(self, kind) + amount)
-        counters = self.phase_breakdown[phase]
-        setattr(counters, kind, getattr(counters, kind) + amount)
+        self.charge_batch(phase, **{kind: amount})
 
     def charge_batch(
         self,

@@ -125,6 +125,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(algorithm="nested", n_values=(16,), trials_per_n=0)
 
+    @pytest.mark.parametrize("output", ["rows.json", "rows.JSON"])
+    def test_rejects_an_output_the_json_would_overwrite(self, output):
+        with pytest.raises(ValueError, match="overwritten"):
+            SweepConfig(algorithm="nested", n_values=(16,), output=output)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SweepConfig.from_dict(
@@ -610,6 +615,14 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_json_output_is_exit_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out" / "rows.json"
+        cfg.write_text(json.dumps({"algorithm": "sort_scan", "n_values": [4], "output": str(out)}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == [cfg]
 
     def test_malformed_json_is_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

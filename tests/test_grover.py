@@ -11,7 +11,6 @@ from matchsim.grover import (
     NoisyOracleSpec,
     ResourceLimitError,
     ScheduleUndefinedError,
-    choose_engine,
     failure_probability,
     iteration_schedule,
     noisy_success_probability,
@@ -21,7 +20,7 @@ from matchsim.grover import (
     statevector_amplitudes,
     success_probability,
 )
-from matchsim.matchers import NestedConfig, naive_grover_pairs
+from matchsim.matchers import NestedConfig, naive_grover_pairs, nested_grover_match
 from matchsim.model import CostLedger, generate_instance
 
 
@@ -142,6 +141,12 @@ class TestSuccessProbability:
             expected = float(np.sum(state[:k] ** 2))
             assert success_probability(m, k, r) == pytest.approx(expected, abs=1e-9)
 
+    def test_noiseless_noisy_formula_is_the_clean_one_bit_for_bit(self):
+        # the nested plan computes its outer success with the noisy formula only
+        for m in range(1, 5000):
+            for r in range(6):
+                assert noisy_success_probability(m, r, 0.0) == success_probability(m, 1, r)
+
 
 class TestStatevectorEngine:
     def test_certain_hit_at_four(self):
@@ -256,15 +261,16 @@ class TestAnalyticEngine:
     def test_choose_engine_auto_respects_cap(self, monkeypatch):
         # auto runs the reduced engine at every size, so the amplitude cap
         # bounds only runs that name the statevector engine
-        assert choose_engine("auto") == "analytic"
-        assert choose_engine("analytic") == "analytic"
-        assert choose_engine("statevector") == "statevector"
-        with pytest.raises(ValueError):
-            choose_engine("quantum")
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
         for n in (4, 8, 16):  # pair spaces 16 and 64 fit the cap, 256 does not
             report = naive_grover_pairs(generate_instance(n, 1), NestedConfig(rng_seed=0))
             assert report.engine_stats["engine"] == "analytic"
+        for engine in ("auto", "analytic"):
+            for n in (16, 256):  # n = 16's searches fit the cap, n = 256's inner one does not
+                stats = nested_grover_match(
+                    generate_instance(n, 1), NestedConfig(engine=engine, rng_seed=0)
+                ).engine_stats
+                assert stats["engine_outer"] == stats["engine_inner"] == "analytic"
         with pytest.raises(ResourceLimitError):
             naive_grover_pairs(
                 generate_instance(16, 1), NestedConfig(engine="statevector", rng_seed=0)

@@ -579,10 +579,8 @@ class TestNestedPlan:
         for n, block_size, failure_prob, u in cases:
             plan = matchers._nested_plan(n, block_size, failure_prob)
             for marked_block in (0, plan.blocks - 1):
-                problem = matchers._outer_problem(n, block_size, failure_prob, marked_block, u)
-                assert problem is matchers._outer_problem(
-                    n, block_size, failure_prob, marked_block, u
-                )
+                problem = matchers._outer_problem(n, block_size, marked_block, u)
+                assert problem is matchers._outer_problem(n, block_size, marked_block, u)
                 assert (problem.space_size, problem.marked_count, problem.uncompute_factor) == (
                     plan.blocks, 1, u
                 )
@@ -596,10 +594,9 @@ class TestNestedPlan:
                 assert charged.as_dict() == reference.as_dict()
 
     def test_outer_problem_key_separates_every_field(self):
-        base = (64, None, 0.0, 1, 2)
+        base = (64, None, 1, 2)
         problem = matchers._outer_problem(*base)
-        for changed in [(256, None, 0.0, 1, 2), (64, 4, 0.0, 1, 2), (64, None, 0.5, 1, 2),
-                        (64, None, 0.0, 2, 2), (64, None, 0.0, 1, 3)]:
+        for changed in [(256, None, 1, 2), (64, 4, 1, 2), (64, None, 2, 2), (64, None, 1, 3)]:
             assert matchers._outer_problem(*changed) is not problem
 
     def test_a_warm_call_builds_only_the_inner_problem(self, monkeypatch):
