@@ -9,24 +9,24 @@ inversion about the mean) advances c by 2.  A round whose oracle drops
 out only inverts about the mean, which reflects the state about the
 uniform direction and maps c to 2 - c.
 
-The reduced engine (``run_analytic``; ``run_noisy_outer`` adds per-round
-dropout) tracks c alone and samples the amplitude vector it implies, so
-its work does not grow with M, and a noiseless run does not grow with
-the round count either.  The statevector engine (``run_statevector``,
-``statevector_amplitudes``) simulates all M real amplitudes round by
-round.  It is the independent reference the reduced engine is checked
-against and runs only when named.  Both engines use the random stream
-the same way (one draw per round when dropout is on, then one
-inverse-CDF draw for the measurement), so on the same seed they measure
-the same index.
+Each engine is one step on plain values, (space_size, marked,
+iterations, failure_prob, rng) -> (measured_index, marked_mass,
+fire_pattern), that charges nothing.  The reduced step
+(``analytic_step``) tracks c alone and samples the amplitude vector it
+implies, so its work does not grow with M.  The statevector step
+(``statevector_step``) simulates all M real amplitudes round by round;
+it is the independent reference the reduced step is checked against and
+runs only when named.  Both use the random stream the same way (one draw
+per round when dropout is on, then one inverse-CDF draw for the
+measurement), so on the same seed they measure the same index.
 
-A search is one record, ``GroverProblem``: the space size, the marked
-set (checked once, when the record is built, and kept sorted), the
-predicate that checks the measured index, and the charge function that
-records oracle evaluations on a cost ledger.  The engines charge
+A search can also be one record, ``GroverProblem``: the space size, the
+marked set (checked once and kept sorted), the predicate that checks the
+measured index, and the charge function that records oracle evaluations
+on a cost ledger.  ``run_statevector``, ``run_analytic`` and
+``run_noisy_outer`` run a step on a record: they charge
 ``iterations * uncompute_factor`` evaluations and call the predicate on
-the measured index; any further charge (such as one verification
-evaluation) is the caller's.
+the measured index; any further charge is the caller's.
 """
 
 from __future__ import annotations
@@ -239,12 +239,15 @@ def statevector_amplitudes(
     beyond its length (or all rounds when it is None) always fire.  The
     inversion about the mean runs every round regardless.
     """
+    return _amplitudes(problem.space_size, problem.marked, iterations, fire_pattern)
+
+
+def _amplitudes(space_size: int, marked, iterations: int, fire_pattern) -> np.ndarray:
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    m = problem.space_size
-    amps = np.full(m, 1.0 / math.sqrt(m))
-    mask = np.zeros(m, dtype=bool)
-    mask[list(problem.marked)] = True
+    amps = np.full(space_size, 1.0 / math.sqrt(space_size))
+    mask = np.zeros(space_size, dtype=bool)
+    mask[list(marked)] = True
     for t in range(iterations):
         if fire_pattern is None or t >= len(fire_pattern) or fire_pattern[t]:
             amps[mask] = -amps[mask]
@@ -293,6 +296,60 @@ def _sample_reduced(
     return min(start + int(draw / per_unmarked), space_size - 1)
 
 
+StepResult = tuple[int, float, Optional[tuple[bool, ...]]]
+
+
+def statevector_step(
+    space_size: int, marked: tuple[int, ...], iterations: int, failure_prob: float, rng
+) -> StepResult:
+    """Reference step: simulate all amplitudes and sample one measurement.
+
+    ``marked`` holds distinct indices below ``space_size``.  Refuses a
+    space above ``statevector_cap_from_env()``, read when the step starts.
+    With ``failure_prob`` > 0 each round's phase flip independently drops
+    out, and the marked mass is the one realized under the drawn pattern.
+    """
+    cap = statevector_cap_from_env()
+    if space_size > cap:
+        raise ResourceLimitError(
+            f"statevector space of {space_size} amplitudes exceeds the cap of {cap}"
+        )
+    pattern = _fire_pattern(iterations, failure_prob, rng)
+    amps = _amplitudes(space_size, marked, iterations, pattern)
+    hits = amps[list(marked)]
+    return _sample_index(amps, rng), float(np.sum(hits * hits)), pattern
+
+
+def analytic_step(
+    space_size: int, marked: tuple[int, ...], iterations: int, failure_prob: float, rng
+) -> StepResult:
+    """Reduced step: track the state's angle and sample the outcome it implies.
+
+    Measures what ``statevector_step`` measures on the same stream, for
+    ascending ``marked``.  Noiseless, the angle is (2r + 1) * theta at
+    once; with dropout, each drawn round moves c as the module says.
+    """
+    pattern = _fire_pattern(iterations, failure_prob, rng)
+    if pattern is None:
+        c = 2 * iterations + 1
+    else:
+        c = 1
+        for fires in pattern:
+            c = c + 2 if fires else 2 - c
+    marked_mass, unmarked_mass = _masses(space_size, len(marked), c)
+    measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, rng)
+    return measured, marked_mass, pattern
+
+
+def _run(step, engine: str, problem: GroverProblem, iterations: int, rng, ledger, failure_prob):
+    """Run ``step`` on a record, charge its rounds and check the measured index."""
+    space_size, marked = problem.space_size, problem.marked
+    measured, mass, pattern = step(space_size, marked, iterations, failure_prob, rng)
+    problem.charge(ledger, iterations * problem.uncompute_factor)
+    # by position: keywords cost a NamedTuple twice as much
+    return GroverOutcome(measured, bool(problem.predicate(measured)), mass, engine, pattern)
+
+
 def run_statevector(
     problem: GroverProblem,
     iterations: int,
@@ -301,29 +358,8 @@ def run_statevector(
     *,
     failure_prob: float = 0.0,
 ) -> GroverOutcome:
-    """Reference run: simulate all amplitudes and sample one measurement.
-
-    Refuses a space above ``statevector_cap_from_env()``, read when the
-    run starts.  With ``failure_prob`` > 0 each round's phase flip
-    independently drops out, as in ``run_noisy_outer``; the reported
-    predicted_success is the marked mass realized under the drawn pattern.
-    """
-    cap = statevector_cap_from_env()
-    m = problem.space_size
-    if m > cap:
-        raise ResourceLimitError(
-            f"statevector space of {m} amplitudes exceeds the cap of {cap}"
-        )
-    pattern = _fire_pattern(iterations, failure_prob, rng)
-    amps = statevector_amplitudes(problem, iterations, pattern)
-    problem.charge(ledger, iterations * problem.uncompute_factor)
-    marked = amps[list(problem.marked)]
-    marked_mass = float(np.sum(marked * marked))
-    measured = _sample_index(amps, rng)
-    # by position: keywords cost a NamedTuple twice as much
-    return GroverOutcome(
-        measured, bool(problem.predicate(measured)), marked_mass, "statevector", pattern
-    )
+    """``statevector_step`` on a record; predicted_success is the realized marked mass."""
+    return _run(statevector_step, "statevector", problem, iterations, rng, ledger, failure_prob)
 
 
 def run_analytic(
@@ -334,28 +370,8 @@ def run_analytic(
     *,
     failure_prob: float = 0.0,
 ) -> GroverOutcome:
-    """Reduced run: track the state's angle and sample the outcome it implies.
-
-    Charges the same oracle evaluations as the statevector engine and
-    draws the same index from the same random stream, at a cost
-    independent of the space size.  Noiseless, the angle is
-    (2r + 1) * theta at once; with ``failure_prob`` > 0 each round fires
-    or drops out as in ``run_statevector``.
-    """
-    pattern = _fire_pattern(iterations, failure_prob, rng)
-    if pattern is None:
-        c = 2 * iterations + 1
-    else:
-        c = 1
-        for fires in pattern:
-            c = c + 2 if fires else 2 - c
-    problem.charge(ledger, iterations * problem.uncompute_factor)
-    marked = problem.marked
-    marked_mass, unmarked_mass = _masses(problem.space_size, len(marked), c)
-    measured = _sample_reduced(problem.space_size, marked, marked_mass, unmarked_mass, rng)
-    return GroverOutcome(
-        measured, bool(problem.predicate(measured)), marked_mass, "analytic", pattern
-    )
+    """``analytic_step`` on a record: ``run_statevector``'s charges and measurement."""
+    return _run(analytic_step, "analytic", problem, iterations, rng, ledger, failure_prob)
 
 
 def run_noisy_outer(
@@ -372,4 +388,4 @@ def run_noisy_outer(
     reported predicted_success is the marked mass realized under the
     sampled dropout pattern, which the outcome also reports.
     """
-    return run_analytic(problem, iterations, rng, ledger, failure_prob=noise.failure_prob)
+    return _run(analytic_step, "analytic", problem, iterations, rng, ledger, noise.failure_prob)

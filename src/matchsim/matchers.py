@@ -21,17 +21,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grover import (
+from .grover import (  # run_noisy_outer: the layer tracer patches it here
     ENGINES,
     GroverOutcome,
     GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
+    analytic_step,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
+    statevector_step,
     success_probability,
 )
 from .model import CostLedger, MatchInstance, RunReport, _repeats, seeded_rng
@@ -198,18 +200,10 @@ def _search(
     iterations: int,
     rng: np.random.Generator,
     ledger: CostLedger,
-    *,
-    noise: Optional[NoisyOracleSpec] = None,
 ) -> GroverOutcome:
-    """One amplified search: the statevector when named, else the reduced engine."""
-    if engine == "statevector":
-        return run_statevector(
-            problem, iterations, rng, ledger,
-            failure_prob=noise.failure_prob if noise is not None else 0.0,
-        )
-    if noise is not None and noise.failure_prob > 0.0:
-        return run_noisy_outer(problem, iterations, noise, rng, ledger)
-    return run_analytic(problem, iterations, rng, ledger)
+    """One noiseless amplified search: the statevector when named, else the reduced engine."""
+    run = run_statevector if engine == "statevector" else run_analytic
+    return run(problem, iterations, rng, ledger)
 
 
 def naive_grover_pairs(
@@ -299,21 +293,6 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner)
 
 
-@lru_cache(maxsize=1024)
-def _outer_problem(
-    n: int, block_size: Optional[int], marked_block: int, uncompute_factor: int
-) -> GroverProblem:
-    """The outer search of a nested run, built once per shape and marked block."""
-    b, blocks, _, r_inner = _nested_shape(n, block_size)
-    return GroverProblem(
-        space_size=blocks,
-        marked=(marked_block,),
-        predicate=lambda beta: beta == marked_block,
-        charge_fn=lambda ledger, times: _outer_oracle_charge(ledger, times, b, r_inner),
-        uncompute_factor=uncompute_factor,
-    )
-
-
 def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -327,42 +306,40 @@ def nested_grover_match(
     re-sorted classically, the membership search is run once more for
     real, and the resulting pair is confirmed with direct queries.  A
     run whose final membership probe fails verification reports no
-    match rather than guessing.
+    match rather than guessing.  Both searches run the configured
+    engine's step on plain values; the plan fixes what they charge.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
-    plan = _nested_plan(n, config.block_size, _failure_prob(config))
-    b = plan.block_size
+    failure_prob = _failure_prob(config)
+    b, blocks, r_outer, r_inner, predicted_success = _nested_plan(
+        n, config.block_size, failure_prob
+    )
+    engine = "statevector" if config.engine == "statevector" else "analytic"
+    step = statevector_step if engine == "statevector" else analytic_step
     rng = seeded_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
-    outer_problem = _outer_problem(n, config.block_size, marked_block, config.uncompute_factor)
-    outer_outcome = _search(
-        config.engine, outer_problem, plan.r_outer, rng, ledger, noise=config.noise
-    )
-    beta = outer_outcome.measured_index
+    beta, outer_mass, fire_pattern = step(blocks, (marked_block,), r_outer, failure_prob, rng)
+    outer_evaluations = r_outer * config.uncompute_factor
+    if outer_evaluations:  # with none, no block is copied and no workspace is held
+        _outer_oracle_charge(ledger, outer_evaluations, b, r_inner)
 
     # final pass: the measured block is rebuilt for real
     block = block_view(instance, beta, b, ledger)
-    depth = membership_probe_depth(len(block))
-    inner_problem = GroverProblem(
-        space_size=n,
-        marked=(instance.planted_pos2,) if beta == marked_block else (),
-        predicate=lambda j: binary_membership(block, int(instance.values2[j])) is not None,
-        charge_fn=lambda led, times: led.charge_batch(
-            "inner_search", l2_queries=times, mem_reads=2 * depth * times
-        ),
-        uncompute_factor=config.uncompute_factor,
+    marked = (instance.planted_pos2,) if beta == marked_block else ()
+    j_hat = step(n, marked, r_inner, 0.0, rng)[0]
+    # the amplified membership probes and the measured index's verification probe
+    probes = r_inner * config.uncompute_factor + 1
+    ledger.charge_batch(
+        "inner_search", l2_queries=probes, mem_reads=2 * membership_probe_depth(len(block)) * probes
     )
-    inner_outcome = _search(config.engine, inner_problem, plan.r_inner, rng, ledger)
-    # the measured index's verification probe is one more evaluation
-    inner_problem.charge(ledger, 1)
+    v_hat = int(instance.values2[j_hat])
+    inner_verified = binary_membership(block, v_hat) is not None
 
     found = None
-    if inner_outcome.verified:
-        j_hat = inner_outcome.measured_index
+    if inner_verified:
         # the matching cell was just probed; its source index rides along
-        v_hat = int(instance.values2[j_hat])
         i_hat = binary_membership(block, v_hat)
         ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
         if i_hat is not None and int(instance.values1[i_hat]) == v_hat:
@@ -376,19 +353,19 @@ def nested_grover_match(
         engine_stats={
             "algorithm": "nested",
             "block_size": b,
-            "block_count": plan.blocks,
-            "outer_iterations": plan.r_outer,
-            "inner_iterations": plan.r_inner,
+            "block_count": blocks,
+            "outer_iterations": r_outer,
+            "inner_iterations": r_inner,
             "outer_measured_block": beta,
             "outer_marked_block": marked_block,
-            "outer_marked_mass": outer_outcome.predicted_success,
-            "inner_verified": inner_outcome.verified,
-            "outer_fire_pattern": outer_outcome.fire_pattern,
-            "engine_outer": outer_outcome.engine,
-            "engine_inner": inner_outcome.engine,
+            "outer_marked_mass": outer_mass,
+            "inner_verified": inner_verified,
+            "outer_fire_pattern": fire_pattern,
+            "engine_outer": engine,
+            "engine_inner": engine,
         },
         rng_seed=config.rng_seed,
-        predicted_success=plan.predicted_success,
+        predicted_success=predicted_success,
     )
 
 

@@ -298,7 +298,7 @@ def _repeats(*parts: np.ndarray) -> np.ndarray:
     """
     if sum(len(p) for p in parts) <= _KEYED_VALUES:
         words = [np.ascontiguousarray(p).view(np.uint32)[::2] for p in parts]
-        keys = np.concatenate(words)
+        keys = _joined(words)
         keys.sort()
         if not np.count_nonzero(keys[1:] == keys[:-1]):
             return np.empty(0, dtype=np.uint64)
@@ -309,9 +309,14 @@ def _repeats(*parts: np.ndarray) -> np.ndarray:
                 for hit, w in zip(hits, words):
                     hit |= w == key
             parts = tuple(p[hit] for p, hit in zip(parts, hits))
-    candidates = np.concatenate(parts)
+    candidates = _joined(parts)
     candidates.sort()
     return _twins(candidates)
+
+
+def _joined(parts) -> np.ndarray:
+    """A new array of the parts end to end; one part is copied, which costs less."""
+    return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
 
 
 def _twins(ordered: np.ndarray) -> np.ndarray:

@@ -8,10 +8,15 @@ import math
 import pytest
 
 from matchsim import matchers
-from matchsim.experiments import SweepConfig, run_sweep
+from matchsim.experiments import NOISE_PRESETS, SweepConfig, noise_spec, run_sweep
 from matchsim.grover import (
+    GroverProblem,
     NoisyOracleSpec,
+    ResourceLimitError,
     iteration_schedule,
+    run_analytic,
+    run_noisy_outer,
+    run_statevector,
     success_probability,
 )
 from matchsim.matchers import (
@@ -26,8 +31,8 @@ from matchsim.matchers import (
     predicted_total_cost,
     two_level_outcome_distribution,
 )
-from matchsim.model import CostLedger, MatchInstance, generate_instance
-from matchsim.sortsearch import block_view, sort_charges
+from matchsim.model import CostLedger, MatchInstance, RunReport, generate_instance, seeded_rng
+from matchsim.sortsearch import binary_membership, block_view, membership_probe_depth, sort_charges
 from test_model import frozen_strided
 
 
@@ -87,6 +92,83 @@ def reference_two_sort_merge(instance):
     ledger.charge_batch("final_verify", mem_reads=2 * steps)
     ledger.workspace_release(2 * n)
     return found, ledger
+
+
+def reference_nested_match(instance, config=None, ledger=None):
+    """The record-based nested matcher that the step-based one replaced.
+
+    Each search is a ``GroverProblem`` run through ``run_statevector``,
+    ``run_noisy_outer`` or ``run_analytic``, which charge its rounds
+    through the record; the inner record charges the verification probe
+    once more.
+    """
+    config = config if config is not None else NestedConfig()
+    ledger = ledger if ledger is not None else CostLedger()
+    n = instance.n
+    b, blocks, r_outer, r_inner = matchers._nested_shape(n, config.block_size)
+    rng = seeded_rng(config.rng_seed)
+
+    def search(problem, iterations, noise=None):
+        if config.engine == "statevector":
+            failure_prob = noise.failure_prob if noise is not None else 0.0
+            return run_statevector(problem, iterations, rng, ledger, failure_prob=failure_prob)
+        if noise is not None and noise.failure_prob > 0.0:
+            return run_noisy_outer(problem, iterations, noise, rng, ledger)
+        return run_analytic(problem, iterations, rng, ledger)
+
+    marked_block = instance.planted_pos1 // b
+    outer_problem = GroverProblem(
+        space_size=blocks,
+        marked=(marked_block,),
+        predicate=lambda beta: beta == marked_block,
+        charge_fn=lambda led, times: matchers._outer_oracle_charge(led, times, b, r_inner),
+        uncompute_factor=config.uncompute_factor,
+    )
+    outer = search(outer_problem, r_outer, config.noise)
+    beta = outer.measured_index
+    block = block_view(instance, beta, b, ledger)
+    depth = membership_probe_depth(len(block))
+    inner_problem = GroverProblem(
+        space_size=n,
+        marked=(instance.planted_pos2,) if beta == marked_block else (),
+        predicate=lambda j: binary_membership(block, int(instance.values2[j])) is not None,
+        charge_fn=lambda led, times: led.charge_batch(
+            "inner_search", l2_queries=times, mem_reads=2 * depth * times
+        ),
+        uncompute_factor=config.uncompute_factor,
+    )
+    inner = search(inner_problem, r_inner)
+    inner_problem.charge(ledger, 1)
+    found = None
+    if inner.verified:
+        j_hat = inner.measured_index
+        v_hat = int(instance.values2[j_hat])
+        i_hat = binary_membership(block, v_hat)
+        ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
+        if i_hat is not None and int(instance.values1[i_hat]) == v_hat:
+            found = (i_hat, j_hat)
+    ledger.workspace_release(len(block))
+    return RunReport(
+        found=found,
+        correct=found is not None and found == (instance.planted_pos1, instance.planted_pos2),
+        ledger=ledger,
+        engine_stats={
+            "algorithm": "nested",
+            "block_size": b,
+            "block_count": blocks,
+            "outer_iterations": r_outer,
+            "inner_iterations": r_inner,
+            "outer_measured_block": beta,
+            "outer_marked_block": marked_block,
+            "outer_marked_mass": outer.predicted_success,
+            "inner_verified": inner.verified,
+            "outer_fire_pattern": outer.fire_pattern,
+            "engine_outer": outer.engine,
+            "engine_inner": inner.engine,
+        },
+        rng_seed=config.rng_seed,
+        predicted_success=composed_success_probability(n, config),
+    )
 
 
 class TestExhaustivePairs:
@@ -437,6 +519,37 @@ class TestNestedGroverMatch:
         assert sv.predicted_success == pytest.approx(an.predicted_success, abs=1e-12)
         assert led_sv.total_cost() == led_an.total_cost()
 
+    @pytest.mark.parametrize("engine", ["statevector", "analytic"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 100, 1024])
+    def test_equals_the_record_based_reference(self, n, engine, monkeypatch):
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        grid = itertools.product((None, 1, 5, 1000), NOISE_PRESETS, (1, 3), range(10))
+        for block_size, preset, u, seed in grid:
+            inst = generate_instance(n, seed)
+            config = NestedConfig(
+                block_size=block_size, engine=engine, uncompute_factor=u,
+                noise=noise_spec(preset, n), rng_seed=seed,
+            )
+            ledger, reference_ledger = CostLedger(), CostLedger()
+            report = nested_grover_match(inst, config, ledger)
+            expected = reference_nested_match(inst, config, reference_ledger)
+            case = (block_size, preset, u, seed)
+            assert json.dumps(report.as_dict()) == json.dumps(expected.as_dict()), case
+            assert ledger.as_dict() == reference_ledger.as_dict(), case
+
+    def test_refused_inner_statevector_leaves_the_reference_ledger(self, monkeypatch):
+        # the outer search fits under the cap, the inner one does not
+        monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
+        inst = generate_instance(100, 4)
+        config = NestedConfig(engine="statevector", noise=noise_spec("inv_n", 100), rng_seed=4)
+        ledgers = []
+        for matcher in (nested_grover_match, reference_nested_match):
+            ledgers.append(CostLedger())
+            with pytest.raises(ResourceLimitError):
+                matcher(inst, config, ledgers[-1])
+        assert ledgers[0].as_dict() == ledgers[1].as_dict()
+        assert ledgers[0].phase_total("outer_search") > 0
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             NestedConfig(block_size=0)
@@ -541,7 +654,6 @@ class TestNestedPlan:
         for attempt in ("cold", "warm"):
             if attempt == "cold":
                 matchers._nested_plan.cache_clear()
-                matchers._outer_problem.cache_clear()
             run_sweep(config)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -574,55 +686,29 @@ class TestNestedPlan:
         assert matchers.sort_charges.cache_info().misses == misses
 
 
-    def test_outer_problem_matches_a_fresh_one(self):
-        cases = [(16, None, 0.0, 2), (64, 3, 1 / 8, 1), (1024, None, 0.03, 3)]
-        for n, block_size, failure_prob, u in cases:
-            plan = matchers._nested_plan(n, block_size, failure_prob)
-            for marked_block in (0, plan.blocks - 1):
-                problem = matchers._outer_problem(n, block_size, marked_block, u)
-                assert problem is matchers._outer_problem(n, block_size, marked_block, u)
-                assert (problem.space_size, problem.marked_count, problem.uncompute_factor) == (
-                    plan.blocks, 1, u
-                )
-                assert problem.marked == (marked_block,)
-                assert [problem.predicate(b) for b in range(plan.blocks)] == [
-                    b == marked_block for b in range(plan.blocks)
-                ]
-                charged, reference = CostLedger(), CostLedger()
-                problem.charge(charged, 5)
-                matchers._outer_oracle_charge(reference, 5, plan.block_size, plan.r_inner)
-                assert charged.as_dict() == reference.as_dict()
-
-    def test_outer_problem_key_separates_every_field(self):
-        base = (64, None, 1, 2)
-        problem = matchers._outer_problem(*base)
-        for changed in [(256, None, 1, 2), (64, 4, 1, 2), (64, None, 2, 2), (64, None, 1, 3)]:
-            assert matchers._outer_problem(*changed) is not problem
-
-    def test_a_warm_call_builds_only_the_inner_problem(self, monkeypatch):
+    def test_a_warm_call_builds_no_search_record(self, monkeypatch):
         built = []
-        original = matchers.GroverProblem
+        post_init = GroverProblem.__post_init__
 
-        def counting(*args, **kwargs):
-            built.append(kwargs["space_size"])
-            return original(*args, **kwargs)
+        def counting(problem):
+            built.append(problem.space_size)
+            post_init(problem)
 
-        monkeypatch.setattr(matchers, "GroverProblem", counting)
+        monkeypatch.setattr(GroverProblem, "__post_init__", counting)
         inst = generate_instance(64, 5)
-        config = NestedConfig(noise=NoisyOracleSpec(1 / 8), rng_seed=0)
-        matchers._outer_problem.cache_clear()
-        nested_grover_match(inst, config)
-        assert sorted(built) == [8, 64]
-        built.clear()
-        nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 8), rng_seed=1))
-        assert built == [64]
+        matchers._nested_plan.cache_clear()
+        for seed, engine in [(0, "auto"), (1, "auto"), (2, "statevector")]:
+            config = NestedConfig(engine=engine, noise=NoisyOracleSpec(1 / 8), rng_seed=seed)
+            nested_grover_match(inst, config)
+        assert built == []
+        naive_grover_pairs(inst)  # the hook sees the one record a naive run builds
+        assert built == [64 * 64]
 
     def test_predicted_total_cost_reads_no_cache(self, monkeypatch):
         def never(*args):
             raise AssertionError("predicted_total_cost read a cache")
 
         monkeypatch.setattr(matchers, "_nested_plan", never)
-        monkeypatch.setattr(matchers, "_outer_problem", never)
         for n in (16, 64, 1024):
             assert predicted_total_cost(n).total_cost() > 0
 
