@@ -24,6 +24,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered as it runs: a dataclass looks its module up there
+    sys.modules[spec.name] = module
     with mock.patch.object(sys, "dont_write_bytecode", True):
         spec.loader.exec_module(module)
     return module
