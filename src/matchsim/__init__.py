@@ -59,7 +59,6 @@ from .model import (
 from .sortsearch import (
     binary_membership,
     block_count,
-    block_view,
     membership_probe_depth,
     sort_charges,
     sort_instrumented,

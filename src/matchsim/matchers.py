@@ -10,6 +10,10 @@ against the same cost model, so their ledgers are directly comparable:
 - nested_grover_match: amplified search over sqrt(N) blocks of list1
   whose oracle internally runs an amplified membership search over
   list2, then a final sort-and-verify pass on the measured block.
+
+No matcher performs the sorts and membership probes it is charged for:
+each charges them by the closed forms of ``sortsearch`` and finds what
+it reports by compare.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 from .grover import (  # run_noisy_outer: the layer tracer patches it here
     ENGINES,
-    GroverOutcome,
     GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
@@ -37,9 +40,9 @@ from .grover import (  # run_noisy_outer: the layer tracer patches it here
     success_probability,
 )
 from .model import CostLedger, MatchInstance, RunReport, _repeats, seeded_rng
-from .sortsearch import (  # sort_instrumented: the layer tracer patches it here
+# binary_membership, sort_instrumented: unused, but the layer tracer patches them here
+from .sortsearch import (
     block_count,
-    block_view,
     binary_membership,
     charge_sort,
     membership_probe_depth,
@@ -194,18 +197,6 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "two_sort"})
 
 
-def _search(
-    engine: str,
-    problem: GroverProblem,
-    iterations: int,
-    rng: np.random.Generator,
-    ledger: CostLedger,
-) -> GroverOutcome:
-    """One noiseless amplified search: the statevector when named, else the reduced engine."""
-    run = run_statevector if engine == "statevector" else run_analytic
-    return run(problem, iterations, rng, ledger)
-
-
 def naive_grover_pairs(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -231,8 +222,8 @@ def naive_grover_pairs(
         uncompute_factor=config.uncompute_factor,
     )
     iterations = iteration_schedule(m, 1)
-    rng = seeded_rng(config.rng_seed)
-    outcome = _search(config.engine, problem, iterations, rng, ledger)
+    run = run_statevector if config.engine == "statevector" else run_analytic
+    outcome = run(problem, iterations, seeded_rng(config.rng_seed), ledger)
     found = None
     if outcome.verified:
         found = (outcome.measured_index // n, outcome.measured_index % n)
@@ -302,12 +293,14 @@ def nested_grover_match(
 
     The outer search runs over ceil(n / b) blocks; each oracle
     evaluation stands for copy + sort of the block and an amplified
-    membership search of list2 against it.  The measured block is then
-    re-sorted classically, the membership search is run once more for
-    real, and the resulting pair is confirmed with direct queries.  A
-    run whose final membership probe fails verification reports no
-    match rather than guessing.  Both searches run the configured
-    engine's step on plain values; the plan fixes what they charge.
+    membership search of list2 against it.  The final pass is charged as
+    a copy and sort of the measured block, the membership search once
+    more and direct queries confirming the pair, but sorts and probes
+    nothing: the measured list2 value is looked up by compare in the
+    block's unsorted slice of list1.  A run whose verification probe
+    misses reports no match rather than guessing.  Both searches run the
+    configured engine's step on plain values; the plan fixes what they
+    charge.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
@@ -325,8 +318,12 @@ def nested_grover_match(
     if outer_evaluations:  # with none, no block is copied and no workspace is held
         _outer_oracle_charge(ledger, outer_evaluations, b, r_inner)
 
-    # final pass: the measured block is rebuilt for real
-    block = block_view(instance, beta, b, ledger)
+    # final pass: the measured block's copy and sort, charged
+    offset = beta * b
+    block = instance.values1[offset : offset + b].tolist()
+    ledger.charge_batch("sort", l1_queries=len(block), mem_writes=len(block))
+    ledger.workspace_acquire(len(block))
+    charge_sort(len(block), ledger)
     marked = (instance.planted_pos2,) if beta == marked_block else ()
     j_hat = step(n, marked, r_inner, 0.0, rng)[0]
     # the amplified membership probes and the measured index's verification probe
@@ -335,15 +332,16 @@ def nested_grover_match(
         "inner_search", l2_queries=probes, mem_reads=2 * membership_probe_depth(len(block)) * probes
     )
     v_hat = int(instance.values2[j_hat])
-    inner_verified = binary_membership(block, v_hat) is not None
+    try:  # the verification probe, by compare: a list holds a value at most once
+        i_hat = offset + block.index(v_hat)
+    except ValueError:
+        i_hat = None
+    inner_verified = i_hat is not None
 
     found = None
     if inner_verified:
-        # the matching cell was just probed; its source index rides along
-        i_hat = binary_membership(block, v_hat)
         ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-        if i_hat is not None and int(instance.values1[i_hat]) == v_hat:
-            found = (i_hat, j_hat)
+        found = (i_hat, j_hat)
     ledger.workspace_release(len(block))
 
     return RunReport(

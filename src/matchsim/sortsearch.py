@@ -1,20 +1,21 @@
-"""Classical kernels: sort charges, block extraction, membership.
+"""Classical kernels: sort charges and membership probe depth.
 
 Charges follow a fixed, data-oblivious schedule: a bottom-up merge sort
 where a merge of t cells always costs t - 1 compares and t moves, and a
 membership probe that always walks the full bisection depth.  Every
 kernel's cost is therefore a closed form in the sizes alone, and
-``charge_sort`` charges a sort's to the ``"sort"`` phase.  The classical
-matchers call it without sorting; a block sort (``sort_instrumented``)
-is one ``np.argsort``.  A membership lookup charges nothing: its callers
-charge each probe as ``2 * membership_probe_depth(n)`` reads, in
-whichever phase they run.  A compare costs 2 reads; a move costs 1 read
-+ 1 write.  The tests keep the merge sort itself, as the reference the
-closed forms are checked against.
+``charge_sort`` charges a sort's to the ``"sort"`` phase.  No matcher
+performs the sorts and probes it is charged for: each calls
+``charge_sort`` and charges ``2 * membership_probe_depth(n)`` reads per
+probe, in whichever phase it runs, and finds its answer by compare.  A compare costs 2 reads; a move
+costs 1 read + 1 write.  The tests keep the merge sort itself, and the
+block extraction the nested matcher once performed, as the references
+the closed forms are checked against.
 
-A sorted block (``block_view``, about sqrt(n) cells) is a tuple of
-(value, source index) entries of Python ints in ascending value order,
-which ``binary_membership`` searches with ``bisect``.
+``sort_instrumented`` (one ``np.argsort``) and ``binary_membership``
+(``bisect`` over sorted (value, source index) entries) are still here
+because the benchmark's layer tracer looks them up by name; nothing in
+the package calls them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CostLedger, MatchInstance
+from .model import CostLedger
 
 Entries = tuple[tuple[int, int], ...]
 
@@ -79,33 +80,6 @@ def block_count(n: int, block_size: int) -> int:
     if block_size < 1:
         raise ValueError("block size must be at least 1")
     return -(-n // block_size)
-
-
-def block_view(
-    instance: MatchInstance,
-    block_index: int,
-    block_size: int,
-    ledger: Optional[CostLedger] = None,
-) -> Entries:
-    """Copy one block of list1 into workspace and sort it.
-
-    Charges one list1 query plus one write per copied cell, then the
-    sort.  The caller owns the returned entries' workspace cells until
-    it releases them.
-    """
-    if block_size < 1:
-        raise ValueError("block size must be at least 1")
-    offset = block_index * block_size
-    if block_index < 0 or offset >= instance.n:
-        raise ValueError(f"block index {block_index} out of range")
-    length = min(block_size, instance.n - offset)
-    if ledger is not None:
-        ledger.charge_batch("sort", l1_queries=length, mem_writes=length)
-        ledger.workspace_acquire(length)
-    block = instance.values1[offset : offset + length]
-    order = sort_instrumented(block, ledger)
-    values = block.tolist()
-    return tuple([(values[k], offset + k) for k in order.tolist()])
 
 
 def membership_probe_depth(n: int) -> int:

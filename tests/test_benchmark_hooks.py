@@ -9,6 +9,7 @@ surface only when the benchmark runs.
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from unittest import mock
@@ -58,6 +59,26 @@ def test_names_the_worker_and_checks_use_resolve():
         assert callable(getattr(matchsim, name, None)), name
 
 
+def test_names_the_self_tests_import_resolve():
+    # perfbench/test_perfbench.py, which only CI's unittest step runs:
+    # every name it imports from matchsim, and every keyword it calls one with
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "matchsim"
+        for alias in node.names
+    }
+    assert names
+    for name in names:
+        assert hasattr(matchsim, name), name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+            parameters = inspect.signature(getattr(matchsim, node.func.id)).parameters
+            for keyword in node.keywords:
+                assert keyword.arg in parameters, (node.func.id, keyword.arg)
+
+
 @pytest.mark.parametrize("algorithm", ["sort_scan", "two_sort", "naive_grover", "nested"])
 def test_output_check_predicts_every_reported_total_cost(algorithm):
     expected_total_cost = load_perfbench("checks").expected_total_cost
@@ -83,7 +104,8 @@ TRACED_TRIALS = 3
 
 
 def assert_nested_runs_in_its_own_span(engine):
-    """A noisy nested sweep crosses no traced engine name, and tracing changes no cost.
+    """A noisy nested sweep crosses no traced engine, sort or membership
+    name, and tracing changes no cost.
 
     Both of its searches run the engine's step on plain values inside the
     ``matchers.nested`` span, so their rounds show in no ``grover.*`` layer.
@@ -98,8 +120,8 @@ def assert_nested_runs_in_its_own_span(engine):
         assert metrics[f"{layer}.calls"] == 0, layer
     assert metrics["grover.noisy.rounds"] == metrics["grover.statevector.rounds"] == 0
     assert metrics["matchers.nested.calls"] == trials
-    # one block sort per trial: the final pass's
-    assert metrics["sortsearch.sort.calls"] == trials
+    # the final pass charges its block sort and probes but performs neither
+    assert metrics["sortsearch.sort.calls"] == metrics["sortsearch.membership.calls"] == 0
     untraced = experiments.run_sweep(config).rows
     assert metrics["model.ledger.total_cost"] == sum(row.total_cost for row in untraced)
 

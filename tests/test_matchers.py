@@ -1,14 +1,23 @@
 """Tests for the five matching strategies and their cost predictions."""
 
+import ast
 import hashlib
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from matchsim import matchers
-from matchsim.experiments import NOISE_PRESETS, SweepConfig, noise_spec, run_sweep
+from matchsim import matchers, sortsearch
+from matchsim.experiments import (
+    ALGORITHMS,
+    NOISE_PRESETS,
+    SweepConfig,
+    noise_spec,
+    run_matcher,
+    run_sweep,
+)
 from matchsim.grover import (
     GroverProblem,
     NoisyOracleSpec,
@@ -32,8 +41,9 @@ from matchsim.matchers import (
     two_level_outcome_distribution,
 )
 from matchsim.model import CostLedger, MatchInstance, RunReport, generate_instance, seeded_rng
-from matchsim.sortsearch import binary_membership, block_view, membership_probe_depth, sort_charges
+from matchsim.sortsearch import binary_membership, membership_probe_depth, sort_charges
 from test_model import frozen_strided
+from test_sortsearch import block_view
 
 
 def brute_force_match(instance):
@@ -853,6 +863,32 @@ class TestArrayPaths:
                 assert values.strides == (16,) and not values.flags.writeable
             assert matcher(strided).as_dict() == matcher(inst).as_dict()
             assert strided == inst
+
+
+class TestNothingSortedOrProbed:
+    # what a matcher must never call: it charges sorts and probes by closed forms
+    NEVER_CALLED = ("block_view", "sort_instrumented", "binary_membership", "argsort")
+
+    @pytest.mark.parametrize("engine", ["statevector", "analytic"])
+    def test_no_matcher_sorts_or_probes(self, engine, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a matcher sorted or probed")
+
+        monkeypatch.setattr(sortsearch, "sort_instrumented", never)
+        monkeypatch.setattr(matchers, "sort_instrumented", never)
+        monkeypatch.setattr(matchers, "binary_membership", never)
+        for algorithm, n, seed in itertools.product(ALGORITHMS, (2, 17, 64), range(3)):
+            config = NestedConfig(engine=engine, noise=noise_spec("inv_n", n), rng_seed=seed)
+            run_matcher(algorithm, generate_instance(n, seed), config, CostLedger())
+
+    def test_no_matcher_calls_a_sort_or_probe_by_name(self):
+        tree = ast.parse(Path(matchers.__file__).read_text())
+        called = {
+            node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+        }
+        assert called.isdisjoint(self.NEVER_CALLED), sorted(called & set(self.NEVER_CALLED))
 
 
 class CountingLedger(CostLedger):

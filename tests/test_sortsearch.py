@@ -1,9 +1,11 @@
 """Tests for the instrumented sort, block extraction, and membership.
 
-The package sorts with ``np.argsort`` and charges closed forms.  The
-bottom-up merge sort below is the independent reference: it charges
-every merge as it performs it, so comparing the two keeps the closed
-forms and the sort order honest.
+The package charges closed forms and sorts nothing.  The bottom-up
+merge sort below is the independent reference: it charges every merge
+as it performs it, so comparing the two keeps the closed forms and the
+sort order honest.  ``block_view`` is the nested matcher's final pass
+as it was performed before it was only charged: the reference matcher
+in test_matchers builds on it.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from matchsim.model import CostLedger, generate_instance
 from matchsim.sortsearch import (
     binary_membership,
     block_count,
-    block_view,
     membership_probe_depth,
     sort_charges,
     sort_instrumented,
@@ -57,6 +58,29 @@ def reference_merge_sort(pairs, ledger=None):
     if ledger is not None:
         ledger.workspace_release(n)
     return tuple(src)
+
+
+def block_view(instance, block_index, block_size, ledger=None):
+    """Copy one block of list1 into workspace and sort it.
+
+    Charges one list1 query plus one write per copied cell, then the
+    sort.  Returns (value, source index) entries of Python ints in
+    ascending value order; the caller owns their workspace cells until
+    it releases them.
+    """
+    if block_size < 1:
+        raise ValueError("block size must be at least 1")
+    offset = block_index * block_size
+    if block_index < 0 or offset >= instance.n:
+        raise ValueError(f"block index {block_index} out of range")
+    length = min(block_size, instance.n - offset)
+    if ledger is not None:
+        ledger.charge_batch("sort", l1_queries=length, mem_writes=length)
+        ledger.workspace_acquire(length)
+    block = instance.values1[offset : offset + length]
+    order = sort_instrumented(block, ledger)
+    values = block.tolist()
+    return tuple([(values[k], offset + k) for k in order.tolist()])
 
 
 def reference_order(values):
