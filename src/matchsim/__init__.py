@@ -23,16 +23,14 @@ from .experiments import (
 )
 from .grover import (
     DEFAULT_STATEVECTOR_CAP,
-    GroverOutcome,
-    GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
     ScheduleUndefinedError,
+    Search,
     failure_probability,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
-    run_noisy_outer,
     run_statevector,
     statevector_amplitudes,
     success_probability,

@@ -9,24 +9,18 @@ inversion about the mean) advances c by 2.  A round whose oracle drops
 out only inverts about the mean, which reflects the state about the
 uniform direction and maps c to 2 - c.
 
-Each engine is one step on plain values, (space_size, marked,
-iterations, failure_prob, rng) -> (measured_index, marked_mass,
-fire_pattern), that charges nothing.  The reduced step
-(``analytic_step``) tracks c alone and samples the amplitude vector it
-implies, so its work does not grow with M.  The statevector step
-(``statevector_step``) simulates all M real amplitudes round by round;
-it is the independent reference the reduced step is checked against and
-runs only when named.  Both use the random stream the same way (one draw
-per round when dropout is on, then one inverse-CDF draw for the
-measurement), so on the same seed they measure the same index.
-
-A search can also be one record, ``GroverProblem``: the space size, the
-marked set (checked once and kept sorted), the predicate that checks the
-measured index, and the charge function that records oracle evaluations
-on a cost ledger.  ``run_statevector``, ``run_analytic`` and
-``run_noisy_outer`` run a step on a record: they charge
-``iterations * uncompute_factor`` evaluations and call the predicate on
-the measured index; any further charge is the caller's.
+A search is the two-field value ``Search(space_size, marked)``, with
+``marked`` strictly ascending below ``space_size``.  Each engine is one
+runner, (search, iterations, rng, failure_prob) -> (measured_index,
+marked_mass, fire_pattern), that checks the search and charges nothing.
+The reduced runner (``run_analytic``) tracks c alone and samples the
+amplitude vector it implies, so its work does not grow with M.  The
+statevector runner (``run_statevector``) simulates all M real amplitudes
+round by round; it is the independent reference the reduced runner is
+checked against and runs only when named.  Both use the random stream
+the same way (one draw per round when dropout is on, then one
+inverse-CDF draw for the measurement), so on the same seed they measure
+the same index.  What a search's rounds cost is the caller's to charge.
 """
 
 from __future__ import annotations
@@ -34,11 +28,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import CostLedger, ResourceLimitError
+from .model import ResourceLimitError
 
 DEFAULT_STATEVECTOR_CAP = 1 << 20
 STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
@@ -75,57 +69,25 @@ class NoisyOracleSpec:
             raise ValueError("failure_prob must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class GroverProblem:
+class Search(NamedTuple):
     """A search over ``space_size`` indices that phase-flips the ``marked`` ones.
 
-    ``marked`` is validated once here (no repeats, every index in range)
-    and stored in ascending order; the engines read it as is.
-    ``predicate`` only checks the measured index, and
-    ``charge_fn(ledger, times)`` records the ledger cost of ``times``
-    oracle evaluations.
+    ``marked`` must ascend strictly and lie in [0, space_size); the
+    runners refuse it otherwise rather than reorder it.
     """
 
     space_size: int
     marked: tuple[int, ...]
-    predicate: Callable[[int], bool]
-    charge_fn: Optional[Callable[[CostLedger, int], None]] = None
-    uncompute_factor: int = 1
-
-    def __post_init__(self) -> None:
-        if self.space_size < 1:
-            raise ValueError("space_size must be at least 1")
-        if self.uncompute_factor < 1:
-            raise ValueError("uncompute_factor must be at least 1")
-        marked = tuple(sorted(self.marked))
-        if len(set(marked)) != len(marked):
-            raise ValueError("marked indices repeat")
-        if marked and not (0 <= marked[0] and marked[-1] < self.space_size):
-            raise ValueError("marked index out of range")
-        object.__setattr__(self, "marked", marked)
-
-    @property
-    def marked_count(self) -> int:
-        return len(self.marked)
-
-    def charge(self, ledger: Optional[CostLedger], times: int) -> None:
-        """Record ``times`` oracle evaluations, if there is a ledger and a charge."""
-        if ledger is not None and self.charge_fn is not None and times > 0:
-            self.charge_fn(ledger, times)
 
 
-class GroverOutcome(NamedTuple):
-    """Measured index, its post-measurement check, and the marked mass.
-
-    ``engine`` names the engine that ran; ``fire_pattern`` holds, per
-    round, whether its oracle fired, or is None for a noiseless run.
-    """
-
-    measured_index: int
-    verified: bool
-    predicted_success: float
-    engine: str
-    fire_pattern: Optional[tuple[bool, ...]] = None
+def _check_search(search: Search) -> None:
+    space_size, marked = search
+    if space_size < 1:
+        raise ValueError("space_size must be at least 1")
+    if marked and not (0 <= marked[0] and marked[-1] < space_size):
+        raise ValueError("marked index out of range")
+    if len(marked) > 1 and any(a >= b for a, b in zip(marked, marked[1:])):
+        raise ValueError("marked indices must ascend strictly")
 
 
 def _angle(space_size: int, marked_count: int) -> float:
@@ -229,25 +191,23 @@ def _fire_pattern(
 
 
 def statevector_amplitudes(
-    problem: GroverProblem,
+    search: Search,
     iterations: int,
     fire_pattern: Optional[tuple[bool, ...]] = None,
 ) -> np.ndarray:
-    """Amplitudes after the given rounds, with no sampling or charging.
+    """Amplitudes after the given rounds, with no sampling.
 
     ``fire_pattern`` selects which rounds apply the phase flip; rounds
     beyond its length (or all rounds when it is None) always fire.  The
     inversion about the mean runs every round regardless.
     """
-    return _amplitudes(problem.space_size, problem.marked, iterations, fire_pattern)
-
-
-def _amplitudes(space_size: int, marked, iterations: int, fire_pattern) -> np.ndarray:
+    _check_search(search)
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
+    space_size = search.space_size
     amps = np.full(space_size, 1.0 / math.sqrt(space_size))
     mask = np.zeros(space_size, dtype=bool)
-    mask[list(marked)] = True
+    mask[list(search.marked)] = True
     for t in range(iterations):
         if fire_pattern is None or t >= len(fire_pattern) or fire_pattern[t]:
             amps[mask] = -amps[mask]
@@ -299,36 +259,37 @@ def _sample_reduced(
 StepResult = tuple[int, float, Optional[tuple[bool, ...]]]
 
 
-def statevector_step(
-    space_size: int, marked: tuple[int, ...], iterations: int, failure_prob: float, rng
+def run_statevector(
+    search: Search, iterations: int, rng: np.random.Generator, failure_prob: float = 0.0
 ) -> StepResult:
-    """Reference step: simulate all amplitudes and sample one measurement.
+    """Reference runner: simulate all amplitudes and sample one measurement.
 
-    ``marked`` holds distinct indices below ``space_size``.  Refuses a
-    space above ``statevector_cap_from_env()``, read when the step starts.
-    With ``failure_prob`` > 0 each round's phase flip independently drops
-    out, and the marked mass is the one realized under the drawn pattern.
+    Refuses a space above ``statevector_cap_from_env()``, read when the
+    run starts.  With ``failure_prob`` > 0 each round's phase flip
+    independently drops out, and the marked mass is the one realized
+    under the drawn pattern.
     """
     cap = statevector_cap_from_env()
-    if space_size > cap:
+    if search.space_size > cap:
         raise ResourceLimitError(
-            f"statevector space of {space_size} amplitudes exceeds the cap of {cap}"
+            f"statevector space of {search.space_size} amplitudes exceeds the cap of {cap}"
         )
     pattern = _fire_pattern(iterations, failure_prob, rng)
-    amps = _amplitudes(space_size, marked, iterations, pattern)
-    hits = amps[list(marked)]
+    amps = statevector_amplitudes(search, iterations, pattern)
+    hits = amps[list(search.marked)]
     return _sample_index(amps, rng), float(np.sum(hits * hits)), pattern
 
 
-def analytic_step(
-    space_size: int, marked: tuple[int, ...], iterations: int, failure_prob: float, rng
+def run_analytic(
+    search: Search, iterations: int, rng: np.random.Generator, failure_prob: float = 0.0
 ) -> StepResult:
-    """Reduced step: track the state's angle and sample the outcome it implies.
+    """Reduced runner: track the state's angle and sample the outcome it implies.
 
-    Measures what ``statevector_step`` measures on the same stream, for
-    ascending ``marked``.  Noiseless, the angle is (2r + 1) * theta at
-    once; with dropout, each drawn round moves c as the module says.
+    Measures what ``run_statevector`` measures on the same stream.
+    Noiseless, the angle is (2r + 1) * theta at once; with dropout, each
+    drawn round moves c as the module says.
     """
+    _check_search(search)
     pattern = _fire_pattern(iterations, failure_prob, rng)
     if pattern is None:
         c = 2 * iterations + 1
@@ -336,56 +297,14 @@ def analytic_step(
         c = 1
         for fires in pattern:
             c = c + 2 if fires else 2 - c
+    space_size, marked = search
     marked_mass, unmarked_mass = _masses(space_size, len(marked), c)
     measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, rng)
     return measured, marked_mass, pattern
 
 
-def _run(step, engine: str, problem: GroverProblem, iterations: int, rng, ledger, failure_prob):
-    """Run ``step`` on a record, charge its rounds and check the measured index."""
-    space_size, marked = problem.space_size, problem.marked
-    measured, mass, pattern = step(space_size, marked, iterations, failure_prob, rng)
-    problem.charge(ledger, iterations * problem.uncompute_factor)
-    # by position: keywords cost a NamedTuple twice as much
-    return GroverOutcome(measured, bool(problem.predicate(measured)), mass, engine, pattern)
-
-
-def run_statevector(
-    problem: GroverProblem,
-    iterations: int,
-    rng: np.random.Generator,
-    ledger: Optional[CostLedger] = None,
-    *,
-    failure_prob: float = 0.0,
-) -> GroverOutcome:
-    """``statevector_step`` on a record; predicted_success is the realized marked mass."""
-    return _run(statevector_step, "statevector", problem, iterations, rng, ledger, failure_prob)
-
-
-def run_analytic(
-    problem: GroverProblem,
-    iterations: int,
-    rng: np.random.Generator,
-    ledger: Optional[CostLedger] = None,
-    *,
-    failure_prob: float = 0.0,
-) -> GroverOutcome:
-    """``analytic_step`` on a record: ``run_statevector``'s charges and measurement."""
-    return _run(analytic_step, "analytic", problem, iterations, rng, ledger, failure_prob)
-
-
 def run_noisy_outer(
-    problem: GroverProblem,
-    iterations: int,
-    noise: NoisyOracleSpec,
-    rng: np.random.Generator,
-    ledger: Optional[CostLedger] = None,
-) -> GroverOutcome:
-    """Reduced run where each round's phase flip may independently drop.
-
-    A dropped round still charges the oracle (the work happens, the
-    marking fails) and still applies the inversion about the mean.  The
-    reported predicted_success is the marked mass realized under the
-    sampled dropout pattern, which the outcome also reports.
-    """
-    return _run(analytic_step, "analytic", problem, iterations, rng, ledger, noise.failure_prob)
+    search: Search, iterations: int, noise: NoisyOracleSpec, rng: np.random.Generator
+) -> StepResult:
+    """``run_analytic`` with the spec's per-round dropout."""
+    return run_analytic(search, iterations, rng, noise.failure_prob)

@@ -13,7 +13,9 @@ against the same cost model, so their ledgers are directly comparable:
 
 No matcher performs the sorts and membership probes it is charged for:
 each charges them by the closed forms of ``sortsearch`` and finds what
-it reports by compare.
+it reports by compare.  The amplified matchers run each search as a
+``Search`` through the configured engine's runner, looked up in this
+module at call time, and charge its rounds themselves.
 """
 
 from __future__ import annotations
@@ -21,22 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grover import (  # run_noisy_outer: the layer tracer patches it here
+from .grover import (  # run_noisy_outer: unused, but the layer tracer patches it here
     ENGINES,
-    GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
-    analytic_step,
+    Search,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
-    statevector_step,
     success_probability,
 )
 from .model import CostLedger, MatchInstance, RunReport, _repeats, seeded_rng
@@ -80,6 +80,13 @@ class NestedConfig:
 
 def _failure_prob(config: NestedConfig) -> float:
     return config.noise.failure_prob if config.noise is not None else 0.0
+
+
+def _engine(config: NestedConfig) -> tuple[str, Callable]:
+    """The engine that runs (auto runs the reduced one) and its runner."""
+    if config.engine == "statevector":
+        return "statevector", run_statevector
+    return "analytic", run_analytic
 
 
 def _nested_shape(n: int, block_size: Optional[int]) -> tuple[int, int, int, int]:
@@ -211,29 +218,22 @@ def naive_grover_pairs(
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     m = n * n
-    pair_star = instance.planted_pos1 * n + instance.planted_pos2
-    problem = GroverProblem(
-        space_size=m,
-        marked=(pair_star,),
-        predicate=lambda p: instance.values1[p // n] == instance.values2[p % n],
-        charge_fn=lambda led, times: led.charge_batch(
-            "outer_search", l1_queries=times, l2_queries=times
-        ),
-        uncompute_factor=config.uncompute_factor,
-    )
     iterations = iteration_schedule(m, 1)
-    run = run_statevector if config.engine == "statevector" else run_analytic
-    outcome = run(problem, iterations, seeded_rng(config.rng_seed), ledger)
-    found = None
-    if outcome.verified:
-        found = (outcome.measured_index // n, outcome.measured_index % n)
+    engine, run = _engine(config)
+    pair_star = instance.planted_pos1 * n + instance.planted_pos2
+    measured = run(Search(m, (pair_star,)), iterations, seeded_rng(config.rng_seed))[0]
+    evaluations = iterations * config.uncompute_factor
+    if evaluations:
+        ledger.charge_batch("outer_search", l1_queries=evaluations, l2_queries=evaluations)
+    i, j = divmod(measured, n)
+    found = (i, j) if instance.values1[i] == instance.values2[j] else None
     return RunReport(
         found=found,
         correct=_is_correct(instance, found),
         ledger=ledger,
         engine_stats={
             "algorithm": "naive_grover",
-            "engine": outcome.engine,
+            "engine": engine,
             "iterations": iterations,
             "pair_space": m,
         },
@@ -298,8 +298,8 @@ def nested_grover_match(
     more and direct queries confirming the pair, but sorts and probes
     nothing: the measured list2 value is looked up by compare in the
     block's unsorted slice of list1.  A run whose verification probe
-    misses reports no match rather than guessing.  Both searches run the
-    configured engine's step on plain values; the plan fixes what they
+    misses reports no match rather than guessing.  Both searches run
+    through the configured engine's runner; the plan fixes what they
     charge.
     """
     config = config if config is not None else NestedConfig()
@@ -309,11 +309,10 @@ def nested_grover_match(
     b, blocks, r_outer, r_inner, predicted_success = _nested_plan(
         n, config.block_size, failure_prob
     )
-    engine = "statevector" if config.engine == "statevector" else "analytic"
-    step = statevector_step if engine == "statevector" else analytic_step
+    engine, run = _engine(config)
     rng = seeded_rng(config.rng_seed)
     marked_block = instance.planted_pos1 // b
-    beta, outer_mass, fire_pattern = step(blocks, (marked_block,), r_outer, failure_prob, rng)
+    beta, outer_mass, fire_pattern = run(Search(blocks, (marked_block,)), r_outer, rng, failure_prob)
     outer_evaluations = r_outer * config.uncompute_factor
     if outer_evaluations:  # with none, no block is copied and no workspace is held
         _outer_oracle_charge(ledger, outer_evaluations, b, r_inner)
@@ -325,7 +324,7 @@ def nested_grover_match(
     ledger.workspace_acquire(len(block))
     charge_sort(len(block), ledger)
     marked = (instance.planted_pos2,) if beta == marked_block else ()
-    j_hat = step(n, marked, r_inner, 0.0, rng)[0]
+    j_hat = run(Search(n, marked), r_inner, rng)[0]
     # the amplified membership probes and the measured index's verification probe
     probes = r_inner * config.uncompute_factor + 1
     ledger.charge_batch(

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 
 import matchsim
-from matchsim import experiments
+from matchsim import experiments, matchers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -103,22 +103,31 @@ TRACED_SIZES = (16, 64, 100)
 TRACED_TRIALS = 3
 
 
-def assert_nested_runs_in_its_own_span(engine):
-    """A noisy nested sweep crosses no traced engine, sort or membership
-    name, and tracing changes no cost.
-
-    Both of its searches run the engine's step on plain values inside the
-    ``matchers.nested`` span, so their rounds show in no ``grover.*`` layer.
-    """
+def assert_nested_searches_are_traced(engine):
+    """A noisy nested sweep runs two searches a trial through the traced
+    runner of its engine, crosses no traced sort or membership name, and
+    tracing changes no cost."""
     config = experiments.SweepConfig(
         algorithm="nested", n_values=TRACED_SIZES, trials_per_n=TRACED_TRIALS,
         engine=engine, noise_preset="inv_n",
     )
     metrics = traced_sweep(config)
     trials = TRACED_TRIALS * len(TRACED_SIZES)
-    for layer in ("grover.statevector", "grover.noisy", "grover.analytic"):
-        assert metrics[f"{layer}.calls"] == 0, layer
-    assert metrics["grover.noisy.rounds"] == metrics["grover.statevector.rounds"] == 0
+    other = "analytic" if engine == "statevector" else "statevector"
+    assert metrics[f"grover.{engine}.calls"] == 2 * trials
+    assert metrics[f"grover.{other}.calls"] == 0
+    if engine == "statevector":
+        shapes = [matchers._nested_shape(n, None) for n in TRACED_SIZES]
+        rounds = sum(r_outer + r_inner for _, _, r_outer, r_inner in shapes)
+        amplitude_rounds = sum(
+            blocks * r_outer + n * r_inner
+            for n, (_, blocks, r_outer, r_inner) in zip(TRACED_SIZES, shapes)
+        )
+        assert metrics["grover.statevector.rounds"] == TRACED_TRIALS * rounds
+        assert metrics["grover.statevector.amplitude_rounds"] == TRACED_TRIALS * amplitude_rounds
+    # the grover.noisy site wraps only run_noisy_outer, which no matcher calls,
+    # so it never sees dropout rounds on either engine
+    assert metrics["grover.noisy.calls"] == metrics["grover.noisy.rounds"] == 0
     assert metrics["matchers.nested.calls"] == trials
     # the final pass charges its block sort and probes but performs neither
     assert metrics["sortsearch.sort.calls"] == metrics["sortsearch.membership.calls"] == 0
@@ -127,14 +136,13 @@ def assert_nested_runs_in_its_own_span(engine):
 
 
 def test_traced_noisy_nested_counts_the_outer_rounds(monkeypatch):
-    # the matcher charges the outer rounds itself: only the ledger total counts them
     monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
-    assert_nested_runs_in_its_own_span("analytic")
+    assert_nested_searches_are_traced("analytic")
 
 
 def test_traced_noisy_nested_on_the_statevector_engine(monkeypatch):
     monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
-    assert_nested_runs_in_its_own_span("statevector")
+    assert_nested_searches_are_traced("statevector")
 
 
 def test_traced_naive_grover_counts_amplitude_rounds(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for schedules, success probabilities, and the three engines."""
+"""Tests for schedules, success probabilities, and the engines' runners."""
 
 import itertools
 import math
@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from matchsim.grover import (
-    GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
     ScheduleUndefinedError,
+    Search,
     failure_probability,
     iteration_schedule,
     noisy_success_probability,
@@ -22,6 +22,12 @@ from matchsim.grover import (
 )
 from matchsim.matchers import NestedConfig, naive_grover_pairs, nested_grover_match
 from matchsim.model import CostLedger, generate_instance
+from search_record import GroverProblem, run_record
+
+
+def first_k(m, k):
+    """The search over m indices that marks the first k."""
+    return Search(m, tuple(range(k)))
 
 
 def first_k_problem(m, k, uncompute_factor=1, charge=None):
@@ -150,23 +156,20 @@ class TestSuccessProbability:
 
 class TestStatevectorEngine:
     def test_certain_hit_at_four(self):
-        out = run_statevector(first_k_problem(4, 1), 1, np.random.default_rng(0))
-        assert out.predicted_success == pytest.approx(1.0, abs=1e-12)
-        assert out.measured_index == 0
-        assert out.verified
+        measured, mass, _ = run_statevector(first_k(4, 1), 1, np.random.default_rng(0))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        assert measured == 0
 
     def test_marked_mass_matches_closed_form(self):
-        out = run_statevector(first_k_problem(8, 1), 2, np.random.default_rng(1))
+        mass = run_statevector(first_k(8, 1), 2, np.random.default_rng(1))[1]
         expected = success_probability(8, 1, 2)
-        assert out.predicted_success == pytest.approx(expected, abs=1e-9)
+        assert mass == pytest.approx(expected, abs=1e-9)
 
     def test_no_marked_elements_stays_uniform(self):
-        prob = first_k_problem(16, 0)
-        amps = statevector_amplitudes(prob, 3)
+        search = first_k(16, 0)
+        amps = statevector_amplitudes(search, 3)
         assert np.allclose(amps, 1 / 4.0, atol=1e-12)
-        out = run_statevector(prob, 3, np.random.default_rng(2))
-        assert out.predicted_success == 0.0
-        assert not out.verified
+        assert run_statevector(search, 3, np.random.default_rng(2))[1] == 0.0
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
@@ -174,34 +177,34 @@ class TestStatevectorEngine:
             m = int(rng.integers(2, 64))
             k = int(rng.integers(0, m + 1))
             r = int(rng.integers(0, 10))
-            amps = statevector_amplitudes(first_k_problem(m, k), r)
+            amps = statevector_amplitudes(first_k(m, k), r)
             assert float(np.sum(amps * amps)) == pytest.approx(1.0, abs=1e-12)
 
     def test_measurement_follows_amplitudes(self):
-        prob = first_k_problem(8, 1)
+        search = first_k(8, 1)
         r = 1
         p_hit = success_probability(8, 1, r)
         rng = np.random.default_rng(7)
         hits = sum(
-            run_statevector(prob, r, rng).verified for _ in range(4000)
+            run_statevector(search, r, rng)[0] == 0 for _ in range(4000)
         )
         sigma = math.sqrt(p_hit * (1 - p_hit) / 4000)
         assert abs(hits / 4000 - p_hit) < 4 * sigma
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "1024")
-        prob = first_k_problem(2048, 1)
         with pytest.raises(ResourceLimitError) as err:
-            run_statevector(prob, 1, np.random.default_rng(0))
+            run_statevector(first_k(2048, 1), 1, np.random.default_rng(0))
         assert "2048" in str(err.value)
 
     def test_oracle_charges_per_iteration_times_uncompute(self):
+        # the runner charges nothing: the record charges the rounds it ran
         prob = first_k_problem(
             64, 1, uncompute_factor=2,
             charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
         )
         led = CostLedger()
-        run_statevector(prob, 6, np.random.default_rng(0), led)
+        run_record(prob, 6, np.random.default_rng(0), led, engine="statevector")
         assert led.l2_queries == 6 * 2
 
 
@@ -214,31 +217,25 @@ class TestAnalyticEngine:
                     continue
                 r_top = (iteration_schedule(m, k) if k else 2) + 2
                 for r in range(r_top + 1):
-                    prob = first_k_problem(m, k)
-                    sv = run_statevector(prob, r, rng)
-                    an = run_analytic(prob, r, rng)
-                    assert an.predicted_success == pytest.approx(
-                        sv.predicted_success, abs=1e-9
-                    )
+                    search = first_k(m, k)
+                    sv = run_statevector(search, r, rng)[1]
+                    an = run_analytic(search, r, rng)[1]
+                    assert an == pytest.approx(sv, abs=1e-9)
 
     def test_outcome_rate_matches_prediction(self):
-        prob = first_k_problem(16, 1)
+        search = first_k(16, 1)
         r = 1
         p = success_probability(16, 1, r)
         rng = np.random.default_rng(5)
-        hits = sum(run_analytic(prob, r, rng).verified for _ in range(4000))
+        hits = sum(run_analytic(search, r, rng)[0] == 0 for _ in range(4000))
         sigma = math.sqrt(p * (1 - p) / 4000)
         assert abs(hits / 4000 - p) < 4 * sigma
 
     def test_unmarked_misses_spread_over_unmarked(self):
-        prob = first_k_problem(4, 1)
+        search = first_k(4, 1)
         rng = np.random.default_rng(9)
-        seen = set()
-        for _ in range(500):
-            out = run_analytic(prob, 0, rng)
-            if not out.verified:
-                seen.add(out.measured_index)
-        assert seen == {1, 2, 3}
+        seen = {run_analytic(search, 0, rng)[0] for _ in range(500)}
+        assert seen - {0} == {1, 2, 3}
 
     def test_charges_equal_statevector_charges(self):
         def charge(led, t):
@@ -246,17 +243,16 @@ class TestAnalyticEngine:
 
         led_sv, led_an = CostLedger(), CostLedger()
         prob = first_k_problem(32, 2, uncompute_factor=3, charge=charge)
-        run_statevector(prob, 4, np.random.default_rng(0), led_sv)
-        run_analytic(prob, 4, np.random.default_rng(0), led_an)
+        run_record(prob, 4, np.random.default_rng(0), led_sv, engine="statevector")
+        run_record(prob, 4, np.random.default_rng(0), led_an, engine="analytic")
         assert led_sv.total_cost() == led_an.total_cost() == 4 * 3
 
     def test_huge_space_without_amplitudes(self):
         m = 1 << 32
-        prob = GroverProblem(space_size=m, marked=(7,), predicate=lambda i: i == 7)
         r = iteration_schedule(m, 1)
-        out = run_analytic(prob, r, np.random.default_rng(0))
-        assert out.predicted_success > 1 - 1e-9
-        assert out.measured_index == 7
+        measured, mass, _ = run_analytic(Search(m, (7,)), r, np.random.default_rng(0))
+        assert mass > 1 - 1e-9
+        assert measured == 7
 
     def test_choose_engine_auto_respects_cap(self, monkeypatch):
         # auto runs the reduced engine at every size, so the amplitude cap
@@ -277,37 +273,29 @@ class TestAnalyticEngine:
             )
 
     def test_same_seed_measures_same_index_as_statevector(self):
-        # both engines turn the same uniform draws into the same index
+        # both runners turn the same uniform draws into the same index
         for m in [1, 2, 3, 7, 16, 33, 100]:
             for marked in [(), (0,), (m - 1,), (m // 2,), (0, m // 3, m - 1)]:
-                marked = tuple(sorted(set(marked)))
-                prob = GroverProblem(
-                    space_size=m, marked=marked, predicate=marked.__contains__
-                )
+                search = Search(m, tuple(sorted(set(marked))))
                 for r in range(6):
                     for eps in (0.0, 0.3):
                         for seed in range(8):
-                            sv = run_statevector(
-                                prob, r, np.random.default_rng(seed), failure_prob=eps
-                            )
-                            an = run_analytic(
-                                prob, r, np.random.default_rng(seed), failure_prob=eps
-                            )
-                            assert an.measured_index == sv.measured_index
-                            assert an.fire_pattern == sv.fire_pattern
-                            assert an.predicted_success == pytest.approx(
-                                sv.predicted_success, abs=1e-12
-                            )
+                            sv = run_statevector(search, r, np.random.default_rng(seed), eps)
+                            an = run_analytic(search, r, np.random.default_rng(seed), eps)
+                            assert an[0] == sv[0]
+                            assert an[2] == sv[2]
+                            assert an[1] == pytest.approx(sv[1], abs=1e-12)
 
     def test_outcome_names_engine_and_pattern(self):
-        prob = first_k_problem(16, 1)
-        an = run_analytic(prob, 3, np.random.default_rng(0))
-        sv = run_statevector(prob, 3, np.random.default_rng(0))
-        assert (an.engine, an.fire_pattern) == ("analytic", None)
-        assert (sv.engine, sv.fire_pattern) == ("statevector", None)
-        noisy = run_noisy_outer(prob, 3, NoisyOracleSpec(0.5), np.random.default_rng(0))
-        assert noisy.engine == "analytic"
-        assert len(noisy.fire_pattern) == 3
+        # the runners report the drawn pattern; the record names the engine that ran
+        search = first_k(16, 1)
+        assert run_analytic(search, 3, np.random.default_rng(0))[2] is None
+        assert run_statevector(search, 3, np.random.default_rng(0))[2] is None
+        noisy = run_noisy_outer(search, 3, NoisyOracleSpec(0.5), np.random.default_rng(0))
+        assert len(noisy[2]) == 3
+        for engine in ("analytic", "statevector"):
+            out = run_record(first_k_problem(16, 1), 3, np.random.default_rng(0), engine=engine)
+            assert out.engine == engine
 
     def test_noiseless_run_has_no_per_round_work(self):
         # a per-round loop could not finish 10^12 rounds
@@ -317,23 +305,32 @@ class TestAnalyticEngine:
             1 << 40, 1, uncompute_factor=2,
             charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
         )
-        out = run_analytic(prob, r, np.random.default_rng(0), led)
+        out = run_record(prob, r, np.random.default_rng(0), led)
         assert out.predicted_success == pytest.approx(success_probability(1 << 40, 1, r))
         assert led.l2_queries == 2 * r
 
 
 class TestEngineGuards:
-    """The engines read ``problem.marked`` as is: the problem checks it once."""
+    """Both runners refuse a search whose marked set is not strictly
+    ascending in [0, space_size), and the test-side record checks its
+    own fields when it is built."""
 
-    @pytest.mark.parametrize("engine", ["analytic", "noisy"])
+    @pytest.mark.parametrize("engine", ["analytic", "noisy", "statevector"])
     @pytest.mark.parametrize("index", [-1, 8])
     def test_out_of_range_marked_index_rejected(self, engine, index):
-        # the problem refuses the index before either engine can run on it
         with pytest.raises(ValueError):
-            run_engine(
-                engine,
-                GroverProblem(space_size=8, marked=(index,), predicate=lambda i: i == index),
-            )
+            run_engine(engine, Search(8, (index,)))
+
+    @pytest.mark.parametrize("run", [run_statevector, run_analytic])
+    @pytest.mark.parametrize(
+        "search",
+        [Search(8, (3, 3)), Search(8, (5, 0)), Search(0, ())],
+        ids=["repeated", "unsorted", "empty_space"],
+    )
+    def test_malformed_search_rejected(self, run, search):
+        # an unsorted set is refused, never reordered
+        with pytest.raises(ValueError):
+            run(search, 1, np.random.default_rng(0))
 
     def test_repeated_marked_index_rejected(self):
         with pytest.raises(ValueError):
@@ -362,11 +359,12 @@ class TestEngineGuards:
         assert seen == [4]
 
 
-def run_engine(engine, problem):
+def run_engine(engine, search):
     rng = np.random.default_rng(0)
     if engine == "noisy":
-        return run_noisy_outer(problem, 1, NoisyOracleSpec(0.5), rng)
-    return run_analytic(problem, 1, rng)
+        return run_noisy_outer(search, 1, NoisyOracleSpec(0.5), rng)
+    run = run_statevector if engine == "statevector" else run_analytic
+    return run(search, 1, rng)
 
 
 class TestFailureProbability:
@@ -387,34 +385,32 @@ class TestFailureProbability:
 class TestOutcome:
     @pytest.mark.parametrize("run", [run_analytic, run_statevector])
     def test_outcome_is_immutable(self, run):
-        outcome = run(first_k_problem(8, 1), 1, np.random.default_rng(3))
-        for name in outcome._fields:
-            with pytest.raises(AttributeError):
-                setattr(outcome, name, None)
+        outcome = run(first_k(8, 1), 1, np.random.default_rng(3))
+        assert len(outcome) == 3
+        with pytest.raises(TypeError):
+            outcome[0] = None
 
 
 class TestNoisyEngine:
     def test_zero_failure_equals_clean_engine(self):
-        prob = first_k_problem(32, 1)
+        search = first_k(32, 1)
         r = 4
         seq_clean = [
-            run_statevector(prob, r, np.random.default_rng(s)).measured_index
+            run_statevector(search, r, np.random.default_rng(s))[0]
             for s in range(50)
         ]
         seq_noisy = [
-            run_noisy_outer(
-                prob, r, NoisyOracleSpec(0.0), np.random.default_rng(s)
-            ).measured_index
+            run_noisy_outer(search, r, NoisyOracleSpec(0.0), np.random.default_rng(s))[0]
             for s in range(50)
         ]
         assert seq_clean == seq_noisy
 
     def test_certain_failure_reduces_to_uniform_sampling(self):
-        prob = first_k_problem(64, 1)
+        search = first_k(64, 1)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = run_noisy_outer(prob, 6, NoisyOracleSpec(1.0), rng)
-            assert out.predicted_success == pytest.approx(1 / 64, abs=1e-12)
+            mass = run_noisy_outer(search, 6, NoisyOracleSpec(1.0), rng)[1]
+            assert mass == pytest.approx(1 / 64, abs=1e-12)
 
     def test_invalid_failure_prob_rejected(self):
         with pytest.raises(ValueError):
@@ -428,7 +424,7 @@ class TestNoisyEngine:
 
         prob = first_k_problem(16, 1, charge=charge)
         led = CostLedger()
-        run_noisy_outer(prob, 3, NoisyOracleSpec(1.0), np.random.default_rng(0), led)
+        run_record(prob, 3, np.random.default_rng(0), led, failure_prob=1.0)
         assert led.l2_queries == 3
 
     def test_success_rate_matches_pattern_enumeration(self):
@@ -444,11 +440,11 @@ class TestNoisyEngine:
                 weight *= (1 - eps) if fires else eps
                 state = dense_rotation_step(m, 1, fires) @ state
             expected += weight * float(state[0] ** 2)
-        prob = first_k_problem(m, 1)
+        search = first_k(m, 1)
         rng = np.random.default_rng(42)
         trials = 100_000
         hits = sum(
-            run_noisy_outer(prob, r, NoisyOracleSpec(eps), rng).verified
+            run_noisy_outer(search, r, NoisyOracleSpec(eps), rng)[0] == 0
             for _ in range(trials)
         )
         sigma = math.sqrt(expected * (1 - expected) / trials)
@@ -461,7 +457,5 @@ class TestNoisyEngine:
             state = uniform
             for fires in pattern:
                 state = dense_rotation_step(m, k, fires) @ state
-            amps = statevector_amplitudes(
-                first_k_problem(m, k), len(pattern), fire_pattern=pattern
-            )
+            amps = statevector_amplitudes(first_k(m, k), len(pattern), fire_pattern=pattern)
             assert np.allclose(amps, state, atol=1e-12)

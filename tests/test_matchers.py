@@ -19,13 +19,9 @@ from matchsim.experiments import (
     run_sweep,
 )
 from matchsim.grover import (
-    GroverProblem,
     NoisyOracleSpec,
     ResourceLimitError,
     iteration_schedule,
-    run_analytic,
-    run_noisy_outer,
-    run_statevector,
     success_probability,
 )
 from matchsim.matchers import (
@@ -42,6 +38,7 @@ from matchsim.matchers import (
 )
 from matchsim.model import CostLedger, MatchInstance, RunReport, generate_instance, seeded_rng
 from matchsim.sortsearch import binary_membership, membership_probe_depth, sort_charges
+from search_record import GroverProblem, run_record
 from test_model import frozen_strided
 from test_sortsearch import block_view
 
@@ -105,26 +102,24 @@ def reference_two_sort_merge(instance):
 
 
 def reference_nested_match(instance, config=None, ledger=None):
-    """The record-based nested matcher that the step-based one replaced.
+    """The record-based nested matcher that the plan-charged one replaced.
 
-    Each search is a ``GroverProblem`` run through ``run_statevector``,
-    ``run_noisy_outer`` or ``run_analytic``, which charge its rounds
-    through the record; the inner record charges the verification probe
-    once more.
+    Each search is a ``GroverProblem`` run through ``run_record``, which
+    charges its rounds through the record; the inner record charges the
+    verification probe once more.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     b, blocks, r_outer, r_inner = matchers._nested_shape(n, config.block_size)
     rng = seeded_rng(config.rng_seed)
+    engine = "statevector" if config.engine == "statevector" else "analytic"
 
     def search(problem, iterations, noise=None):
-        if config.engine == "statevector":
-            failure_prob = noise.failure_prob if noise is not None else 0.0
-            return run_statevector(problem, iterations, rng, ledger, failure_prob=failure_prob)
-        if noise is not None and noise.failure_prob > 0.0:
-            return run_noisy_outer(problem, iterations, noise, rng, ledger)
-        return run_analytic(problem, iterations, rng, ledger)
+        failure_prob = noise.failure_prob if noise is not None else 0.0
+        return run_record(
+            problem, iterations, rng, ledger, engine=engine, failure_prob=failure_prob
+        )
 
     marked_block = instance.planted_pos1 // b
     outer_problem = GroverProblem(
@@ -695,23 +690,23 @@ class TestNestedPlan:
         assert calls == []
         assert matchers.sort_charges.cache_info().misses == misses
 
-
-    def test_a_warm_call_builds_no_search_record(self, monkeypatch):
+    @pytest.mark.parametrize("engine", ["analytic", "statevector"])
+    def test_each_call_builds_one_search_per_stage(self, monkeypatch, engine):
         built = []
-        post_init = GroverProblem.__post_init__
+        search = matchers.Search
 
-        def counting(problem):
-            built.append(problem.space_size)
-            post_init(problem)
+        def counting(*args):
+            built.append(args[0])
+            return search(*args)
 
-        monkeypatch.setattr(GroverProblem, "__post_init__", counting)
         inst = generate_instance(64, 5)
-        matchers._nested_plan.cache_clear()
-        for seed, engine in [(0, "auto"), (1, "auto"), (2, "statevector")]:
-            config = NestedConfig(engine=engine, noise=NoisyOracleSpec(1 / 8), rng_seed=seed)
-            nested_grover_match(inst, config)
-        assert built == []
-        naive_grover_pairs(inst)  # the hook sees the one record a naive run builds
+        config = NestedConfig(engine=engine, noise=noise_spec("inv_n", inst.n), rng_seed=1)
+        nested_grover_match(inst, config)  # warm the plan before counting
+        monkeypatch.setattr(matchers, "Search", counting)
+        nested_grover_match(inst, config)
+        assert built == [8, 64]  # the outer search over 8 blocks, the inner one over list2
+        built.clear()
+        naive_grover_pairs(inst, config)
         assert built == [64 * 64]
 
     def test_predicted_total_cost_reads_no_cache(self, monkeypatch):

@@ -22,8 +22,8 @@ from matchsim.experiments import ALGORITHMS, NOISE_PRESETS, SweepConfig, run_swe
 from matchsim.grover import (  # noqa: E402
     ENGINES,
     STATEVECTOR_CAP_ENV,
-    GroverProblem,
     NoisyOracleSpec,
+    Search,
     run_noisy_outer,
     statevector_amplitudes,
 )
@@ -55,19 +55,19 @@ def noisy_searches(draw):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(noisy_searches())
-def test_fire_pattern_replays_to_reported_mass(search):
-    m, marked, r, failure_prob, seed = search
-    problem = GroverProblem(space_size=m, marked=marked, predicate=marked.__contains__)
-    out = run_noisy_outer(
-        problem, r, NoisyOracleSpec(failure_prob), np.random.default_rng(seed)
+def test_fire_pattern_replays_to_reported_mass(case):
+    m, marked, r, failure_prob, seed = case
+    search = Search(m, marked)
+    _, mass, fire_pattern = run_noisy_outer(
+        search, r, NoisyOracleSpec(failure_prob), np.random.default_rng(seed)
     )
     if failure_prob == 0.0:
-        assert out.fire_pattern is None
+        assert fire_pattern is None
     else:
-        assert len(out.fire_pattern) == r
-    amps = statevector_amplitudes(problem, r, fire_pattern=out.fire_pattern)
+        assert len(fire_pattern) == r
+    amps = statevector_amplitudes(search, r, fire_pattern=fire_pattern)
     replayed = float(np.sum(amps[list(marked)] ** 2))
-    assert out.predicted_success == pytest.approx(replayed, abs=1e-12)
+    assert mass == pytest.approx(replayed, abs=1e-12)
 
 
 # 64-bit values, crowded at both ends of the range and around 2**63,
