@@ -718,6 +718,78 @@ class TestNestedPlan:
             assert predicted_total_cost(n).total_cost() > 0
 
 
+# (n, block_size, seed) -> (block count, marked block, P(marked block, verified),
+# P(marked block, unverified), P(each other block, unverified)), recorded from
+# the dense-matrix form of two_level_outcome_distribution (n x n prep,
+# diffusion and per-block rotation matrices) before it applied its reflections
+# as row operations.  Every unmarked block read exactly the same probability.
+TWO_LEVEL_PINS = {
+    (2, None, 0): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (2, None, 1): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (2, None, 2): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (2, 1, 0): (2, 0, 0.25, 0.2499999999999999, 0.4999999999999999),
+    (2, 1, 1): (2, 1, 0.25, 0.2499999999999999, 0.4999999999999999),
+    (2, 1, 2): (2, 1, 0.25, 0.2499999999999999, 0.4999999999999999),
+    (2, 3, 0): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (2, 3, 1): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (2, 3, 2): (1, 0, 0.5000000000000001, 0.4999999999999999, None),
+    (3, None, 0): (2, 0, 0.46296296296296297, 0.03703703703703692, 0.4999999999999999),
+    (3, None, 1): (2, 1, 0.46296296296296297, 0.03703703703703692, 0.4999999999999999),
+    (3, None, 2): (2, 1, 0.46296296296296297, 0.03703703703703692, 0.4999999999999999),
+    (3, 1, 0): (3, 0, 0.8166946095615508, 0.06533556876492386, 0.05898491083676263),
+    (3, 1, 1): (3, 2, 0.8166946095615506, 0.06533556876492383, 0.058984910836762744),
+    (3, 1, 2): (3, 2, 0.8166946095615508, 0.06533556876492386, 0.05898491083676265),
+    (3, 3, 0): (1, 0, 0.9259259259259262, 0.07407407407407385, None),
+    (3, 3, 1): (1, 0, 0.9259259259259262, 0.07407407407407385, None),
+    (3, 3, 2): (1, 0, 0.9259259259259262, 0.07407407407407385, None),
+    (5, None, 0): (2, 0, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (5, None, 1): (2, 1, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (5, None, 2): (2, 1, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (5, 1, 0): (5, 0, 0.9132344319999998, 0.03018956800000002, 0.014143999999999981),
+    (5, 1, 1): (5, 4, 0.913234432, 0.030189568000000028, 0.014144000000000016),
+    (5, 1, 2): (5, 4, 0.913234432, 0.030189568000000028, 0.014144000000000006),
+    (5, 3, 0): (2, 0, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (5, 3, 1): (2, 1, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (5, 3, 2): (2, 1, 0.4839999999999999, 0.01600000000000001, 0.4999999999999999),
+    (16, None, 0): (4, 2, 0.9334303635987451, 0.03755886369617655, 0.009670257568359384),
+    (16, None, 1): (4, 1, 0.9334303635987451, 0.03755886369617655, 0.00967025756835939),
+    (16, None, 2): (4, 1, 0.9334303635987451, 0.03755886369617655, 0.009670257568359368),
+    (16, 1, 0): (16, 11, 0.8907117505869206, 0.03583997536130924, 0.004896551603451382),
+    (16, 1, 1): (16, 4, 0.8907117505869206, 0.03583997536130924, 0.004896551603451387),
+    (16, 1, 2): (16, 7, 0.890711750586921, 0.035839975361309256, 0.004896551603451366),
+    (16, 3, 0): (6, 3, 0.8447636516626785, 0.03399114072736766, 0.02424904152199073),
+    (16, 3, 1): (6, 1, 0.8447636516626787, 0.03399114072736767, 0.024249041521990734),
+    (16, 3, 2): (6, 2, 0.8447636516626785, 0.03399114072736766, 0.02424904152199072),
+    (17, None, 0): (4, 1, 0.9642536599770413, 0.020289966014554517, 0.0051521246694678545),
+    (17, None, 1): (4, 1, 0.9642536599770415, 0.020289966014554524, 0.0051521246694678615),
+    (17, None, 2): (4, 1, 0.9642536599770415, 0.020289966014554524, 0.0051521246694678615),
+    (17, 1, 0): (17, 9, 0.940627163653817, 0.019792813836306492, 0.002473751406867312),
+    (17, 1, 1): (17, 7, 0.9406271636538176, 0.019792813836306503, 0.002473751406867318),
+    (17, 1, 2): (17, 8, 0.9406271636538176, 0.019792813836306503, 0.002473751406867321),
+    (17, 3, 0): (6, 3, 0.8737561486366605, 0.018385704194545653, 0.021571629433758684),
+    (17, 3, 1): (6, 2, 0.873756148636661, 0.018385704194545664, 0.021571629433758687),
+    (17, 3, 2): (6, 2, 0.8737561486366607, 0.01838570419454566, 0.021571629433758687),
+    (64, None, 0): (8, 1, 0.939293655494249, 0.0032180357761710707, 0.00821261553279698),
+    (64, None, 1): (8, 0, 0.9392936554942493, 0.0032180357761710716, 0.008212615532796985),
+    (64, None, 2): (8, 6, 0.9392936554942493, 0.0032180357761710716, 0.008212615532796992),
+    (64, 1, 0): (64, 13, 0.9898451418728704, 0.003391226014126451, 0.00010735923988898391),
+    (64, 1, 1): (64, 2, 0.9898451418728702, 0.0033912260141264502, 0.0001073592398889832),
+    (64, 1, 2): (64, 48, 0.9898451418728699, 0.0033912260141264494, 0.0001073592398889836),
+    (64, 3, 0): (22, 4, 0.9889061670202671, 0.0033880090705743176, 0.0003669439956742028),
+    (64, 3, 1): (22, 0, 0.9889061670202669, 0.0033880090705743168, 0.00036694399567420357),
+    (64, 3, 2): (22, 16, 0.9889061670202679, 0.0033880090705743202, 0.0003669439956742034),
+    (100, None, 0): (10, 5, 0.9897472447421654, 0.004629419643123862, 0.0006248150682973537),
+    (100, None, 1): (10, 3, 0.9897472447421685, 0.004629419643123877, 0.0006248150682974079),
+    (100, None, 2): (10, 1, 0.9897472447421662, 0.004629419643123867, 0.0006248150682973572),
+    (100, 1, 0): (100, 52, 0.9861444632388275, 0.004612568080717361, 9.336332000347356e-05),
+    (100, 1, 1): (100, 37, 0.986144463238844, 0.004612568080717438, 9.336332000347354e-05),
+    (100, 1, 2): (100, 19, 0.9861444632388302, 0.004612568080717374, 9.336332000347235e-05),
+    (100, 3, 0): (34, 17, 0.9904646304183194, 0.004632775125403329, 0.00014856346837006256),
+    (100, 3, 1): (34, 12, 0.9904646304183276, 0.004632775125403367, 0.00014856346837007126),
+    (100, 3, 2): (34, 6, 0.9904646304183207, 0.004632775125403335, 0.00014856346837006267),
+}
+
+
 class TestTwoLevelDistribution:
     def test_distribution_sums_to_one(self):
         for n, seed in [(4, 0), (16, 3), (64, 5)]:
@@ -746,6 +818,19 @@ class TestTwoLevelDistribution:
         dist = two_level_outcome_distribution(inst)
         marked = inst.planted_pos1 // 4
         assert dist[(marked, True)] == pytest.approx(p_outer * p_inner, abs=1e-6)
+
+    @pytest.mark.parametrize("n,block_size,seed", list(TWO_LEVEL_PINS))
+    def test_matches_the_pinned_distributions(self, n, block_size, seed):
+        blocks, marked, verified, unverified, other = TWO_LEVEL_PINS[n, block_size, seed]
+        expected = {(i, False): other for i in range(blocks) if i != marked}
+        expected[marked, True] = verified
+        expected[marked, False] = unverified
+        dist = two_level_outcome_distribution(
+            generate_instance(n, seed), NestedConfig(block_size=block_size)
+        )
+        assert set(dist) == set(expected)
+        for key, p in expected.items():
+            assert dist[key] == pytest.approx(p, abs=1e-10), key
 
     def test_respects_joint_cap(self):
         import matchsim.grover as grover
