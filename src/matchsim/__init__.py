@@ -55,11 +55,9 @@ from .model import (
     generate_instance,
 )
 from .sortsearch import (
-    binary_membership,
     block_count,
     membership_probe_depth,
     sort_charges,
-    sort_instrumented,
 )
 
 __version__ = "0.1.0"

@@ -206,11 +206,10 @@ def statevector_amplitudes(
         raise ValueError("iterations must be non-negative")
     space_size = search.space_size
     amps = np.full(space_size, 1.0 / math.sqrt(space_size))
-    mask = np.zeros(space_size, dtype=bool)
-    mask[list(search.marked)] = True
+    marked = np.array(search.marked, dtype=np.intp)
     for t in range(iterations):
         if fire_pattern is None or t >= len(fire_pattern) or fire_pattern[t]:
-            amps[mask] = -amps[mask]
+            amps[marked] = -amps[marked]
         amps = 2.0 * amps.mean() - amps
     return amps
 

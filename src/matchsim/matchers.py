@@ -404,77 +404,66 @@ def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostL
     return ledger
 
 
+MAX_JOINT_CELLS = 1 << 16
+
+
 def two_level_outcome_distribution(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
-    *,
-    max_joint_cells: int = 1 << 16,
 ) -> dict[tuple[int, bool], float]:
     """Exact outcome distribution of a joint two-level statevector run.
 
-    Simulates the nested iteration on one real-valued state over
-    (block, list2 index) pairs: each outer oracle application runs the
-    inner rotation in superposition, phase-flips branches whose inner
-    register verifies, and unwinds the inner rotation, so imperfect
-    uncomputation shows up as leaked amplitude.  Returns probabilities
-    for (measured block, final pass verified) outcomes; the final pass
-    itself is scored with the closed-form membership success.
+    Simulates the nested iteration on one real-valued (blocks, n) state
+    over (block, list2 index) pairs: each outer oracle application runs
+    every block's inner rotation (D O)^r A in superposition, phase-flips
+    branches whose inner register verifies, and unwinds it as A (O D)^r,
+    so imperfect uncomputation shows up as leaked amplitude.  A (index 0
+    to uniform), O (the block's flip) and D (inversion about the mean)
+    act on each row in O(n), so the state is all the memory a run holds;
+    over MAX_JOINT_CELLS cells it raises ResourceLimitError.  Returns
+    probabilities for (measured block, final pass verified) outcomes;
+    the final pass is scored with the closed-form membership success.
     """
     config = config if config is not None else NestedConfig()
     n = instance.n
     b, blocks, r_outer, r_inner = _nested_shape(n, config.block_size)
-    if blocks * n > max_joint_cells:
+    if blocks * n > MAX_JOINT_CELLS:
         raise ResourceLimitError(
-            f"joint space of {blocks * n} cells exceeds the cap of {max_joint_cells}"
+            f"joint space of {blocks * n} cells exceeds the cap of {MAX_JOINT_CELLS}"
         )
-    marked_block = instance.planted_pos1 // b
-
-    block_values = [
-        set(instance.list1[i * b : min((i + 1) * b, n)]) for i in range(blocks)
-    ]
-    marked_js = [
-        [j for j in range(n) if instance.list2[j] in block_values[i]]
-        for i in range(blocks)
-    ]
-
-    # inner prep A: reflection mapping basis state 0 to the uniform state
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    uniform = np.full(n, 1.0 / math.sqrt(n))
-    w = e0 - uniform
-    # n >= 2 (``_nested_shape``), so w is never zero
-    w /= np.linalg.norm(w)
-    prep = np.eye(n) - 2.0 * np.outer(w, w)
-    diffusion = np.full((n, n), 2.0 / n) - np.eye(n)
-
-    rotations = []
-    flips = []
+    # O: row i is -1 where list2 holds a value of block i
+    flips = np.ones((blocks, n))
     for i in range(blocks):
-        oracle_sign = np.ones(n)
-        oracle_sign[marked_js[i]] = -1.0
-        step = diffusion * oracle_sign[np.newaxis, :]
-        rotation = np.linalg.matrix_power(step, r_inner) @ prep
-        rotations.append(rotation)
-        flips.append(oracle_sign)
+        flips[i, np.isin(instance.values2, instance.values1[i * b : (i + 1) * b])] = -1.0
+    # A is v - 2 (v.w) w; n >= 2 (``_nested_shape``), so w is never zero
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    w /= np.linalg.norm(w)
+
+    def prep(psi: np.ndarray) -> np.ndarray:
+        return psi - 2.0 * np.outer(psi @ w, w)
+
+    def diffuse(psi: np.ndarray) -> np.ndarray:
+        return 2.0 * psi.mean(axis=1, keepdims=True) - psi
 
     psi = np.zeros((blocks, n))
     psi[:, 0] = 1.0 / math.sqrt(blocks)
     for _ in range(r_outer):
-        for i in range(blocks):
-            inner = rotations[i] @ psi[i]
-            inner *= flips[i]
-            psi[i] = rotations[i].T @ inner
-        psi = 2.0 * psi.mean(axis=0)[np.newaxis, :] - psi
+        psi = prep(psi)
+        for _ in range(r_inner):
+            psi = diffuse(psi * flips)
+        psi *= flips
+        for _ in range(r_inner):
+            psi = diffuse(psi) * flips
+        psi = prep(psi)
+        psi = 2.0 * psi.mean(axis=0) - psi
 
-    block_probs = (psi * psi).sum(axis=1)
+    out = {(i, False): float(p) for i, p in enumerate((psi * psi).sum(axis=1))}
+    # only the marked block's final pass can verify
+    marked_block = instance.planted_pos1 // b
+    p = out.pop((marked_block, False))
     p_inner = success_probability(n, 1, r_inner)
-    out: dict[tuple[int, bool], float] = {}
-    for i in range(blocks):
-        p = float(block_probs[i])
-        if i == marked_block:
-            out[(i, True)] = p * p_inner
-            if p_inner < 1.0:
-                out[(i, False)] = p * (1.0 - p_inner)
-        else:
-            out[(i, False)] = p
+    out[(marked_block, True)] = p * p_inner
+    if p_inner < 1.0:
+        out[(marked_block, False)] = p * (1.0 - p_inner)
     return out

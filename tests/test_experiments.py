@@ -490,6 +490,9 @@ class TestCompareReport:
         assert len(lines) == 3
 
 
+NESTED_STATS = ("outer_fire_pattern", "inner_verified")
+
+
 class TestCli:
     def test_run_prints_report(self, capsys):
         code = main(["run", "--algorithm", "nested", "--n", "256", "--seed", "1"])
@@ -524,6 +527,30 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["engine_stats"]["engine_outer"] == "statevector"
         assert doc["engine_stats"]["engine_inner"] == "statevector"
+
+    @pytest.mark.parametrize(
+        "argv,same_stats",
+        [
+            (["nested", "--n", "64", "--noise", "inv_sqrt_n"], NESTED_STATS),
+            # the last of the 13 blocks holds 4 cells
+            (["nested", "--n", "64", "--noise", "inv_sqrt_n", "--block-size", "5"], NESTED_STATS),
+            # one search over the 1024 pairs
+            (["naive_grover", "--n", "32"], ("iterations",)),
+        ],
+        ids=["nested", "nested-block-size-5", "naive_grover"],
+    )
+    def test_engines_agree(self, argv, same_stats, capsys):
+        # one seed, both engines: the same outcome and ledger (the marked mass
+        # may differ in its last bit)
+        docs = []
+        for engine in ("statevector", "analytic"):
+            assert main(["run", "--algorithm", *argv, "--engine", engine]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+            assert engine in docs[-1]["engine_stats"].values()
+        sv, an = docs
+        assert sv["found"] == an["found"] and sv["ledger"] == an["ledger"]
+        for key in same_stats:
+            assert sv["engine_stats"][key] == an["engine_stats"][key], key
 
     def test_sweep_writes_requested_outputs(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

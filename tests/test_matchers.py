@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -833,12 +834,22 @@ class TestTwoLevelDistribution:
             assert dist[key] == pytest.approx(p, abs=1e-10), key
 
     def test_respects_joint_cap(self):
-        import matchsim.grover as grover
+        # 64 blocks of 64 over 4096 list2 indices: 2^18 cells
+        assert matchers.MAX_JOINT_CELLS == 1 << 16
+        with pytest.raises(ResourceLimitError):
+            two_level_outcome_distribution(generate_instance(4096, 0))
 
-        with pytest.raises(grover.ResourceLimitError):
-            two_level_outcome_distribution(
-                generate_instance(256, 0), max_joint_cells=100
-            )
+    def test_memory_is_bounded_by_the_joint_state(self):
+        # 24 blocks of 24 over 576 list2 indices: 13 824 cells, 108 KiB a
+        # state; n x n operators alone would take 2.5 MiB each
+        inst = generate_instance(576, 0)
+        tracemalloc.start()
+        try:
+            two_level_outcome_distribution(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def _digest(texts):
