@@ -419,8 +419,8 @@ def two_level_outcome_distribution(
     branches whose inner register verifies, and unwinds it as A (O D)^r,
     so imperfect uncomputation shows up as leaked amplitude.  A (index 0
     to uniform), O (the block's flip) and D (inversion about the mean)
-    act on each row in O(n), so the state is all the memory a run holds;
-    over MAX_JOINT_CELLS cells it raises ResourceLimitError.  Returns
+    act on each row in O(n), so a run holds no array larger than the
+    state; over MAX_JOINT_CELLS cells it raises ResourceLimitError.  Returns
     probabilities for (measured block, final pass verified) outcomes;
     the final pass is scored with the closed-form membership success.
     """
