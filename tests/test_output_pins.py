@@ -8,6 +8,10 @@ a digest here and says why in CHANGES.md.
 
 The workloads are read from ``perfbench/workloads.py``, so a workload is
 unpinned, and fails here, until its digests are added.
+
+What ``match-sim fit`` and ``match-sim compare`` print for CSVs written by
+those sweeps is pinned too; those digests were recorded before fit and
+compare stopped rebuilding a sweep config from the rows they load.
 """
 
 import dataclasses
@@ -157,6 +161,70 @@ RUN_PINS = {
 }
 
 
+# the CSVs fit and compare read are written by sweeps pinned above, at
+# seed 11: a variant by name, or "<workload>:<index of its config>"
+
+# (CSV, --log-normalize) -> sha256 of what match-sim fit prints
+FIT_PINS = {
+    ("exhaustive", False): (
+        "b9b53bba4e677bff7c9ee46e72a9cad4dbf323f5756712afc668bf35b9fa398d"
+    ),
+    ("exhaustive", True): (
+        "49e0397ba99a4d503fb5f86b7d13493b70a09046579d2a91f2da2696156f9d97"
+    ),
+    ("naive_grover_statevector", False): (
+        "ea2e5af53837dd575b4ed4bfc282d80baa6ebdee21b868ecdf20ce1544d9c3d9"
+    ),
+    ("naive_grover_statevector", True): (
+        "df48e638bb8732730bfd03cb31f68117b37765fa988a07068065e19c9b88e4c4"
+    ),
+    ("nested_statevector_noisy", False): (
+        "e57b195a1007c80dcb4b2468431a1c6bd37563a538f8f32d9e0d27c50f24bee7"
+    ),
+    ("nested_statevector_noisy", True): (
+        "94aae001e2d6dd5977094c9aa60d0e89762fe1161ef2af2a46df13cb2416193c"
+    ),
+    ("nested_u3", False): (
+        "8d91eef9544af0f8832643914fd2df65a4fb656acec220eef072351fc23d4b5e"
+    ),
+    ("nested_u3", True): (
+        "6a8a47e4f9eabc39a44fd3bc3a04d5ff274484af566658f84ede18eaf0d5c97a"
+    ),
+    ("noisy_small_batch:0", False): (
+        "6a6c6032c5249036715bb63adc6400df07e77e6c1876029ad695c86378dadb36"
+    ),
+    ("noisy_small_batch:0", True): (
+        "9221cde0247e8aa8b8f4cd094b462feba1baa042ba7054af8eb72cfd24fbad64"
+    ),
+}
+
+# CSVs -> sha256 of what match-sim compare prints and of the CSV its --output
+# writes; the noisy CSV given twice is labelled nested and nested#2
+COMPARE_PINS = {
+    ("noisy_small_batch:0", "noisy_small_batch:0"): (
+        "9faa9d22bfd1bda7081d5b6fe2caf9fc67c30a4a80472996ab5f2ad21f5c0f78",
+        "d8063a9067263f063d9d7eace60e0e75a155069c4713e27cffb3e752ed183ddc",
+    ),
+    ("classical_sort:0", "classical_sort:1"): (
+        "7d402bd7d796f841987c841bf3023742ee2caaa90dcaa85d1ce5bb7e15648458",
+        "b972ce66d31917972e8fe699d6391cf5eee2a1bebb16227527c9250d9282cc98",
+    ),
+}
+
+
+def pinned_csv(name, tmp_path):
+    """Write the CSV of a sweep pinned above, at seed 11, and return its path."""
+    if name in VARIANTS:
+        config = SweepConfig(base_seed=11, **VARIANTS[name])
+    else:
+        workload, index = name.split(":")
+        configs = WORKLOADS.build_configs(WORKLOADS.WORKLOADS[workload], 11, str(tmp_path))
+        config = configs[int(index)]
+    path = tmp_path / f"{name.replace(':', '-')}.csv"
+    run_sweep(dataclasses.replace(config, output=str(path)))
+    return str(path)
+
+
 @pytest.fixture(autouse=True)
 def _default_cap(monkeypatch):
     monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
@@ -191,3 +259,19 @@ def test_nested_at_block_size_5_pinned():
 def test_run_report_pinned(argv, capsys):
     assert main(["run", *argv.split()]) == 0
     assert sha256([capsys.readouterr().out]) == RUN_PINS[argv]
+
+
+@pytest.mark.parametrize("name,log_normalize", sorted(FIT_PINS))
+def test_fit_pinned(name, log_normalize, tmp_path, capsys):
+    argv = ["fit", "--input", pinned_csv(name, tmp_path)]
+    assert main(argv + ["--log-normalize"] * log_normalize) == 0
+    assert sha256([capsys.readouterr().out]) == FIT_PINS[name, log_normalize]
+
+
+@pytest.mark.parametrize("names", sorted(COMPARE_PINS))
+def test_compare_pinned(names, tmp_path, capsys):
+    paths = [pinned_csv(name, tmp_path) for name in names]
+    table = tmp_path / "table.csv"
+    assert main(["compare", *paths, "--output", str(table)]) == 0
+    printed = sha256([capsys.readouterr().out])
+    assert (printed, sha256([table.read_text(encoding="utf-8")])) == COMPARE_PINS[names]
