@@ -14,10 +14,10 @@ from .experiments import (
     compare_report,
     derive_seed,
     fit_exponent,
+    geomean_costs,
     load_rows,
     noise_spec,
     output_paths,
-    result_from_rows,
     run_matcher,
     run_sweep,
 )
@@ -57,19 +57,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    rows = load_rows(args.input)
-    result = result_from_rows(rows)
-    points = [(n, result.geomean_cost(n)) for n in result.config.n_values]
+    points = list(geomean_costs(load_rows(args.input)).items())
     fit = fit_exponent(points, log_normalize=args.log_normalize)
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if len(args.inputs) < 2:
-        raise ValueError("compare needs at least two CSV files")
-    results = [result_from_rows(load_rows(path)) for path in args.inputs]
-    table = compare_report(results)
+    table = compare_report([load_rows(path) for path in args.inputs])
     sys.stdout.write(table.to_text())
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -285,16 +285,9 @@ class SweepResult:
     config: SweepConfig
     rows: list[TrialRow]
 
-    def rows_for(self, n: int) -> list[TrialRow]:
-        return [r for r in self.rows if r.n == n]
-
-    def geomean_cost(self, n: int) -> float:
-        return geometric_mean([r.total_cost for r in self.rows_for(n)])
-
     def aggregate(self) -> dict:
         per_n = []
-        for n in self.config.n_values:
-            rows = self.rows_for(n)
+        for n, rows in rows_by_size(self.rows).items():
             per_n.append(
                 {
                     "n": n,
@@ -307,7 +300,7 @@ class SweepResult:
                 }
             )
         doc: dict = {"algorithm": self.config.algorithm, "per_n": per_n}
-        if len(self.config.n_values) >= 3:
+        if len(per_n) >= 3:
             points = [(entry["n"], entry["geomean_cost"]) for entry in per_n]
             doc["fit"] = fit_exponent(points, log_normalize=False).as_dict()
             doc["fit_log_normalized"] = fit_exponent(points, log_normalize=True).as_dict()
@@ -383,7 +376,9 @@ def _trial_row(fields: list[str]) -> TrialRow:
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
     # the algorithm name, then every integer column, then predicted_success
     row = TrialRow(fields[0], *map(int, fields[1:-1]), float(fields[-1]))
-    for name in (*ACCESS_KINDS, "peak_workspace"):
+    if row.algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {row.algorithm!r}")
+    for name in ("trial", "seed", *ACCESS_KINDS, "peak_workspace"):
         if getattr(row, name) < 0:
             raise ValueError(f"{name} is negative: {getattr(row, name)}")
     accesses = sum(getattr(row, kind) for kind in ACCESS_KINDS)
@@ -413,19 +408,23 @@ def load_rows(csv_path: str | Path) -> list[TrialRow]:
             raise ValueError(f"{csv_path}, line {reader.line_num}: {err}") from err
 
 
-def result_from_rows(rows: Sequence[TrialRow]) -> SweepResult:
-    """Rebuild a minimal SweepResult from loaded rows (one algorithm)."""
+def rows_by_size(rows: Sequence[TrialRow]) -> dict[int, list[TrialRow]]:
+    """One algorithm's rows grouped by n: sizes ascending, each size's rows in order."""
     if not rows:
         raise ValueError("no rows to rebuild a sweep from")
     algorithms = {r.algorithm for r in rows}
     if len(algorithms) != 1:
         raise ValueError(f"rows mix algorithms: {sorted(algorithms)}")
-    n_values = tuple(sorted({r.n for r in rows}))
-    trials = max(r.trial for r in rows) + 1
-    config = SweepConfig(
-        algorithm=rows[0].algorithm, n_values=n_values, trials_per_n=trials
-    )
-    return SweepResult(config=config, rows=list(rows))
+    groups: dict[int, list[TrialRow]] = {}
+    for row in rows:
+        groups.setdefault(row.n, []).append(row)
+    return {n: groups[n] for n in sorted(groups)}
+
+
+def geomean_costs(rows: Sequence[TrialRow]) -> dict[int, float]:
+    """The geometric-mean total cost per n of one algorithm's rows, n ascending."""
+    by_n = rows_by_size(rows)
+    return {n: geometric_mean([r.total_cost for r in group]) for n, group in by_n.items()}
 
 
 @dataclass(frozen=True)
@@ -461,32 +460,30 @@ class CompareTable:
         return "\n".join(lines) + "\n"
 
 
-def compare_report(results: Sequence[SweepResult]) -> CompareTable:
-    """Align several sweeps over identical n grids for comparison.
+def compare_report(row_sets: Sequence[Sequence[TrialRow]]) -> CompareTable:
+    """Align several sweeps' rows, one algorithm each, over identical n grids.
 
-    Raises ValueError unless at least two results share the exact same
-    n_values.  When both a sort_scan and a nested sweep are present,
+    Raises ValueError unless at least two row sets cover the exact same
+    sizes.  When both a sort_scan and a nested sweep are present,
     reports the smallest n where nested is cheaper.
     """
-    if len(results) < 2:
+    if len(row_sets) < 2:
         raise ValueError("comparison needs at least two sweeps")
-    n_values = results[0].config.n_values
-    for res in results[1:]:
-        if res.config.n_values != n_values:
-            raise ValueError(
-                f"sweeps cover different sizes: {res.config.n_values} vs {n_values}"
-            )
-    labels: list[str] = []
+    # one label per row set, in order: the dict keeps them
     costs: dict[str, dict[int, float]] = {}
-    for res in results:
-        label = res.config.algorithm
+    for rows in row_sets:
+        per_n = geomean_costs(rows)
+        label = rows[0].algorithm
         if label in costs:
             suffix = 2
             while f"{label}#{suffix}" in costs:
                 suffix += 1
             label = f"{label}#{suffix}"
-        labels.append(label)
-        costs[label] = {n: res.geomean_cost(n) for n in n_values}
+        costs[label] = per_n
+    n_values = tuple(next(iter(costs.values())))
+    for per_n in costs.values():
+        if tuple(per_n) != n_values:
+            raise ValueError(f"sweeps cover different sizes: {tuple(per_n)} vs {n_values}")
     crossover = None
     if "nested" in costs and "sort_scan" in costs:
         for n in n_values:
@@ -495,7 +492,7 @@ def compare_report(results: Sequence[SweepResult]) -> CompareTable:
                 break
     return CompareTable(
         n_values=n_values,
-        labels=tuple(labels),
+        labels=tuple(costs),
         costs=costs,
         crossover_n=crossover,
     )

@@ -148,7 +148,7 @@ class CostLedger:
 
 
 class MatchInstance:
-    """Two equal-length lists of distinct values with one shared value.
+    """Two lists of ``n`` distinct values each, with one shared value.
 
     ``planted_value`` appears at ``list1[planted_pos1]`` and
     ``list2[planted_pos2]`` and nowhere else; no other value occurs in
@@ -159,16 +159,16 @@ class MatchInstance:
     in one read-only buffer, list1 first.  ``list1`` and ``list2`` are
     the same values as tuples of Python ints, built on first use.  The
     constructor takes any sequence of Python or numpy ints for either
-    list, and raises ValueError for any other value (a bool included) or
-    one outside [0, 2**64).  It keeps a read-only uint64 array whose
-    owner is read-only too, and copies anything else, so no writeable
-    array shares memory with an instance.  Two instances are equal when
-    all their fields hold the same values.
+    list and takes ``n`` from their length.  It raises ValueError for
+    lists of unequal length, any other value (a bool included) or one
+    outside [0, 2**64).  It keeps a read-only uint64 array whose owner
+    is read-only too, and copies anything else, so no writeable array
+    shares memory with an instance.  Two instances are equal when all
+    their fields hold the same values.
     """
 
     def __init__(
         self,
-        n: int,
         list1,
         list2,
         planted_value: int,
@@ -176,9 +176,11 @@ class MatchInstance:
         planted_pos2: int,
         seed: Optional[int] = None,
     ) -> None:
-        self.n = n
         self.values1 = _as_values(list1)
         self.values2 = _as_values(list2)
+        if len(self.values1) != len(self.values2):
+            raise ValueError("lists must have equal length")
+        self.n = len(self.values1)
         self.planted_value = planted_value
         self.planted_pos1 = planted_pos1
         self.planted_pos2 = planted_pos2
@@ -215,8 +217,6 @@ class MatchInstance:
         """Check every structural invariant; raise ValueError on failure."""
         if self.n < 2:
             raise ValueError("instance size must be at least 2")
-        if len(self.values1) != self.n or len(self.values2) != self.n:
-            raise ValueError("lists must both have length n")
         if len(_repeats(self.values1)) or len(_repeats(self.values2)):
             raise ValueError("lists must not repeat values internally")
         if _repeats(self.values1, self.values2).tolist() != [self.planted_value]:
@@ -232,14 +232,11 @@ class MatchInstance:
     def from_lists(cls, list1, list2, seed: Optional[int] = None) -> "MatchInstance":
         """Build an instance from explicit lists, locating the shared value."""
         a1, a2 = _as_values(list1), _as_values(list2)
-        if len(a1) != len(a2):
-            raise ValueError("lists must have equal length")
         shared = np.intersect1d(a1, a2)
         if len(shared) != 1:
             raise ValueError(f"lists must share exactly one value, found {len(shared)}")
         value = shared[0]
         inst = cls(
-            n=len(a1),
             list1=a1,
             list2=a2,
             planted_value=int(value),
@@ -562,7 +559,7 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
     lists.flags.writeable = False
-    return MatchInstance(n, lists[:n], lists[n:], planted, pos1, pos2, seed)
+    return MatchInstance(lists[:n], lists[n:], planted, pos1, pos2, seed)
 
 
 @dataclass

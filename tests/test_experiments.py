@@ -68,6 +68,9 @@ IMPOSSIBLE_ROWS = {
     "zero_total": (_zero_counters, "total_cost must be at least 1"),
     "success_two": (lambda rec: rec.update(success="2"), "success must be 0 or 1"),
     "n_below_two": (lambda rec: rec.update(n="1"), "n must be at least 2"),
+    "negative_trial": (lambda rec: rec.update(trial="-1"), "trial is negative"),
+    "negative_seed": (lambda rec: rec.update(seed="-1"), "seed is negative"),
+    "unknown_algorithm": (lambda rec: rec.update(algorithm="nope"), "unknown algorithm 'nope'"),
     "predicted_above_one": (lambda rec: rec.update(predicted_success="1.5"), "outside [0, 1]"),
     "predicted_nan": (lambda rec: rec.update(predicted_success="nan"), "outside [0, 1]"),
 }
@@ -454,7 +457,7 @@ class TestCompareReport:
     def test_identical_inputs_give_unit_ratio(self):
         a = self._sweep("sort_scan", (16, 64))
         b = self._sweep("sort_scan", (16, 64))
-        table = compare_report([a, b])
+        table = compare_report([a.rows, b.rows])
         for n in (16, 64):
             assert table.costs[table.labels[0]][n] == table.costs[table.labels[1]][n]
         assert table.labels[1].startswith("sort_scan#")
@@ -463,28 +466,28 @@ class TestCompareReport:
         a = self._sweep("sort_scan", (16, 64))
         b = self._sweep("nested", (16, 256))
         with pytest.raises(ValueError):
-            compare_report([a, b])
+            compare_report([a.rows, b.rows])
         with pytest.raises(ValueError):
-            compare_report([a])
+            compare_report([a.rows])
 
     def test_amplified_beats_exhaustive(self):
         a = self._sweep("exhaustive", (64, 256))
         b = self._sweep("naive_grover", (64, 256))
-        table = compare_report([a, b])
+        table = compare_report([a.rows, b.rows])
         for n in (64, 256):
             assert table.costs["naive_grover"][n] < table.costs["exhaustive"][n]
 
     def test_crossover_reported(self):
         a = self._sweep("sort_scan", (16, 64, 256))
         b = self._sweep("nested", (16, 64, 256))
-        table = compare_report([a, b])
+        table = compare_report([a.rows, b.rows])
         assert table.crossover_n == 16
         assert "nested beats sort_scan" in table.to_text()
 
     def test_csv_rendering_has_all_columns(self):
         a = self._sweep("sort_scan", (16, 64))
         b = self._sweep("nested", (16, 64))
-        table = compare_report([a, b])
+        table = compare_report([a.rows, b.rows])
         lines = table.to_csv_text().splitlines()
         assert lines[0] == "n,sort_scan,nested"
         assert len(lines) == 3

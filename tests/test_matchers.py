@@ -231,7 +231,7 @@ class TestClassicalSortScan:
         # is reported, and values past 2**63 order as unsigned
         top = 2**64 - 1
         inst = MatchInstance(
-            n=4, list1=(2**63, top, 5, 1), list2=(top, 7, 2**63, 9),
+            list1=(2**63, top, 5, 1), list2=(top, 7, 2**63, 9),
             planted_value=top, planted_pos1=1, planted_pos2=0,
         )
         assert classical_sort_scan(inst).found == (0, 2)
@@ -249,7 +249,7 @@ class TestClassicalSortScan:
     )
     def test_lists_that_repeat_values_match_the_references(self, list1, list2):
         inst = MatchInstance(
-            n=len(list1), list1=list1, list2=list2,
+            list1=list1, list2=list2,
             planted_value=list1[0], planted_pos1=0, planted_pos2=0,
         )
         assert classical_sort_scan(inst).found == reference_sort_scan(inst)
@@ -261,7 +261,7 @@ class TestClassicalSortScan:
 
     def test_missed_probe_reports_nothing(self):
         inst = MatchInstance(
-            n=3, list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
+            list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
             planted_value=4, planted_pos1=0, planted_pos2=0,
         )
         assert classical_sort_scan(inst).found is None
@@ -947,7 +947,7 @@ class TestArrayPaths:
         for n, seed in ((2, 0), (17, 1), (64, 2), (1024, 3)):
             inst = generate_instance(n, seed)
             strided = MatchInstance(
-                n, frozen_strided(inst.values1), frozen_strided(inst.values2),
+                frozen_strided(inst.values1), frozen_strided(inst.values2),
                 inst.planted_value, inst.planted_pos1, inst.planted_pos2, seed,
             )
             for values in (strided.values1, strided.values2):

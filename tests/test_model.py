@@ -607,7 +607,6 @@ class TestMatchInstance:
     def test_validate_rejects_internal_duplicate(self):
         inst = generate_instance(8, 1)
         tampered = MatchInstance(
-            n=inst.n,
             list1=inst.list1[:-1] + (inst.list1[0],),
             list2=inst.list2,
             planted_value=inst.planted_value,
@@ -621,7 +620,6 @@ class TestMatchInstance:
         inst = generate_instance(8, 1)
         wrong = (inst.planted_pos1 + 1) % inst.n
         tampered = MatchInstance(
-            n=inst.n,
             list1=inst.list1,
             list2=inst.list2,
             planted_value=inst.planted_value,
@@ -642,9 +640,20 @@ class TestMatchInstance:
     def test_direct_construction_rejects_values_outside_64_bits(self, bad):
         with pytest.raises(ValueError, match="64 bits"):
             MatchInstance(
-                n=2, list1=(bad, 1), list2=(1, 5),
+                list1=(bad, 1), list2=(1, 5),
                 planted_value=1, planted_pos1=1, planted_pos2=0,
             )
+
+    def test_size_is_the_lists_length(self):
+        inst = MatchInstance([1, 2, 3, 4], [4, 5, 6, 7], 4, 3, 0)
+        assert inst.n == 4
+        inst.validate()
+
+    def test_lists_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MatchInstance([1, 2, 3, 4], [4, 5, 6], 4, 3, 0)
+        with pytest.raises(ValueError, match="equal length"):
+            MatchInstance.from_lists([1, 2, 3], [3, 4])
 
     def test_lists_are_python_int_tuples_over_read_only_arrays(self):
         inst = MatchInstance.from_lists([2**64 - 1, 2**63, 7], [9, 7, 0])
@@ -705,7 +714,7 @@ class TestMatchInstance:
             MatchInstance.from_lists(bad, [2, 3])
         with pytest.raises(ValueError, match="integers"):
             MatchInstance(
-                n=2, list1=(2, 3), list2=bad, planted_value=2, planted_pos1=0, planted_pos2=1,
+                list1=(2, 3), list2=bad, planted_value=2, planted_pos1=0, planted_pos2=1,
             )
 
     def test_a_non_sequence_is_refused(self):
@@ -729,13 +738,13 @@ class TestMatchInstance:
     def test_equality_is_by_value(self):
         inst = generate_instance(8, 1)
         same = MatchInstance(
-            n=8, list1=list(inst.list1), list2=inst.list2,
+            list1=list(inst.list1), list2=inst.list2,
             planted_value=inst.planted_value, planted_pos1=inst.planted_pos1,
             planted_pos2=inst.planted_pos2, seed=inst.seed,
         )
         assert same == inst
         swapped = MatchInstance(
-            n=8, list1=inst.list2, list2=inst.list1,
+            list1=inst.list2, list2=inst.list1,
             planted_value=inst.planted_value, planted_pos1=inst.planted_pos2,
             planted_pos2=inst.planted_pos1, seed=inst.seed,
         )

@@ -111,7 +111,7 @@ def walk_instances(draw):
         return MatchInstance.from_lists(list1, list2)
     first = common[0] if common else list1[0]
     return MatchInstance(
-        n=n, list1=list1, list2=list2, planted_value=first,
+        list1=list1, list2=list2, planted_value=first,
         planted_pos1=list1.index(first), planted_pos2=list2.index(first) if common else 0,
     )
 
@@ -120,7 +120,7 @@ def walk_instances(draw):
 @hypothesis.given(walk_instances())
 # three shared values on both sides of 2**63, where a signed compare flips
 @hypothesis.example(MatchInstance(
-    n=4, list1=(2**63, 2**64 - 1, 5, 2**63 - 1), list2=(2**64 - 1, 7, 2**63, 2**63 - 1),
+    list1=(2**63, 2**64 - 1, 5, 2**63 - 1), list2=(2**64 - 1, 7, 2**63, 2**63 - 1),
     planted_value=2**63, planted_pos1=0, planted_pos2=2,
 ))
 def test_classical_kernels_match_their_step_by_step_references(instance):
