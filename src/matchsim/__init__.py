@@ -27,7 +27,6 @@ from .grover import (
     ResourceLimitError,
     ScheduleUndefinedError,
     Search,
-    failure_probability,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
@@ -39,12 +38,10 @@ from .matchers import (
     NestedConfig,
     classical_sort_scan,
     classical_two_sort_merge,
-    composed_success_probability,
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
     predicted_total_cost,
-    two_level_outcome_distribution,
 )
 from .model import (
     ACCESS_KINDS,

@@ -444,9 +444,7 @@ class CompareTable:
         return buf.getvalue()
 
     def to_text(self) -> str:
-        lines = []
-        header = ["n"] + [f"{label:>16}" for label in self.labels]
-        lines.append("  ".join([f"{'n':>8}"] + header[1:]))
+        lines = ["  ".join([f"{'n':>8}", *(f"{label:>16}" for label in self.labels)])]
         for n in self.n_values:
             cells = [f"{n:>8}"]
             for label in self.labels:

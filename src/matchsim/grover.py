@@ -126,16 +126,6 @@ def success_probability(space_size: int, marked_count: int, iterations: int) -> 
     return _masses(space_size, marked_count, 2 * iterations + 1)[0]
 
 
-def failure_probability(space_size: int, marked_count: int, iterations: int) -> float:
-    """Probability of measuring an unmarked index after ``iterations`` rounds.
-
-    Equals cos^2((2r + 1) * asin(sqrt(k / M))), accurate where it is far
-    below the float spacing near 1 and ``1 - success_probability`` is 0.
-    """
-    _check_counts(space_size, marked_count, iterations)
-    return _masses(space_size, marked_count, 2 * iterations + 1)[1]
-
-
 def noisy_success_probability(space_size: int, iterations: int, failure_prob: float) -> float:
     """Exact hit probability of a 1-marked search with per-round dropout.
 

@@ -30,7 +30,6 @@ import numpy as np
 from .grover import (  # run_noisy_outer: unused, but the layer tracer patches it here
     ENGINES,
     NoisyOracleSpec,
-    ResourceLimitError,
     Search,
     iteration_schedule,
     noisy_success_probability,
@@ -366,12 +365,6 @@ def nested_grover_match(
     )
 
 
-def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:
-    """Predicted success of the nested matcher: outer hit times final verify."""
-    config = config if config is not None else NestedConfig()
-    return _nested_plan(n, config.block_size, _failure_prob(config)).predicted_success
-
-
 def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostLedger:
     """Ledger-shaped cost prediction for a nested run on equal blocks.
 
@@ -402,68 +395,3 @@ def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostL
     ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
     ledger.workspace_release(b)
     return ledger
-
-
-MAX_JOINT_CELLS = 1 << 16
-
-
-def two_level_outcome_distribution(
-    instance: MatchInstance,
-    config: Optional[NestedConfig] = None,
-) -> dict[tuple[int, bool], float]:
-    """Exact outcome distribution of a joint two-level statevector run.
-
-    Simulates the nested iteration on one real-valued (blocks, n) state
-    over (block, list2 index) pairs: each outer oracle application runs
-    every block's inner rotation (D O)^r A in superposition, phase-flips
-    branches whose inner register verifies, and unwinds it as A (O D)^r,
-    so imperfect uncomputation shows up as leaked amplitude.  A (index 0
-    to uniform), O (the block's flip) and D (inversion about the mean)
-    act on each row in O(n), so a run holds no array larger than the
-    state; over MAX_JOINT_CELLS cells it raises ResourceLimitError.  Returns
-    probabilities for (measured block, final pass verified) outcomes;
-    the final pass is scored with the closed-form membership success.
-    """
-    config = config if config is not None else NestedConfig()
-    n = instance.n
-    b, blocks, r_outer, r_inner = _nested_shape(n, config.block_size)
-    if blocks * n > MAX_JOINT_CELLS:
-        raise ResourceLimitError(
-            f"joint space of {blocks * n} cells exceeds the cap of {MAX_JOINT_CELLS}"
-        )
-    # O: row i is -1 where list2 holds a value of block i
-    flips = np.ones((blocks, n))
-    for i in range(blocks):
-        flips[i, np.isin(instance.values2, instance.values1[i * b : (i + 1) * b])] = -1.0
-    # A is v - 2 (v.w) w; n >= 2 (``_nested_shape``), so w is never zero
-    w = np.full(n, -1.0 / math.sqrt(n))
-    w[0] += 1.0
-    w /= np.linalg.norm(w)
-
-    def prep(psi: np.ndarray) -> np.ndarray:
-        return psi - 2.0 * np.outer(psi @ w, w)
-
-    def diffuse(psi: np.ndarray) -> np.ndarray:
-        return 2.0 * psi.mean(axis=1, keepdims=True) - psi
-
-    psi = np.zeros((blocks, n))
-    psi[:, 0] = 1.0 / math.sqrt(blocks)
-    for _ in range(r_outer):
-        psi = prep(psi)
-        for _ in range(r_inner):
-            psi = diffuse(psi * flips)
-        psi *= flips
-        for _ in range(r_inner):
-            psi = diffuse(psi) * flips
-        psi = prep(psi)
-        psi = 2.0 * psi.mean(axis=0) - psi
-
-    out = {(i, False): float(p) for i, p in enumerate((psi * psi).sum(axis=1))}
-    # only the marked block's final pass can verify
-    marked_block = instance.planted_pos1 // b
-    p = out.pop((marked_block, False))
-    p_inner = success_probability(n, 1, r_inner)
-    out[(marked_block, True)] = p * p_inner
-    if p_inner < 1.0:
-        out[(marked_block, False)] = p * (1.0 - p_inner)
-    return out

@@ -52,9 +52,6 @@ class PhaseCosts:
     mem_reads: int = 0
     mem_writes: int = 0
 
-    def total(self) -> int:
-        return self.l1_queries + self.l2_queries + self.mem_reads + self.mem_writes
-
     def as_dict(self) -> dict[str, int]:
         return {kind: getattr(self, kind) for kind in ACCESS_KINDS}
 
@@ -63,7 +60,7 @@ class CostLedger:
     """Mutable counter set for list queries and workspace traffic.
 
     ``total_cost`` is the work factor of a run: the sum of the four
-    access counters.  Workspace occupancy is tracked separately via
+    access counters.  Workspace occupancy, ``live_workspace``, is tracked via
     ``workspace_acquire``/``workspace_release``; ``peak_workspace`` is
     the high-water mark of simultaneously live auxiliary cells.  The
     input lists are static and never count as workspace.
@@ -76,7 +73,7 @@ class CostLedger:
         self.mem_writes = 0
         self.phase_breakdown: dict[str, PhaseCosts] = {p: PhaseCosts() for p in PHASES}
         self.peak_workspace = 0
-        self._live_workspace = 0
+        self.live_workspace = 0
 
     def charge(self, kind: str, amount: int, phase: str) -> None:
         """Add ``amount`` accesses of one kind, attributed to ``phase``."""
@@ -112,28 +109,19 @@ class CostLedger:
     def workspace_acquire(self, cells: int) -> None:
         if cells < 0:
             raise ValueError("cell count must be non-negative")
-        self._live_workspace += cells
-        if self._live_workspace > self.peak_workspace:
-            self.peak_workspace = self._live_workspace
+        self.live_workspace += cells
+        if self.live_workspace > self.peak_workspace:
+            self.peak_workspace = self.live_workspace
 
     def workspace_release(self, cells: int) -> None:
         if cells < 0:
             raise ValueError("cell count must be non-negative")
-        if cells > self._live_workspace:
+        if cells > self.live_workspace:
             raise ValueError("releasing more workspace cells than are live")
-        self._live_workspace -= cells
-
-    @property
-    def live_workspace(self) -> int:
-        return self._live_workspace
+        self.live_workspace -= cells
 
     def total_cost(self) -> int:
         return self.l1_queries + self.l2_queries + self.mem_reads + self.mem_writes
-
-    def phase_total(self, phase: str) -> int:
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        return self.phase_breakdown[phase].total()
 
     def as_dict(self) -> dict:
         return {
@@ -212,40 +200,6 @@ class MatchInstance:
             f"planted_pos1={self.planted_pos1}, planted_pos2={self.planted_pos2}, "
             f"seed={self.seed})"
         )
-
-    def validate(self) -> None:
-        """Check every structural invariant; raise ValueError on failure."""
-        if self.n < 2:
-            raise ValueError("instance size must be at least 2")
-        if len(_repeats(self.values1)) or len(_repeats(self.values2)):
-            raise ValueError("lists must not repeat values internally")
-        if _repeats(self.values1, self.values2).tolist() != [self.planted_value]:
-            raise ValueError("lists must share exactly the planted value")
-        if not (0 <= self.planted_pos1 < self.n and 0 <= self.planted_pos2 < self.n):
-            raise ValueError("planted positions out of range")
-        if int(self.values1[self.planted_pos1]) != self.planted_value:
-            raise ValueError("planted_pos1 does not point at planted_value")
-        if int(self.values2[self.planted_pos2]) != self.planted_value:
-            raise ValueError("planted_pos2 does not point at planted_value")
-
-    @classmethod
-    def from_lists(cls, list1, list2, seed: Optional[int] = None) -> "MatchInstance":
-        """Build an instance from explicit lists, locating the shared value."""
-        a1, a2 = _as_values(list1), _as_values(list2)
-        shared = np.intersect1d(a1, a2)
-        if len(shared) != 1:
-            raise ValueError(f"lists must share exactly one value, found {len(shared)}")
-        value = shared[0]
-        inst = cls(
-            list1=a1,
-            list2=a2,
-            planted_value=int(value),
-            planted_pos1=int(np.argmax(a1 == value)),
-            planted_pos2=int(np.argmax(a2 == value)),
-            seed=seed,
-        )
-        inst.validate()
-        return inst
 
 
 def _frozen(array: np.ndarray) -> bool:

@@ -1,0 +1,138 @@
+"""References and helpers that only the tests call, built on the package's
+own private functions.
+
+- ``two_level_outcome_distribution`` is the exact outcome law of a joint
+  two-level statevector run: the coherent model that the nested
+  matcher's composed success (outer hit times final verify) and its
+  sampled outcomes are checked against.
+- ``composed_success_probability`` and ``failure_probability`` read the
+  closed forms the matchers and runners already compute.
+- ``instance_from_lists`` and ``check_instance`` build a hand-written
+  instance and check every structural invariant of one.
+"""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from matchsim.grover import _check_counts, _masses, success_probability
+from matchsim.matchers import NestedConfig, _failure_prob, _nested_plan, _nested_shape
+from matchsim.model import MatchInstance, ResourceLimitError, _as_values, _repeats
+
+
+def failure_probability(space_size: int, marked_count: int, iterations: int) -> float:
+    """Probability of measuring an unmarked index after ``iterations`` rounds.
+
+    Equals cos^2((2r + 1) * asin(sqrt(k / M))), accurate where it is far
+    below the float spacing near 1 and ``1 - success_probability`` is 0:
+    the unmarked mass ``run_analytic`` samples from.
+    """
+    _check_counts(space_size, marked_count, iterations)
+    return _masses(space_size, marked_count, 2 * iterations + 1)[1]
+
+
+def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:
+    """Predicted success of the nested matcher: outer hit times final verify."""
+    config = config if config is not None else NestedConfig()
+    return _nested_plan(n, config.block_size, _failure_prob(config)).predicted_success
+
+
+def check_instance(inst: MatchInstance) -> None:
+    """Check every structural invariant of an instance; raise ValueError on failure."""
+    if inst.n < 2:
+        raise ValueError("instance size must be at least 2")
+    if len(_repeats(inst.values1)) or len(_repeats(inst.values2)):
+        raise ValueError("lists must not repeat values internally")
+    if _repeats(inst.values1, inst.values2).tolist() != [inst.planted_value]:
+        raise ValueError("lists must share exactly the planted value")
+    if not (0 <= inst.planted_pos1 < inst.n and 0 <= inst.planted_pos2 < inst.n):
+        raise ValueError("planted positions out of range")
+    if int(inst.values1[inst.planted_pos1]) != inst.planted_value:
+        raise ValueError("planted_pos1 does not point at planted_value")
+    if int(inst.values2[inst.planted_pos2]) != inst.planted_value:
+        raise ValueError("planted_pos2 does not point at planted_value")
+
+
+def instance_from_lists(list1, list2, seed: Optional[int] = None) -> MatchInstance:
+    """Build an instance from explicit lists, locating the shared value."""
+    a1, a2 = _as_values(list1), _as_values(list2)
+    shared = np.intersect1d(a1, a2)
+    if len(shared) != 1:
+        raise ValueError(f"lists must share exactly one value, found {len(shared)}")
+    value = shared[0]
+    inst = MatchInstance(
+        list1=a1,
+        list2=a2,
+        planted_value=int(value),
+        planted_pos1=int(np.argmax(a1 == value)),
+        planted_pos2=int(np.argmax(a2 == value)),
+        seed=seed,
+    )
+    check_instance(inst)
+    return inst
+
+
+MAX_JOINT_CELLS = 1 << 16
+
+
+def two_level_outcome_distribution(
+    instance: MatchInstance,
+    config: Optional[NestedConfig] = None,
+) -> dict[tuple[int, bool], float]:
+    """Exact outcome distribution of a joint two-level statevector run.
+
+    Simulates the nested iteration on one real-valued (blocks, n) state
+    over (block, list2 index) pairs: each outer oracle application runs
+    every block's inner rotation (D O)^r A in superposition, phase-flips
+    branches whose inner register verifies, and unwinds it as A (O D)^r,
+    so imperfect uncomputation shows up as leaked amplitude.  A (index 0
+    to uniform), O (the block's flip) and D (inversion about the mean)
+    act on each row in O(n), so a run holds no array larger than the
+    state; over MAX_JOINT_CELLS cells it raises ResourceLimitError.  Returns
+    probabilities for (measured block, final pass verified) outcomes;
+    the final pass is scored with the closed-form membership success.
+    """
+    config = config if config is not None else NestedConfig()
+    n = instance.n
+    b, blocks, r_outer, r_inner = _nested_shape(n, config.block_size)
+    if blocks * n > MAX_JOINT_CELLS:
+        raise ResourceLimitError(
+            f"joint space of {blocks * n} cells exceeds the cap of {MAX_JOINT_CELLS}"
+        )
+    # O: row i is -1 where list2 holds a value of block i
+    flips = np.ones((blocks, n))
+    for i in range(blocks):
+        flips[i, np.isin(instance.values2, instance.values1[i * b : (i + 1) * b])] = -1.0
+    # A is v - 2 (v.w) w; n >= 2 (``_nested_shape``), so w is never zero
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    w /= np.linalg.norm(w)
+
+    def prep(psi: np.ndarray) -> np.ndarray:
+        return psi - 2.0 * np.outer(psi @ w, w)
+
+    def diffuse(psi: np.ndarray) -> np.ndarray:
+        return 2.0 * psi.mean(axis=1, keepdims=True) - psi
+
+    psi = np.zeros((blocks, n))
+    psi[:, 0] = 1.0 / math.sqrt(blocks)
+    for _ in range(r_outer):
+        psi = prep(psi)
+        for _ in range(r_inner):
+            psi = diffuse(psi * flips)
+        psi *= flips
+        for _ in range(r_inner):
+            psi = diffuse(psi) * flips
+        psi = prep(psi)
+        psi = 2.0 * psi.mean(axis=0) - psi
+
+    out = {(i, False): float(p) for i, p in enumerate((psi * psi).sum(axis=1))}
+    # only the marked block's final pass can verify
+    marked_block = instance.planted_pos1 // b
+    p = out.pop((marked_block, False))
+    p_inner = success_probability(n, 1, r_inner)
+    out[(marked_block, True)] = p * p_inner
+    if p_inner < 1.0:
+        out[(marked_block, False)] = p * (1.0 - p_inner)
+    return out

@@ -14,7 +14,6 @@ from matchsim.experiments import SweepConfig, run_sweep
 from matchsim.grover import (
     NoisyOracleSpec,
     Search,
-    failure_probability,
     iteration_schedule,
     run_analytic,
     run_statevector,
@@ -24,13 +23,16 @@ from matchsim.matchers import (
     NestedConfig,
     classical_sort_scan,
     classical_two_sort_merge,
-    composed_success_probability,
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
-    two_level_outcome_distribution,
 )
 from matchsim.model import generate_instance
+from references import (
+    composed_success_probability,
+    failure_probability,
+    two_level_outcome_distribution,
+)
 
 SCALING_SIZES = (4**4, 4**5, 4**6, 4**7, 4**8)
 

@@ -11,7 +11,6 @@ from matchsim.grover import (
     ResourceLimitError,
     ScheduleUndefinedError,
     Search,
-    failure_probability,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
@@ -22,6 +21,7 @@ from matchsim.grover import (
 )
 from matchsim.matchers import NestedConfig, naive_grover_pairs, nested_grover_match
 from matchsim.model import CostLedger, generate_instance
+from references import failure_probability
 from search_record import GroverProblem, run_record
 
 

@@ -34,6 +34,7 @@ from matchsim.matchers import (  # noqa: E402
 )
 from matchsim.model import MatchInstance  # noqa: E402
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
+from references import instance_from_lists  # noqa: E402
 from test_matchers import (  # noqa: E402
     brute_force_match,
     reference_sort_scan,
@@ -90,7 +91,7 @@ def arrange(draw, values):
 
 @st.composite
 def walk_instances(draw):
-    """Instances whose lists share 1 value (via from_lists), or 0 or 2-4 (built directly).
+    """Instances sharing 1 value (instance_from_lists), or 0 or 2-4 (built directly).
 
     Each list holds distinct values.  The shared values are the
     smallest, the largest or any of the drawn values, and each list
@@ -108,7 +109,7 @@ def walk_instances(draw):
     list1 = arrange(draw, common + rest[: n - shared])
     list2 = arrange(draw, common + rest[n - shared :])
     if shared == 1:
-        return MatchInstance.from_lists(list1, list2)
+        return instance_from_lists(list1, list2)
     first = common[0] if common else list1[0]
     return MatchInstance(
         list1=list1, list2=list2, planted_value=first,
