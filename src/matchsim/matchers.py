@@ -38,7 +38,7 @@ from .grover import (  # run_noisy_outer: unused, but the layer tracer patches i
     run_statevector,
     success_probability,
 )
-from .model import CostLedger, MatchInstance, RunReport, _repeats, seeded_rng
+from .model import CostLedger, MatchInstance, RunReport, seeded_rng
 # binary_membership, sort_instrumented: unused, but the layer tracer patches them here
 from .sortsearch import (
     block_count,
@@ -109,20 +109,6 @@ def _is_correct(instance: MatchInstance, found: Optional[tuple[int, int]]) -> bo
     )
 
 
-def _shared_values(values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
-    """The values both lists hold, ascending and distinct.
-
-    A MatchInstance repeats at most one value across its lists
-    (``_repeats``), shared unless a list repeats it; with more,
-    np.intersect1d keeps the cost O(n log n).
-    """
-    twins = _repeats(values1, values2)
-    if len(twins) > 1:
-        return np.intersect1d(values1, values2)
-    shared = len(twins) == 1 and (values1 == twins[0]).any() and (values2 == twins[0]).any()
-    return twins if shared else twins[:0]
-
-
 def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
     """Probe all n^2 pairs; the ground-truth baseline.
 
@@ -135,7 +121,7 @@ def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = Non
     ledger.charge_batch("outer_search", l1_queries=n * n, l2_queries=n * n)
     values1, values2 = instance.values1, instance.values2
     found = None
-    shared = _shared_values(values1, values2)
+    shared = instance.shared_values
     if len(shared):
         i = int(np.isin(values1, shared, kind="sort").argmax())
         found = (i, int((values2 == values1[i]).argmax()))
@@ -147,7 +133,7 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
 
     Both are charged by closed forms.  The last hit wins, as in a
     forward scan: the last list2 position holding a shared value
-    (``_shared_values``), with that value's list1 position.
+    (``instance.shared_values``), with that value's list1 position.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
@@ -160,7 +146,7 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
     )
     values1, values2 = instance.values1, instance.values2
     found = None
-    shared = _shared_values(values1, values2)
+    shared = instance.shared_values
     if len(shared):
         j = int(np.flatnonzero(np.isin(values2, shared, kind="sort"))[-1])
         found = (int((values1 == values2[j]).argmax()), j)
@@ -188,7 +174,7 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     charge_sort(n, ledger)
     values1, values2 = instance.values1, instance.values2
     found = None
-    shared = _shared_values(values1, values2)
+    shared = instance.shared_values
     if len(shared):
         v = shared[0]
         found = (int((values1 == v).argmax()), int((values2 == v).argmax()))
@@ -365,33 +351,47 @@ def nested_grover_match(
     )
 
 
-def predicted_total_cost(n: int, config: Optional[NestedConfig] = None) -> CostLedger:
-    """Ledger-shaped cost prediction for a nested run on equal blocks.
+def predicted_total_cost(
+    n: int,
+    config: Optional[NestedConfig] = None,
+    *,
+    block_len: Optional[int] = None,
+    verified: bool = True,
+) -> CostLedger:
+    """Ledger-shaped cost prediction for a nested run on n values.
 
-    Mirrors the instrumented charges exactly when block_size divides n
-    and the run's final verification succeeds; otherwise the prediction
-    is for the full (verified) path on full-size blocks.
+    Beyond the size and knobs, a run's ledger depends on two facts: the
+    length of the block its outer search measured (``block_len``: a full
+    block by default; only the last block may be shorter) and whether
+    its final verification probe found the measured value
+    (``verified``).  Given both, every counter, the phase breakdown and
+    the peak workspace equal the run's.
     """
     config = config if config is not None else NestedConfig()
-    b, _, r_outer, r_inner = _nested_shape(n, config.block_size)
+    b, blocks, r_outer, r_inner = _nested_shape(n, config.block_size)
+    length = min(b, n) if block_len is None else block_len
+    if length not in (min(b, n), n - (blocks - 1) * b):
+        raise ValueError(f"no block of {length} values in a nested run on n={n} with b={b}")
     u = config.uncompute_factor
     ledger = CostLedger()
-    _outer_oracle_charge(ledger, r_outer * u, b, r_inner)
+    if r_outer:  # with no outer rounds, no block is copied and no workspace is held
+        _outer_oracle_charge(ledger, r_outer * u, b, r_inner)
     # final pass: copy + sort the measured block
-    ledger.charge_batch("sort", l1_queries=b, mem_writes=b)
-    ledger.workspace_acquire(b)
-    if b >= 2:
-        reads_sort, writes_sort = sort_charges(b)
-        ledger.workspace_acquire(b)
+    ledger.charge_batch("sort", l1_queries=length, mem_writes=length)
+    ledger.workspace_acquire(length)
+    if length >= 2:
+        reads_sort, writes_sort = sort_charges(length)
+        ledger.workspace_acquire(length)
         ledger.charge_batch("sort", mem_reads=reads_sort, mem_writes=writes_sort)
-        ledger.workspace_release(b)
+        ledger.workspace_release(length)
     # amplified membership probes plus the one verification probe
-    probe_reads = 2 * membership_probe_depth(b)
+    probe_reads = 2 * membership_probe_depth(length)
     ledger.charge_batch(
         "inner_search",
         l2_queries=r_inner * u + 1,
         mem_reads=probe_reads * (r_inner * u + 1),
     )
-    ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-    ledger.workspace_release(b)
+    if verified:
+        ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
+    ledger.workspace_release(length)
     return ledger

@@ -11,8 +11,8 @@ its seeds ahead (a sweep) passes them to :func:`remember_seed_words`,
 which hashes them all in one numpy pass (:func:`seed_words`), and
 clears them with :func:`forget_seed_words`; ``seeded_rng`` then builds
 those generators from their words instead of hashing each seed again.
-numpy.random itself is imported on the first generator built.  Generation
-and the classical matchers find repeated values with :func:`_repeats`.
+numpy.random itself is imported on the first generator built.  Generation,
+and a hand-built instance's ``shared_values``, find repeats with :func:`_repeats`.
 """
 
 from __future__ import annotations
@@ -145,7 +145,9 @@ class MatchInstance:
     The lists are held as read-only uint64 arrays, ``values1`` and
     ``values2``, which the kernels read; a generated instance keeps both
     in one read-only buffer, list1 first.  ``list1`` and ``list2`` are
-    the same values as tuples of Python ints, built on first use.  The
+    the same values as tuples of Python ints, built on first use, and
+    ``shared_values`` the values both lists hold: generation sets it, and
+    a hand-built instance, which may share none or several, computes it.  The
     constructor takes any sequence of Python or numpy ints for either
     list and takes ``n`` from their length.  It raises ValueError for
     lists of unequal length, any other value (a bool included) or one
@@ -181,6 +183,24 @@ class MatchInstance:
     @cached_property
     def list2(self) -> tuple[int, ...]:
         return tuple(self.values2.tolist())
+
+    @cached_property
+    def shared_values(self) -> np.ndarray:
+        """The values both lists hold, ascending, distinct and read-only.
+
+        ``generate_instance`` sets them from its own distinctness check.
+        Any other instance finds them on first use with ``_repeats`` over
+        both lists: one repeated value is shared unless a list holds it
+        twice; with more, np.intersect1d keeps the cost O(n log n).
+        """
+        values1, values2 = self.values1, self.values2
+        twins = _repeats(values1, values2)
+        if len(twins) > 1:
+            twins = np.intersect1d(values1, values2)
+        elif len(twins) and not ((values1 == twins[0]).any() and (values2 == twins[0]).any()):
+            twins = twins[:0]
+        twins.flags.writeable = False
+        return twins
 
     def _scalars(self) -> tuple:
         return (self.n, self.planted_value, self.planted_pos1, self.planted_pos2, self.seed)
@@ -513,7 +533,10 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
     lists.flags.writeable = False
-    return MatchInstance(lists[:n], lists[n:], planted, pos1, pos2, seed)
+    instance = MatchInstance(lists[:n], lists[n:], planted, pos1, pos2, seed)
+    # 2n - 1 distinct values were drawn, and only the planted one is in both lists
+    instance.shared_values = lists[pos1 : pos1 + 1]
+    return instance
 
 
 @dataclass

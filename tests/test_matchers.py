@@ -474,6 +474,50 @@ class TestNestedGroverMatch:
         assert miss is not None
         assert miss.total_cost() == config_base - 2
 
+    def test_every_ledger_equals_the_prediction_for_its_measured_block(self):
+        # every size to 80 and n = 1000 (an 8-cell last block at the default), so
+        # short last blocks and blocks larger than n; both engines, with and
+        # without dropout, three seeds a cell.  The grid is sized to run in under
+        # 2 s.  A prediction takes neither the engine, the noise nor the seed, so
+        # each is built once.
+        predictions = {}
+        short = unverified = 0
+        for n in (*range(2, 81), 1000):
+            instances = [generate_instance(n, seed) for seed in range(3)]
+            for block_size, u, engine, preset in itertools.product(
+                (None, 1, 3, 5, 7), (1, 2, 3), ("analytic", "statevector"), ("none", "inv_n")
+            ):
+                b = block_size if block_size is not None else math.isqrt(n - 1) + 1
+                for seed, inst in enumerate(instances):
+                    config = NestedConfig(block_size, engine, u, noise_spec(preset, n), seed)
+                    report = nested_grover_match(inst, config)
+                    block_len = min(b, n - report.engine_stats["outer_measured_block"] * b)
+                    verified = report.engine_stats["inner_verified"]
+                    key = (n, block_size, u, block_len, verified)
+                    if key not in predictions:
+                        predictions[key] = predicted_total_cost(
+                            n, config, block_len=block_len, verified=verified
+                        ).as_dict()
+                    assert report.ledger.as_dict() == predictions[key], (n, config)
+                    short += block_len < min(b, n)
+                    unverified += not verified
+        # the grid reaches both facts the prediction takes beyond the knobs
+        assert short and unverified
+
+    def test_prediction_takes_only_a_block_length_a_run_can_measure(self):
+        # n = 17 in blocks of 5: four full blocks and a last one of 2 cells
+        full = predicted_total_cost(17)
+        assert full.as_dict() == predicted_total_cost(17, block_len=5).as_dict()
+        assert predicted_total_cost(17, block_len=2).total_cost() == full.total_cost() - 62
+        for bad in (0, 1, 3, 6):
+            with pytest.raises(ValueError, match="no block of"):
+                predicted_total_cost(17, block_len=bad)
+        # a block larger than the list is the whole list
+        config = NestedConfig(block_size=7)
+        assert predicted_total_cost(4, config).as_dict() == (
+            predicted_total_cost(4, config, block_len=4).as_dict()
+        )
+
     def test_outer_charge_formula(self):
         # each outer oracle evaluation: copy b cells, sort them, then
         # (r_inner + 1) membership probes at 1 query + 2 depth reads;

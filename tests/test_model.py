@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from matchsim import experiments, model
+from matchsim.matchers import classical_sort_scan, classical_two_sort_merge, exhaustive_pairs
 from matchsim.model import (
     ACCESS_KINDS,
     MAX_INSTANCE_SIZE,
@@ -118,6 +119,15 @@ def assert_one_buffer(inst, l1, l2):
     assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
 
 
+def assert_carries_its_shared_value(inst):
+    """Generation set ``shared_values``: the planted value alone, read-only."""
+    assert "shared_values" in vars(inst)  # not left to be computed on first use
+    shared = inst.shared_values
+    assert np.array_equal(shared, np.intersect1d(inst.values1, inst.values2))
+    assert shared.tolist() == [inst.planted_value]
+    assert not shared.flags.writeable
+
+
 # raw streams that send _draw_distinct down its per-value loop: the values,
 # then one raw word whose low and high halves give the two positions
 POSITION_WORD = 0xC0000000_80000000
@@ -208,6 +218,7 @@ class TestGenerateInstance:
         assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
         assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
         check_instance(inst)
+        assert_carries_its_shared_value(inst)
 
     @pytest.mark.parametrize("n, seed", PINNED_INSTANCES, ids=str)
     def test_instances_pinned(self, n, seed):
@@ -237,6 +248,7 @@ class TestOneDraw:
         # below n = 9 the draw holds discarded words; from n = 9 it is the buffer
         assert len(inst.values1.base) == 2 * n
         check_instance(inst)
+        assert_carries_its_shared_value(inst)
 
     @pytest.mark.parametrize("n", [3, 9])
     def test_a_rejected_low_half_redraws_as_draw_positions_does(self, n, monkeypatch):
@@ -252,6 +264,55 @@ class TestOneDraw:
         assert (inst.planted_pos1, inst.planted_pos2) == positions == (3 * n // 4, n // 2)
         values = np.array(stream[:count], dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+
+
+CLASSICAL_MATCHERS = (exhaustive_pairs, classical_sort_scan, classical_two_sort_merge)
+
+
+class TestSharedValues:
+    @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 1024, 4097])
+    def test_generated_instances_carry_their_shared_value(self, n):
+        for seed in (0, 1, 2, 2**63 + 5):
+            assert_carries_its_shared_value(generate_instance(n, seed))
+
+    def test_classical_matchers_search_a_generated_instance_no_more(self, monkeypatch):
+        inst = generate_instance(1024, 3)
+
+        def never(*parts):
+            raise AssertionError("a generated instance's shared value was searched again")
+
+        monkeypatch.setattr(model, "_repeats", never)
+        for matcher in CLASSICAL_MATCHERS:
+            assert matcher(inst).correct
+
+    # hand-built lists with no shared value and with two (9 and 5); each
+    # matcher's (found, total_cost), recorded before generation carried the value
+    @pytest.mark.parametrize(
+        "list1, list2, outcomes",
+        [
+            ([9, 3, 2**64 - 1, 1], [4, 7, 6, 8], [(None, 32), (None, 62), (None, 80)]),
+            ([9, 3, 5, 1], [4, 9, 5, 8], [((0, 1), 32), ((2, 2), 62), ((2, 2), 76)]),
+        ],
+        ids=["none_shared", "two_shared"],
+    )
+    def test_hand_built_instances_compute_theirs_once_on_first_use(
+        self, list1, list2, outcomes, monkeypatch
+    ):
+        calls = []
+        repeats = model._repeats
+
+        def counted(*parts):
+            calls.append(len(parts))
+            return repeats(*parts)
+
+        monkeypatch.setattr(model, "_repeats", counted)
+        inst = MatchInstance(list1, list2, 9, 0, 1)
+        assert "shared_values" not in vars(inst) and not calls
+        reports = [matcher(inst) for matcher in CLASSICAL_MATCHERS]
+        assert [(r.found, r.ledger.total_cost()) for r in reports] == outcomes
+        assert calls == [2]  # one search over both lists, then the cached result
+        assert np.array_equal(inst.shared_values, np.intersect1d(list1, list2))
+        assert not inst.shared_values.flags.writeable
 
 
 def reference_repeats(*parts):
