@@ -29,8 +29,9 @@ from .model import generate_instance
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = SweepConfig.from_json(fh.read())
-    # run_sweep writes the outputs itself when the config names them
-    result = run_sweep(config)
+    # run_sweep writes the outputs itself when the config names them, and
+    # the aggregate JSON needs no rows: keeping none bounds a long sweep's memory
+    result = run_sweep(config, keep_rows=False)
     if config.output is not None:
         csv_path, json_path = output_paths(config.output)
         print(f"wrote {csv_path} and {json_path}")

@@ -14,7 +14,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+import struct
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -90,6 +92,7 @@ class TrialRow(NamedTuple):
 
 
 CSV_COLUMNS = TrialRow._fields
+_INT64, _FLOAT64 = struct.Struct("q"), struct.Struct("d")
 
 
 # the JSON types each config key accepts, matched exactly: a JSON boolean
@@ -270,25 +273,58 @@ def _run_trial(
     )
 
 
+class SizeTally:
+    """One size's running aggregates, folded from its rows in sweep order.
+
+    Costs and predicted successes are kept, packed as int64 and float64,
+    16 bytes a trial, for the same reductions a list of rows gets: a
+    running sum would differ in the last bits where ``sum`` compensates
+    floats (Python 3.12).  Bytearrays, not the array module, whose
+    shared library would add about 0.1 MB to every process's RSS.
+    """
+
+    def __init__(self) -> None:
+        self.costs = bytearray()
+        self.predicted = bytearray()
+        self.successes = 0
+        self.max_peak_workspace = 0
+
+    def add(self, row: TrialRow) -> None:
+        self.costs += _INT64.pack(row.total_cost)
+        self.predicted += _FLOAT64.pack(row.predicted_success)
+        self.successes += row.success
+        self.max_peak_workspace = max(self.max_peak_workspace, row.peak_workspace)
+
+
 @dataclass
 class SweepResult:
-    """All rows of a finished sweep plus derived aggregates."""
+    """A finished sweep: its per-size aggregates and, if kept, its rows.
+
+    ``rows`` is None when the sweep ran with ``keep_rows=False``.
+    ``csv_part`` is the temporary file a sweep with an output streamed
+    its CSV to, until ``write_outputs`` moves it into place.
+    """
 
     config: SweepConfig
-    rows: list[TrialRow]
+    rows: Optional[list[TrialRow]]
+    sizes: dict[int, SizeTally]
+    csv_part: Optional[Path] = field(default=None, repr=False)
 
     def aggregate(self) -> dict:
         per_n = []
-        for n, rows in rows_by_size(self.rows).items():
+        for n, tally in self.sizes.items():
+            # read back as Python ints and floats, in row order
+            costs = memoryview(tally.costs).cast("q")
+            trials = len(costs)
             per_n.append(
                 {
                     "n": n,
-                    "trials": len(rows),
-                    "geomean_cost": geometric_mean([r.total_cost for r in rows]),
-                    "success_rate": sum(r.success for r in rows) / len(rows),
-                    "mean_predicted_success": sum(r.predicted_success for r in rows)
-                    / len(rows),
-                    "max_peak_workspace": max(r.peak_workspace for r in rows),
+                    "trials": trials,
+                    "geomean_cost": geometric_mean(costs),
+                    "success_rate": tally.successes / trials,
+                    "mean_predicted_success": sum(memoryview(tally.predicted).cast("d"))
+                    / trials,
+                    "max_peak_workspace": tally.max_peak_workspace,
                 }
             )
         doc: dict = {"algorithm": self.config.algorithm, "per_n": per_n}
@@ -302,6 +338,8 @@ class SweepResult:
         return doc
 
     def to_csv_text(self) -> str:
+        if self.rows is None:
+            raise ValueError("the sweep kept no rows")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -314,11 +352,19 @@ class SweepResult:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def write_outputs(self, csv_path: str | Path) -> tuple[Path, Path]:
-        """Write rows as CSV and aggregates as JSON next to it."""
+        """Finish the output files: the CSV of rows and the aggregate JSON next to it.
+
+        A streamed CSV (``csv_part``) is renamed into place after the
+        JSON is written; otherwise the kept rows are written out.
+        """
         csv_path, json_path = output_paths(csv_path)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(self.to_csv_text(), encoding="utf-8")
+        if self.csv_part is None:
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
+            csv_path.write_text(self.to_csv_text(), encoding="utf-8")
         json_path.write_text(self.to_json_text(), encoding="utf-8")
+        if self.csv_part is not None:
+            self.csv_part.replace(csv_path)
+            self.csv_part = None
         return csv_path, json_path
 
 
@@ -328,38 +374,78 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
     return csv_path, csv_path.with_suffix(".json")
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+# run_sweep's unit of work: this many consecutive trials in sweep order, which
+# may span sizes, so a size of a few trials still shares one seed_words call
+SWEEP_CHUNK = 1024
+
+
+def _run_chunk(
+    config: SweepConfig,
+    cells: list[tuple[int, int]],
+    noises: dict[int, Optional[NoisyOracleSpec]],
+) -> list[TrialRow]:
+    """The rows of the (n, trial) cells given, their seeds remembered in one pass."""
+    base = config.base_seed
+    instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in cells]
+    run_seeds = [derive_seed(base, n, trial, "run") for n, trial in cells]
+    remember_seed_words(
+        instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
+    )
+    rows = []
+    for (n, trial), instance_seed, run_seed in zip(cells, instance_seeds, run_seeds):
+        try:
+            rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noises[n]))
+        except ResourceLimitError as err:
+            raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+    return rows
+
+
+def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically.
 
-    Each trial's instance and run seeds are derived once, up front, and
-    the seeds the algorithm draws from are hashed in one pass before the
-    first trial (``remember_seed_words``); they are forgotten again when
-    the sweep returns or raises.
+    Trials run in chunks of up to ``SWEEP_CHUNK`` consecutive cells.  A
+    chunk's instance and run seeds are derived, and the seeds the
+    algorithm draws from hashed in one pass (``remember_seed_words``),
+    before its first trial.  Its rows are then folded into per-size
+    aggregates, appended to ``<output>.tmp`` when the config names an
+    output, and kept only with ``keep_rows``, so without them memory
+    follows one chunk and not the sweep.  The sweep ends with
+    ``write_outputs``, which writes the JSON and renames the CSV.  A
+    sweep that raises deletes its temporary file and leaves no output;
+    the remembered seeds are forgotten either way.
     """
-    base, trials = config.base_seed, range(config.trials_per_n)
-    instance_seeds = [
-        derive_seed(base, n, trial, "instance") for n in config.n_values for trial in trials
-    ]
-    run_seeds = [derive_seed(base, n, trial, "run") for n in config.n_values for trial in trials]
-    seeds = zip(instance_seeds, run_seeds)
-    rows: list[TrialRow] = []
+    sizes = {n: SizeTally() for n in config.n_values}
+    result = SweepResult(config, [] if keep_rows else None, sizes)
+    noises = {n: noise_spec(config.noise_preset, n) for n in config.n_values}
+    # a generator: itertools.product would hold every trial number as an int
+    cells = ((n, trial) for n in config.n_values for trial in range(config.trials_per_n))
+    stream = None
     try:
-        remember_seed_words(
-            instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
-        )
-        for n in config.n_values:
-            noise = noise_spec(config.noise_preset, n)
-            for trial in trials:
-                instance_seed, run_seed = next(seeds)
-                try:
-                    rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noise))
-                except ResourceLimitError as err:
-                    raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+        if config.output is not None:
+            result.csv_part = Path(f"{config.output}.tmp")
+            result.csv_part.parent.mkdir(parents=True, exist_ok=True)
+            stream = open(result.csv_part, "w", encoding="utf-8")
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+        while chunk := list(islice(cells, SWEEP_CHUNK)):
+            rows = _run_chunk(config, chunk, noises)
+            if stream is not None:
+                writer.writerows(rows)
+            for row in rows:
+                sizes[row.n].add(row)
+            if keep_rows:
+                result.rows.extend(rows)
+            del rows  # not held while the next chunk runs
+        if stream is not None:
+            stream.close()
+            result.write_outputs(config.output)
+    except BaseException:
+        if stream is not None:
+            stream.close()
+            result.csv_part.unlink(missing_ok=True)
+        raise
     finally:
         forget_seed_words()
-    result = SweepResult(config=config, rows=rows)
-    if config.output is not None:
-        result.write_outputs(config.output)
     return result
 
 

@@ -145,7 +145,8 @@ class MatchInstance:
     The lists are held as read-only uint64 arrays, ``values1`` and
     ``values2``, which the kernels read; a generated instance keeps both
     in one read-only buffer, list1 first.  ``list1`` and ``list2`` are
-    the same values as tuples of Python ints, built on first use, and
+    the same values as tuples of Python ints, built on each read and
+    never kept (a Python int costs about five times its uint64 cell), and
     ``shared_values`` the values both lists hold: generation sets it, and
     a hand-built instance, which may share none or several, computes it.  The
     constructor takes any sequence of Python or numpy ints for either
@@ -176,11 +177,11 @@ class MatchInstance:
         self.planted_pos2 = planted_pos2
         self.seed = seed
 
-    @cached_property
+    @property
     def list1(self) -> tuple[int, ...]:
         return tuple(self.values1.tolist())
 
-    @cached_property
+    @property
     def list2(self) -> tuple[int, ...]:
         return tuple(self.values2.tolist())
 

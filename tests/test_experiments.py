@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -413,6 +414,102 @@ class TestSeedWordsInSweeps:
             assert len(slow_path) == (0 if hits else drawn)
         assert outputs[0] == outputs[1]
         assert outputs[0][0] and outputs[0][1]
+
+
+class TestSweepMemory:
+    def test_rows_stream_in_chunks_that_span_sizes(self, monkeypatch):
+        # each chunk remembers its own seeds: 4 trials' 8, then 2 trials' 4,
+        # which is below the break-even and remembers none
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 4)
+        seen = []
+        original = experiments.generate_instance
+
+        def recording(n, seed):
+            seen.append((n, len(model._seed_memo.index)))
+            return original(n, seed)
+
+        monkeypatch.setattr(experiments, "generate_instance", recording)
+        config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
+        chunked = run_sweep(config)
+        assert seen == [(16, 8)] * 3 + [(64, 8), (64, 0), (64, 0)]
+        monkeypatch.undo()
+        whole = run_sweep(config)
+        assert chunked.rows == whole.rows
+        assert chunked.to_json_text() == whole.to_json_text()
+
+    def test_unkept_rows_bound_the_peak(self, tmp_path, monkeypatch):
+        # 10 chunks against 1: only the per-size tallies, 16 bytes a trial,
+        # grow (a bound of 1 MB missed every trial number held as an int).
+        # A traced real trial costs about 300 us, so the trials are stubbed;
+        # the seeds, chunks, CSV stream and tallies are the sweep's.
+        def stub_trial(config, n, trial, instance_seed, run_seed, noise):
+            cost = 2 + trial % 5
+            return experiments.TrialRow(
+                config.algorithm, n, trial, instance_seed, 1, cost, cost - 1, 1, 0, 0, 0, 0.5
+            )
+
+        monkeypatch.setattr(experiments, "_run_trial", stub_trial)
+        peaks = []
+        for trials in (1000, 10000):
+            config = SweepConfig(
+                algorithm="nested", n_values=(16,), trials_per_n=trials,
+                output=str(tmp_path / "rows.csv"),
+            )
+            tracemalloc.start()
+            try:
+                result = run_sweep(config, keep_rows=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 16 * 9000
+        assert result.aggregate()["per_n"][0]["trials"] == 10000
+        assert result.rows is None
+        with pytest.raises(ValueError, match="kept no rows"):
+            result.to_csv_text()
+
+    def test_unkept_rows_change_no_byte(self, tmp_path):
+        # 3000 trials in 3 chunks: one boundary inside a size, one across sizes
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm="two_sort", n_values=(2, 3), trials_per_n=1500, output=str(out)
+        )
+        outputs = []
+        for keep_rows in (False, True):
+            result = run_sweep(config, keep_rows=keep_rows)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == result.to_csv_text().encode("utf-8")
+        assert len(result.rows) == 3000
+
+    def test_a_raising_sweep_leaves_no_file(self, tmp_path, monkeypatch):
+        # the n=16 row reaches the temporary CSV; n=2048 needs 2^22 amplitudes
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
+        out = tmp_path / "rows.csv"
+        seen = []
+        original = experiments.generate_instance
+
+        def recording(n, seed):
+            seen.append((n, (tmp_path / "rows.csv.tmp").exists()))
+            return original(n, seed)
+
+        monkeypatch.setattr(experiments, "generate_instance", recording)
+        config = SweepConfig(
+            algorithm="naive_grover", n_values=(16, 2048), engine="statevector", output=str(out)
+        )
+        with pytest.raises(ResourceLimitError, match="n=2048, trial=0"):
+            run_sweep(config)
+        assert seen == [(16, True), (2048, True)]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_outputs_writes_kept_rows(self, tmp_path):
+        config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
+        result = run_sweep(config)
+        paths = result.write_outputs(tmp_path / "rows.csv")
+        assert paths == (tmp_path / "rows.csv", tmp_path / "rows.json")
+        assert paths[0].read_text(encoding="utf-8") == result.to_csv_text()
+        assert paths[1].read_text(encoding="utf-8") == result.to_json_text()
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
 class TestRunMatcher:

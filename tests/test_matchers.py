@@ -978,14 +978,28 @@ class TestPinnedOutputs:
 
 class TestArrayPaths:
     @pytest.mark.parametrize("algorithm", sorted(RUNS) + ["exhaustive"])
-    def test_matchers_never_build_the_int_tuples(self, algorithm):
-        # list1/list2 are built on first use; one tolist per run would cost
-        # more than the kernels at large n
+    def test_matchers_never_build_the_int_tuples(self, algorithm, monkeypatch):
+        # list1/list2 build a tuple of Python ints on every read; one tolist
+        # per run would cost more than the kernels at large n
+        reads = []
+
+        def counting(name):
+            view = getattr(MatchInstance, name)
+
+            def read(inst):
+                reads.append(name)
+                return view.fget(inst)
+
+            return property(read)
+
+        for name in ("list1", "list2"):
+            monkeypatch.setattr(MatchInstance, name, counting(name))
         run = RUNS.get(algorithm, lambda inst, seed: exhaustive_pairs(inst))
         for n in (2, 17, 64 if algorithm == "exhaustive" else 1024):
-            inst = generate_instance(n, 4)
-            run(inst, 4)
-            assert "list1" not in vars(inst) and "list2" not in vars(inst)
+            run(generate_instance(n, 4), 4)
+        assert reads == []
+        # the counting views do count
+        assert generate_instance(2, 4).list2 and reads == ["list2"]
 
     @pytest.mark.parametrize(
         "matcher", [exhaustive_pairs, classical_sort_scan, classical_two_sort_merge],

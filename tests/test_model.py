@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -725,6 +726,25 @@ class TestMatchInstance:
         with pytest.raises(ValueError):
             inst.values1[0] = 1
         assert type(inst.planted_value) is int and inst.planted_value == 7
+
+    def test_int_views_are_built_per_read_and_kept_nowhere(self):
+        # a tuple of Python ints costs about 40 bytes a value, 5 times the array
+        inst = generate_instance(65536, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            views = inst.list1, inst.list2
+            held = tracemalloc.get_traced_memory()[0] - before
+            del views
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held > 4 * 2**20
+        assert kept < 64 * 1024
+        assert "list1" not in vars(inst) and "list2" not in vars(inst)
+        first, second = inst.list1, inst.list1
+        assert first == second == tuple(int(v) for v in inst.values1) and first is not second
+        assert all(type(v) is int for v in first + inst.list2)
 
     def test_a_caller_writing_its_array_leaves_the_instance_alone(self):
         a = np.array([5, 6, 7], dtype=np.uint64)
