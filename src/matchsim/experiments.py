@@ -16,7 +16,8 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from contextlib import suppress
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -92,6 +93,10 @@ class TrialRow(NamedTuple):
 
 
 CSV_COLUMNS = TrialRow._fields
+# one CSV line per row, the bytes csv.writer gives: the name, ten ints by
+# str, then a float by repr (what str gives), none of them quoted
+_ROW_FORMAT = "%s," + "%d," * 10 + "%r\n"
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 _INT64, _FLOAT64 = struct.Struct("q"), struct.Struct("d")
 
 
@@ -222,13 +227,7 @@ def fit_exponent(
     intercept = mean_y - slope * mean_x
     ssr = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     stderr = math.sqrt(ssr / (m - 2) / sxx)
-    return FitResult(
-        slope=slope,
-        stderr=stderr,
-        intercept=intercept,
-        n_points=m,
-        log_normalized=log_normalize,
-    )
+    return FitResult(slope, stderr, intercept, m, log_normalize)
 
 
 def run_matcher(algorithm: str, instance: MatchInstance, run_config: NestedConfig) -> RunReport:
@@ -340,12 +339,7 @@ class SweepResult:
     def to_csv_text(self) -> str:
         if self.rows is None:
             raise ValueError("the sweep kept no rows")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        # csv writes an int with str and a float with repr: the bytes str gives
-        writer.writerows(self.rows)
-        return buf.getvalue()
+        return _CSV_HEADER + "".join([_ROW_FORMAT % row for row in self.rows])
 
     def to_json_text(self) -> str:
         doc = {"config": self.config.as_dict(), "aggregate": self.aggregate()}
@@ -411,26 +405,28 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     output, and kept only with ``keep_rows``, so without them memory
     follows one chunk and not the sweep.  The sweep ends with
     ``write_outputs``, which writes the JSON and renames the CSV.  A
-    sweep that raises deletes its temporary file and leaves no output;
-    the remembered seeds are forgotten either way.
+    sweep that raises deletes its temporary file, and each directory it
+    made for it that is empty, and leaves no output; the remembered seeds
+    are forgotten either way.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)
     noises = {n: noise_spec(config.noise_preset, n) for n in config.n_values}
     # a generator: itertools.product would hold every trial number as an int
     cells = ((n, trial) for n in config.n_values for trial in range(config.trials_per_n))
-    stream = None
+    stream, made = None, []
     try:
         if config.output is not None:
             result.csv_part = Path(f"{config.output}.tmp")
+            # the missing directories, deepest first
+            made = list(takewhile(lambda d: not d.exists(), result.csv_part.parents))
             result.csv_part.parent.mkdir(parents=True, exist_ok=True)
             stream = open(result.csv_part, "w", encoding="utf-8")
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
+            stream.write(_CSV_HEADER)
         while chunk := list(islice(cells, SWEEP_CHUNK)):
             rows = _run_chunk(config, chunk, noises)
             if stream is not None:
-                writer.writerows(rows)
+                stream.write("".join([_ROW_FORMAT % row for row in rows]))
             for row in rows:
                 sizes[row.n].add(row)
             if keep_rows:
@@ -443,6 +439,9 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
         if stream is not None:
             stream.close()
             result.csv_part.unlink(missing_ok=True)
+        for directory in made:
+            with suppress(OSError):  # not empty: something else wrote there
+                directory.rmdir()
         raise
     finally:
         forget_seed_words()
@@ -532,9 +531,7 @@ class CompareTable:
     def to_text(self) -> str:
         lines = ["  ".join([f"{'n':>8}", *(f"{label:>16}" for label in self.labels)])]
         for n in self.n_values:
-            cells = [f"{n:>8}"]
-            for label in self.labels:
-                cells.append(f"{self.costs[label][n]:>16.1f}")
+            cells = [f"{n:>8}", *(f"{self.costs[label][n]:>16.1f}" for label in self.labels)]
             lines.append("  ".join(cells))
         if self.crossover_n is not None:
             lines.append(f"nested beats sort_scan from n={self.crossover_n}")
@@ -569,13 +566,5 @@ def compare_report(row_sets: Sequence[Sequence[TrialRow]]) -> CompareTable:
             raise ValueError(f"sweeps cover different sizes: {tuple(per_n)} vs {n_values}")
     crossover = None
     if "nested" in costs and "sort_scan" in costs:
-        for n in n_values:
-            if costs["nested"][n] < costs["sort_scan"][n]:
-                crossover = n
-                break
-    return CompareTable(
-        n_values=n_values,
-        labels=tuple(costs),
-        costs=costs,
-        crossover_n=crossover,
-    )
+        crossover = next((n for n in n_values if costs["nested"][n] < costs["sort_scan"][n]), None)
+    return CompareTable(n_values, tuple(costs), costs, crossover)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,9 +44,8 @@ class ResourceLimitError(RuntimeError):
     """Raised when a run would exceed a fixed size or amplitude cap."""
 
 
-@dataclass
-class PhaseCosts:
-    """Access counters attributed to one phase of a run."""
+class PhaseCosts(NamedTuple):
+    """One phase's access counters: a read-only snapshot that later charges do not change."""
 
     l1_queries: int = 0
     l2_queries: int = 0
@@ -53,7 +53,11 @@ class PhaseCosts:
     mem_writes: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {kind: getattr(self, kind) for kind in ACCESS_KINDS}
+        return dict(zip(ACCESS_KINDS, self))
+
+
+# where each phase's four counters start in a ledger's per-phase list
+_PHASE_OFFSETS = {phase: 4 * i for i, phase in enumerate(PHASES)}
 
 
 class CostLedger:
@@ -63,17 +67,26 @@ class CostLedger:
     access counters.  Workspace occupancy, ``live_workspace``, is tracked via
     ``workspace_acquire``/``workspace_release``; ``peak_workspace`` is
     the high-water mark of simultaneously live auxiliary cells.  The
-    input lists are static and never count as workspace.
+    input lists are static and never count as workspace.  The per-phase
+    counters are one flat list, ``phase_breakdown`` a snapshot of it.
     """
+
+    __slots__ = (*ACCESS_KINDS, "peak_workspace", "live_workspace", "_by_phase")
 
     def __init__(self) -> None:
         self.l1_queries = 0
         self.l2_queries = 0
         self.mem_reads = 0
         self.mem_writes = 0
-        self.phase_breakdown: dict[str, PhaseCosts] = {p: PhaseCosts() for p in PHASES}
         self.peak_workspace = 0
         self.live_workspace = 0
+        self._by_phase = [0] * (4 * len(PHASES))
+
+    @property
+    def phase_breakdown(self) -> MappingProxyType:
+        """Each phase's ``PhaseCosts``, in ``PHASES`` order, read-only."""
+        c = self._by_phase
+        return MappingProxyType({p: PhaseCosts(*c[i : i + 4]) for p, i in _PHASE_OFFSETS.items()})
 
     def charge(self, kind: str, amount: int, phase: str) -> None:
         """Add ``amount`` accesses of one kind, attributed to ``phase``."""
@@ -91,20 +104,22 @@ class CostLedger:
         mem_writes: int = 0,
     ) -> None:
         """Charge several kinds at once under a single phase."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+        try:
+            at = _PHASE_OFFSETS[phase]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown phase {phase!r}") from None
         # one int OR is negative exactly when some amount is
         if l1_queries | l2_queries | mem_reads | mem_writes < 0:
             raise ValueError("charge amount must be non-negative")
-        counters = self.phase_breakdown[phase]
+        counts = self._by_phase
         self.l1_queries += l1_queries
-        counters.l1_queries += l1_queries
+        counts[at] += l1_queries
         self.l2_queries += l2_queries
-        counters.l2_queries += l2_queries
+        counts[at + 1] += l2_queries
         self.mem_reads += mem_reads
-        counters.mem_reads += mem_reads
+        counts[at + 2] += mem_reads
         self.mem_writes += mem_writes
-        counters.mem_writes += mem_writes
+        counts[at + 3] += mem_writes
 
     def workspace_acquire(self, cells: int) -> None:
         if cells < 0:
@@ -125,13 +140,10 @@ class CostLedger:
 
     def as_dict(self) -> dict:
         return {
-            "l1_queries": self.l1_queries,
-            "l2_queries": self.l2_queries,
-            "mem_reads": self.mem_reads,
-            "mem_writes": self.mem_writes,
+            **{kind: getattr(self, kind) for kind in ACCESS_KINDS},
             "total_cost": self.total_cost(),
             "peak_workspace": self.peak_workspace,
-            "phase_breakdown": {p: self.phase_breakdown[p].as_dict() for p in PHASES},
+            "phase_breakdown": {p: c.as_dict() for p, c in self.phase_breakdown.items()},
         }
 
 
@@ -167,15 +179,22 @@ class MatchInstance:
         planted_pos2: int,
         seed: Optional[int] = None,
     ) -> None:
-        self.values1 = _as_values(list1)
-        self.values2 = _as_values(list2)
-        if len(self.values1) != len(self.values2):
+        values1, values2 = _as_values(list1), _as_values(list2)
+        if len(values1) != len(values2):
             raise ValueError("lists must have equal length")
-        self.n = len(self.values1)
-        self.planted_value = planted_value
-        self.planted_pos1 = planted_pos1
-        self.planted_pos2 = planted_pos2
-        self.seed = seed
+        self.values1, self.values2, self.n = values1, values2, len(values1)
+        self.planted_value, self.planted_pos1 = planted_value, planted_pos1
+        self.planted_pos2, self.seed = planted_pos2, seed
+
+    @classmethod
+    def _of_frozen(cls, lists: np.ndarray, n: int, planted: int, pos1: int, pos2: int, seed: int):
+        """The instance over the halves of ``lists``, a read-only uint64 buffer
+        that owns its memory, list1 first: nothing is copied or checked."""
+        self = cls.__new__(cls)
+        # __init__'s fields in its order: every instance shares one set of dict keys
+        self.values1, self.values2, self.n, self.planted_value = lists[:n], lists[n:], n, planted
+        self.planted_pos1, self.planted_pos2, self.seed = pos1, pos2, seed
+        return self
 
     @property
     def list1(self) -> tuple[int, ...]:
@@ -534,7 +553,7 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
     lists.flags.writeable = False
-    instance = MatchInstance(lists[:n], lists[n:], planted, pos1, pos2, seed)
+    instance = MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
     # 2n - 1 distinct values were drawn, and only the planted one is in both lists
     instance.shared_values = lists[pos1 : pos1 + 1]
     return instance

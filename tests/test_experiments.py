@@ -502,6 +502,39 @@ class TestSweepMemory:
         assert seen == [(16, True), (2048, True)]
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_raising_sweep_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        # "kept" was there before the sweep; it made "kept/new" and "kept/new/sub"
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        (tmp_path / "kept").mkdir()
+        config = SweepConfig(
+            algorithm="naive_grover", n_values=(16, 2048), engine="statevector",
+            output=str(tmp_path / "kept" / "new" / "sub" / "rows.csv"),
+        )
+        with pytest.raises(ResourceLimitError):
+            run_sweep(config)
+        assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_a_raising_sweep_keeps_a_directory_something_else_wrote_to(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        original = experiments.generate_instance
+
+        def writing(n, seed):
+            (tmp_path / "new" / "other.txt").write_text("not the sweep's")
+            return original(n, seed)
+
+        monkeypatch.setattr(experiments, "generate_instance", writing)
+        config = SweepConfig(
+            algorithm="naive_grover", n_values=(16, 2048), engine="statevector",
+            output=str(tmp_path / "new" / "sub" / "rows.csv"),
+        )
+        with pytest.raises(ResourceLimitError):
+            run_sweep(config)
+        left = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
+        assert left == ["new", "new/other.txt"]
+
     def test_write_outputs_writes_kept_rows(self, tmp_path):
         config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
         result = run_sweep(config)
@@ -789,6 +822,19 @@ class TestCli:
             )
         )
         assert main(["sweep", "--config", str(cfg)]) == 3
+
+    def test_resource_limit_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        # the CI smoke run's nested-directory config, with a relative output path
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        monkeypatch.chdir(tmp_path)
+        doc = {
+            "algorithm": "naive_grover", "n_values": [16, 2048], "engine": "statevector",
+            "output": "newdir/sub/rows.csv",
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["sweep", "--config", "cfg.json"]) == 3
+        assert "n=2048, trial=0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     @pytest.mark.parametrize("fields", [3, 13], ids=["short_row", "long_row"])

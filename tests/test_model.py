@@ -20,6 +20,7 @@ from matchsim.model import (
     PHASES,
     CostLedger,
     MatchInstance,
+    PhaseCosts,
     ResourceLimitError,
     check_instance_size,
     generate_instance,
@@ -120,6 +121,20 @@ def assert_one_buffer(inst, l1, l2):
     assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
 
 
+def assert_equals_checked_construction(inst):
+    """Generation's unchecked constructor builds what __init__ builds from its arrays."""
+    assert model._frozen(inst.values1) and model._frozen(inst.values2)
+    checked = MatchInstance(
+        inst.values1, inst.values2, inst.planted_value,
+        inst.planted_pos1, inst.planted_pos2, inst.seed,
+    )
+    assert checked == inst
+    # kept as they are, and the fields in one order: the instances share dict keys
+    assert checked.values1 is inst.values1 and checked.values2 is inst.values2
+    assert list(vars(checked)) == list(vars(inst))[:-1] and list(vars(inst))[-1] == "shared_values"
+    assert np.array_equal(checked.shared_values, inst.shared_values)
+
+
 def assert_carries_its_shared_value(inst):
     """Generation set ``shared_values``: the planted value alone, read-only."""
     assert "shared_values" in vars(inst)  # not left to be computed on first use
@@ -199,7 +214,7 @@ class TestGenerateInstance:
         for v in inst.list1 + inst.list2:
             assert 0 <= v < 1 << 64
 
-    @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 1024, 4097, 4**9])
+    @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 1000, 1024, 4097, 65536, 4**9])
     def test_one_buffer_equals_two_concatenates(self, n):
         for seed in (0, 1, 2, 2**63 + 5):
             rng = model.seeded_rng(seed)
@@ -208,6 +223,7 @@ class TestGenerateInstance:
             inst = generate_instance(n, seed)
             assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
             assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
+            assert_equals_checked_construction(inst)
 
     @pytest.mark.parametrize("n, stream", REPEAT_STREAMS, ids=["first_batch", "small_count"])
     def test_one_buffer_on_the_repeat_path(self, n, stream, monkeypatch):
@@ -220,6 +236,7 @@ class TestGenerateInstance:
         assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
         check_instance(inst)
         assert_carries_its_shared_value(inst)
+        assert_equals_checked_construction(inst)
 
     @pytest.mark.parametrize("n, seed", PINNED_INSTANCES, ids=str)
     def test_instances_pinned(self, n, seed):
@@ -860,13 +877,19 @@ class TestCostLedger:
         led = CostLedger()
         with pytest.raises(ValueError):
             led.charge("disk_seeks", 1, "sort")
+        with pytest.raises(TypeError):
+            led.charge_batch("sort", disk_seeks=1)
+        assert led.total_cost() == 0
 
     def test_rejects_unknown_phase(self):
         led = CostLedger()
-        with pytest.raises(ValueError):
-            led.charge("mem_reads", 1, "warmup")
-        with pytest.raises(ValueError):
-            led.charge_batch("warmup", mem_reads=1)
+        # an unhashable phase too: the offset lookup must not turn it into a TypeError
+        for phase in ("warmup", "SORT", None, ["sort"]):
+            with pytest.raises(ValueError, match="unknown phase"):
+                led.charge("mem_reads", 1, phase)
+            with pytest.raises(ValueError, match="unknown phase"):
+                led.charge_batch(phase, mem_reads=1)
+        assert led.as_dict() == CostLedger().as_dict()
 
     def test_rejects_negative_amount(self):
         led = CostLedger()
@@ -921,3 +944,40 @@ class TestCostLedger:
         doc = led.as_dict()
         assert doc["total_cost"] == 2
         assert doc["phase_breakdown"]["inner_search"]["l2_queries"] == 2
+
+    def test_as_dict_bytes_and_key_order(self):
+        # recorded from the ledger that kept one counter object per phase
+        led = CostLedger()
+        led.charge_batch("sort", l1_queries=4, mem_writes=4)
+        led.charge_batch("outer_search", l1_queries=2, l2_queries=3, mem_reads=5, mem_writes=1)
+        led.charge("l2_queries", 2, "inner_search")
+        led.workspace_acquire(7)
+        led.workspace_release(7)
+        phases = (
+            '{"sort": {"l1_queries": 4, "l2_queries": 0, "mem_reads": 0, "mem_writes": 4}, '
+            '"inner_search": {"l1_queries": 0, "l2_queries": 2, "mem_reads": 0, "mem_writes": 0}, '
+            '"outer_search": {"l1_queries": 2, "l2_queries": 3, "mem_reads": 5, "mem_writes": 1}, '
+            '"final_verify": {"l1_queries": 0, "l2_queries": 0, "mem_reads": 0, "mem_writes": 0}}'
+        )
+        assert json.dumps(led.as_dict()) == (
+            '{"l1_queries": 6, "l2_queries": 5, "mem_reads": 5, "mem_writes": 5, '
+            f'"total_cost": 21, "peak_workspace": 7, "phase_breakdown": {phases}}}'
+        )
+        assert json.dumps({p: c.as_dict() for p, c in led.phase_breakdown.items()}) == phases
+
+    def test_phase_breakdown_is_a_read_only_snapshot(self):
+        led = CostLedger()
+        led.charge("mem_reads", 3, "sort")
+        view = led.phase_breakdown
+        assert view["sort"] == PhaseCosts(mem_reads=3)
+        with pytest.raises(AttributeError):
+            view["sort"].mem_reads = 0
+        with pytest.raises(AttributeError):
+            led.phase_breakdown = {}
+        with pytest.raises(TypeError):
+            view["sort"] = PhaseCosts()
+        with pytest.raises(AttributeError):
+            led.mem_read = 1  # a misspelt counter: the ledger has no other fields
+        led.charge("mem_reads", 2, "sort")
+        assert view["sort"].mem_reads == 3
+        assert led.phase_breakdown["sort"].mem_reads == led.mem_reads == 5

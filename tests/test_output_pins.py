@@ -14,14 +14,18 @@ those sweeps is pinned too; those digests were recorded before fit and
 compare stopped rebuilding a sweep config from the rows they load.
 """
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+from itertools import cycle
 
 import pytest
 
+from matchsim import experiments
 from matchsim.cli import main
-from matchsim.experiments import SweepConfig, run_sweep
+from matchsim.experiments import ALGORITHMS, CSV_COLUMNS, SweepConfig, TrialRow, run_sweep
 from matchsim.grover import NoisyOracleSpec
 from matchsim.matchers import NestedConfig, nested_grover_match
 from matchsim.model import generate_instance
@@ -275,3 +279,63 @@ def test_compare_pinned(names, tmp_path, capsys):
     assert main(["compare", *paths, "--output", str(table)]) == 0
     printed = sha256([capsys.readouterr().out])
     assert (printed, sha256([table.read_text(encoding="utf-8")])) == COMPARE_PINS[names]
+
+
+# the two sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
+CI_RERUN_CONFIGS = {
+    "ci_nested": dict(
+        algorithm="nested", n_values=(16, 64, 256), trials_per_n=50, noise_preset="inv_sqrt_n",
+    ),
+    "ci_two_sort": dict(algorithm="two_sort", n_values=(4, 16, 64, 1024), trials_per_n=5),
+}
+
+# rows at the edges of what the row format meets: the largest seed, a cost near
+# the int64 tallies' bound, and predicted successes whose repr is long or tiny
+EDGE_ROWS = [
+    TrialRow(algorithm, 2, trial, 2**64 - 1, trial % 2, 3 + 2**62, 1, 1, 1, 2**62, 0, p)
+    for algorithm in ALGORITHMS
+    for trial, p in enumerate((1.0, 0.0, 5e-324, 0.1 + 0.2))
+]
+
+
+def writer_csv(rows):
+    """What csv.writer makes of the header and the rows: the sweep's format must match it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def assert_rows_format_as_csv_writer_does(config, tmp_path):
+    path = tmp_path / "rows.csv"
+    result = run_sweep(dataclasses.replace(config, output=str(path)))
+    expected = writer_csv(result.rows)
+    assert result.to_csv_text() == expected
+    assert path.read_bytes() == expected.encode("utf-8")
+    return result
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        *(
+            WORKLOADS.build_configs(WORKLOADS.WORKLOADS[name], seed, ".")
+            for name, seed in sorted(WORKLOAD_PINS)
+        ),
+        *([SweepConfig(**config)] for config in CI_RERUN_CONFIGS.values()),
+    ],
+    ids=[*(f"{name}-{seed}" for name, seed in sorted(WORKLOAD_PINS)), *CI_RERUN_CONFIGS],
+)
+def test_streamed_and_kept_rows_format_as_csv_writer_does(configs, tmp_path):
+    for config in configs:
+        assert_rows_format_as_csv_writer_does(config, tmp_path)
+
+
+def test_edge_rows_format_as_csv_writer_does(tmp_path, monkeypatch):
+    edges = cycle(EDGE_ROWS)
+    monkeypatch.setattr(experiments, "_run_trial", lambda *args: next(edges))
+    config = SweepConfig(algorithm="exhaustive", n_values=(2,), trials_per_n=len(EDGE_ROWS))
+    result = assert_rows_format_as_csv_writer_does(config, tmp_path)
+    assert result.rows == EDGE_ROWS
+    assert {row.algorithm for row in result.rows} == set(ALGORITHMS)
