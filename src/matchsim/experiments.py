@@ -14,10 +14,10 @@ import hashlib
 import io
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass, field
 from contextlib import suppress
-from itertools import islice, takewhile
+from functools import lru_cache
+from itertools import groupby, islice, takewhile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,8 +36,10 @@ from .model import (
     ACCESS_KINDS,
     MatchInstance,
     RunReport,
+    float_sum,
     forget_seed_words,
     generate_instance,
+    generate_instances,
     remember_seed_words,
 )
 
@@ -56,12 +58,17 @@ AMPLIFIED = ("naive_grover", "nested")
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
 
 
+@lru_cache(maxsize=64, typed=True)
+def _seed_prefix(base_seed: int, n: int):
+    """The hash state after ``f"{base_seed}:{n}:"``; only ever copied, never updated."""
+    return hashlib.blake2b(f"{base_seed}:{n}:".encode(), digest_size=8)
+
+
 def derive_seed(base_seed: int, n: int, trial: int, stream: str) -> int:
-    """Stable 64-bit sub-seed for one trial's instance or run stream."""
-    digest = hashlib.blake2b(
-        f"{base_seed}:{n}:{trial}:{stream}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    """Stable 64-bit sub-seed for one trial's instance or run stream (blake2b of its key)."""
+    digest = _seed_prefix(base_seed, n).copy()
+    digest.update(f"{trial}:{stream}".encode())
+    return int.from_bytes(digest.digest(), "big")
 
 
 def noise_spec(preset: str, n: int) -> Optional[NoisyOracleSpec]:
@@ -97,7 +104,6 @@ CSV_COLUMNS = TrialRow._fields
 # str, then a float by repr (what str gives), none of them quoted
 _ROW_FORMAT = "%s," + "%d," * 10 + "%r\n"
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-_INT64, _FLOAT64 = struct.Struct("q"), struct.Struct("d")
 
 
 # the JSON types each config key accepts, matched exactly: a JSON boolean
@@ -184,7 +190,7 @@ class SweepConfig:
 def geometric_mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("geometric mean of no values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(float_sum(map(math.log, values)) / len(values))
 
 
 @dataclass(frozen=True)
@@ -219,13 +225,13 @@ def fit_exponent(
         xs.append(math.log(n))
         ys.append(math.log(cost / norm))
     m = len(xs)
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    mean_x = float_sum(xs) / m
+    mean_y = float_sum(ys) / m
+    sxx = float_sum((x - mean_x) ** 2 for x in xs)
+    sxy = float_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    ssr = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    ssr = float_sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     stderr = math.sqrt(ssr / (m - 2) / sxx)
     return FitResult(slope, stderr, intercept, m, log_normalize)
 
@@ -240,13 +246,11 @@ def run_matcher(algorithm: str, instance: MatchInstance, run_config: NestedConfi
 
 def _run_trial(
     config: SweepConfig,
-    n: int,
+    instance: MatchInstance,
     trial: int,
-    instance_seed: int,
     run_seed: int,
     noise: Optional[NoisyOracleSpec],
 ) -> TrialRow:
-    instance = generate_instance(n, instance_seed)
     run_config = NestedConfig(
         engine=config.engine,
         uncompute_factor=config.uncompute_factor,
@@ -258,9 +262,9 @@ def _run_trial(
     # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
         config.algorithm,
-        n,
+        instance.n,
         trial,
-        instance_seed,
+        instance.seed,
         int(report.correct),
         ledger.total_cost(),
         ledger.l1_queries,
@@ -273,26 +277,22 @@ def _run_trial(
 
 
 class SizeTally:
-    """One size's running aggregates, folded from its rows in sweep order.
+    """One size's running aggregates, folded from its rows in sweep order: its float
+    sums, of log(total_cost) and of predicted success, add left to right, as
+    ``float_sum`` adds a list, and its size does not grow with its trials."""
 
-    Costs and predicted successes are kept, packed as int64 and float64,
-    16 bytes a trial, for the same reductions a list of rows gets: a
-    running sum would differ in the last bits where ``sum`` compensates
-    floats (Python 3.12).  Bytearrays, not the array module, whose
-    shared library would add about 0.1 MB to every process's RSS.
-    """
+    __slots__ = ("trials", "successes", "max_peak_workspace", "log_cost_sum", "predicted_sum")
 
     def __init__(self) -> None:
-        self.costs = bytearray()
-        self.predicted = bytearray()
-        self.successes = 0
-        self.max_peak_workspace = 0
+        self.trials = self.successes = self.max_peak_workspace = 0
+        self.log_cost_sum = self.predicted_sum = 0.0
 
     def add(self, row: TrialRow) -> None:
-        self.costs += _INT64.pack(row.total_cost)
-        self.predicted += _FLOAT64.pack(row.predicted_success)
+        self.trials += 1
         self.successes += row.success
         self.max_peak_workspace = max(self.max_peak_workspace, row.peak_workspace)
+        self.log_cost_sum += math.log(row.total_cost)
+        self.predicted_sum += row.predicted_success
 
 
 @dataclass
@@ -312,17 +312,14 @@ class SweepResult:
     def aggregate(self) -> dict:
         per_n = []
         for n, tally in self.sizes.items():
-            # read back as Python ints and floats, in row order
-            costs = memoryview(tally.costs).cast("q")
-            trials = len(costs)
+            trials = tally.trials
             per_n.append(
                 {
                     "n": n,
                     "trials": trials,
-                    "geomean_cost": geometric_mean(costs),
+                    "geomean_cost": math.exp(tally.log_cost_sum / trials),
                     "success_rate": tally.successes / trials,
-                    "mean_predicted_success": sum(memoryview(tally.predicted).cast("d"))
-                    / trials,
+                    "mean_predicted_success": tally.predicted_sum / trials,
                     "max_peak_workspace": tally.max_peak_workspace,
                 }
             )
@@ -372,13 +369,19 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
 # may span sizes, so a size of a few trials still shares one seed_words call
 SWEEP_CHUNK = 1024
 
+# Batches of at most this many values (rows times 2n, a row counting at least 64): a key
+# matrix of at most 64 KB.  noisy_small_batch's sweep against batches of one, medians of 25
+# interleaved runs (2-core x86-64 VM): 2^10 x0.92, 2^12 x0.85, 2^14 x0.77, 2^16 x0.75.  Fewer
+# than 8 rows go one at a time: per row, 8 at n = 1024 took x0.89, 4 x0.99, 2 at n = 4096 x1.08.
+GENERATION_BATCH_VALUES = 1 << 14
+
 
 def _run_chunk(
     config: SweepConfig,
     cells: list[tuple[int, int]],
     noises: dict[int, Optional[NoisyOracleSpec]],
 ) -> list[TrialRow]:
-    """The rows of the (n, trial) cells given, their seeds remembered in one pass."""
+    """The rows of the cells given: seeds remembered in one pass, then batch by batch."""
     base = config.base_seed
     instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in cells]
     run_seeds = [derive_seed(base, n, trial, "run") for n, trial in cells]
@@ -386,11 +389,18 @@ def _run_chunk(
         instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
     )
     rows = []
-    for (n, trial), instance_seed, run_seed in zip(cells, instance_seeds, run_seeds):
-        try:
-            rows.append(_run_trial(config, n, trial, instance_seed, run_seed, noises[n]))
-        except ResourceLimitError as err:
-            raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+    for n, group in groupby(zip(cells, instance_seeds, run_seeds), key=lambda c: c[0][0]):
+        per_batch = GENERATION_BATCH_VALUES // max(2 * n, 64)
+        while batch := list(islice(group, per_batch if per_batch >= 8 else 1)):
+            trial, seeds = batch[0][0][1], [seed for _, seed, _ in batch]
+            try:
+                one = len(seeds) == 1  # through generate_instance, which the layer tracer times
+                instances = [generate_instance(n, *seeds)] if one else generate_instances(n, seeds)
+                for ((_, trial), _, run_seed), instance in zip(batch, instances):
+                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n]))
+            except ResourceLimitError as err:
+                raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
+            del instances, instance  # not held while the next batch is drawn
     return rows
 
 

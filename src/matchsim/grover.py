@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import ResourceLimitError
+from .model import ResourceLimitError, float_sum
 
 DEFAULT_STATEVECTOR_CAP = 1 << 20
 STATEVECTOR_CAP_ENV = "MATCH_SIM_STATEVECTOR_CAP"
@@ -145,7 +145,7 @@ def noisy_success_probability(space_size: int, iterations: int, failure_prob: fl
             if failure_prob > 0.0:
                 nxt[2 - c] = nxt.get(2 - c, 0.0) + p * failure_prob
         dist = nxt
-    return sum(p * math.sin(c * theta) ** 2 for c, p in dist.items())
+    return float_sum(p * math.sin(c * theta) ** 2 for c, p in dist.items())
 
 
 def iteration_schedule(space_size: int, marked_count: int) -> int:

@@ -12,15 +12,17 @@ which hashes them all in one numpy pass (:func:`seed_words`), and
 clears them with :func:`forget_seed_words`; ``seeded_rng`` then builds
 those generators from their words instead of hashing each seed again.
 numpy.random itself is imported on the first generator built.  Generation,
-and a hand-built instance's ``shared_values``, find repeats with :func:`_repeats`.
+one instance or a batch (:func:`generate_instances`), and a hand-built instance's
+``shared_values`` find repeats with :func:`_repeats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import add
 from types import MappingProxyType
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +40,11 @@ MAX_INSTANCE_SIZE = 1 << 22
 # _repeats filters by 32-bit key up to 2^17 values (m random ones repeat about
 # m^2 / 2^33 keys) and 8 repeated keys; beyond, a plain sort costs as little
 _KEYED_VALUES, _KEY_PASSES = 1 << 17, 8
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, as ``sum`` adds floats until Python 3.12 compensates."""
+    return reduce(add, values, 0.0)
 
 
 class ResourceLimitError(RuntimeError):
@@ -188,12 +195,14 @@ class MatchInstance:
 
     @classmethod
     def _of_frozen(cls, lists: np.ndarray, n: int, planted: int, pos1: int, pos2: int, seed: int):
-        """The instance over the halves of ``lists``, a read-only uint64 buffer
-        that owns its memory, list1 first: nothing is copied or checked."""
+        """The generated instance over the halves of ``lists``, a read-only uint64
+        buffer that owns its memory, list1 first: nothing is copied or checked."""
         self = cls.__new__(cls)
         # __init__'s fields in its order: every instance shares one set of dict keys
         self.values1, self.values2, self.n, self.planted_value = lists[:n], lists[n:], n, planted
         self.planted_pos1, self.planted_pos2, self.seed = pos1, pos2, seed
+        # 2n - 1 distinct values were drawn, and only the planted one is in both lists
+        self.shared_values = lists[pos1 : pos1 + 1]
         return self
 
     @property
@@ -544,7 +553,31 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
         rng, raw = seeded_rng(seed), None
         # the last word is a placeholder that the moves below overwrite
         words = np.append(_draw_distinct(rng, count), words[:1])
-    pos1, pos2 = _draw_positions(rng, n, raw)
+    return _assembled(words, n, *_draw_positions(rng, n, raw), seed)
+
+
+def generate_instances(n: int, seeds: Sequence[int]) -> list[MatchInstance]:
+    """``generate_instance(n, seed)`` for each of ``seeds``: one row-wise sort of the
+    values' low 32-bit words as a (seeds, 2n - 1) matrix, and one positions pass over
+    the draws' last words.  A row whose word repeats, or with a rejected half, is drawn alone."""
+    check_instance_size(n)
+    if len(seeds) < 2:
+        return [generate_instance(n, seed) for seed in seeds]
+    draws = [seeded_rng(seed).bit_generator.random_raw(max(16, 2 * n - 1) + 1) for seed in seeds]
+    keys = np.concatenate(draws, dtype=np.uint32, casting="unsafe")  # the low words
+    keys = keys.reshape(len(seeds), -1)[:, : 2 * n - 1]
+    keys.sort(axis=1)
+    # Lemire's method on each last word, low half first, as _draw_positions takes them
+    raw = np.array([words[-1] for words in draws])
+    scaled = np.stack((raw & _M32, raw >> 32)) * np.uint64(n)
+    alone = (keys[:, 1:] == keys[:, :-1]).any(1) | ((scaled & _M32) < (1 << 32) % n).any(0)
+    rows = zip(seeds, draws, (scaled >> 32).T.tolist(), alone.tolist())
+    return [generate_instance(n, s) if a else _assembled(w, n, *p, s) for s, w, p, a in rows]
+
+
+def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> MatchInstance:
+    """The instance over ``words``, 2n - 1 distinct values and then any others,
+    the first planted at ``pos1`` and ``pos2``: moved in place and frozen."""
     lists = words if len(words) == 2 * n else words[: 2 * n].copy()
     planted = int(lists[0])
     # shift list2's tail right and list1's head left: a slot for the planted value in each
@@ -553,10 +586,7 @@ def generate_instance(n: int, seed: int) -> MatchInstance:
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
     lists.flags.writeable = False
-    instance = MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
-    # 2n - 1 distinct values were drawn, and only the planted one is in both lists
-    instance.shared_values = lists[pos1 : pos1 + 1]
-    return instance
+    return MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
 
 
 @dataclass

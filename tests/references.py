@@ -9,6 +9,8 @@ own private functions.
   closed forms the matchers and runners already compute.
 - ``instance_from_lists`` and ``check_instance`` build a hand-written
   instance and check every structural invariant of one.
+- ``record_generation`` hooks a sweep's instance generation, one seed or
+  a batch at a time.
 """
 
 import math
@@ -16,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from matchsim import experiments
 from matchsim.grover import _check_counts, _masses, success_probability
 from matchsim.matchers import NestedConfig, _failure_prob, _nested_plan, _nested_shape
 from matchsim.model import MatchInstance, ResourceLimitError, _as_values, _repeats
@@ -136,3 +139,25 @@ def two_level_outcome_distribution(
     if p_inner < 1.0:
         out[(marked_block, False)] = p * (1.0 - p_inner)
     return out
+
+
+def record_generation(monkeypatch, record) -> None:
+    """Call ``record(n, seed)`` before each instance a sweep generates, in order.
+
+    Patches both names ``run_sweep`` generates through,
+    ``experiments.generate_instance`` and ``experiments.generate_instances``;
+    a batch records each of its seeds before any of them is drawn.
+    """
+    one, batch = experiments.generate_instance, experiments.generate_instances
+
+    def generate_instance(n, seed):
+        record(n, seed)
+        return one(n, seed)
+
+    def generate_instances(n, seeds):
+        for seed in seeds:
+            record(n, seed)
+        return batch(n, seeds)
+
+    monkeypatch.setattr(experiments, "generate_instance", generate_instance)
+    monkeypatch.setattr(experiments, "generate_instances", generate_instances)

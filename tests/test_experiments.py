@@ -8,6 +8,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -20,6 +21,7 @@ from matchsim.experiments import (
     compare_report,
     derive_seed,
     fit_exponent,
+    float_sum,
     geometric_mean,
     load_rows,
     noise_spec,
@@ -29,6 +31,7 @@ from matchsim.experiments import (
 from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError, statevector_cap_from_env
 from matchsim.matchers import NestedConfig
 from matchsim.model import ACCESS_KINDS, MAX_INSTANCE_SIZE, generate_instance
+from references import record_generation
 
 
 def _never_drawn(*args, **kwargs):
@@ -188,6 +191,24 @@ class TestSeedDerivation:
     def test_fits_in_64_bits(self):
         s = derive_seed(2**63, 65536, 999, "run")
         assert 0 <= s < 2**64
+
+    @pytest.mark.parametrize("base_seed", [0, 1, 2**64 - 1, 2**64 + 7, 10**30])
+    def test_equals_the_one_shot_digest(self, base_seed):
+        # each size's hashed prefix is cached and copied: every trial and
+        # stream after the first reads it, and none may change it
+        for n in (2, 16, 2**22, 2**64 - 1):
+            for trial in (0, 1, 2**64 - 1, 0):
+                for stream in ("instance", "run"):
+                    message = f"{base_seed}:{n}:{trial}:{stream}".encode()
+                    digest = hashlib.blake2b(message, digest_size=8).digest()
+                    assert derive_seed(base_seed, n, trial, stream) == int.from_bytes(digest, "big")
+
+    def test_an_equal_seed_of_another_type_is_hashed_as_written(self):
+        # True == 1 and 16.0 == 16, but they print differently
+        for base_seed, n in ((1, 16), (True, 16), (1, 16.0)):
+            message = f"{base_seed}:{n}:3:run".encode()
+            digest = hashlib.blake2b(message, digest_size=8).digest()
+            assert derive_seed(base_seed, n, 3, "run") == int.from_bytes(digest, "big")
 
 
 class TestNoisePresets:
@@ -422,13 +443,9 @@ class TestSweepMemory:
         # which is below the break-even and remembers none
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 4)
         seen = []
-        original = experiments.generate_instance
-
-        def recording(n, seed):
-            seen.append((n, len(model._seed_memo.index)))
-            return original(n, seed)
-
-        monkeypatch.setattr(experiments, "generate_instance", recording)
+        record_generation(
+            monkeypatch, lambda n, seed: seen.append((n, len(model._seed_memo.index)))
+        )
         config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
         chunked = run_sweep(config)
         assert seen == [(16, 8)] * 3 + [(64, 8), (64, 0), (64, 0)]
@@ -438,14 +455,16 @@ class TestSweepMemory:
         assert chunked.to_json_text() == whole.to_json_text()
 
     def test_unkept_rows_bound_the_peak(self, tmp_path, monkeypatch):
-        # 10 chunks against 1: only the per-size tallies, 16 bytes a trial,
-        # grow (a bound of 1 MB missed every trial number held as an int).
-        # A traced real trial costs about 300 us, so the trials are stubbed;
-        # the seeds, chunks, CSV stream and tallies are the sweep's.
-        def stub_trial(config, n, trial, instance_seed, run_seed, noise):
+        # 10 chunks against 1: nothing may grow by 16 bytes a trial, what the
+        # tallies once kept (a bound of 1 MB missed every trial number held as
+        # an int).  A traced real trial costs about 300 us, so the matcher
+        # runs are stubbed; the seeds, chunks, generation batches, CSV stream
+        # and tallies are the sweep's.
+        def stub_trial(config, instance, trial, run_seed, noise):
             cost = 2 + trial % 5
             return experiments.TrialRow(
-                config.algorithm, n, trial, instance_seed, 1, cost, cost - 1, 1, 0, 0, 0, 0.5
+                config.algorithm, instance.n, trial, instance.seed, 1, cost, cost - 1, 1, 0, 0, 0,
+                0.5,
             )
 
         monkeypatch.setattr(experiments, "_run_trial", stub_trial)
@@ -467,6 +486,85 @@ class TestSweepMemory:
         with pytest.raises(ValueError, match="kept no rows"):
             result.to_csv_text()
 
+    def test_a_tally_does_not_grow_with_its_trials(self):
+        tally = experiments.SizeTally()
+        row = experiments.TrialRow("nested", 16, 0, 1, 1, 40, 30, 10, 0, 0, 4, 0.3)
+        tally.add(row)
+        tracemalloc.start()
+        try:
+            for _ in range(10000):
+                tally.add(row)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1000
+        assert (tally.trials, tally.successes, tally.max_peak_workspace) == (10001, 10001, 4)
+        assert tally.predicted_sum == float_sum([0.3] * 10001)
+        assert tally.log_cost_sum == float_sum([math.log(40)] * 10001)
+
+    def test_batches_give_the_rows_of_one_instance_at_a_time(self, monkeypatch):
+        # n = 256 draws 32 instances a batch, so its 40 trials take two
+        config = SweepConfig(
+            algorithm="nested", n_values=(4, 16, 64, 256), trials_per_n=40,
+            noise_preset="inv_sqrt_n",
+        )
+        batches = []
+        batch = experiments.generate_instances
+
+        def recording(n, seeds):
+            batches.append((n, len(seeds)))
+            return batch(n, seeds)
+
+        monkeypatch.setattr(experiments, "generate_instances", recording)
+        batched = run_sweep(config)
+        assert batches == [(4, 40), (16, 40), (64, 40), (256, 32), (256, 8)]
+        monkeypatch.setattr(experiments, "GENERATION_BATCH_VALUES", 1)
+        one_at_a_time = run_sweep(config)
+        assert len(batches) == 5
+        assert batched.rows == one_at_a_time.rows
+        assert batched.to_json_text() == one_at_a_time.to_json_text()
+
+    def test_fewer_than_eight_rows_go_one_at_a_time(self, monkeypatch):
+        # the budget fits 4 rows at n = 2048, too few for a batch to pay
+        def never(n, seeds):
+            raise AssertionError(f"{len(seeds)} instances at n={n} drawn as a batch")
+
+        monkeypatch.setattr(experiments, "generate_instances", never)
+        result = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(2048,), trials_per_n=5))
+        assert [row.trial for row in result.rows] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("budget", [1, experiments.GENERATION_BATCH_VALUES])
+    def test_no_instance_outlives_its_batch(self, monkeypatch, budget):
+        # one kept past its trials would pin its buffer while the next batch
+        # is drawn, a megabyte at n = 65536
+        monkeypatch.setattr(experiments, "GENERATION_BATCH_VALUES", budget)
+        made = []
+
+        def hooked(generate):
+            def generating(n, seeds):
+                assert all(ref() is None for ref in made)
+                instances = generate(n, seeds)
+                made.extend(weakref.ref(instance) for instance in instances)
+                return instances
+            return generating
+
+        one, batch = experiments.generate_instance, experiments.generate_instances
+        generate_one = hooked(lambda n, seeds: [one(n, *seeds)])
+        monkeypatch.setattr(experiments, "generate_instance", lambda n, s: generate_one(n, [s])[0])
+        monkeypatch.setattr(experiments, "generate_instances", hooked(batch))
+        run_sweep(SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3), keep_rows=False)
+        assert len(made) == 6
+
+    def test_a_refused_batch_names_its_first_cell(self, monkeypatch):
+        # a budget that draws the over-cap size's 5 trials as one batch
+        monkeypatch.setattr(experiments, "GENERATION_BATCH_VALUES", 1 << 30)
+        config = SweepConfig(
+            algorithm="sort_scan", n_values=(16, MAX_INSTANCE_SIZE + 1), trials_per_n=5
+        )
+        with pytest.raises(ResourceLimitError, match=f"^n={MAX_INSTANCE_SIZE + 1}, trial=0: "):
+            run_sweep(config)
+        assert not model._seed_memo.index
+
     def test_unkept_rows_change_no_byte(self, tmp_path):
         # 3000 trials in 3 chunks: one boundary inside a size, one across sizes
         out = tmp_path / "rows.csv"
@@ -487,13 +585,9 @@ class TestSweepMemory:
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 1)
         out = tmp_path / "rows.csv"
         seen = []
-        original = experiments.generate_instance
-
-        def recording(n, seed):
-            seen.append((n, (tmp_path / "rows.csv.tmp").exists()))
-            return original(n, seed)
-
-        monkeypatch.setattr(experiments, "generate_instance", recording)
+        record_generation(
+            monkeypatch, lambda n, seed: seen.append((n, (tmp_path / "rows.csv.tmp").exists()))
+        )
         config = SweepConfig(
             algorithm="naive_grover", n_values=(16, 2048), engine="statevector", output=str(out)
         )
@@ -519,13 +613,10 @@ class TestSweepMemory:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
-        original = experiments.generate_instance
-
-        def writing(n, seed):
-            (tmp_path / "new" / "other.txt").write_text("not the sweep's")
-            return original(n, seed)
-
-        monkeypatch.setattr(experiments, "generate_instance", writing)
+        record_generation(
+            monkeypatch,
+            lambda n, seed: (tmp_path / "new" / "other.txt").write_text("not the sweep's"),
+        )
         config = SweepConfig(
             algorithm="naive_grover", n_values=(16, 2048), engine="statevector",
             output=str(tmp_path / "new" / "sub" / "rows.csv"),
@@ -598,6 +689,26 @@ class TestFitExponent:
         assert geometric_mean([4.0, 16.0]) == pytest.approx(8.0)
         with pytest.raises(ValueError):
             geometric_mean([])
+
+    def test_float_sums_run_left_to_right(self):
+        # sum compensates floats from Python 3.12 (here, as fsum, 1.0 and
+        # ...141e+37); the outputs keep the left-to-right sums of 3.11
+        assert float_sum([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
+        assert float_sum([]) == 0.0 and type(float_sum([])) is float
+        values = [
+            4.737939778949821, 4.591438622719958e299, 9.26506623785866e-301, 2.931522914819005e150
+        ]
+        logs = [math.log(v) for v in values]
+        left_to_right = math.exp((((logs[0] + logs[1]) + logs[2]) + logs[3]) / 4)
+        assert geometric_mean(values) == left_to_right == 4.930262414517071e37
+        assert math.exp(math.fsum(logs) / 4) != left_to_right
+
+    def test_a_fit_sums_left_to_right(self, monkeypatch):
+        points = [(16, 35.2), (64, 226.1), (256, 582.2), (1024, 2985.7), (4096, 10707.6)]
+        fit = fit_exponent(points)
+        assert (fit.slope, fit.stderr) == (1.0110362164187725, 0.05057777535796132)
+        monkeypatch.setattr(experiments, "float_sum", math.fsum)
+        assert fit_exponent(points).slope == 1.0110362164187723
 
 
 class TestCompareReport:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from matchsim import grover
 from matchsim.grover import (
     NoisyOracleSpec,
     ResourceLimitError,
@@ -123,6 +124,13 @@ class TestSchedules:
 
 
 class TestSuccessProbability:
+    def test_the_noisy_success_sums_left_to_right(self, monkeypatch):
+        # a noisy nested run at n = 56 (7 blocks, 2 outer rounds, dropout
+        # 1/sqrt(56)); compensated addition, sum's from Python 3.12, ends in ...54
+        assert noisy_success_probability(7, 2, 1 / math.sqrt(56)) == 0.7704997875890053
+        monkeypatch.setattr(grover, "float_sum", math.fsum)
+        assert noisy_success_probability(7, 2, 1 / math.sqrt(56)) == 0.7704997875890054
+
     @pytest.mark.parametrize("m,k", [(4, 1), (10, 3), (100, 7)])
     def test_zero_iterations_is_uniform_sampling(self, m, k):
         assert success_probability(m, k, 0) == pytest.approx(k / m, abs=1e-12)

@@ -25,7 +25,7 @@ from matchsim.model import (
     check_instance_size,
     generate_instance,
 )
-from references import check_instance, instance_from_lists
+from references import check_instance, instance_from_lists, record_generation
 
 
 def reference_draw_distinct(rng, count):
@@ -282,6 +282,92 @@ class TestOneDraw:
         assert (inst.planted_pos1, inst.planted_pos2) == positions == (3 * n // 4, n // 2)
         values = np.array(stream[:count], dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+
+
+class TestGenerateInstances:
+    """A batch gives, seed for seed, what generate_instance gives."""
+
+    def test_a_mixed_batch_equals_each_seed_alone(self, monkeypatch):
+        # seeds 101 and 102 are scripted.  101 repeats a value, and both halves
+        # of its last word are accepted, so only the repeat can send it to
+        # _draw_distinct (which takes that word as a value); 102 draws a last
+        # word with a rejected low half, so its positions take another word
+        n, word = 9, 0x40000000_40000000
+        repeat_stream = [
+            *range(100, 108), 103, *range(108, 116), word, *range(116, 131), POSITION_WORD
+        ]
+        words = [0xC0000000_00000000, 0x00000000_80000000]
+        rejected_stream = [*range(100, 100 + 2 * n - 1), *words, 77]
+        scripted = {101: repeat_stream, 102: rejected_stream}
+        seeded_rng = model.seeded_rng
+        monkeypatch.setattr(
+            model, "seeded_rng",
+            lambda seed: ScriptedRng(scripted[seed]) if seed in scripted else seeded_rng(seed),
+        )
+        seeds = [0, 101, 1, 2**63 + 5, 102, 2]
+        batch = model.generate_instances(n, seeds)
+        expected = {
+            101: (reference_draw_distinct(ScriptedRng(repeat_stream), 2 * n - 1), (4, 6)),
+            102: (rejected_stream[: 2 * n - 1], (6, 4)),
+        }
+        for seed in (0, 1, 2**63 + 5, 2):
+            rng = seeded_rng(seed)
+            values = model._draw_distinct(rng, 2 * n - 1)
+            expected[seed] = values, (int(rng.integers(n)), int(rng.integers(n)))
+        assert [inst.seed for inst in batch] == seeds
+        for inst in batch:
+            values, positions = expected[inst.seed]
+            assert (inst.planted_pos1, inst.planted_pos2) == positions
+            values = np.array(values, dtype=np.uint64)
+            assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+            assert inst == model.generate_instance(n, inst.seed)
+            check_instance(inst)
+            assert_carries_its_shared_value(inst)
+        # each instance owns its own buffer of 2n words
+        assert len({id(inst.values1.base) for inst in batch}) == len(batch)
+        assert all(len(inst.values1.base) == 2 * n for inst in batch)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17, 100, 1024])
+    def test_batches_equal_one_seed_at_a_time(self, n):
+        seeds = [*range(60), 2**63 + 5, 2**64 - 1]
+        for inst, seed in zip(model.generate_instances(n, seeds), seeds, strict=True):
+            alone = generate_instance(n, seed)
+            assert inst == alone and "shared_values" in vars(inst)
+            assert np.array_equal(inst.shared_values, alone.shared_values)
+
+    def test_a_row_whose_low_word_repeats_is_drawn_alone(self, monkeypatch):
+        # the planted value and another share their low word, not their value:
+        # the row is drawn again as one seed is, and _repeats clears it
+        n = 9
+        values = [(1 << 32) | 5, (2 << 32) | 5, *range(100, 100 + 2 * n - 3)]
+        streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
+        made = []
+
+        def scripted(seed):
+            made.append((seed, ScriptedRng(streams[seed])))
+            return made[-1][1]
+
+        monkeypatch.setattr(model, "seeded_rng", scripted)
+        monkeypatch.setattr(model, "_draw_distinct", _never_redrawn)
+        inst = model.generate_instances(n, [7, 8])[0]
+        # seed 7 drawn in the batch, then alone
+        assert [(seed, rng.calls) for seed, rng in made] == [(7, [18]), (8, [18]), (7, [18])]
+        values = np.array(values, dtype=np.uint64)
+        assert_one_buffer(inst, *reference_assembly(values, n, n // 2, 3 * n // 4))
+
+    def test_the_size_is_checked_before_anything_is_drawn(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew values for an over-cap batch")
+
+        monkeypatch.setattr(model, "seeded_rng", never)
+        with pytest.raises(ResourceLimitError):
+            model.generate_instances(MAX_INSTANCE_SIZE + 1, [0, 1, 2])
+        with pytest.raises(ValueError):
+            model.generate_instances(1, [0, 1])
+
+
+def _never_redrawn(*args):
+    raise AssertionError("a row whose values are distinct was redrawn")
 
 
 CLASSICAL_MATCHERS = (exhaustive_pairs, classical_sort_scan, classical_two_sort_merge)
@@ -627,13 +713,7 @@ class TestSeededRng:
 class TestSweepSeedMemo:
     def test_one_fill_holds_every_drawn_seed_and_is_emptied(self, monkeypatch):
         seen = []
-        original = experiments.generate_instance
-
-        def recording(n, seed):
-            seen.append(len(model._seed_memo.index))
-            return original(n, seed)
-
-        monkeypatch.setattr(experiments, "generate_instance", recording)
+        record_generation(monkeypatch, lambda n, seed: seen.append(len(model._seed_memo.index)))
         config = experiments.SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
         experiments.run_sweep(config)
         # instance and run seeds of all 6 trials, remembered before the first
