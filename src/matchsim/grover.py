@@ -11,16 +11,17 @@ uniform direction and maps c to 2 - c.
 
 A search is the two-field value ``Search(space_size, marked)``, with
 ``marked`` strictly ascending below ``space_size``.  Each engine is one
-runner, (search, iterations, rng, failure_prob) -> (measured_index,
+runner, (search, iterations, uniforms, failure_prob) -> (measured_index,
 marked_mass, fire_pattern), that checks the search and charges nothing.
 The reduced runner (``run_analytic``) tracks c alone and samples the
 amplitude vector it implies, so its work does not grow with M.  The
 statevector runner (``run_statevector``) simulates all M real amplitudes
 round by round; it is the independent reference the reduced runner is
-checked against and runs only when named.  Both use the random stream
-the same way (one draw per round when dropout is on, then one
-inverse-CDF draw for the measurement), so on the same seed they measure
-the same index.  What a search's rounds cost is the caller's to charge.
+checked against and runs only when named.  Neither holds a generator:
+both read the caller's list of uniform floats in [0, 1) alike (one per
+round when dropout is on, then one inverse-CDF draw to measure), so on
+the same uniforms they measure the same index.  What a search's rounds
+cost is the caller's to charge.
 """
 
 from __future__ import annotations
@@ -168,16 +169,17 @@ def iteration_schedule(space_size: int, marked_count: int) -> int:
 
 
 def _fire_pattern(
-    iterations: int, failure_prob: float, rng: np.random.Generator
+    iterations: int, failure_prob: float, uniforms: list[float]
 ) -> Optional[tuple[bool, ...]]:
-    """Per round, whether the oracle fires; None (and no draws) when noiseless."""
+    """Per round, whether the oracle fires (None when noiseless); checks the uniforms' count."""
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     if not 0.0 <= failure_prob <= 1.0:
         raise ValueError("failure_prob must lie in [0, 1]")
-    if failure_prob == 0.0:
-        return None
-    return tuple(draw >= failure_prob for draw in rng.random(iterations).tolist())
+    rounds = iterations if failure_prob > 0.0 else 0
+    if len(uniforms) != rounds + 1:
+        raise ValueError(f"a run of {rounds} dropout rounds reads {rounds + 1} uniforms")
+    return tuple([draw >= failure_prob for draw in uniforms[:rounds]]) if failure_prob else None
 
 
 def statevector_amplitudes(
@@ -205,10 +207,10 @@ def statevector_amplitudes(
     return amps
 
 
-def _sample_index(amps: np.ndarray, rng: np.random.Generator) -> int:
+def _sample_index(amps: np.ndarray, uniform: float) -> int:
     probs = amps * amps
     cum = np.cumsum(probs)
-    draw = rng.random() * cum[-1]
+    draw = uniform * cum[-1]
     idx = int(np.searchsorted(cum, draw, side="right"))
     return min(idx, len(amps) - 1)
 
@@ -218,19 +220,19 @@ def _sample_reduced(
     marked: tuple[int, ...],
     marked_mass: float,
     unmarked_mass: float,
-    rng: np.random.Generator,
+    uniform: float,
 ) -> int:
     """One inverse-CDF draw from the amplitude vector the reduced state implies.
 
     Each marked index carries marked_mass / k and every other index
     unmarked_mass / (M - k).  The cumulative mass is walked in index
     order, one run of unmarked indices at a time, as ``_sample_index``
-    walks the full vector, so both turn one uniform draw into one index.
+    walks the full vector, so both turn one uniform into one index.
     """
     k = len(marked)
     per_marked = marked_mass / k if k else 0.0
     per_unmarked = unmarked_mass / (space_size - k) if k < space_size else 0.0
-    draw = rng.random() * (marked_mass + unmarked_mass)
+    draw = uniform * (marked_mass + unmarked_mass)
     start = 0
     for idx in marked:
         run = (idx - start) * per_unmarked
@@ -250,7 +252,7 @@ StepResult = tuple[int, float, Optional[tuple[bool, ...]]]
 
 
 def run_statevector(
-    search: Search, iterations: int, rng: np.random.Generator, failure_prob: float = 0.0
+    search: Search, iterations: int, uniforms: list[float], failure_prob: float = 0.0
 ) -> StepResult:
     """Reference runner: simulate all amplitudes and sample one measurement.
 
@@ -264,23 +266,23 @@ def run_statevector(
         raise ResourceLimitError(
             f"statevector space of {search.space_size} amplitudes exceeds the cap of {cap}"
         )
-    pattern = _fire_pattern(iterations, failure_prob, rng)
+    pattern = _fire_pattern(iterations, failure_prob, uniforms)
     amps = statevector_amplitudes(search, iterations, pattern)
     hits = amps[list(search.marked)]
-    return _sample_index(amps, rng), float(np.sum(hits * hits)), pattern
+    return _sample_index(amps, uniforms[-1]), float(np.sum(hits * hits)), pattern
 
 
 def run_analytic(
-    search: Search, iterations: int, rng: np.random.Generator, failure_prob: float = 0.0
+    search: Search, iterations: int, uniforms: list[float], failure_prob: float = 0.0
 ) -> StepResult:
     """Reduced runner: track the state's angle and sample the outcome it implies.
 
-    Measures what ``run_statevector`` measures on the same stream.
+    Measures what ``run_statevector`` measures on the same uniforms.
     Noiseless, the angle is (2r + 1) * theta at once; with dropout, each
     drawn round moves c as the module says.
     """
     _check_search(search)
-    pattern = _fire_pattern(iterations, failure_prob, rng)
+    pattern = _fire_pattern(iterations, failure_prob, uniforms)
     if pattern is None:
         c = 2 * iterations + 1
     else:
@@ -289,12 +291,12 @@ def run_analytic(
             c = c + 2 if fires else 2 - c
     space_size, marked = search
     marked_mass, unmarked_mass = _masses(space_size, len(marked), c)
-    measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, rng)
+    measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, uniforms[-1])
     return measured, marked_mass, pattern
 
 
 def run_noisy_outer(
-    search: Search, iterations: int, noise: NoisyOracleSpec, rng: np.random.Generator
+    search: Search, iterations: int, noise: NoisyOracleSpec, uniforms: list[float]
 ) -> StepResult:
     """``run_analytic`` with the spec's per-round dropout."""
-    return run_analytic(search, iterations, rng, noise.failure_prob)
+    return run_analytic(search, iterations, uniforms, noise.failure_prob)

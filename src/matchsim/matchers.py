@@ -15,7 +15,8 @@ No matcher performs the sorts and membership probes it is charged for:
 each charges them by the closed forms of ``sortsearch`` and finds what
 it reports by compare.  The amplified matchers run each search as a
 ``Search`` through the configured engine's runner, looked up in this
-module at call time, and charge its rounds themselves.
+module at call time, on uniforms drawn in one call.  The nested matcher
+merges its charges from per-shape templates (``_nested_charges``).
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def naive_grover_pairs(
     iterations = iteration_schedule(m, 1)
     engine, run = _engine(config)
     pair_star = instance.planted_pos1 * n + instance.planted_pos2
-    measured = run(Search(m, (pair_star,)), iterations, seeded_rng(config.rng_seed))[0]
+    measured = run(Search(m, (pair_star,)), iterations, [seeded_rng(config.rng_seed).random()])[0]
     evaluations = iterations * config.uncompute_factor
     if evaluations:
         ledger.charge_batch("outer_search", l1_queries=evaluations, l2_queries=evaluations)
@@ -269,6 +270,28 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner)
 
 
+@lru_cache(maxsize=1024)
+def _nested_charges(
+    block_size: int, r_outer: int, r_inner: int, u: int, block_len: int, verified: bool
+) -> tuple[tuple, tuple]:
+    """A nested run's ledger parts (``CostLedger.part``), from the matcher's own charge code:
+    ``before``, the outer oracle evaluations and the measured block's copy and sort, which
+    leave the block live; ``after``, the probes, and the confirming queries if ``verified``."""
+    before, after = CostLedger(), CostLedger()
+    if r_outer:  # with no outer rounds, no block is copied and no workspace is held
+        _outer_oracle_charge(before, r_outer * u, block_size, r_inner)
+    before.charge_batch("sort", l1_queries=block_len, mem_writes=block_len)
+    before.workspace_acquire(block_len)
+    charge_sort(block_len, before)
+    probes = r_inner * u + 1
+    after.charge_batch(
+        "inner_search", l2_queries=probes, mem_reads=2 * membership_probe_depth(block_len) * probes
+    )
+    if verified:
+        after.charge_batch("final_verify", l1_queries=1, l2_queries=1)
+    return before.part(), after.part()
+
+
 def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
@@ -284,8 +307,8 @@ def nested_grover_match(
     nothing: the measured list2 value is looked up by compare in the
     block's unsorted slice of list1.  A run whose verification probe
     misses reports no match rather than guessing.  Both searches run
-    through the configured engine's runner; the plan fixes what they
-    charge.
+    through the configured engine's runner; the outer charges are merged
+    once the block is measured, the probes once verification is known.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
@@ -295,60 +318,43 @@ def nested_grover_match(
         n, config.block_size, failure_prob
     )
     engine, run = _engine(config)
-    rng = seeded_rng(config.rng_seed)
+    # the run stream: the outer search's dropout rounds and measurement, then the inner one's
+    uniforms = seeded_rng(config.rng_seed).random(r_outer + 2 if failure_prob else 2).tolist()
     marked_block = instance.planted_pos1 // b
-    beta, outer_mass, fire_pattern = run(Search(blocks, (marked_block,)), r_outer, rng, failure_prob)
-    outer_evaluations = r_outer * config.uncompute_factor
-    if outer_evaluations:  # with none, no block is copied and no workspace is held
-        _outer_oracle_charge(ledger, outer_evaluations, b, r_inner)
-
-    # final pass: the measured block's copy and sort, charged
+    outer = Search(blocks, (marked_block,))
+    beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
     offset = beta * b
     block = instance.values1[offset : offset + b].tolist()
-    ledger.charge_batch("sort", l1_queries=len(block), mem_writes=len(block))
-    ledger.workspace_acquire(len(block))
-    charge_sort(len(block), ledger)
+    shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
+    ledger.merge(_nested_charges(*shape, False)[0])  # before: the same whatever verifies
     marked = (instance.planted_pos2,) if beta == marked_block else ()
-    j_hat = run(Search(n, marked), r_inner, rng)[0]
-    # the amplified membership probes and the measured index's verification probe
-    probes = r_inner * config.uncompute_factor + 1
-    ledger.charge_batch(
-        "inner_search", l2_queries=probes, mem_reads=2 * membership_probe_depth(len(block)) * probes
-    )
-    v_hat = int(instance.values2[j_hat])
+    j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
+    v_hat = instance.values2.item(j_hat)
     try:  # the verification probe, by compare: a list holds a value at most once
-        i_hat = offset + block.index(v_hat)
+        found = (offset + block.index(v_hat), j_hat)
     except ValueError:
-        i_hat = None
-    inner_verified = i_hat is not None
-
-    found = None
-    if inner_verified:
-        ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-        found = (i_hat, j_hat)
+        found = None
+    inner_verified = found is not None
+    ledger.merge(_nested_charges(*shape, inner_verified)[1])
     ledger.workspace_release(len(block))
-
-    return RunReport(
-        found=found,
-        correct=_is_correct(instance, found),
-        ledger=ledger,
-        engine_stats={
-            "algorithm": "nested",
-            "block_size": b,
-            "block_count": blocks,
-            "outer_iterations": r_outer,
-            "inner_iterations": r_inner,
-            "outer_measured_block": beta,
-            "outer_marked_block": marked_block,
-            "outer_marked_mass": outer_mass,
-            "inner_verified": inner_verified,
-            "outer_fire_pattern": fire_pattern,
-            "engine_outer": engine,
-            "engine_inner": engine,
-        },
-        rng_seed=config.rng_seed,
-        predicted_success=predicted_success,
-    )
+    stats = {
+        "algorithm": "nested",
+        "block_size": b,
+        "block_count": blocks,
+        "outer_iterations": r_outer,
+        "inner_iterations": r_inner,
+        "outer_measured_block": beta,
+        "outer_marked_block": marked_block,
+        "outer_marked_mass": outer_mass,
+        "inner_verified": inner_verified,
+        "outer_fire_pattern": fire_pattern,
+        "engine_outer": engine,
+        "engine_inner": engine,
+    }
+    # a found pair holds v_hat on both sides: it is correct when v_hat is the planted value
+    correct = inner_verified and v_hat == instance.planted_value
+    # by position, in field order: keywords cost a dataclass twice as much
+    return RunReport(found, correct, ledger, stats, config.rng_seed, predicted_success)
 
 
 def predicted_total_cost(

@@ -142,6 +142,28 @@ class CostLedger:
             raise ValueError("releasing more workspace cells than are live")
         self.live_workspace -= cells
 
+    def part(self) -> tuple:
+        """What this ledger recorded since it was built, as ``merge`` takes it: the four counters,
+        the nonzero per-phase counts as (offset, count) pairs, the peak and the live cells."""
+        phases = tuple((at, count) for at, count in enumerate(self._by_phase) if count)
+        counters = (self.l1_queries, self.l2_queries, self.mem_reads, self.mem_writes)
+        return (*counters, phases, self.peak_workspace, self.live_workspace)
+
+    def merge(self, part: tuple) -> None:
+        """Add a ``part``: its peak counts from the live level here, and its live cells stay."""
+        l1_queries, l2_queries, mem_reads, mem_writes, phases, peak, live = part
+        self.l1_queries += l1_queries
+        self.l2_queries += l2_queries
+        self.mem_reads += mem_reads
+        self.mem_writes += mem_writes
+        counts = self._by_phase
+        for at, count in phases:
+            counts[at] += count
+        peak += self.live_workspace
+        if peak > self.peak_workspace:
+            self.peak_workspace = peak
+        self.live_workspace += live
+
     def total_cost(self) -> int:
         return self.l1_queries + self.l2_queries + self.mem_reads + self.mem_writes
 
@@ -501,7 +523,8 @@ def _generator_parts() -> tuple:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            # PCG64 passes np.uint64 itself, and np.dtype() on it costs 0.3 us a build
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise RuntimeError(
                     f"PCG64 asked for {n_words} {np.dtype(dtype)} seed words, not 4 uint64"
                 )

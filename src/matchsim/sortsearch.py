@@ -39,7 +39,7 @@ def sort_charges(n: int) -> tuple[int, int]:
     A level of width w moves all n cells; each of its n // 2w full merges
     compares 2w - 1 times, and a trailing run of rem = n % 2w cells
     compares rem - 1 times only when two runs meet there (rem > w).
-    Cached per n: every block sort of a nested run asks for the same n.
+    Cached per n: a sweep's sorts, nested templates and predictions ask for few sizes.
     """
     if n < 0:
         raise ValueError("size must be non-negative")

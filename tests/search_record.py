@@ -6,7 +6,8 @@ kept sorted), the predicate that checks the measured index, and the
 charge function that records oracle evaluations on a cost ledger.
 ``run_record`` runs one engine on a record: it charges ``iterations *
 uncompute_factor`` evaluations and calls the predicate on the measured
-index; any further charge is the caller's.
+index; any further charge is the caller's.  ``draw_uniforms`` draws the
+uniforms one run reads from a generator, one ``random`` call per run.
 """
 
 from dataclasses import dataclass
@@ -68,10 +69,16 @@ class GroverOutcome(NamedTuple):
     fire_pattern: Optional[tuple[bool, ...]] = None
 
 
+def draw_uniforms(rng, iterations: int = 0, failure_prob: float = 0.0) -> list[float]:
+    """The next uniforms a run of ``iterations`` rounds reads: one per round when
+    dropout is on, then one for the measurement."""
+    return rng.random(iterations * (failure_prob > 0.0) + 1).tolist()
+
+
 def run_record(
     problem: GroverProblem,
     iterations: int,
-    rng,
+    uniforms: list[float],
     ledger: Optional[CostLedger] = None,
     *,
     engine: str = "analytic",
@@ -80,6 +87,6 @@ def run_record(
     """Run ``engine``'s runner on the record, charge its rounds, check the measured index."""
     run = run_statevector if engine == "statevector" else run_analytic
     search = Search(problem.space_size, problem.marked)
-    measured, mass, pattern = run(search, iterations, rng, failure_prob)
+    measured, mass, pattern = run(search, iterations, uniforms, failure_prob)
     problem.charge(ledger, iterations * problem.uncompute_factor)
     return GroverOutcome(measured, bool(problem.predicate(measured)), mass, engine, pattern)

@@ -250,6 +250,22 @@ class TestRunSweep:
         text = run_sweep(config).to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("preset", ["inv_n", "inv_sqrt_n"])
+    def test_noisy_nested_rows_agree_across_engines(self, preset, monkeypatch):
+        # the reference statevector runner and the reduced one read the same
+        # uniforms, so every row and the aggregate agree; at n = 17 the last of
+        # the four blocks holds 2 values, and at n = 100 ten blocks hold 10 each
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        outputs = []
+        for engine in ("statevector", "auto"):
+            config = SweepConfig(
+                algorithm="nested", n_values=(16, 17, 64, 100, 256), trials_per_n=24,
+                base_seed=5, engine=engine, noise_preset=preset,
+            )
+            result = run_sweep(config)
+            outputs.append((result.to_csv_text(), json.dumps(result.aggregate(), sort_keys=True)))
+        assert outputs[0] == outputs[1]
+
     def test_rows_are_immutable(self):
         row = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4,))).rows[0]
         for name in CSV_COLUMNS:

@@ -23,7 +23,7 @@ from matchsim.grover import (
 from matchsim.matchers import NestedConfig, naive_grover_pairs, nested_grover_match
 from matchsim.model import CostLedger, generate_instance
 from references import failure_probability
-from search_record import GroverProblem, run_record
+from search_record import GroverProblem, draw_uniforms, run_record
 
 
 def first_k(m, k):
@@ -164,12 +164,13 @@ class TestSuccessProbability:
 
 class TestStatevectorEngine:
     def test_certain_hit_at_four(self):
-        measured, mass, _ = run_statevector(first_k(4, 1), 1, np.random.default_rng(0))
+        uniforms = np.random.default_rng(0).random(1).tolist()
+        measured, mass, _ = run_statevector(first_k(4, 1), 1, uniforms)
         assert mass == pytest.approx(1.0, abs=1e-12)
         assert measured == 0
 
     def test_marked_mass_matches_closed_form(self):
-        mass = run_statevector(first_k(8, 1), 2, np.random.default_rng(1))[1]
+        mass = run_statevector(first_k(8, 1), 2, np.random.default_rng(1).random(1).tolist())[1]
         expected = success_probability(8, 1, 2)
         assert mass == pytest.approx(expected, abs=1e-9)
 
@@ -177,7 +178,7 @@ class TestStatevectorEngine:
         search = first_k(16, 0)
         amps = statevector_amplitudes(search, 3)
         assert np.allclose(amps, 1 / 4.0, atol=1e-12)
-        assert run_statevector(search, 3, np.random.default_rng(2))[1] == 0.0
+        assert run_statevector(search, 3, np.random.default_rng(2).random(1).tolist())[1] == 0.0
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
@@ -194,7 +195,7 @@ class TestStatevectorEngine:
         p_hit = success_probability(8, 1, r)
         rng = np.random.default_rng(7)
         hits = sum(
-            run_statevector(search, r, rng)[0] == 0 for _ in range(4000)
+            run_statevector(search, r, rng.random(1).tolist())[0] == 0 for _ in range(4000)
         )
         sigma = math.sqrt(p_hit * (1 - p_hit) / 4000)
         assert abs(hits / 4000 - p_hit) < 4 * sigma
@@ -202,7 +203,7 @@ class TestStatevectorEngine:
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "1024")
         with pytest.raises(ResourceLimitError) as err:
-            run_statevector(first_k(2048, 1), 1, np.random.default_rng(0))
+            run_statevector(first_k(2048, 1), 1, np.random.default_rng(0).random(1).tolist())
         assert "2048" in str(err.value)
 
     def test_oracle_charges_per_iteration_times_uncompute(self):
@@ -212,7 +213,7 @@ class TestStatevectorEngine:
             charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
         )
         led = CostLedger()
-        run_record(prob, 6, np.random.default_rng(0), led, engine="statevector")
+        run_record(prob, 6, draw_uniforms(np.random.default_rng(0)), led, engine="statevector")
         assert led.l2_queries == 6 * 2
 
 
@@ -226,8 +227,8 @@ class TestAnalyticEngine:
                 r_top = (iteration_schedule(m, k) if k else 2) + 2
                 for r in range(r_top + 1):
                     search = first_k(m, k)
-                    sv = run_statevector(search, r, rng)[1]
-                    an = run_analytic(search, r, rng)[1]
+                    sv = run_statevector(search, r, rng.random(1).tolist())[1]
+                    an = run_analytic(search, r, rng.random(1).tolist())[1]
                     assert an == pytest.approx(sv, abs=1e-9)
 
     def test_outcome_rate_matches_prediction(self):
@@ -235,14 +236,14 @@ class TestAnalyticEngine:
         r = 1
         p = success_probability(16, 1, r)
         rng = np.random.default_rng(5)
-        hits = sum(run_analytic(search, r, rng)[0] == 0 for _ in range(4000))
+        hits = sum(run_analytic(search, r, rng.random(1).tolist())[0] == 0 for _ in range(4000))
         sigma = math.sqrt(p * (1 - p) / 4000)
         assert abs(hits / 4000 - p) < 4 * sigma
 
     def test_unmarked_misses_spread_over_unmarked(self):
         search = first_k(4, 1)
         rng = np.random.default_rng(9)
-        seen = {run_analytic(search, 0, rng)[0] for _ in range(500)}
+        seen = {run_analytic(search, 0, rng.random(1).tolist())[0] for _ in range(500)}
         assert seen - {0} == {1, 2, 3}
 
     def test_charges_equal_statevector_charges(self):
@@ -251,14 +252,15 @@ class TestAnalyticEngine:
 
         led_sv, led_an = CostLedger(), CostLedger()
         prob = first_k_problem(32, 2, uncompute_factor=3, charge=charge)
-        run_record(prob, 4, np.random.default_rng(0), led_sv, engine="statevector")
-        run_record(prob, 4, np.random.default_rng(0), led_an, engine="analytic")
+        run_record(prob, 4, draw_uniforms(np.random.default_rng(0)), led_sv, engine="statevector")
+        run_record(prob, 4, draw_uniforms(np.random.default_rng(0)), led_an, engine="analytic")
         assert led_sv.total_cost() == led_an.total_cost() == 4 * 3
 
     def test_huge_space_without_amplitudes(self):
         m = 1 << 32
         r = iteration_schedule(m, 1)
-        measured, mass, _ = run_analytic(Search(m, (7,)), r, np.random.default_rng(0))
+        uniforms = np.random.default_rng(0).random(1).tolist()
+        measured, mass, _ = run_analytic(Search(m, (7,)), r, uniforms)
         assert mass > 1 - 1e-9
         assert measured == 7
 
@@ -288,8 +290,9 @@ class TestAnalyticEngine:
                 for r in range(6):
                     for eps in (0.0, 0.3):
                         for seed in range(8):
-                            sv = run_statevector(search, r, np.random.default_rng(seed), eps)
-                            an = run_analytic(search, r, np.random.default_rng(seed), eps)
+                            uniforms = draw_uniforms(np.random.default_rng(seed), r, eps)
+                            sv = run_statevector(search, r, uniforms, eps)
+                            an = run_analytic(search, r, uniforms, eps)
                             assert an[0] == sv[0]
                             assert an[2] == sv[2]
                             assert an[1] == pytest.approx(sv[1], abs=1e-12)
@@ -297,12 +300,14 @@ class TestAnalyticEngine:
     def test_outcome_names_engine_and_pattern(self):
         # the runners report the drawn pattern; the record names the engine that ran
         search = first_k(16, 1)
-        assert run_analytic(search, 3, np.random.default_rng(0))[2] is None
-        assert run_statevector(search, 3, np.random.default_rng(0))[2] is None
-        noisy = run_noisy_outer(search, 3, NoisyOracleSpec(0.5), np.random.default_rng(0))
+        assert run_analytic(search, 3, np.random.default_rng(0).random(1).tolist())[2] is None
+        assert run_statevector(search, 3, np.random.default_rng(0).random(1).tolist())[2] is None
+        uniforms = np.random.default_rng(0).random(4).tolist()
+        noisy = run_noisy_outer(search, 3, NoisyOracleSpec(0.5), uniforms)
         assert len(noisy[2]) == 3
         for engine in ("analytic", "statevector"):
-            out = run_record(first_k_problem(16, 1), 3, np.random.default_rng(0), engine=engine)
+            uniforms = draw_uniforms(np.random.default_rng(0))
+            out = run_record(first_k_problem(16, 1), 3, uniforms, engine=engine)
             assert out.engine == engine
 
     def test_noiseless_run_has_no_per_round_work(self):
@@ -313,7 +318,7 @@ class TestAnalyticEngine:
             1 << 40, 1, uncompute_factor=2,
             charge=lambda led, t: led.charge("l2_queries", t, "inner_search"),
         )
-        out = run_record(prob, r, np.random.default_rng(0), led)
+        out = run_record(prob, r, draw_uniforms(np.random.default_rng(0)), led)
         assert out.predicted_success == pytest.approx(success_probability(1 << 40, 1, r))
         assert led.l2_queries == 2 * r
 
@@ -338,7 +343,28 @@ class TestEngineGuards:
     def test_malformed_search_rejected(self, run, search):
         # an unsorted set is refused, never reordered
         with pytest.raises(ValueError):
-            run(search, 1, np.random.default_rng(0))
+            run(search, 1, np.random.default_rng(0).random(1).tolist())
+
+    @pytest.mark.parametrize("run", [run_statevector, run_analytic])
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+    def test_a_run_reads_one_uniform_a_dropout_round_then_one_to_measure(self, run, eps):
+        search = first_k(16, 1)
+        rng = np.random.default_rng(31)
+        for r in range(6):
+            k = r * (eps > 0.0) + 1
+            uniforms = rng.random(k + 1).tolist()
+            pattern = run(search, r, uniforms[:k], eps)[2]
+            if eps > 0.0:
+                assert pattern == tuple(u >= eps for u in uniforms[:r])
+            # the measurement reads the last uniform: the lowest and highest draws reach both ends
+            lowest = run(search, r, [*uniforms[: k - 1], 0.0], eps)[0]
+            highest = run(search, r, [*uniforms[: k - 1], 1 - 1e-12], eps)[0]
+            assert (lowest, highest) == (0, 15)
+            for wrong in (k - 1, k + 1):  # a shorter or a longer list is refused
+                with pytest.raises(ValueError, match="uniforms"):
+                    run(search, r, uniforms[:wrong], eps)
+        with pytest.raises(ValueError, match="uniforms"):
+            run_noisy_outer(search, 3, NoisyOracleSpec(0.5), rng.random(3).tolist())
 
     def test_repeated_marked_index_rejected(self):
         with pytest.raises(ValueError):
@@ -370,9 +396,9 @@ class TestEngineGuards:
 def run_engine(engine, search):
     rng = np.random.default_rng(0)
     if engine == "noisy":
-        return run_noisy_outer(search, 1, NoisyOracleSpec(0.5), rng)
+        return run_noisy_outer(search, 1, NoisyOracleSpec(0.5), rng.random(2).tolist())
     run = run_statevector if engine == "statevector" else run_analytic
-    return run(search, 1, rng)
+    return run(search, 1, rng.random(1).tolist())
 
 
 class TestFailureProbability:
@@ -393,7 +419,7 @@ class TestFailureProbability:
 class TestOutcome:
     @pytest.mark.parametrize("run", [run_analytic, run_statevector])
     def test_outcome_is_immutable(self, run):
-        outcome = run(first_k(8, 1), 1, np.random.default_rng(3))
+        outcome = run(first_k(8, 1), 1, np.random.default_rng(3).random(1).tolist())
         assert len(outcome) == 3
         with pytest.raises(TypeError):
             outcome[0] = None
@@ -404,11 +430,12 @@ class TestNoisyEngine:
         search = first_k(32, 1)
         r = 4
         seq_clean = [
-            run_statevector(search, r, np.random.default_rng(s))[0]
+            run_statevector(search, r, np.random.default_rng(s).random(1).tolist())[0]
             for s in range(50)
         ]
+        default_rng = np.random.default_rng
         seq_noisy = [
-            run_noisy_outer(search, r, NoisyOracleSpec(0.0), np.random.default_rng(s))[0]
+            run_noisy_outer(search, r, NoisyOracleSpec(0.0), draw_uniforms(default_rng(s)))[0]
             for s in range(50)
         ]
         assert seq_clean == seq_noisy
@@ -417,7 +444,7 @@ class TestNoisyEngine:
         search = first_k(64, 1)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            mass = run_noisy_outer(search, 6, NoisyOracleSpec(1.0), rng)[1]
+            mass = run_noisy_outer(search, 6, NoisyOracleSpec(1.0), rng.random(7).tolist())[1]
             assert mass == pytest.approx(1 / 64, abs=1e-12)
 
     def test_invalid_failure_prob_rejected(self):
@@ -432,7 +459,7 @@ class TestNoisyEngine:
 
         prob = first_k_problem(16, 1, charge=charge)
         led = CostLedger()
-        run_record(prob, 3, np.random.default_rng(0), led, failure_prob=1.0)
+        run_record(prob, 3, draw_uniforms(np.random.default_rng(0), 3, 1.0), led, failure_prob=1.0)
         assert led.l2_queries == 3
 
     def test_success_rate_matches_pattern_enumeration(self):
@@ -452,7 +479,7 @@ class TestNoisyEngine:
         rng = np.random.default_rng(42)
         trials = 100_000
         hits = sum(
-            run_noisy_outer(search, r, NoisyOracleSpec(eps), rng)[0] == 0
+            run_noisy_outer(search, r, NoisyOracleSpec(eps), rng.random(r + 1).tolist())[0] == 0
             for _ in range(trials)
         )
         sigma = math.sqrt(expected * (1 - expected) / trials)

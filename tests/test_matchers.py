@@ -43,7 +43,7 @@ from references import (
     instance_from_lists,
     two_level_outcome_distribution,
 )
-from search_record import GroverProblem, run_record
+from search_record import GroverProblem, draw_uniforms, run_record
 from test_model import frozen_strided
 from test_sortsearch import block_view
 
@@ -122,8 +122,9 @@ def reference_nested_match(instance, config=None, ledger=None):
 
     def search(problem, iterations, noise=None):
         failure_prob = noise.failure_prob if noise is not None else 0.0
+        uniforms = draw_uniforms(rng, iterations, failure_prob)
         return run_record(
-            problem, iterations, rng, ledger, engine=engine, failure_prob=failure_prob
+            problem, iterations, uniforms, ledger, engine=engine, failure_prob=failure_prob
         )
 
     marked_block = instance.planted_pos1 // b
@@ -709,6 +710,7 @@ class TestNestedPlan:
         for attempt in ("cold", "warm"):
             if attempt == "cold":
                 matchers._nested_plan.cache_clear()
+                matchers._nested_charges.cache_clear()
             run_sweep(config)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -726,19 +728,21 @@ class TestNestedPlan:
 
             return wrapper
 
-        for name in ("iteration_schedule", "noisy_success_probability"):
+        for name in ("iteration_schedule", "noisy_success_probability", "sort_charges"):
             monkeypatch.setattr(matchers, name, counting(name))
         inst = generate_instance(16, 3)
         config = NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=0)
         matchers._nested_plan.cache_clear()
+        matchers._nested_charges.cache_clear()
         nested_grover_match(inst, config)
-        assert calls  # the warm-up built the plan through the wrapped names
+        # the warm-up built the plan and the charges through the wrapped names
+        assert {"iteration_schedule", "sort_charges"} <= set(calls)
         calls.clear()
-        # the block-oracle charge asks sort_charges every call, as a cache hit
-        misses = matchers.sort_charges.cache_info().misses
-        nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=1))
+        # a warm call neither plans nor charges a block oracle: it merges the templates
+        ledger = CountingLedger()
+        nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=1), ledger)
         assert calls == []
-        assert matchers.sort_charges.cache_info().misses == misses
+        assert ledger.calls == 1  # the block's release; both parts came in by merge
 
     @pytest.mark.parametrize("engine", ["analytic", "statevector"])
     def test_each_call_builds_one_search_per_stage(self, monkeypatch, engine):
@@ -764,8 +768,46 @@ class TestNestedPlan:
             raise AssertionError("predicted_total_cost read a cache")
 
         monkeypatch.setattr(matchers, "_nested_plan", never)
+        monkeypatch.setattr(matchers, "_nested_charges", never)
         for n in (16, 64, 1024):
             assert predicted_total_cost(n).total_cost() > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
+    def test_templates_equal_the_independent_prediction(self, n):
+        # before, after and the release, merged into a fresh ledger, are the
+        # ledger predicted_total_cost builds for the same block length and verdict
+        for block_size, u in itertools.product((None, 1, 5, n + 3), (1, 2)):
+            config = NestedConfig(block_size=block_size, uncompute_factor=u)
+            b, blocks, r_outer, r_inner = matchers._nested_shape(n, block_size)
+            for block_len in sorted({min(b, n), n - (blocks - 1) * b}):
+                for verified in (False, True):
+                    shape = (b, r_outer, r_inner, u, block_len)
+                    before, _ = matchers._nested_charges(*shape, not verified)
+                    _, after = matchers._nested_charges(*shape, verified)
+                    ledger = CostLedger()
+                    ledger.merge(before)
+                    ledger.merge(after)
+                    ledger.workspace_release(block_len)
+                    expected = predicted_total_cost(
+                        n, config, block_len=block_len, verified=verified
+                    )
+                    case = (block_size, u, block_len, verified)
+                    assert ledger.as_dict() == expected.as_dict(), case
+                    assert ledger.live_workspace == 0, case
+
+    def test_a_report_ledger_is_never_a_template(self):
+        # mutating one report's ledger leaves the next trial's as it was
+        inst = generate_instance(64, 5)
+        config = NestedConfig(noise=noise_spec("inv_n", inst.n), rng_seed=3)
+        first = nested_grover_match(inst, config).ledger
+        expected = first.as_dict()
+        for phase in ("sort", "inner_search", "outer_search", "final_verify"):
+            first.charge_batch(phase, l1_queries=5, l2_queries=5, mem_reads=5, mem_writes=5)
+        first.workspace_acquire(1000)
+        assert nested_grover_match(inst, config).ledger.as_dict() == expected
+        given = CostLedger()
+        report = nested_grover_match(inst, config, given)
+        assert report.ledger is given and given.as_dict() == expected
 
 
 # (n, block_size, seed) -> (block count, marked block, P(marked block, verified),

@@ -1061,3 +1061,85 @@ class TestCostLedger:
         led.charge("mem_reads", 2, "sort")
         assert view["sort"].mem_reads == 3
         assert led.phase_breakdown["sort"].mem_reads == led.mem_reads == 5
+
+
+def ledger_state(led):
+    """Everything a ledger holds, live cells included, as comparable plain values."""
+    return led.as_dict(), led.live_workspace
+
+
+def random_moves(rng, steps):
+    """A random run of charges and workspace moves that never releases more than it acquired."""
+    moves, live = [], 0
+    for _ in range(steps):
+        kind = rng.integers(3)
+        if kind == 0:
+            amounts = {k: int(rng.integers(0, 9)) for k in ACCESS_KINDS}
+            moves.append(("charge_batch", (PHASES[rng.integers(len(PHASES))],), amounts))
+        else:
+            cells = int(rng.integers(0, 20 if kind == 1 else live + 1))
+            live += cells if kind == 1 else -cells
+            moves.append(("workspace_acquire" if kind == 1 else "workspace_release", (cells,), {}))
+    return moves
+
+
+def apply_moves(led, moves):
+    for name, args, kwargs in moves:
+        getattr(led, name)(*args, **kwargs)
+
+
+class TestLedgerMerge:
+    def test_merge_adds_counters_phases_peak_from_live_and_live_delta(self):
+        part_ledger = CostLedger()
+        part_ledger.charge_batch("sort", l1_queries=2, mem_reads=5)
+        part_ledger.charge_batch("final_verify", l2_queries=1)
+        part_ledger.workspace_acquire(9)
+        part_ledger.workspace_release(6)
+        part = part_ledger.part()
+        led = CostLedger()
+        led.charge_batch("sort", l1_queries=1, mem_writes=4)
+        led.workspace_acquire(10)
+        led.workspace_release(7)  # peak 10, live 3
+        led.merge(part)
+        assert (led.l1_queries, led.l2_queries, led.mem_reads, led.mem_writes) == (3, 1, 5, 4)
+        assert led.phase_breakdown["sort"] == PhaseCosts(3, 0, 5, 4)
+        assert led.phase_breakdown["final_verify"] == PhaseCosts(0, 1, 0, 0)
+        assert led.peak_workspace == 3 + 9  # the old peak, 10, is lower than live + the part's
+        assert led.live_workspace == 3 + 3
+        led.workspace_release(6)
+        led.merge(part)  # now live + 9 = 9 stays under the peak of 12
+        assert (led.peak_workspace, led.live_workspace) == (12, 3)
+
+    def test_merge_equals_charging_the_same_calls_directly(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(300):
+            head = random_moves(rng, int(rng.integers(0, 8)))
+            tail = random_moves(rng, int(rng.integers(0, 8)))
+            direct, merged, part_ledger = CostLedger(), CostLedger(), CostLedger()
+            apply_moves(direct, head + tail)
+            apply_moves(merged, head)
+            apply_moves(part_ledger, tail)
+            merged.merge(part_ledger.part())
+            assert ledger_state(merged) == ledger_state(direct)
+
+    def test_merging_leaves_the_part_and_its_ledger_unchanged(self):
+        source = CostLedger()
+        source.charge_batch("outer_search", l1_queries=3, mem_reads=7)
+        source.workspace_acquire(4)
+        part = source.part()
+        copy, state = tuple(part), ledger_state(source)
+        for _ in range(3):
+            led = CostLedger()
+            led.merge(part)
+            led.charge_batch("outer_search", l1_queries=1)
+            led.workspace_acquire(2)
+        assert part == copy
+        assert ledger_state(source) == state
+
+    def test_an_empty_part_changes_nothing(self):
+        led = CostLedger()
+        led.charge_batch("inner_search", l2_queries=2)
+        led.workspace_acquire(5)
+        state = ledger_state(led)
+        led.merge(CostLedger().part())
+        assert ledger_state(led) == state

@@ -35,6 +35,7 @@ from matchsim.matchers import (  # noqa: E402
 from matchsim.model import MatchInstance  # noqa: E402
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
 from references import instance_from_lists  # noqa: E402
+from search_record import draw_uniforms  # noqa: E402
 from test_matchers import (  # noqa: E402
     brute_force_match,
     reference_sort_scan,
@@ -60,7 +61,8 @@ def test_fire_pattern_replays_to_reported_mass(case):
     m, marked, r, failure_prob, seed = case
     search = Search(m, marked)
     _, mass, fire_pattern = run_noisy_outer(
-        search, r, NoisyOracleSpec(failure_prob), np.random.default_rng(seed)
+        search, r, NoisyOracleSpec(failure_prob),
+        draw_uniforms(np.random.default_rng(seed), r, failure_prob),
     )
     if failure_prob == 0.0:
         assert fire_pattern is None
