@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from contextlib import suppress
 from functools import lru_cache
-from itertools import groupby, islice, takewhile
+from itertools import groupby, islice, repeat, takewhile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .matchers import (
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
+    run_stream_length,
 )
 from .model import (
     ACCESS_KINDS,
@@ -41,6 +42,7 @@ from .model import (
     generate_instance,
     generate_instances,
     remember_seed_words,
+    run_streams,
 )
 
 # matcher entry point per algorithm, by name: run_matcher looks each up
@@ -236,11 +238,14 @@ def fit_exponent(
     return FitResult(slope, stderr, intercept, m, log_normalize)
 
 
-def run_matcher(algorithm: str, instance: MatchInstance, run_config: NestedConfig) -> RunReport:
-    """Run one matcher by algorithm name on a fresh ledger; the classical ones ignore config."""
+def run_matcher(
+    algorithm: str, instance: MatchInstance, run_config: NestedConfig, uniforms=None
+) -> RunReport:
+    """Run one matcher by algorithm name on a fresh ledger; the classical ones ignore config.
+    An amplified one measures on ``uniforms`` if given, else on its run seed's stream."""
     matcher = globals()[MATCHERS[algorithm]]
     if algorithm in AMPLIFIED:
-        return matcher(instance, run_config)
+        return matcher(instance, run_config, uniforms=uniforms)
     return matcher(instance)
 
 
@@ -250,14 +255,11 @@ def _run_trial(
     trial: int,
     run_seed: int,
     noise: Optional[NoisyOracleSpec],
+    uniforms: Optional[list[float]],
 ) -> TrialRow:
-    run_config = NestedConfig(
-        engine=config.engine,
-        uncompute_factor=config.uncompute_factor,
-        noise=noise,
-        rng_seed=run_seed,
-    )
-    report = run_matcher(config.algorithm, instance, run_config)
+    # by position, in field order (block_size first): keywords cost a dataclass more
+    run_config = NestedConfig(None, config.engine, config.uncompute_factor, noise, run_seed)
+    report = run_matcher(config.algorithm, instance, run_config, uniforms)
     ledger = report.ledger
     # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
@@ -375,18 +377,31 @@ SWEEP_CHUNK = 1024
 # than 8 rows go one at a time: per row, 8 at n = 1024 took x0.89, 4 x0.99, 2 at n = 4096 x1.08.
 GENERATION_BATCH_VALUES = 1 << 14
 
+# Chunks of at least this many amplified trials draw all run streams in one run_streams pass;
+# smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024, pass
+# against generators, medians of 60 interleaved runs (2-core x86-64 VM): T = 16 x1.09,
+# 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.
+RUN_STREAM_BREAK_EVEN = 64
+
 
 def _run_chunk(
     config: SweepConfig,
     cells: list[tuple[int, int]],
     noises: dict[int, Optional[NoisyOracleSpec]],
 ) -> list[TrialRow]:
-    """The rows of the cells given: seeds remembered in one pass, then batch by batch."""
+    """The rows of the cells given: seeds remembered in one pass, the run streams of at
+    least ``RUN_STREAM_BREAK_EVEN`` amplified trials drawn in another, then batch by batch."""
     base = config.base_seed
     instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in cells]
     run_seeds = [derive_seed(base, n, trial, "run") for n, trial in cells]
+    amplified = config.algorithm in AMPLIFIED
+    streams = lengths = None
+    if amplified and len(cells) >= RUN_STREAM_BREAK_EVEN:
+        nested = config.algorithm == "nested"
+        lengths = {n: run_stream_length(nested, n, noises[n]) for n in {n for n, _ in cells}}
+        streams = run_streams(run_seeds, max(lengths.values()))
     remember_seed_words(
-        instance_seeds + run_seeds if config.algorithm in AMPLIFIED else instance_seeds
+        instance_seeds + run_seeds if amplified and streams is None else instance_seeds
     )
     rows = []
     for n, group in groupby(zip(cells, instance_seeds, run_seeds), key=lambda c: c[0][0]):
@@ -396,8 +411,12 @@ def _run_chunk(
             try:
                 one = len(seeds) == 1  # through generate_instance, which the layer tracer times
                 instances = [generate_instance(n, *seeds)] if one else generate_instances(n, seeds)
-                for ((_, trial), _, run_seed), instance in zip(batch, instances):
-                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n]))
+                if streams is None:
+                    uniforms = repeat(None)
+                else:  # this batch's rows: it starts where the rows so far end
+                    uniforms = streams[len(rows) : len(rows) + len(batch), : lengths[n]].tolist()
+                for ((_, trial), _, run_seed), instance, stream in zip(batch, instances, uniforms):
+                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], stream))
             except ResourceLimitError as err:
                 raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
             del instances, instance  # not held while the next batch is drawn
@@ -408,16 +427,18 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically.
 
     Trials run in chunks of up to ``SWEEP_CHUNK`` consecutive cells.  A
-    chunk's instance and run seeds are derived, and the seeds the
-    algorithm draws from hashed in one pass (``remember_seed_words``),
-    before its first trial.  Its rows are then folded into per-size
-    aggregates, appended to ``<output>.tmp`` when the config names an
-    output, and kept only with ``keep_rows``, so without them memory
-    follows one chunk and not the sweep.  The sweep ends with
-    ``write_outputs``, which writes the JSON and renames the CSV.  A
-    sweep that raises deletes its temporary file, and each directory it
-    made for it that is empty, and leaves no output; the remembered seeds
-    are forgotten either way.
+    chunk's instance and run seeds are derived before its first trial.
+    The run streams of a chunk of at least ``RUN_STREAM_BREAK_EVEN``
+    amplified trials are drawn in one pass (``run_streams``), each trial
+    reading its own stream's first doubles; the other seeds it draws
+    from are hashed in one pass (``remember_seed_words``).  Its rows are
+    then folded into per-size aggregates, appended to ``<output>.tmp``
+    when the config names an output, and kept only with ``keep_rows``,
+    so without them memory follows one chunk and not the sweep.  The
+    sweep ends with ``write_outputs``, which writes the JSON and renames
+    the CSV.  A sweep that raises deletes its temporary file, and each
+    directory it made for it that is empty, and leaves no output; the
+    remembered seeds are forgotten either way.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)

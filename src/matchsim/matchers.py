@@ -15,13 +15,15 @@ No matcher performs the sorts and membership probes it is charged for:
 each charges them by the closed forms of ``sortsearch`` and finds what
 it reports by compare.  The amplified matchers run each search as a
 ``Search`` through the configured engine's runner, looked up in this
-module at call time, on uniforms drawn in one call.  The nested matcher
-merges its charges from per-shape templates (``_nested_charges``).
+module at call time, on the run stream's uniforms: drawn in one call, or the
+caller's (``run_stream_length`` of them).  The nested matcher merges its
+charges from per-shape templates (``_nested_charges``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -51,7 +53,7 @@ from .sortsearch import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedConfig:
     """Knobs for the amplified matchers.
 
@@ -194,11 +196,14 @@ def naive_grover_pairs(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
     ledger: Optional[CostLedger] = None,
+    *,
+    uniforms: Optional[list[float]] = None,
 ) -> RunReport:
     """One flat amplified search over the n^2 pair space.
 
     Each oracle evaluation probes one pair (1 list1 query + 1 list2
-    query), charged uncompute_factor times per iteration.
+    query), charged uncompute_factor times per iteration.  The search
+    measures on ``uniforms``, by default its run seed's first double.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
@@ -207,7 +212,8 @@ def naive_grover_pairs(
     iterations = iteration_schedule(m, 1)
     engine, run = _engine(config)
     pair_star = instance.planted_pos1 * n + instance.planted_pos2
-    measured = run(Search(m, (pair_star,)), iterations, [seeded_rng(config.rng_seed).random()])[0]
+    uniforms = [seeded_rng(config.rng_seed).random()] if uniforms is None else uniforms
+    measured = run(Search(m, (pair_star,)), iterations, uniforms)[0]
     evaluations = iterations * config.uncompute_factor
     if evaluations:
         ledger.charge_batch("outer_search", l1_queries=evaluations, l2_queries=evaluations)
@@ -258,6 +264,7 @@ class _NestedPlan(NamedTuple):
     r_outer: int
     r_inner: int
     predicted_success: float
+    stream: int  # uniforms a run reads: the outer rounds when noisy, both measurements
 
 
 @lru_cache(maxsize=256)
@@ -267,7 +274,14 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     # with no dropout this is success_probability(blocks, 1, r_outer), bit for bit
     p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
     p_inner = success_probability(n, 1, r_inner)
-    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner)
+    stream = r_outer + 2 if failure_prob else 2
+    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner, stream)
+
+
+def run_stream_length(nested: bool, n: int, noise: Optional[NoisyOracleSpec]) -> int:
+    """The uniforms one amplified run on n values reads at the default block size:
+    ``nested``'s plan, else the naive search's one measurement."""
+    return _nested_plan(n, None, noise.failure_prob if noise else 0.0).stream if nested else 1
 
 
 @lru_cache(maxsize=1024)
@@ -296,6 +310,8 @@ def nested_grover_match(
     instance: MatchInstance,
     config: Optional[NestedConfig] = None,
     ledger: Optional[CostLedger] = None,
+    *,
+    uniforms: Optional[list[float]] = None,
 ) -> RunReport:
     """Amplified search over blocks of list1, then a final verify pass.
 
@@ -307,33 +323,37 @@ def nested_grover_match(
     nothing: the measured list2 value is looked up by compare in the
     block's unsorted slice of list1.  A run whose verification probe
     misses reports no match rather than guessing.  Both searches run
-    through the configured engine's runner; the outer charges are merged
-    once the block is measured, the probes once verification is known.
+    through the configured engine's runner, on ``uniforms`` (by default
+    the run seed's stream); the outer charges are merged once the block
+    is measured, the probes once verification is known.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     failure_prob = _failure_prob(config)
-    b, blocks, r_outer, r_inner, predicted_success = _nested_plan(
+    b, blocks, r_outer, r_inner, predicted_success, stream = _nested_plan(
         n, config.block_size, failure_prob
     )
     engine, run = _engine(config)
     # the run stream: the outer search's dropout rounds and measurement, then the inner one's
-    uniforms = seeded_rng(config.rng_seed).random(r_outer + 2 if failure_prob else 2).tolist()
+    if uniforms is None:
+        uniforms = seeded_rng(config.rng_seed).random(stream).tolist()
     marked_block = instance.planted_pos1 // b
     outer = Search(blocks, (marked_block,))
     beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
     offset = beta * b
-    block = instance.values1[offset : offset + b].tolist()
+    block = instance.values1[offset : offset + b]
     shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
     ledger.merge(_nested_charges(*shape, False)[0])  # before: the same whatever verifies
     marked = (instance.planted_pos2,) if beta == marked_block else ()
     j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
     v_hat = instance.values2.item(j_hat)
-    try:  # the verification probe, by compare: a list holds a value at most once
-        found = (offset + block.index(v_hat), j_hat)
-    except ValueError:
-        found = None
+    # the verification probe, by compare: v_hat's bytes in the block's, at a cell's start
+    cells, key = block.tobytes(), v_hat.to_bytes(8, sys.byteorder)
+    at = cells.find(key)
+    while at % 8 and at >= 0:  # across two cells: not a value the block holds
+        at = cells.find(key, at + 1)
+    found = (offset + at // 8, j_hat) if at >= 0 else None
     inner_verified = found is not None
     ledger.merge(_nested_charges(*shape, inner_verified)[1])
     ledger.workspace_release(len(block))

@@ -11,6 +11,8 @@ its seeds ahead (a sweep) passes them to :func:`remember_seed_words`,
 which hashes them all in one numpy pass (:func:`seed_words`), and
 clears them with :func:`forget_seed_words`; ``seeded_rng`` then builds
 those generators from their words instead of hashing each seed again.
+Short streams of many seeds need no generator: :func:`run_streams` runs
+PCG64 over all of them at once, as numpy does one at a time.
 numpy.random itself is imported on the first generator built.  Generation,
 one instance or a batch (:func:`generate_instances`), and a hand-built instance's
 ``shared_values`` find repeats with :func:`_repeats`.
@@ -19,7 +21,7 @@ one instance or a batch (:func:`generate_instances`), and a hand-built instance'
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -459,6 +461,54 @@ def seed_words(seeds: Sequence[int]) -> np.ndarray:
     out *= _OUT_MUL
     out ^= out >> _SHIFT
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+# PCG64's 128-bit multiplier M; every constant that meets an array is a np.uint64
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_1, _11, _32, _58, _63, _LOW32 = np.array([1, 11, 32, 58, 63, _M32], dtype=np.uint64)
+
+
+def _mul128(ah, al, bh, bl):
+    """(ah, al) * (bh, bl) mod 2**128 on (high, low) uint64 words; the carry of
+    al * bl into the high word is built from 32-bit limbs."""
+    a0, a1, b0, b1 = al & _LOW32, al >> _32, bl & _LOW32, bl >> _32
+    cross1, cross2 = a0 * b1, a1 * b0
+    carry = ((a0 * b0 >> _32) + (cross1 & _LOW32) + (cross2 & _LOW32)) >> _32
+    return a1 * b1 + (cross1 >> _32) + (cross2 >> _32) + carry + ah * bl + al * bh, al * bl
+
+
+@lru_cache(maxsize=64)
+def _pcg_jumps(k: int) -> np.ndarray:
+    """Draw j's factors for j = 1..k, M**(j + 1) and 1 + M + ... + M**j mod 2**128,
+    as (4, k) read-only uint64 words: the first's high and low, then the second's."""
+    power, total, columns = _PCG_MULT, 1, []
+    for _ in range(k):
+        power, total = power * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
+        columns.append((*divmod(power, 1 << 64), *divmod(total, 1 << 64)))
+    jumps = np.array(columns, dtype=np.uint64).reshape(k, 4).T
+    jumps.flags.writeable = False
+    return jumps
+
+
+def run_streams(seeds: Sequence[int], k: int) -> np.ndarray:
+    """A (len(seeds), k) array: row i is ``np.random.default_rng(seeds[i]).random(k)``, bit for bit.
+
+    numpy's PCG64 (XSL-RR 128/64; O'Neill 2014) takes ``seed_words``: initstate
+    (high, low), then initseq.  From state 0 and inc = 2 initseq + 1, it steps (state
+    = M state + inc mod 2**128), adds initstate and steps again; a draw steps, rotates
+    high ^ low right by high >> 58 and keeps the top 53 bits as a double.  So draw j's
+    state is M**(j + 1) (inc + initstate) + (1 + ... + M**j) inc (``_pcg_jumps``).
+    """
+    init_hi, init_lo, seq_hi, seq_lo = np.hsplit(seed_words(seeds), 4)
+    inc_hi, inc_lo = seq_hi << _1 | seq_lo >> _63, seq_lo << _1 | _1
+    lo = inc_lo + init_lo
+    a_hi, a_lo, b_hi, b_lo = _pcg_jumps(k)
+    a_hi, a_lo = _mul128(inc_hi + init_hi + (lo < inc_lo), lo, a_hi, a_lo)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, b_hi, b_lo)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    out, turn = hi ^ lo, hi >> _58
+    return ((out >> turn | out << (-turn & _63)) >> _11) * 2.0**-53
 
 
 class _SeedMemo(NamedTuple):

@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from matchsim import experiments, model
@@ -29,7 +31,7 @@ from matchsim.experiments import (
     run_sweep,
 )
 from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError, statevector_cap_from_env
-from matchsim.matchers import NestedConfig
+from matchsim.matchers import NestedConfig, run_stream_length
 from matchsim.model import ACCESS_KINDS, MAX_INSTANCE_SIZE, generate_instance
 from references import record_generation
 
@@ -431,9 +433,9 @@ class TestSeedWordsInSweeps:
             algorithm=algorithm, n_values=(16, 64), trials_per_n=trials, base_seed=5,
             noise_preset=noise, output=str(out),
         )
-        drawn = 2 * trials * (2 if algorithm in experiments.AMPLIFIED else 1)
+        amplified = algorithm in experiments.AMPLIFIED
         slow_path = []
-        original = model.np.random.default_rng
+        original, remember = model.np.random.default_rng, experiments.remember_seed_words
 
         def counting(seed):
             slow_path.append(seed)
@@ -441,23 +443,97 @@ class TestSeedWordsInSweeps:
 
         monkeypatch.setattr(model.np.random, "default_rng", counting)
         outputs = []
-        for remembering in (True, False):
-            if not remembering:
-                monkeypatch.setattr(experiments, "remember_seed_words", lambda seeds: None)
+        # run streams from generators (a break-even above the chunk), then from one pass
+        for break_even, remembering in itertools.product((2 * trials + 1, 1), (True, False)):
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            monkeypatch.setattr(
+                experiments, "remember_seed_words", remember if remembering else lambda seeds: None
+            )
             slow_path.clear()
             run_sweep(config)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+            # a pass draws the run streams without a generator
+            drawn = 2 * trials * (2 if amplified and break_even > 1 else 1)
             hits = remembering and drawn >= model.SEED_WORDS_BREAK_EVEN
             assert len(slow_path) == (0 if hits else drawn)
-        assert outputs[0] == outputs[1]
+        assert outputs == [outputs[0]] * 4
         assert outputs[0][0] and outputs[0][1]
+
+
+class TestRunStreamsInSweeps:
+    @pytest.mark.parametrize("engine", ["auto", "statevector"])
+    @pytest.mark.parametrize(
+        "algorithm,noise,sizes,longest",
+        [
+            ("nested", "inv_sqrt_n", (16, 64, 256), 5),  # streams of 3, 4 and 5 in one chunk
+            ("nested", "inv_n", (16, 17, 100), 4),  # 3, 3 and 4
+            ("nested", "none", (16, 17, 64), 2),
+            ("naive_grover", "none", (4, 8, 16), 1),
+        ],
+    )
+    def test_one_pass_gives_the_sweep_generators_give(
+        self, algorithm, noise, sizes, longest, engine, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm=algorithm, n_values=sizes, trials_per_n=8, base_seed=3, engine=engine,
+            noise_preset=noise, output=str(out),
+        )
+        passes = []
+        run_streams = experiments.run_streams
+        monkeypatch.setattr(
+            experiments, "run_streams",
+            lambda seeds, k: passes.append((len(seeds), k)) or run_streams(seeds, k),
+        )
+        outputs = []
+        for break_even in (1, 3 * 8 + 1):  # one pass; then a break-even above the chunk
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert passes == [(3 * 8, longest)]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("algorithm", experiments.AMPLIFIED)
+    def test_each_run_reads_its_own_seeds_stream_and_reports_that_seed(
+        self, algorithm, monkeypatch
+    ):
+        monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", 1)
+        runs = []
+        attr = experiments.MATCHERS[algorithm]
+        matcher = getattr(experiments, attr)
+
+        def recording(instance, config, **kwargs):
+            report = matcher(instance, config, **kwargs)
+            runs.append((instance.n, config.rng_seed, kwargs["uniforms"], report.rng_seed))
+            return report
+
+        monkeypatch.setattr(experiments, attr, recording)
+        config = SweepConfig(
+            algorithm=algorithm, n_values=(16, 64), trials_per_n=3, base_seed=8,
+            noise_preset="inv_sqrt_n",
+        )
+        run_sweep(config)
+        cells = [(n, trial) for n in (16, 64) for trial in range(3)]
+        assert len(runs) == len(cells)
+        for (n, trial), (run_n, seed, uniforms, reported) in zip(cells, runs):
+            assert run_n == n and seed == reported == derive_seed(8, n, trial, "run")
+            k = run_stream_length(algorithm == "nested", n, noise_spec("inv_sqrt_n", n))
+            assert uniforms == np.random.default_rng(seed).random(k).tolist()
+
+    def test_the_longest_stream_is_the_noisy_nested_one_at_the_size_cap(self):
+        noise = noise_spec("inv_sqrt_n", MAX_INSTANCE_SIZE)
+        assert run_stream_length(True, MAX_INSTANCE_SIZE, noise) == 37
+        assert run_stream_length(True, MAX_INSTANCE_SIZE, None) == 2
+        assert run_stream_length(False, MAX_INSTANCE_SIZE, noise) == 1
 
 
 class TestSweepMemory:
     def test_rows_stream_in_chunks_that_span_sizes(self, monkeypatch):
         # each chunk remembers its own seeds: 4 trials' 8, then 2 trials' 4,
-        # which is below the break-even and remembers none
+        # which is below the break-even and remembers none (both chunks build
+        # generators: they are below the run-stream break-even too)
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 4)
+        monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", 5)
         seen = []
         record_generation(
             monkeypatch, lambda n, seed: seen.append((n, len(model._seed_memo.index)))
@@ -470,13 +546,39 @@ class TestSweepMemory:
         assert chunked.rows == whole.rows
         assert chunked.to_json_text() == whole.to_json_text()
 
+    def test_each_chunk_picks_its_run_streams_path(self, monkeypatch):
+        # chunks of 8 and 4 trials, over sizes whose noisy streams are 3 and 4 doubles
+        # long: the first draws its run streams in one pass and remembers its 8 instance
+        # seeds; the second builds generators and remembers 4 instance and 4 run seeds
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 8)
+        monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", 5)
+        seen, passes = [], []
+        record_generation(
+            monkeypatch, lambda n, seed: seen.append((n, len(model._seed_memo.index)))
+        )
+        run_streams = experiments.run_streams
+        monkeypatch.setattr(
+            experiments, "run_streams",
+            lambda seeds, k: passes.append((len(seeds), k)) or run_streams(seeds, k),
+        )
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 64), trials_per_n=6, noise_preset="inv_sqrt_n"
+        )
+        chunked = run_sweep(config)
+        assert passes == [(8, 4)]  # the chunk's longest stream, not its first size's
+        assert seen == [(16, 8)] * 6 + [(64, 8)] * 6
+        monkeypatch.undo()
+        whole = run_sweep(config)  # one chunk, below the break-even
+        assert chunked.rows == whole.rows
+        assert chunked.to_json_text() == whole.to_json_text()
+
     def test_unkept_rows_bound_the_peak(self, tmp_path, monkeypatch):
         # 10 chunks against 1: nothing may grow by 16 bytes a trial, what the
         # tallies once kept (a bound of 1 MB missed every trial number held as
         # an int).  A traced real trial costs about 300 us, so the matcher
-        # runs are stubbed; the seeds, chunks, generation batches, CSV stream
-        # and tallies are the sweep's.
-        def stub_trial(config, instance, trial, run_seed, noise):
+        # runs are stubbed; the seeds, chunks, run-stream passes, generation
+        # batches, CSV stream and tallies are the sweep's.
+        def stub_trial(config, instance, trial, run_seed, noise, uniforms):
             cost = 2 + trial % 5
             return experiments.TrialRow(
                 config.algorithm, instance.n, trial, instance.seed, 1, cost, cost - 1, 1, 0, 0, 0,

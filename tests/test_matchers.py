@@ -1,13 +1,17 @@
 """Tests for the five matching strategies and their cost predictions."""
 
 import ast
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
+import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matchsim import matchers, sortsearch
@@ -22,7 +26,9 @@ from matchsim.experiments import (
 from matchsim.grover import (
     NoisyOracleSpec,
     ResourceLimitError,
+    Search,
     iteration_schedule,
+    run_analytic,
     success_probability,
 )
 from matchsim.matchers import (
@@ -34,6 +40,7 @@ from matchsim.matchers import (
     nested_grover_match,
     noisy_success_probability,
     predicted_total_cost,
+    run_stream_length,
 )
 from matchsim.model import CostLedger, MatchInstance, RunReport, generate_instance, seeded_rng
 from matchsim.sortsearch import binary_membership, membership_probe_depth, sort_charges
@@ -606,6 +613,29 @@ class TestNestedGroverMatch:
         assert ledgers[0].as_dict() == ledgers[1].as_dict()
         assert sum(ledgers[0].phase_breakdown["outer_search"].as_dict().values()) > 0
 
+    def test_config_is_frozen_slotted_and_still_a_dataclass(self):
+        config = NestedConfig(3, "statevector", 2, NoisyOracleSpec(0.25), 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.rng_seed = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del config.engine
+        # no slot and no __dict__ to take another name: CPython 3.10-3.13's frozen
+        # __setattr__ then fails in super() on the class that slots=True replaced
+        with pytest.raises(TypeError):
+            config.other = 1
+        assert not hasattr(config, "__dict__")
+        assert dataclasses.replace(config, rng_seed=1) == NestedConfig(
+            3, "statevector", 2, NoisyOracleSpec(0.25), 1
+        )
+        assert dataclasses.asdict(config) == {
+            "block_size": 3, "engine": "statevector", "uncompute_factor": 2,
+            "noise": {"failure_prob": 0.25}, "rng_seed": 9,
+        }
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(config, protocol)) == config
+        with pytest.raises(ValueError):
+            dataclasses.replace(config, block_size=0)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             NestedConfig(block_size=0)
@@ -613,6 +643,75 @@ class TestNestedGroverMatch:
             NestedConfig(engine="magic")
         with pytest.raises(ValueError):
             NestedConfig(uncompute_factor=0)
+
+
+def uniform_measuring(search, iterations, index):
+    """A uniform on which a noiseless run of ``search`` measures ``index``."""
+    uniforms = (u / 1000 for u in range(1000))
+    return next(u for u in uniforms if run_analytic(search, iterations, [u])[0] == index)
+
+
+def straddling(value):
+    """Two cells whose bytes hold ``value``'s across the boundary between them."""
+    raw = bytes(range(1, 5)) + value.to_bytes(8, sys.byteorder) + bytes(range(5, 9))
+    return np.frombuffer(raw, dtype=np.uint64).tolist()
+
+
+class TestGivenUniforms:
+    @pytest.mark.parametrize("engine", ["analytic", "statevector"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 100])
+    def test_the_run_seeds_stream_gives_the_default_run(self, n, engine):
+        for preset, seed in itertools.product(NOISE_PRESETS, range(5)):
+            inst = generate_instance(n, seed)
+            noise = noise_spec(preset, n)
+            config = NestedConfig(engine=engine, noise=noise, rng_seed=seed)
+            for nested, matcher in ((True, nested_grover_match), (False, naive_grover_pairs)):
+                uniforms = seeded_rng(seed).random(run_stream_length(nested, n, noise)).tolist()
+                given = matcher(inst, config, uniforms=uniforms)
+                assert json.dumps(given.as_dict()) == json.dumps(matcher(inst, config).as_dict())
+
+    @pytest.mark.parametrize("preset", NOISE_PRESETS)
+    def test_a_stream_of_another_length_is_refused(self, preset):
+        inst = generate_instance(64, 1)
+        noise = noise_spec(preset, 64)
+        config = NestedConfig(noise=noise, rng_seed=1)
+        for nested, matcher in ((True, nested_grover_match), (False, naive_grover_pairs)):
+            k = run_stream_length(nested, 64, noise)
+            for length in (k - 1, k + 1):
+                with pytest.raises(ValueError, match="uniforms"):
+                    matcher(inst, config, uniforms=[0.5] * length)
+
+
+class TestVerificationProbe:
+    """The measured list2 value is looked up in the measured block by its bytes,
+    at cell boundaries only: two cells may hold its bytes across theirs."""
+
+    def run(self, list1, list2, pos1, pos2):
+        n = len(list1)  # 16: four blocks of four, which one outer round finds for sure
+        inst = MatchInstance(list1, list2, list2[pos2], pos1, pos2)
+        b, blocks, r_outer, r_inner = matchers._nested_shape(n, None)
+        uniforms = [
+            uniform_measuring(Search(blocks, (pos1 // b,)), r_outer, pos1 // b),
+            uniform_measuring(Search(n, (pos2,)), r_inner, pos2),
+        ]
+        return nested_grover_match(inst, NestedConfig(rng_seed=0), uniforms=uniforms)
+
+    def test_the_value_after_its_bytes_across_two_cells_is_found(self):
+        value = 0x0102030405060708
+        list1 = [*straddling(value), value, 900, *range(1000, 1012)]
+        list2 = [*range(2000, 2005), value, *range(2006, 2016)]
+        report = self.run(list1, list2, 2, 5)
+        assert report.found == (2, 5) and report.correct
+        assert report.engine_stats["inner_verified"]
+
+    def test_its_bytes_across_two_cells_are_no_match(self):
+        value = 0x0102030405060708
+        list1 = [*straddling(value), 900, 901, *range(1000, 1012)]
+        list2 = [*range(2000, 2005), value, *range(2006, 2016)]
+        report = self.run(list1, list2, 2, 5)
+        assert report.engine_stats["outer_measured_block"] == 0
+        assert report.found is None and not report.correct
+        assert not report.engine_stats["inner_verified"]
 
 
 class TestComposedPrediction:
@@ -690,6 +789,7 @@ class TestNestedPlan:
                     p_outer = success_probability(blocks, 1, r_outer)
                 expected = p_outer * success_probability(n, 1, r_inner)
                 assert plan.predicted_success == expected
+                assert plan.stream == (r_outer + 2 if failure_prob > 0.0 else 2)
                 noise = NoisyOracleSpec(failure_prob) if failure_prob > 0.0 else None
                 for u in (1, 2, 3):
                     config = NestedConfig(block_size=block_size, uncompute_factor=u, noise=noise)

@@ -627,6 +627,30 @@ class TestSeedWords:
                 shim.generate_state(n_words, dtype)
 
 
+# the edges of the 32- and 64-bit halves, then 200 run seeds as sweeps derive them
+RUN_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    experiments.derive_seed(base, n, trial, "run")
+    for base in (0, 11, 23, 2**40)
+    for n in (16, 64, 256, 1024, 4096)
+    for trial in range(10)
+]
+
+
+class TestRunStreams:
+    # 37 is the noisy nested stream at MAX_INSTANCE_SIZE (test_experiments checks it)
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 14, 37])
+    def test_rows_are_default_rng_streams_word_for_word(self, k):
+        streams = model.run_streams(RUN_STREAM_SEEDS, k)
+        assert streams.shape == (len(RUN_STREAM_SEEDS), k) and streams.dtype == np.float64
+        expected = np.array([np.random.default_rng(seed).random(k) for seed in RUN_STREAM_SEEDS])
+        assert np.array_equal(streams.view(np.uint64), expected.view(np.uint64))
+
+    def test_one_seed_and_no_seed(self):
+        one = model.run_streams([2**64 - 1], 5)
+        assert one.tolist() == [np.random.default_rng(2**64 - 1).random(5).tolist()]
+        assert model.run_streams([], 3).shape == (0, 3)
+
+
 class TestSeededRng:
     @pytest.fixture
     def default_rng_calls(self, monkeypatch):
@@ -714,11 +738,15 @@ class TestSweepSeedMemo:
     def test_one_fill_holds_every_drawn_seed_and_is_emptied(self, monkeypatch):
         seen = []
         record_generation(monkeypatch, lambda n, seed: seen.append(len(model._seed_memo.index)))
-        config = experiments.SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
-        experiments.run_sweep(config)
-        # instance and run seeds of all 6 trials, remembered before the first
-        assert seen == [12] * 6
-        assert not model._seed_memo.index
+        config = experiments.SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=4)
+        # generators a trial, then one run-stream pass, whose run seeds are not remembered
+        for break_even, remembered in ((9, 16), (1, 8)):
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            seen.clear()
+            experiments.run_sweep(config)
+            # instance seeds of all 8 trials, and run seeds if drawn, before the first
+            assert seen == [remembered] * 8
+            assert not model._seed_memo.index
 
     def test_memo_is_emptied_when_a_sweep_raises(self):
         config = experiments.SweepConfig(
