@@ -21,6 +21,8 @@ from itertools import groupby, islice, repeat, takewhile
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 # statevector_cap_from_env is re-exported: perfbench's worker records the
 # cap in its provenance through this module
 from .grover import NoisyOracleSpec, ResourceLimitError, statevector_cap_from_env
@@ -37,12 +39,13 @@ from .model import (
     ACCESS_KINDS,
     MatchInstance,
     RunReport,
+    check_instance_size,
     float_sum,
-    forget_seed_words,
     generate_instance,
     generate_instances,
-    remember_seed_words,
     run_streams,
+    seed_words,
+    seeded_rng,
 )
 
 # matcher entry point per algorithm, by name: run_matcher looks each up
@@ -192,7 +195,15 @@ class SweepConfig:
 def geometric_mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("geometric mean of no values")
-    return math.exp(float_sum(map(math.log, values)) / len(values))
+    return _exp_mean(float_sum(map(math.log, values)), len(values))
+
+
+def _exp_mean(log_sum: float, count: int) -> float:
+    """exp(log_sum / count), a geometric mean from its logs; ValueError past the float range."""
+    try:
+        return math.exp(log_sum / count)
+    except OverflowError:
+        raise ValueError(f"geometric-mean cost e^{log_sum / count:.1f} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -319,7 +330,7 @@ class SweepResult:
                 {
                     "n": n,
                     "trials": trials,
-                    "geomean_cost": math.exp(tally.log_cost_sum / trials),
+                    "geomean_cost": _exp_mean(tally.log_cost_sum, trials),
                     "success_rate": tally.successes / trials,
                     "mean_predicted_success": tally.predicted_sum / trials,
                     "max_peak_workspace": tally.max_peak_workspace,
@@ -371,15 +382,20 @@ def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
 # may span sizes, so a size of a few trials still shares one seed_words call
 SWEEP_CHUNK = 1024
 
+# Chunks that draw from fewer seeds hash none.  One seed_words call costs about 50 us: with the
+# generators built from its words, 8 seeds took 81-93 us against 105-159 us for 8 default_rng
+# calls, and 4 seeds 75 against 50 us (2-core x86-64 VM).
+SEED_WORDS_BREAK_EVEN = 8
+
 # Batches of at most this many values (rows times 2n, a row counting at least 64): a key
 # matrix of at most 64 KB.  noisy_small_batch's sweep against batches of one, medians of 25
 # interleaved runs (2-core x86-64 VM): 2^10 x0.92, 2^12 x0.85, 2^14 x0.77, 2^16 x0.75.  Fewer
 # than 8 rows go one at a time: per row, 8 at n = 1024 took x0.89, 4 x0.99, 2 at n = 4096 x1.08.
 GENERATION_BATCH_VALUES = 1 << 14
 
-# Chunks of at least this many amplified trials draw all run streams in one run_streams pass;
-# smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024, pass
-# against generators, medians of 60 interleaved runs (2-core x86-64 VM): T = 16 x1.09,
+# Hashed chunks of at least this many amplified trials draw all run streams in one run_streams
+# pass; smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024,
+# pass against generators, medians of 60 interleaved runs (2-core x86-64 VM): T = 16 x1.09,
 # 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.
 RUN_STREAM_BREAK_EVEN = 64
 
@@ -389,37 +405,47 @@ def _run_chunk(
     cells: list[tuple[int, int]],
     noises: dict[int, Optional[NoisyOracleSpec]],
 ) -> list[TrialRow]:
-    """The rows of the cells given: seeds remembered in one pass, the run streams of at
-    least ``RUN_STREAM_BREAK_EVEN`` amplified trials drawn in another, then batch by batch."""
-    base = config.base_seed
+    """The rows of the cells given, batch by batch.  A chunk that draws from at least
+    ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first;
+    if amplified, it checks and plans each size, then draws every run stream from its words, in
+    one ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` trials.  A smaller chunk hashes none."""
+    base, count = config.base_seed, len(cells)
     instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in cells]
     run_seeds = [derive_seed(base, n, trial, "run") for n, trial in cells]
     amplified = config.algorithm in AMPLIFIED
-    streams = lengths = None
-    if amplified and len(cells) >= RUN_STREAM_BREAK_EVEN:
-        nested = config.algorithm == "nested"
-        lengths = {n: run_stream_length(nested, n, noises[n]) for n in {n for n, _ in cells}}
-        streams = run_streams(run_seeds, max(lengths.values()))
-    remember_seed_words(
-        instance_seeds + run_seeds if amplified and streams is None else instance_seeds
-    )
-    rows = []
-    for n, group in groupby(zip(cells, instance_seeds, run_seeds), key=lambda c: c[0][0]):
-        per_batch = GENERATION_BATCH_VALUES // max(2 * n, 64)
-        while batch := list(islice(group, per_batch if per_batch >= 8 else 1)):
-            trial, seeds = batch[0][0][1], [seed for _, seed, _ in batch]
-            try:
-                one = len(seeds) == 1  # through generate_instance, which the layer tracer times
-                instances = [generate_instance(n, *seeds)] if one else generate_instances(n, seeds)
-                if streams is None:
-                    uniforms = repeat(None)
-                else:  # this batch's rows: it starts where the rows so far end
-                    uniforms = streams[len(rows) : len(rows) + len(batch), : lengths[n]].tolist()
-                for ((_, trial), _, run_seed), instance, stream in zip(batch, instances, uniforms):
+    drawn = instance_seeds + run_seeds if amplified else instance_seeds
+    hashed = len(drawn) >= SEED_WORDS_BREAK_EVEN
+    words = seed_words(drawn) if hashed else [None] * count
+    streams, rows = None, []
+    try:
+        if hashed and amplified:
+            lengths = {}
+            for n, trial in cells:  # each size checked before it is planned
+                if n not in lengths:
+                    check_instance_size(n)
+                    lengths[n] = run_stream_length(config.algorithm == "nested", n, noises[n])
+            run_words, longest = words[count:], max(lengths.values())
+            if count >= RUN_STREAM_BREAK_EVEN:
+                streams = run_streams(run_words, longest)
+            else:
+                rngs = map(seeded_rng, run_seeds, run_words)
+                streams = np.array([rng.random(longest) for rng in rngs])
+        for n, group in groupby(zip(cells, run_seeds), key=lambda c: c[0][0]):
+            per_batch = GENERATION_BATCH_VALUES // max(2 * n, 64) if hashed else 1
+            while batch := list(islice(group, per_batch if per_batch >= 8 else 1)):
+                # the batch's seeds, words and streams start where the rows so far end
+                at, trial = slice(len(rows), len(rows) + len(batch)), batch[0][0][1]
+                seeds = instance_seeds[at]
+                if len(seeds) == 1:  # through generate_instance, which the layer tracer times
+                    instances = [generate_instance(n, seeds[0], words[at][0])]
+                else:
+                    instances = generate_instances(n, seeds, words[at])
+                uniforms = repeat(None) if streams is None else streams[at, : lengths[n]].tolist()
+                for ((_, trial), run_seed), instance, stream in zip(batch, instances, uniforms):
                     rows.append(_run_trial(config, instance, trial, run_seed, noises[n], stream))
-            except ResourceLimitError as err:
-                raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
-            del instances, instance  # not held while the next batch is drawn
+                del instances, instance  # not held while the next batch is drawn
+    except ResourceLimitError as err:
+        raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
     return rows
 
 
@@ -428,17 +454,14 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
 
     Trials run in chunks of up to ``SWEEP_CHUNK`` consecutive cells.  A
     chunk's instance and run seeds are derived before its first trial.
-    The run streams of a chunk of at least ``RUN_STREAM_BREAK_EVEN``
-    amplified trials are drawn in one pass (``run_streams``), each trial
-    reading its own stream's first doubles; the other seeds it draws
-    from are hashed in one pass (``remember_seed_words``).  Its rows are
+    A chunk that draws from enough seeds hashes them in one pass and hands
+    each trial its seed's words (``_run_chunk``).  Its rows are
     then folded into per-size aggregates, appended to ``<output>.tmp``
     when the config names an output, and kept only with ``keep_rows``,
     so without them memory follows one chunk and not the sweep.  The
     sweep ends with ``write_outputs``, which writes the JSON and renames
     the CSV.  A sweep that raises deletes its temporary file, and each
-    directory it made for it that is empty, and leaves no output; the
-    remembered seeds are forgotten either way.
+    directory it made for it that is empty, and leaves no output.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)
@@ -474,8 +497,6 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
             with suppress(OSError):  # not empty: something else wrote there
                 directory.rmdir()
         raise
-    finally:
-        forget_seed_words()
     return result
 
 

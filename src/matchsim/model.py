@@ -6,13 +6,10 @@ only through list queries and workspace reads/writes, and all of those
 accesses are recorded in a :class:`CostLedger`.
 
 Every generator is built from a seed by :func:`seeded_rng`, which gives
-the stream ``np.random.default_rng(seed)`` gives.  A caller that knows
-its seeds ahead (a sweep) passes them to :func:`remember_seed_words`,
-which hashes them all in one numpy pass (:func:`seed_words`), and
-clears them with :func:`forget_seed_words`; ``seeded_rng`` then builds
-those generators from their words instead of hashing each seed again.
-Short streams of many seeds need no generator: :func:`run_streams` runs
-PCG64 over all of them at once, as numpy does one at a time.
+the stream ``np.random.default_rng(seed)`` gives.  A caller that knows its
+seeds ahead (a sweep) hashes them in one numpy pass (:func:`seed_words`) and
+hands each seed's row down with it, so no seed is hashed twice.  Short
+streams need no generator: :func:`run_streams` runs PCG64 over many rows.
 numpy.random itself is imported on the first generator built.  Generation,
 one instance or a batch (:func:`generate_instances`), and a hand-built instance's
 ``shared_values`` find repeats with :func:`_repeats`.
@@ -490,16 +487,17 @@ def _pcg_jumps(k: int) -> np.ndarray:
     return jumps
 
 
-def run_streams(seeds: Sequence[int], k: int) -> np.ndarray:
-    """A (len(seeds), k) array: row i is ``np.random.default_rng(seeds[i]).random(k)``, bit for bit.
+def run_streams(words: np.ndarray, k: int) -> np.ndarray:
+    """A (len(words), k) array: row i is ``np.random.default_rng(seed).random(k)``, bit for
+    bit, where ``words[i]`` is ``seed``'s row of ``seed_words``.
 
-    numpy's PCG64 (XSL-RR 128/64; O'Neill 2014) takes ``seed_words``: initstate
+    numpy's PCG64 (XSL-RR 128/64; O'Neill 2014) takes those words: initstate
     (high, low), then initseq.  From state 0 and inc = 2 initseq + 1, it steps (state
     = M state + inc mod 2**128), adds initstate and steps again; a draw steps, rotates
     high ^ low right by high >> 58 and keeps the top 53 bits as a double.  So draw j's
     state is M**(j + 1) (inc + initstate) + (1 + ... + M**j) inc (``_pcg_jumps``).
     """
-    init_hi, init_lo, seq_hi, seq_lo = np.hsplit(seed_words(seeds), 4)
+    init_hi, init_lo, seq_hi, seq_lo = np.hsplit(words, 4)
     inc_hi, inc_lo = seq_hi << _1 | seq_lo >> _63, seq_lo << _1 | _1
     lo = inc_lo + init_lo
     a_hi, a_lo, b_hi, b_lo = _pcg_jumps(k)
@@ -511,58 +509,9 @@ def run_streams(seeds: Sequence[int], k: int) -> np.ndarray:
     return ((out >> turn | out << (-turn & _63)) >> _11) * 2.0**-53
 
 
-class _SeedMemo(NamedTuple):
-    """Remembered seeds: ``words[index[seed]]`` are the seed words of ``seed``."""
-
-    index: dict[int, int]
-    words: np.ndarray
-
-
-_NO_SEEDS = _SeedMemo({}, np.empty((0, 4), dtype=np.uint64))
-
-# Filled by remember_seed_words and read by seeded_rng.  It is replaced
-# whole, never edited, so a reader sees one consistent memo; a seed
-# missing from it (never remembered, or dropped by another caller) only
-# takes the slow path and never changes a stream.  Seeds map to row
-# numbers, not row views: a view object per seed would triple the memo.
-_seed_memo = _NO_SEEDS
-
-# Below this many seeds, one seed_words call (about 50 us fixed) saves
-# less than the default_rng calls it replaces (12-17 us each, against
-# 3 us for a generator built from its words).  Remembering k seeds and
-# building their generators, against k default_rng calls, on a 2-core
-# x86-64 VM: 75 against 50 us at k = 4, even at k = 6, and 81-93 against
-# 105-159 us at k = 8.
-SEED_WORDS_BREAK_EVEN = 8
-
-
-def remember_seed_words(seeds: Sequence[int]) -> None:
-    """Hash ``seeds`` in one pass for ``seeded_rng``, replacing any remembered before.
-
-    Remembers nothing, and forgets what was remembered before, for
-    fewer than ``SEED_WORDS_BREAK_EVEN`` seeds.
-    """
-    global _seed_memo
-    _seed_memo = _NO_SEEDS
-    if len(seeds) >= SEED_WORDS_BREAK_EVEN:
-        words = seed_words(seeds)
-        words.flags.writeable = False
-        _seed_memo = _SeedMemo(dict(zip(seeds, range(len(seeds)))), words)
-
-
-def forget_seed_words() -> None:
-    """Drop every remembered seed."""
-    global _seed_memo
-    _seed_memo = _NO_SEEDS
-
-
 @cache
 def _generator_parts() -> tuple:
-    """(Generator, PCG64, seed-words shim), built on first use.
-
-    numpy.random is imported here and not at module import, which keeps
-    it out of ``import matchsim``.
-    """
+    """(Generator, PCG64, seed-words shim), imported on first use: not with ``import matchsim``."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -583,19 +532,16 @@ def _generator_parts() -> tuple:
     return Generator, PCG64, _SeedWords
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
+def seeded_rng(seed: int, words: Optional[np.ndarray] = None) -> np.random.Generator:
     """The generator ``np.random.default_rng(seed)`` builds, state for state.
 
-    A remembered seed skips SeedSequence's hashing and builds PCG64 from
-    its words; any other seed goes through ``default_rng``.  Every call
-    returns a new generator.
+    Given ``words``, the seed's row of ``seed_words``, it skips SeedSequence's
+    hashing and builds PCG64 from them.  Every call returns a new generator.
     """
-    memo = _seed_memo
-    row = memo.index.get(seed)
-    if row is None:
+    if words is None:
         return np.random.default_rng(seed)
     generator, pcg64, seed_words_shim = _generator_parts()
-    return generator(pcg64(seed_words_shim(memo.words[row])))
+    return generator(pcg64(seed_words_shim(words)))
 
 
 def check_instance_size(n: int) -> None:
@@ -608,44 +554,44 @@ def check_instance_size(n: int) -> None:
         )
 
 
-def generate_instance(n: int, seed: int) -> MatchInstance:
+def generate_instance(n: int, seed: int, words: Optional[np.ndarray] = None) -> MatchInstance:
     """Deterministically generate a size-``n`` instance from ``seed``.
 
-    Draws 2n - 1 distinct 64-bit values, plants the first at a uniform
-    position in each list, and fills the rest disjointly.  The size is
-    checked before anything is drawn.  One raw draw holds the values, the
-    rest of ``_draw_distinct``'s first batch and the positions' word, and
-    becomes the buffer; a repeat redraws through ``_draw_distinct``.
+    Draws 2n - 1 distinct 64-bit values, plants the first at a uniform position in each
+    list, and fills the rest disjointly.  The size is checked before anything is drawn.
+    One raw draw holds the values, the rest of ``_draw_distinct``'s first batch and the
+    positions' word, and becomes the buffer; a repeat redraws through ``_draw_distinct``.
+    Given ``words``, the seed's row of ``seed_words``, the seed is not hashed.
     """
     check_instance_size(n)
-    rng = seeded_rng(seed)
+    rng = seeded_rng(seed, words)
     count = 2 * n - 1
-    words = rng.bit_generator.random_raw(max(16, count) + 1)
-    raw = int(words[-1])
-    if len(_repeats(words[:count])):
-        rng, raw = seeded_rng(seed), None
+    drawn = rng.bit_generator.random_raw(max(16, count) + 1)
+    raw = int(drawn[-1])
+    if len(_repeats(drawn[:count])):
+        rng, raw = seeded_rng(seed, words), None
         # the last word is a placeholder that the moves below overwrite
-        words = np.append(_draw_distinct(rng, count), words[:1])
-    return _assembled(words, n, *_draw_positions(rng, n, raw), seed)
+        drawn = np.append(_draw_distinct(rng, count), drawn[:1])
+    return _assembled(drawn, n, *_draw_positions(rng, n, raw), seed)
 
 
-def generate_instances(n: int, seeds: Sequence[int]) -> list[MatchInstance]:
-    """``generate_instance(n, seed)`` for each of ``seeds``: one row-wise sort of the
-    values' low 32-bit words as a (seeds, 2n - 1) matrix, and one positions pass over
-    the draws' last words.  A row whose word repeats, or with a rejected half, is drawn alone."""
+def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[MatchInstance]:
+    """``generate_instance(n, seed, row)`` for each seed and its row of ``words``: one
+    row-wise sort of the values' low 32-bit words as a (seeds, 2n - 1) matrix, and one
+    positions pass over the draws' last words.  A row whose word repeats, or with a
+    rejected half, is drawn alone."""
     check_instance_size(n)
-    if len(seeds) < 2:
-        return [generate_instance(n, seed) for seed in seeds]
-    draws = [seeded_rng(seed).bit_generator.random_raw(max(16, 2 * n - 1) + 1) for seed in seeds]
+    length = max(16, 2 * n - 1) + 1
+    draws = [seeded_rng(s, w).bit_generator.random_raw(length) for s, w in zip(seeds, words)]
     keys = np.concatenate(draws, dtype=np.uint32, casting="unsafe")  # the low words
     keys = keys.reshape(len(seeds), -1)[:, : 2 * n - 1]
     keys.sort(axis=1)
     # Lemire's method on each last word, low half first, as _draw_positions takes them
-    raw = np.array([words[-1] for words in draws])
+    raw = np.array([drawn[-1] for drawn in draws])
     scaled = np.stack((raw & _M32, raw >> 32)) * np.uint64(n)
     alone = (keys[:, 1:] == keys[:, :-1]).any(1) | ((scaled & _M32) < (1 << 32) % n).any(0)
-    rows = zip(seeds, draws, (scaled >> 32).T.tolist(), alone.tolist())
-    return [generate_instance(n, s) if a else _assembled(w, n, *p, s) for s, w, p, a in rows]
+    rows = zip(seeds, words, draws, (scaled >> 32).T.tolist(), alone.tolist())
+    return [generate_instance(n, s, w) if a else _assembled(d, n, *p, s) for s, w, d, p, a in rows]
 
 
 def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> MatchInstance:

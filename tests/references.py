@@ -150,14 +150,14 @@ def record_generation(monkeypatch, record) -> None:
     """
     one, batch = experiments.generate_instance, experiments.generate_instances
 
-    def generate_instance(n, seed):
+    def generate_instance(n, seed, words=None):
         record(n, seed)
-        return one(n, seed)
+        return one(n, seed, words)
 
-    def generate_instances(n, seeds):
+    def generate_instances(n, seeds, words):
         for seed in seeds:
             record(n, seed)
-        return batch(n, seeds)
+        return batch(n, seeds, words)
 
     monkeypatch.setattr(experiments, "generate_instance", generate_instance)
     monkeypatch.setattr(experiments, "generate_instances", generate_instances)

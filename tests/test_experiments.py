@@ -7,14 +7,18 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchsim import experiments, model
+from matchsim import experiments, matchers, model
 from matchsim.cli import main
 from matchsim.experiments import (
     CSV_COLUMNS,
@@ -412,52 +416,97 @@ class TestRunSweep:
         assert len(rows) == 1
 
 
-class TestSeedWordsInSweeps:
-    # trials_per_n on either side of the break-even count of remembered seeds
-    @pytest.mark.parametrize(
-        "algorithm,noise,trials",
-        [
-            ("nested", "inv_sqrt_n", 1),
-            ("nested", "inv_sqrt_n", 6),
-            ("naive_grover", "none", 1),
-            ("naive_grover", "none", 5),
-            ("sort_scan", "none", 3),
-            ("sort_scan", "none", 10),
-        ],
+def record_hashing(monkeypatch) -> list:
+    """The seeds each ``seed_words`` call of a sweep hashes, a list a call, in order."""
+    calls = []
+    original = experiments.seed_words
+    monkeypatch.setattr(
+        experiments, "seed_words", lambda seeds: calls.append(list(seeds)) or original(seeds)
     )
-    def test_outputs_do_not_depend_on_remembering(
-        self, algorithm, noise, trials, tmp_path, monkeypatch
+    return calls
+
+
+class TestSeedWordsInSweeps:
+    @pytest.mark.parametrize("engine", ["auto", "statevector"])
+    @pytest.mark.parametrize(
+        "algorithm,noise",
+        [("sort_scan", "none"), ("naive_grover", "none"), ("nested", "none"),
+         ("nested", "inv_sqrt_n")],
+    )
+    def test_outputs_do_not_depend_on_hashing(
+        self, algorithm, noise, engine, tmp_path, monkeypatch
     ):
         out = tmp_path / "rows.csv"
         config = SweepConfig(
-            algorithm=algorithm, n_values=(16, 64), trials_per_n=trials, base_seed=5,
+            algorithm=algorithm, n_values=(16, 64), trials_per_n=5, base_seed=5, engine=engine,
             noise_preset=noise, output=str(out),
         )
-        amplified = algorithm in experiments.AMPLIFIED
+        drawn = 10 * (2 if algorithm in experiments.AMPLIFIED else 1)
         slow_path = []
-        original, remember = model.np.random.default_rng, experiments.remember_seed_words
+        original = model.np.random.default_rng
 
         def counting(seed):
             slow_path.append(seed)
             return original(seed)
 
         monkeypatch.setattr(model.np.random, "default_rng", counting)
+        hashed = record_hashing(monkeypatch)
         outputs = []
-        # run streams from generators (a break-even above the chunk), then from one pass
-        for break_even, remembering in itertools.product((2 * trials + 1, 1), (True, False)):
-            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            monkeypatch.setattr(
-                experiments, "remember_seed_words", remember if remembering else lambda seeds: None
-            )
-            slow_path.clear()
+        # each break-even at 1, then above the chunk: hashed or not, one pass or generators
+        for seed_break_even, stream_break_even in itertools.product((1, drawn + 1), (1, 11)):
+            monkeypatch.setattr(experiments, "SEED_WORDS_BREAK_EVEN", seed_break_even)
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", stream_break_even)
+            slow_path.clear(), hashed.clear()
             run_sweep(config)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-            # a pass draws the run streams without a generator
-            drawn = 2 * trials * (2 if amplified and break_even > 1 else 1)
-            hits = remembering and drawn >= model.SEED_WORDS_BREAK_EVEN
-            assert len(slow_path) == (0 if hits else drawn)
+            # a hashed chunk builds every generator from its words
+            assert [len(seeds) for seeds in hashed] == ([drawn] if seed_break_even == 1 else [])
+            assert len(slow_path) == (0 if hashed else drawn)
         assert outputs == [outputs[0]] * 4
         assert outputs[0][0] and outputs[0][1]
+
+    def test_one_call_holds_every_drawn_seed(self, monkeypatch):
+        config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=4)
+        cells = [(n, trial) for n in (16, 64) for trial in range(4)]
+        seeds = [derive_seed(0, n, trial, "instance") for n, trial in cells]
+        seeds += [derive_seed(0, n, trial, "run") for n, trial in cells]
+        hashed = record_hashing(monkeypatch)
+        # generators a trial, then one run-stream pass: both from the same words
+        for break_even in (9, 1):
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            hashed.clear()
+            run_sweep(config)
+            assert hashed == [seeds]
+
+    def test_a_noisy_small_batch_chunk_hashes_its_2000_seeds_at_once(self, monkeypatch):
+        hashed = record_hashing(monkeypatch)
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 64, 256, 1024), trials_per_n=250,
+            noise_preset="inv_sqrt_n",
+        )
+        run_sweep(config, keep_rows=False)
+        assert [len(seeds) for seeds in hashed] == [2000]
+
+    def test_classical_sorts_two_seed_chunks_hash_nothing(self, monkeypatch):
+        hashed = record_hashing(monkeypatch)
+        for algorithm in ("sort_scan", "two_sort"):
+            run_sweep(SweepConfig(algorithm, n_values=(16384, 65536)))
+        assert hashed == []
+
+    @pytest.mark.parametrize("noise", ["none", "inv_sqrt_n"])
+    @pytest.mark.parametrize("algorithm", experiments.AMPLIFIED)
+    def test_no_matcher_builds_a_generator_in_a_hashed_chunk(self, algorithm, noise, monkeypatch):
+        def never(*args):
+            raise AssertionError("a matcher built a generator")
+
+        config = SweepConfig(
+            algorithm=algorithm, n_values=(16, 64), trials_per_n=2, noise_preset=noise
+        )
+        expected = run_sweep(config).rows
+        monkeypatch.setattr(matchers, "seeded_rng", never)
+        for break_even in (1, 5):  # one pass; generators built from the chunk's words
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            assert run_sweep(config).rows == expected
 
 
 class TestRunStreamsInSweeps:
@@ -483,7 +532,7 @@ class TestRunStreamsInSweeps:
         run_streams = experiments.run_streams
         monkeypatch.setattr(
             experiments, "run_streams",
-            lambda seeds, k: passes.append((len(seeds), k)) or run_streams(seeds, k),
+            lambda words, k: passes.append((len(words), k)) or run_streams(words, k),
         )
         outputs = []
         for break_even in (1, 3 * 8 + 1):  # one pass; then a break-even above the chunk
@@ -529,18 +578,28 @@ class TestRunStreamsInSweeps:
 
 class TestSweepMemory:
     def test_rows_stream_in_chunks_that_span_sizes(self, monkeypatch):
-        # each chunk remembers its own seeds: 4 trials' 8, then 2 trials' 4,
-        # which is below the break-even and remembers none (both chunks build
-        # generators: they are below the run-stream break-even too)
+        # each chunk hashes its own seeds: 4 trials' 8, drawn in a batch and
+        # alone; then 2 trials' 4, below the break-even: none hashed, each drawn
+        # alone (both chunks are below the run-stream break-even too)
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 4)
         monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", 5)
-        seen = []
-        record_generation(
-            monkeypatch, lambda n, seed: seen.append((n, len(model._seed_memo.index)))
-        )
+        hashed, seen = record_hashing(monkeypatch), []
+        one, batch = experiments.generate_instance, experiments.generate_instances
+
+        def alone(n, seed, words=None):
+            seen.append((n, 1, words is not None))
+            return one(n, seed, words)
+
+        def batched(n, seeds, words):
+            seen.append((n, len(seeds), True))
+            return batch(n, seeds, words)
+
+        monkeypatch.setattr(experiments, "generate_instance", alone)
+        monkeypatch.setattr(experiments, "generate_instances", batched)
         config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
         chunked = run_sweep(config)
-        assert seen == [(16, 8)] * 3 + [(64, 8), (64, 0), (64, 0)]
+        assert [len(seeds) for seeds in hashed] == [8]
+        assert seen == [(16, 3, True), (64, 1, True), (64, 1, False), (64, 1, False)]
         monkeypatch.undo()
         whole = run_sweep(config)
         assert chunked.rows == whole.rows
@@ -548,25 +607,22 @@ class TestSweepMemory:
 
     def test_each_chunk_picks_its_run_streams_path(self, monkeypatch):
         # chunks of 8 and 4 trials, over sizes whose noisy streams are 3 and 4 doubles
-        # long: the first draws its run streams in one pass and remembers its 8 instance
-        # seeds; the second builds generators and remembers 4 instance and 4 run seeds
+        # long, each hashing its instance and run seeds in one call: the first draws its
+        # run streams in one pass; the second builds a generator a trial from its words
         monkeypatch.setattr(experiments, "SWEEP_CHUNK", 8)
         monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", 5)
-        seen, passes = [], []
-        record_generation(
-            monkeypatch, lambda n, seed: seen.append((n, len(model._seed_memo.index)))
-        )
+        hashed, passes = record_hashing(monkeypatch), []
         run_streams = experiments.run_streams
         monkeypatch.setattr(
             experiments, "run_streams",
-            lambda seeds, k: passes.append((len(seeds), k)) or run_streams(seeds, k),
+            lambda words, k: passes.append((len(words), k)) or run_streams(words, k),
         )
         config = SweepConfig(
             algorithm="nested", n_values=(16, 64), trials_per_n=6, noise_preset="inv_sqrt_n"
         )
         chunked = run_sweep(config)
         assert passes == [(8, 4)]  # the chunk's longest stream, not its first size's
-        assert seen == [(16, 8)] * 6 + [(64, 8)] * 6
+        assert [len(seeds) for seeds in hashed] == [16, 8]
         monkeypatch.undo()
         whole = run_sweep(config)  # one chunk, below the break-even
         assert chunked.rows == whole.rows
@@ -629,9 +685,9 @@ class TestSweepMemory:
         batches = []
         batch = experiments.generate_instances
 
-        def recording(n, seeds):
+        def recording(n, seeds, words):
             batches.append((n, len(seeds)))
-            return batch(n, seeds)
+            return batch(n, seeds, words)
 
         monkeypatch.setattr(experiments, "generate_instances", recording)
         batched = run_sweep(config)
@@ -644,7 +700,7 @@ class TestSweepMemory:
 
     def test_fewer_than_eight_rows_go_one_at_a_time(self, monkeypatch):
         # the budget fits 4 rows at n = 2048, too few for a batch to pay
-        def never(n, seeds):
+        def never(n, seeds, words):
             raise AssertionError(f"{len(seeds)} instances at n={n} drawn as a batch")
 
         monkeypatch.setattr(experiments, "generate_instances", never)
@@ -659,16 +715,18 @@ class TestSweepMemory:
         made = []
 
         def hooked(generate):
-            def generating(n, seeds):
+            def generating(n, seeds, words):
                 assert all(ref() is None for ref in made)
-                instances = generate(n, seeds)
+                instances = generate(n, seeds, words)
                 made.extend(weakref.ref(instance) for instance in instances)
                 return instances
             return generating
 
         one, batch = experiments.generate_instance, experiments.generate_instances
-        generate_one = hooked(lambda n, seeds: [one(n, *seeds)])
-        monkeypatch.setattr(experiments, "generate_instance", lambda n, s: generate_one(n, [s])[0])
+        generate_one = hooked(lambda n, seeds, words: [one(n, *seeds, *words)])
+        monkeypatch.setattr(
+            experiments, "generate_instance", lambda n, s, w=None: generate_one(n, [s], [w])[0]
+        )
         monkeypatch.setattr(experiments, "generate_instances", hooked(batch))
         run_sweep(SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3), keep_rows=False)
         assert len(made) == 6
@@ -681,7 +739,6 @@ class TestSweepMemory:
         )
         with pytest.raises(ResourceLimitError, match=f"^n={MAX_INSTANCE_SIZE + 1}, trial=0: "):
             run_sweep(config)
-        assert not model._seed_memo.index
 
     def test_unkept_rows_change_no_byte(self, tmp_path):
         # 3000 trials in 3 chunks: one boundary inside a size, one across sizes
@@ -1138,6 +1195,42 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"n={MAX_INSTANCE_SIZE + 1}" in err and str(MAX_INSTANCE_SIZE) in err
+
+    @pytest.mark.parametrize("trials", [4, 64])
+    def test_a_far_over_cap_size_is_refused_before_it_is_planned(self, trials, tmp_path):
+        # a hashed chunk plans every size's run stream; planning n = 10^30 would run
+        # its noisy outer rounds one by one, so the size is checked first
+        doc = {
+            "algorithm": "nested", "n_values": [16, 10**30], "trials_per_n": trials,
+            "noise_preset": "inv_n", "output": str(tmp_path / "rows.csv"),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        src = str(Path(model.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "matchsim.cli", "sweep", "--config", str(tmp_path / "cfg.json")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
+        )
+        assert out.returncode == 3
+        assert out.stderr.startswith(f"error: n={10**30}, trial=0: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_a_cost_beyond_the_float_range_is_exit_two_and_writes_nothing(self, tmp_path, capsys):
+        doc = {"algorithm": "naive_grover", "n_values": [4], "uncompute_factor": 10**400}
+        doc["output"] = str(tmp_path / "rows.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: geometric-mean cost e^")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_a_csv_cost_beyond_the_float_range_is_exit_two(self, command, tmp_path, capsys):
+        big = str(10**400)
+        row = ["sort_scan", "4", "0", "1", "1", big, big, "0", "0", "0", "4", "1.0"]
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        argv = {"fit": ["fit", "--input", str(rows)], "compare": ["compare", str(rows), str(rows)]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith("error: geometric-mean cost e^")
 
     def test_compare_with_single_input_is_exit_two(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -25,7 +25,7 @@ from matchsim.model import (
     check_instance_size,
     generate_instance,
 )
-from references import check_instance, instance_from_lists, record_generation
+from references import check_instance, instance_from_lists
 
 
 def reference_draw_distinct(rng, count):
@@ -227,7 +227,7 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("n, stream", REPEAT_STREAMS, ids=["first_batch", "small_count"])
     def test_one_buffer_on_the_repeat_path(self, n, stream, monkeypatch):
-        monkeypatch.setattr(model, "seeded_rng", lambda seed: ScriptedRng(stream))
+        monkeypatch.setattr(model, "seeded_rng", lambda seed, words=None: ScriptedRng(stream))
         inst = generate_instance(n, 0)
         values = np.array(reference_draw_distinct(ScriptedRng(stream), 2 * n - 1), dtype=np.uint64)
         # half and three quarters of 2**32, scaled by n; neither is redrawn
@@ -256,7 +256,7 @@ class TestOneDraw:
         values = [(1 << 32) | 5, (2 << 32) | 5, *range(100, 100 + 2 * n - 3)]
         filler = list(range(900, 900 + max(16, 2 * n - 1) - len(values)))
         scripted = ScriptedRng([*values, *filler, POSITION_WORD])
-        monkeypatch.setattr(model, "seeded_rng", lambda seed: scripted)
+        monkeypatch.setattr(model, "seeded_rng", lambda seed, words=None: scripted)
         inst = generate_instance(n, 0)
         assert scripted.calls == [max(16, 2 * n - 1) + 1] and not scripted.stream
         pos1, pos2 = n // 2, 3 * n // 4
@@ -275,7 +275,7 @@ class TestOneDraw:
         words = [0xC0000000_00000000, 0x00000000_80000000]
         stream = [*range(100, 100 + max(16, count)), *words, 77]
         scripted = ScriptedRng(stream)
-        monkeypatch.setattr(model, "seeded_rng", lambda seed: scripted)
+        monkeypatch.setattr(model, "seeded_rng", lambda seed, words=None: scripted)
         inst = generate_instance(n, 0)
         assert scripted.calls == [max(16, count) + 1, None] and scripted.stream == [77]
         positions = model._draw_positions(ScriptedRng(words), n)
@@ -302,10 +302,12 @@ class TestGenerateInstances:
         seeded_rng = model.seeded_rng
         monkeypatch.setattr(
             model, "seeded_rng",
-            lambda seed: ScriptedRng(scripted[seed]) if seed in scripted else seeded_rng(seed),
+            lambda seed, words=None: (
+                ScriptedRng(scripted[seed]) if seed in scripted else seeded_rng(seed, words)
+            ),
         )
         seeds = [0, 101, 1, 2**63 + 5, 102, 2]
-        batch = model.generate_instances(n, seeds)
+        batch = model.generate_instances(n, seeds, model.seed_words(seeds))
         expected = {
             101: (reference_draw_distinct(ScriptedRng(repeat_stream), 2 * n - 1), (4, 6)),
             102: (rejected_stream[: 2 * n - 1], (6, 4)),
@@ -330,7 +332,8 @@ class TestGenerateInstances:
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17, 100, 1024])
     def test_batches_equal_one_seed_at_a_time(self, n):
         seeds = [*range(60), 2**63 + 5, 2**64 - 1]
-        for inst, seed in zip(model.generate_instances(n, seeds), seeds, strict=True):
+        batch = model.generate_instances(n, seeds, model.seed_words(seeds))
+        for inst, seed in zip(batch, seeds, strict=True):
             alone = generate_instance(n, seed)
             assert inst == alone and "shared_values" in vars(inst)
             assert np.array_equal(inst.shared_values, alone.shared_values)
@@ -343,13 +346,13 @@ class TestGenerateInstances:
         streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
         made = []
 
-        def scripted(seed):
+        def scripted(seed, words=None):
             made.append((seed, ScriptedRng(streams[seed])))
             return made[-1][1]
 
         monkeypatch.setattr(model, "seeded_rng", scripted)
         monkeypatch.setattr(model, "_draw_distinct", _never_redrawn)
-        inst = model.generate_instances(n, [7, 8])[0]
+        inst = model.generate_instances(n, [7, 8], model.seed_words([7, 8]))[0]
         # seed 7 drawn in the batch, then alone
         assert [(seed, rng.calls) for seed, rng in made] == [(7, [18]), (8, [18]), (7, [18])]
         values = np.array(values, dtype=np.uint64)
@@ -361,9 +364,9 @@ class TestGenerateInstances:
 
         monkeypatch.setattr(model, "seeded_rng", never)
         with pytest.raises(ResourceLimitError):
-            model.generate_instances(MAX_INSTANCE_SIZE + 1, [0, 1, 2])
+            model.generate_instances(MAX_INSTANCE_SIZE + 1, [0, 1, 2], model.seed_words([0, 1, 2]))
         with pytest.raises(ValueError):
-            model.generate_instances(1, [0, 1])
+            model.generate_instances(1, [0, 1], model.seed_words([0, 1]))
 
 
 def _never_redrawn(*args):
@@ -640,15 +643,15 @@ class TestRunStreams:
     # 37 is the noisy nested stream at MAX_INSTANCE_SIZE (test_experiments checks it)
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 14, 37])
     def test_rows_are_default_rng_streams_word_for_word(self, k):
-        streams = model.run_streams(RUN_STREAM_SEEDS, k)
+        streams = model.run_streams(model.seed_words(RUN_STREAM_SEEDS), k)
         assert streams.shape == (len(RUN_STREAM_SEEDS), k) and streams.dtype == np.float64
         expected = np.array([np.random.default_rng(seed).random(k) for seed in RUN_STREAM_SEEDS])
         assert np.array_equal(streams.view(np.uint64), expected.view(np.uint64))
 
     def test_one_seed_and_no_seed(self):
-        one = model.run_streams([2**64 - 1], 5)
+        one = model.run_streams(model.seed_words([2**64 - 1]), 5)
         assert one.tolist() == [np.random.default_rng(2**64 - 1).random(5).tolist()]
-        assert model.run_streams([], 3).shape == (0, 3)
+        assert model.run_streams(model.seed_words([]), 3).shape == (0, 3)
 
 
 class TestSeededRng:
@@ -662,55 +665,27 @@ class TestSeededRng:
             return original(seed)
 
         monkeypatch.setattr(model.np.random, "default_rng", counting)
-        yield calls
-        model.forget_seed_words()
+        return calls
 
-    def test_remembered_seeds_skip_default_rng(self, default_rng_calls):
-        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=11)
-        model.remember_seed_words(seeds)
-        for seed in seeds:
-            rng = model.seeded_rng(seed)
-            assert rng.bit_generator.state == np.random.Generator(
-                np.random.PCG64(seed)
-            ).bit_generator.state
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_words_give_the_default_rng_stream(self, seed, default_rng_calls):
+        rng = model.seeded_rng(seed, model.seed_words([seed])[0])
         assert default_rng_calls == []
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(7).tolist() == ref.random(7).tolist()
+        assert np.array_equal(rng.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
 
-    def test_a_miss_falls_back_to_default_rng(self, default_rng_calls):
-        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=12))
+    def test_without_words_it_is_default_rng(self, default_rng_calls):
         rng = model.seeded_rng(5)
         assert default_rng_calls == [5]
         assert rng.random() == np.random.Generator(np.random.PCG64(5)).random()
 
-    def test_nothing_is_remembered_below_break_even(self, default_rng_calls):
-        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN - 1, seed=13)
-        model.remember_seed_words(seeds)
-        assert not model._seed_memo.index
-        for seed in seeds:
-            model.seeded_rng(seed)
-        assert default_rng_calls == seeds
-
-    def test_a_call_below_break_even_forgets_the_last_one(self, default_rng_calls):
-        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=17))
-        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN - 1, seed=18))
-        assert not model._seed_memo.index
-
     def test_each_call_builds_a_new_generator(self):
-        seeds = random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=14)
-        model.remember_seed_words(seeds)
-        try:
-            first, second = model.seeded_rng(seeds[0]), model.seeded_rng(seeds[0])
-            assert first is not second and first.bit_generator is not second.bit_generator
-            assert first.random() == second.random()
-        finally:
-            model.forget_seed_words()
-        assert not model._seed_memo.index
-
-    def test_remembered_words_are_read_only(self):
-        model.remember_seed_words(random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=15))
-        try:
-            assert not model._seed_memo.words.flags.writeable
-        finally:
-            model.forget_seed_words()
+        words = model.seed_words([14])[0]
+        first, second = model.seeded_rng(14, words), model.seeded_rng(14, words)
+        assert first is not second and first.bit_generator is not second.bit_generator
+        assert first.random() == second.random()
 
     def test_importing_matchsim_leaves_numpy_random_unloaded(self):
         # numpy.random costs set-up time; it loads with the first generator
@@ -722,39 +697,13 @@ class TestSeededRng:
         )
         assert out.stdout.strip() == "False"
 
-
-    def test_pinned_instances_from_remembered_seeds(self, default_rng_calls):
-        seeds = sorted({seed for _, seed in PINNED_INSTANCES})
-        model.remember_seed_words(seeds + random_seeds(model.SEED_WORDS_BREAK_EVEN, seed=16))
+    def test_pinned_instances_from_handed_down_words(self, default_rng_calls):
         for (n, seed), digest in PINNED_INSTANCES.items():
-            inst = generate_instance(n, seed)
+            inst = generate_instance(n, seed, model.seed_words([seed])[0])
             doc = [list(inst.list1), list(inst.list2), inst.planted_value,
                    inst.planted_pos1, inst.planted_pos2]
             assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
         assert default_rng_calls == []
-
-
-class TestSweepSeedMemo:
-    def test_one_fill_holds_every_drawn_seed_and_is_emptied(self, monkeypatch):
-        seen = []
-        record_generation(monkeypatch, lambda n, seed: seen.append(len(model._seed_memo.index)))
-        config = experiments.SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=4)
-        # generators a trial, then one run-stream pass, whose run seeds are not remembered
-        for break_even, remembered in ((9, 16), (1, 8)):
-            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            seen.clear()
-            experiments.run_sweep(config)
-            # instance seeds of all 8 trials, and run seeds if drawn, before the first
-            assert seen == [remembered] * 8
-            assert not model._seed_memo.index
-
-    def test_memo_is_emptied_when_a_sweep_raises(self):
-        config = experiments.SweepConfig(
-            algorithm="sort_scan", n_values=(16, MAX_INSTANCE_SIZE + 1), trials_per_n=5
-        )
-        with pytest.raises(ResourceLimitError, match=f"n={MAX_INSTANCE_SIZE + 1}, trial=0"):
-            experiments.run_sweep(config)
-        assert not model._seed_memo.index
 
 
 class TestInstanceSizeCap:
