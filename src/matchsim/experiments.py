@@ -33,10 +33,13 @@ from .matchers import (
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
+    nested_walks,
     run_stream_length,
 )
 from .model import (
     ACCESS_KINDS,
+    MAX_SWEEP_WORK,
+    TRIAL_WORK,
     MatchInstance,
     RunReport,
     check_instance_size,
@@ -160,6 +163,8 @@ class SweepConfig:
         # the aggregate JSON goes next to the CSV, under the .json suffix
         if self.output is not None and Path(self.output).suffix.lower() == ".json":
             raise ValueError(f"output {self.output!r} would be overwritten by the sweep's JSON")
+        if (work := self.trials_per_n * sum(2 * n + TRIAL_WORK for n in values)) > MAX_SWEEP_WORK:
+            raise ResourceLimitError(f"sweep work {work} exceeds the cap of {MAX_SWEEP_WORK}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -250,13 +255,13 @@ def fit_exponent(
 
 
 def run_matcher(
-    algorithm: str, instance: MatchInstance, run_config: NestedConfig, uniforms=None
+    algorithm: str, instance: MatchInstance, run_config: NestedConfig, uniforms=None, walk=None
 ) -> RunReport:
     """Run one matcher by algorithm name on a fresh ledger; the classical ones ignore config.
-    An amplified one measures on ``uniforms`` if given, else on its run seed's stream."""
+    An amplified one measures on ``uniforms`` (nested: and ``walk``) if given, else its seed's."""
     matcher = globals()[MATCHERS[algorithm]]
     if algorithm in AMPLIFIED:
-        return matcher(instance, run_config, uniforms=uniforms)
+        return matcher(instance, run_config, uniforms=uniforms, **({"walk": walk} if walk else {}))
     return matcher(instance)
 
 
@@ -266,11 +271,11 @@ def _run_trial(
     trial: int,
     run_seed: int,
     noise: Optional[NoisyOracleSpec],
-    uniforms: Optional[list[float]],
+    run: tuple,  # the run's uniforms and its nested_walks row, each None if not drawn
 ) -> TrialRow:
     # by position, in field order (block_size first): keywords cost a dataclass more
     run_config = NestedConfig(None, config.engine, config.uncompute_factor, noise, run_seed)
-    report = run_matcher(config.algorithm, instance, run_config, uniforms)
+    report = run_matcher(config.algorithm, instance, run_config, *run)
     ledger = report.ledger
     # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
@@ -396,7 +401,7 @@ GENERATION_BATCH_VALUES = 1 << 14
 # Hashed chunks of at least this many amplified trials draw all run streams in one run_streams
 # pass; smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024,
 # pass against generators, medians of 60 interleaved runs (2-core x86-64 VM): T = 16 x1.09,
-# 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.
+# 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.  Such chunks also take nested_walks.
 RUN_STREAM_BREAK_EVEN = 64
 
 
@@ -416,7 +421,7 @@ def _run_chunk(
     drawn = instance_seeds + run_seeds if amplified else instance_seeds
     hashed = len(drawn) >= SEED_WORDS_BREAK_EVEN
     words = seed_words(drawn) if hashed else [None] * count
-    streams, rows = None, []
+    streams, rows, walked = None, [], False
     try:
         if hashed and amplified:
             lengths = {}
@@ -427,10 +432,15 @@ def _run_chunk(
             run_words, longest = words[count:], max(lengths.values())
             if count >= RUN_STREAM_BREAK_EVEN:
                 streams = run_streams(run_words, longest)
+                walked = config.algorithm == "nested" and config.engine != "statevector"
             else:
                 rngs = map(seeded_rng, run_seeds, run_words)
                 streams = np.array([rng.random(longest) for rng in rngs])
         for n, group in groupby(zip(cells, run_seeds), key=lambda c: c[0][0]):
+            walks = repeat(None)
+            if walked and noises[n] is not None:  # its trials left, to the chunk's end
+                size_rows = streams[len(rows) :][: config.trials_per_n - cells[len(rows)][1]]
+                walks = iter(nested_walks(n, noises[n], size_rows))
             per_batch = GENERATION_BATCH_VALUES // max(2 * n, 64) if hashed else 1
             while batch := list(islice(group, per_batch if per_batch >= 8 else 1)):
                 # the batch's seeds, words and streams start where the rows so far end
@@ -441,8 +451,9 @@ def _run_chunk(
                 else:
                     instances = generate_instances(n, seeds, words[at])
                 uniforms = repeat(None) if streams is None else streams[at, : lengths[n]].tolist()
-                for ((_, trial), run_seed), instance, stream in zip(batch, instances, uniforms):
-                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], stream))
+                runs = zip(uniforms, walks)
+                for ((_, trial), run_seed), instance, run in zip(batch, instances, runs):
+                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], run))
                 del instances, instance  # not held while the next batch is drawn
     except ResourceLimitError as err:
         raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err

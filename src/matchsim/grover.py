@@ -14,7 +14,8 @@ A search is the two-field value ``Search(space_size, marked)``, with
 runner, (search, iterations, uniforms, failure_prob) -> (measured_index,
 marked_mass, fire_pattern), that checks the search and charges nothing.
 The reduced runner (``run_analytic``) tracks c alone and samples the
-amplitude vector it implies, so its work does not grow with M.  The
+amplitude vector it implies, so its work does not grow with M, and
+``dropout_walks`` tracks c for many noisy runs of one search at once.  The
 statevector runner (``run_statevector``) simulates all M real amplitudes
 round by round; it is the independent reference the reduced runner is
 checked against and runs only when named.  Neither holds a generator:
@@ -293,6 +294,17 @@ def run_analytic(
     marked_mass, unmarked_mass = _masses(space_size, len(marked), c)
     measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, uniforms[-1])
     return measured, marked_mass, pattern
+
+
+def dropout_walks(space_size: int, draws: np.ndarray, failure_prob: float) -> list:
+    """Per row of a (T, rounds) array of one-marked dropout draws, what ``run_analytic`` walks
+    from it: the fire pattern, then both masses at the c it ends on (``_masses`` once per c)."""
+    fires = draws >= failure_prob
+    c = np.ones(len(draws), dtype=np.int64)
+    for fired in fires.T:
+        c = np.where(fired, c + 2, 2 - c)
+    masses = {k: _masses(space_size, 1, k) for k in set(c.tolist())}
+    return [(fire, *masses[k]) for fire, k in zip(map(tuple, fires.tolist()), c.tolist())]
 
 
 def run_noisy_outer(

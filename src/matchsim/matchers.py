@@ -34,6 +34,9 @@ from .grover import (  # run_noisy_outer: unused, but the layer tracer patches i
     ENGINES,
     NoisyOracleSpec,
     Search,
+    _masses,
+    _sample_reduced,
+    dropout_walks,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
@@ -265,6 +268,7 @@ class _NestedPlan(NamedTuple):
     r_inner: int
     predicted_success: float
     stream: int  # uniforms a run reads: the outer rounds when noisy, both measurements
+    inner_masses: tuple  # the inner search's masses, by its marked count: 0, then 1
 
 
 @lru_cache(maxsize=256)
@@ -273,15 +277,21 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     b, blocks, r_outer, r_inner = _nested_shape(n, block_size)
     # with no dropout this is success_probability(blocks, 1, r_outer), bit for bit
     p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
-    p_inner = success_probability(n, 1, r_inner)
+    inner = tuple(_masses(n, k, 2 * r_inner + 1) for k in (0, 1))
     stream = r_outer + 2 if failure_prob else 2
-    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * p_inner, stream)
+    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * inner[1][0], stream, inner)
 
 
 def run_stream_length(nested: bool, n: int, noise: Optional[NoisyOracleSpec]) -> int:
     """The uniforms one amplified run on n values reads at the default block size:
     ``nested``'s plan, else the naive search's one measurement."""
     return _nested_plan(n, None, noise.failure_prob if noise else 0.0).stream if nested else 1
+
+
+def nested_walks(n: int, noise: NoisyOracleSpec, streams: np.ndarray) -> list:
+    """Per run stream, a noisy nested run's ``walk``: its outer search's ``dropout_walks`` row."""
+    plan = _nested_plan(n, None, noise.failure_prob)
+    return dropout_walks(plan.blocks, streams[:, : plan.r_outer], noise.failure_prob)
 
 
 @lru_cache(maxsize=1024)
@@ -312,6 +322,7 @@ def nested_grover_match(
     ledger: Optional[CostLedger] = None,
     *,
     uniforms: Optional[list[float]] = None,
+    walk: Optional[tuple] = None,
 ) -> RunReport:
     """Amplified search over blocks of list1, then a final verify pass.
 
@@ -324,14 +335,15 @@ def nested_grover_match(
     block's unsorted slice of list1.  A run whose verification probe
     misses reports no match rather than guessing.  Both searches run
     through the configured engine's runner, on ``uniforms`` (by default
-    the run seed's stream); the outer charges are merged once the block
-    is measured, the probes once verification is known.
+    the run seed's stream), or through none when given the run's row of
+    ``nested_walks`` as ``walk``; the outer charges are merged once the
+    block is measured, the probes once verification is known.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     failure_prob = _failure_prob(config)
-    b, blocks, r_outer, r_inner, predicted_success, stream = _nested_plan(
+    b, blocks, r_outer, r_inner, predicted_success, stream, inner_masses = _nested_plan(
         n, config.block_size, failure_prob
     )
     engine, run = _engine(config)
@@ -339,14 +351,21 @@ def nested_grover_match(
     if uniforms is None:
         uniforms = seeded_rng(config.rng_seed).random(stream).tolist()
     marked_block = instance.planted_pos1 // b
-    outer = Search(blocks, (marked_block,))
-    beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
+    if walk is None:
+        outer = Search(blocks, (marked_block,))
+        beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
+    else:
+        fire_pattern, outer_mass, unmarked_mass = walk
+        beta = _sample_reduced(blocks, (marked_block,), outer_mass, unmarked_mass, uniforms[-2])
     offset = beta * b
     block = instance.values1[offset : offset + b]
     shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
     ledger.merge(_nested_charges(*shape, False)[0])  # before: the same whatever verifies
     marked = (instance.planted_pos2,) if beta == marked_block else ()
-    j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
+    if walk is None:
+        j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
+    else:
+        j_hat = _sample_reduced(n, marked, *inner_masses[len(marked)], uniforms[-1])
     v_hat = instance.values2.item(j_hat)
     # the verification probe, by compare: v_hat's bytes in the block's, at a cell's start
     cells, key = block.tobytes(), v_hat.to_bytes(8, sys.byteorder)

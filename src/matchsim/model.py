@@ -35,6 +35,9 @@ _M32 = 0xFFFFFFFF
 # sizes, and small enough that a classical run's 8-byte cells (two uint64
 # lists and the sorted copy of their union) fit in a few hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
+# Largest sweep SweepConfig accepts, in trials_per_n * sum(2n + TRIAL_WORK): 4095 trials at
+# MAX_INSTANCE_SIZE or 3.3e7 at n = 2, 15-35 min either way on a 2-core x86-64 VM.
+MAX_SWEEP_WORK, TRIAL_WORK = 1 << 35, 1 << 10
 
 # _repeats filters by 32-bit key up to 2^17 values (m random ones repeat about
 # m^2 / 2^33 keys) and 8 repeated keys; beyond, a plain sort costs as little
@@ -47,7 +50,7 @@ def float_sum(values: Iterable[float]) -> float:
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a run would exceed a fixed size or amplitude cap."""
+    """Raised when a run would exceed a fixed size, amplitude or sweep-work cap."""
 
 
 class PhaseCosts(NamedTuple):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -156,6 +157,14 @@ class TestSweepConfig:
             SweepConfig.from_dict(
                 {"algorithm": "nested", "n_values": [4], "shots": 100}
             )
+
+    @pytest.mark.parametrize("n_values", [(2,), (MAX_INSTANCE_SIZE,), (2, 16, MAX_INSTANCE_SIZE)])
+    def test_the_work_cap_admits_a_sweep_just_under_it(self, n_values):
+        # trials_per_n * sum(2n + TRIAL_WORK): the configs are built, never run
+        trials = model.MAX_SWEEP_WORK // sum(2 * n + model.TRIAL_WORK for n in n_values)
+        assert SweepConfig(algorithm="nested", n_values=n_values, trials_per_n=trials)
+        with pytest.raises(ResourceLimitError, match=f"the cap of {model.MAX_SWEEP_WORK}$"):
+            SweepConfig(algorithm="nested", n_values=n_values, trials_per_n=trials + 1)
 
     @pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_from_dict_rejects_wrong_types(self, doc):
@@ -569,6 +578,73 @@ class TestRunStreamsInSweeps:
             k = run_stream_length(algorithm == "nested", n, noise_spec("inv_sqrt_n", n))
             assert uniforms == np.random.default_rng(seed).random(k).tolist()
 
+    @staticmethod
+    def recorded_walks(monkeypatch):
+        """The (n, rows) of every nested_walks call the sweeps make from here on."""
+        walks, nested_walks = [], experiments.nested_walks
+
+        def walking(n, noise, streams):
+            walks.append((n, len(streams)))
+            return nested_walks(n, noise, streams)
+
+        monkeypatch.setattr(experiments, "nested_walks", walking)
+        return walks
+
+    def test_a_noisy_analytic_chunk_walks_each_size_once_and_calls_no_runner(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 17, 100), trials_per_n=30, base_seed=4,
+            noise_preset="inv_sqrt_n", output=str(out),
+        )
+        walks, runs, run_analytic = self.recorded_walks(monkeypatch), [], matchers.run_analytic
+        monkeypatch.setattr(matchers, "run_analytic", lambda *a: runs.append(a) or run_analytic(*a))
+        outputs, counts = [], []
+        for break_even in (64, 91):  # a walk per size; then a break-even above the chunk
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+            counts.append(len(runs))
+            runs.clear()
+        assert walks == [(16, 30), (17, 30), (100, 30)]
+        assert counts == [0, 2 * 90]
+        assert outputs[0] == outputs[1]
+
+    def test_a_size_split_across_chunks_walks_its_rows_in_each(self, tmp_path, monkeypatch):
+        # chunks of 70: 50 + 20 walked, 30 + 40 walked, then 10, below the break-even
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 17, 100), trials_per_n=50, base_seed=6,
+            noise_preset="inv_n", output=str(out),
+        )
+        walks = self.recorded_walks(monkeypatch)
+        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 70)
+        outputs = []
+        for break_even in (64, 71):
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert walks == [(16, 50), (17, 20), (17, 30), (100, 40)]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "engine,noise,trials",
+        [("statevector", "inv_sqrt_n", 40), ("auto", "none", 40), ("auto", "inv_sqrt_n", 31)],
+    )
+    def test_no_other_chunk_walks(self, engine, noise, trials, monkeypatch):
+        # a statevector chunk, a noiseless one, and a noisy one below the break-even
+        def never(*args):
+            raise AssertionError("the chunk walked")
+
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        monkeypatch.setattr(experiments, "nested_walks", never)
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 64), trials_per_n=trials, engine=engine,
+            noise_preset=noise,
+        )
+        assert len(run_sweep(config).rows) == 2 * trials
+
     def test_the_longest_stream_is_the_noisy_nested_one_at_the_size_cap(self):
         noise = noise_spec("inv_sqrt_n", MAX_INSTANCE_SIZE)
         assert run_stream_length(True, MAX_INSTANCE_SIZE, noise) == 37
@@ -933,6 +1009,15 @@ NESTED_STATS = ("outer_fire_pattern", "inner_verified")
 
 
 class TestCli:
+    def test_the_installed_command_runs_the_cli_main(self):
+        # CI's smoke step runs the installed match-sim; this checks the script it installs
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"match-sim": "matchsim.cli:main"}
+        module, attr = scripts["match-sim"].split(":")
+        assert getattr(importlib.import_module(module), attr) is main
+
     def test_run_prints_report(self, capsys):
         code = main(["run", "--algorithm", "nested", "--n", "256", "--seed", "1"])
         out = capsys.readouterr().out
@@ -1196,22 +1281,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"n={MAX_INSTANCE_SIZE + 1}" in err and str(MAX_INSTANCE_SIZE) in err
 
-    @pytest.mark.parametrize("trials", [4, 64])
-    def test_a_far_over_cap_size_is_refused_before_it_is_planned(self, trials, tmp_path):
-        # a hashed chunk plans every size's run stream; planning n = 10^30 would run
-        # its noisy outer rounds one by one, so the size is checked first
-        doc = {
-            "algorithm": "nested", "n_values": [16, 10**30], "trials_per_n": trials,
-            "noise_preset": "inv_n", "output": str(tmp_path / "rows.csv"),
-        }
+    @staticmethod
+    def sweep_in_a_subprocess(doc, tmp_path):
+        doc = {**doc, "output": str(tmp_path / "rows.csv")}
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         src = str(Path(model.__file__).resolve().parents[1])
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "matchsim.cli", "sweep", "--config", str(tmp_path / "cfg.json")],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
         )
+
+    @pytest.mark.parametrize("trials", [4, 64])
+    def test_a_far_over_cap_size_is_refused_before_it_is_planned(self, trials, tmp_path):
+        # planning n = 10^30 would run its noisy outer rounds one by one; its work
+        # alone is over the sweep cap, so the config is refused before anything runs
+        doc = {
+            "algorithm": "nested", "n_values": [16, 10**30], "trials_per_n": trials,
+            "noise_preset": "inv_n",
+        }
+        out = self.sweep_in_a_subprocess(doc, tmp_path)
         assert out.returncode == 3
-        assert out.stderr.startswith(f"error: n={10**30}, trial=0: ")
+        assert out.stderr.startswith("error: sweep work ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_endless_trials_are_refused_before_anything_is_drawn(self, tmp_path):
+        out = self.sweep_in_a_subprocess(
+            {"algorithm": "nested", "n_values": [16], "trials_per_n": 10**30}, tmp_path
+        )
+        assert out.returncode == 3
+        work = 10**30 * (2 * 16 + model.TRIAL_WORK)
+        assert out.stderr.startswith(f"error: sweep work {work} ")
+        assert str(model.MAX_SWEEP_WORK) in out.stderr
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_a_cost_beyond_the_float_range_is_exit_two_and_writes_nothing(self, tmp_path, capsys):

@@ -494,3 +494,28 @@ class TestNoisyEngine:
                 state = dense_rotation_step(m, k, fires) @ state
             amps = statevector_amplitudes(first_k(m, k), len(pattern), fire_pattern=pattern)
             assert np.allclose(amps, state, atol=1e-12)
+
+
+class TestDropoutWalks:
+    @pytest.mark.parametrize("space_size", [1, 4, 17, 100])
+    def test_each_row_is_the_scalar_walk(self, space_size):
+        # the same draws through run_analytic and through the array walk: the same
+        # pattern of Python bools, the same masses bit for bit, the same measured index
+        rng = np.random.default_rng(space_size)
+        marked = (space_size // 3,)
+        for iterations in range(7):
+            probs = (1 / space_size, 1 / math.sqrt(space_size), 0.5, 1.0)
+            for failure_prob in probs:
+                draws = rng.random((60, iterations + 1))
+                # a draw equal to failure_prob fires, in both walks
+                draws[:, :iterations][rng.random((60, iterations)) < 0.3] = failure_prob
+                walks = grover.dropout_walks(space_size, draws[:, :iterations], failure_prob)
+                assert len(walks) == len(draws)
+                for row, (pattern, marked_mass, unmarked_mass) in zip(draws.tolist(), walks):
+                    search = Search(space_size, marked)
+                    measured, mass, fires = run_analytic(search, iterations, row, failure_prob)
+                    assert pattern == fires and all(type(f) is bool for f in pattern)
+                    assert marked_mass == mass
+                    assert grover._sample_reduced(
+                        space_size, marked, marked_mass, unmarked_mass, row[-1]
+                    ) == measured

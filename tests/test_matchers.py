@@ -670,6 +670,25 @@ class TestGivenUniforms:
                 given = matcher(inst, config, uniforms=uniforms)
                 assert json.dumps(given.as_dict()) == json.dumps(matcher(inst, config).as_dict())
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 100])
+    def test_a_walked_run_reports_what_the_runners_report(self, n):
+        # the chunk's array walk in place of both runner calls, on runs whose outer
+        # search measures the marked block and (from two blocks on) runs where it does not
+        outcomes = set()
+        for preset in ("inv_n", "inv_sqrt_n"):
+            noise = noise_spec(preset, n)
+            k = run_stream_length(True, n, noise)
+            streams = np.array([seeded_rng(seed).random(k) for seed in range(100)])
+            for seed, walk in enumerate(matchers.nested_walks(n, noise, streams)):
+                inst, config = generate_instance(n, seed), NestedConfig(noise=noise, rng_seed=seed)
+                uniforms = streams[seed].tolist()
+                walked = nested_grover_match(inst, config, uniforms=uniforms, walk=walk)
+                run = nested_grover_match(inst, config)
+                assert json.dumps(walked.as_dict()) == json.dumps(run.as_dict())
+                stats = walked.engine_stats
+                outcomes.add(stats["outer_measured_block"] == stats["outer_marked_block"])
+        assert outcomes == ({True, False} if n > 2 else {True})
+
     @pytest.mark.parametrize("preset", NOISE_PRESETS)
     def test_a_stream_of_another_length_is_refused(self, preset):
         inst = generate_instance(64, 1)

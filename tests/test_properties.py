@@ -32,7 +32,12 @@ from matchsim.matchers import (  # noqa: E402
     classical_two_sort_merge,
     exhaustive_pairs,
 )
-from matchsim.model import MatchInstance  # noqa: E402
+from matchsim.model import (  # noqa: E402
+    MAX_SWEEP_WORK,
+    TRIAL_WORK,
+    MatchInstance,
+    ResourceLimitError,
+)
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
 from references import instance_from_lists  # noqa: E402
 from search_record import draw_uniforms  # noqa: E402
@@ -159,11 +164,13 @@ config_docs = st.fixed_dictionaries(
     {
         "algorithm": field(st.sampled_from(ALGORITHMS)),
         "n_values": field(
-            st.lists(st.integers(-2, 70), max_size=4, unique=True).map(sorted)
+            st.lists(st.integers(-2, 70) | st.integers(2, 2**23), max_size=4, unique=True)
+            .map(sorted)
         ),
     },
     optional={
-        "trials_per_n": field(st.integers(-1, 5)),
+        # up to far over the sweep work cap
+        "trials_per_n": field(st.integers(-1, 5) | st.integers(2**20, 2**40)),
         "base_seed": field(st.integers(-1, 2**64)),
         "engine": field(st.sampled_from(ENGINES)),
         "noise_preset": field(st.sampled_from(NOISE_PRESETS)),
@@ -181,6 +188,11 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
         config = SweepConfig.from_dict(doc)
     except ValueError:
         return
+    except ResourceLimitError:  # well formed, but over the sweep work cap
+        work = doc.get("trials_per_n", 1) * sum(2 * n + TRIAL_WORK for n in doc["n_values"])
+        assert work > MAX_SWEEP_WORK
+        return
+    assert config.trials_per_n * sum(2 * n + TRIAL_WORK for n in config.n_values) <= MAX_SWEEP_WORK
     assert SweepConfig.from_dict(config.as_dict()) == config
     assert all(type(n) is int and n >= 2 for n in config.n_values)
     for value in (config.trials_per_n, config.base_seed, config.uncompute_factor):
