@@ -33,7 +33,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the aggregate JSON needs no rows: keeping none bounds a long sweep's memory
     result = run_sweep(config, keep_rows=False)
     if config.output is not None:
-        csv_path, json_path = output_paths(config.output)
+        csv_path, json_path, _ = output_paths(config.output)
         print(f"wrote {csv_path} and {json_path}")
     else:
         sys.stdout.write(result.to_json_text())

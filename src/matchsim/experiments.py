@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from contextlib import suppress
 from functools import lru_cache
 from itertools import groupby, islice, repeat, takewhile
@@ -28,6 +28,7 @@ import numpy as np
 from .grover import NoisyOracleSpec, ResourceLimitError, statevector_cap_from_env
 from .matchers import (
     NestedConfig,
+    amplitude_rounds,
     classical_sort_scan,
     classical_two_sort_merge,
     exhaustive_pairs,
@@ -38,6 +39,7 @@ from .matchers import (
 )
 from .model import (
     ACCESS_KINDS,
+    AMPLITUDE_ROUNDS_PER_WORK,
     MAX_SWEEP_WORK,
     TRIAL_WORK,
     MatchInstance,
@@ -163,7 +165,12 @@ class SweepConfig:
         # the aggregate JSON goes next to the CSV, under the .json suffix
         if self.output is not None and Path(self.output).suffix.lower() == ".json":
             raise ValueError(f"output {self.output!r} would be overwritten by the sweep's JSON")
-        if (work := self.trials_per_n * sum(2 * n + TRIAL_WORK for n in values)) > MAX_SWEEP_WORK:
+        work = self.trials_per_n * sum(2 * n + TRIAL_WORK for n in values)
+        # a statevector run steps every amplitude each round; a size far past the cap has no schedule
+        if work <= MAX_SWEEP_WORK and self.engine == "statevector" and self.algorithm in AMPLIFIED:
+            steps = sum(amplitude_rounds(self.algorithm == "nested", n) for n in values)
+            work += self.trials_per_n * steps // AMPLITUDE_ROUNDS_PER_WORK
+        if work > MAX_SWEEP_WORK:
             raise ResourceLimitError(f"sweep work {work} exceeds the cap of {MAX_SWEEP_WORK}")
 
     @classmethod
@@ -315,17 +322,11 @@ class SizeTally:
 
 @dataclass
 class SweepResult:
-    """A finished sweep: its per-size aggregates and, if kept, its rows.
-
-    ``rows`` is None when the sweep ran with ``keep_rows=False``.
-    ``csv_part`` is the temporary file a sweep with an output streamed
-    its CSV to, until ``write_outputs`` moves it into place.
-    """
+    """A finished sweep: its per-size aggregates and, with ``keep_rows``, its rows (else None)."""
 
     config: SweepConfig
     rows: Optional[list[TrialRow]]
     sizes: dict[int, SizeTally]
-    csv_part: Optional[Path] = field(default=None, repr=False)
 
     def aggregate(self) -> dict:
         per_n = []
@@ -351,36 +352,22 @@ class SweepResult:
             doc["fit_log_normalized"] = None
         return doc
 
-    def to_csv_text(self) -> str:
-        if self.rows is None:
-            raise ValueError("the sweep kept no rows")
-        return _CSV_HEADER + "".join([_ROW_FORMAT % row for row in self.rows])
-
     def to_json_text(self) -> str:
         doc = {"config": self.config.as_dict(), "aggregate": self.aggregate()}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def write_outputs(self, csv_path: str | Path) -> tuple[Path, Path]:
-        """Finish the output files: the CSV of rows and the aggregate JSON next to it.
-
-        A streamed CSV (``csv_part``) is renamed into place after the
-        JSON is written; otherwise the kept rows are written out.
-        """
-        csv_path, json_path = output_paths(csv_path)
-        if self.csv_part is None:
-            csv_path.parent.mkdir(parents=True, exist_ok=True)
-            csv_path.write_text(self.to_csv_text(), encoding="utf-8")
+        """Write the aggregate JSON next to ``csv_path``, then move the streamed CSV into place."""
+        csv_path, json_path, part = output_paths(csv_path)
         json_path.write_text(self.to_json_text(), encoding="utf-8")
-        if self.csv_part is not None:
-            self.csv_part.replace(csv_path)
-            self.csv_part = None
+        part.replace(csv_path)
         return csv_path, json_path
 
 
-def output_paths(csv_path: str | Path) -> tuple[Path, Path]:
-    """The CSV path a sweep writes and the aggregate JSON path next to it."""
+def output_paths(csv_path: str | Path) -> tuple[Path, Path, Path]:
+    """The CSV path a sweep writes, its aggregate JSON beside it and the file it streams rows to."""
     csv_path = Path(csv_path)
-    return csv_path, csv_path.with_suffix(".json")
+    return csv_path, csv_path.with_suffix(".json"), Path(f"{csv_path}.tmp")
 
 
 # run_sweep's unit of work: this many consecutive trials in sweep order, which
@@ -469,9 +456,9 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     each trial its seed's words (``_run_chunk``).  Its rows are
     then folded into per-size aggregates, appended to ``<output>.tmp``
     when the config names an output, and kept only with ``keep_rows``,
-    so without them memory follows one chunk and not the sweep.  The
-    sweep ends with ``write_outputs``, which writes the JSON and renames
-    the CSV.  A sweep that raises deletes its temporary file, and each
+    so without them memory follows one chunk and not the sweep.  That
+    stream is a sweep's only CSV; ``write_outputs`` writes the JSON and
+    renames it.  A sweep that raises deletes its temporary file, and each
     directory it made for it that is empty, and leaves no output.
     """
     sizes = {n: SizeTally() for n in config.n_values}
@@ -482,11 +469,11 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     stream, made = None, []
     try:
         if config.output is not None:
-            result.csv_part = Path(f"{config.output}.tmp")
+            part = output_paths(config.output)[2]
             # the missing directories, deepest first
-            made = list(takewhile(lambda d: not d.exists(), result.csv_part.parents))
-            result.csv_part.parent.mkdir(parents=True, exist_ok=True)
-            stream = open(result.csv_part, "w", encoding="utf-8")
+            made = list(takewhile(lambda d: not d.exists(), part.parents))
+            part.parent.mkdir(parents=True, exist_ok=True)
+            stream = open(part, "w", encoding="utf-8")
             stream.write(_CSV_HEADER)
         while chunk := list(islice(cells, SWEEP_CHUNK)):
             rows = _run_chunk(config, chunk, noises)
@@ -503,7 +490,7 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     except BaseException:
         if stream is not None:
             stream.close()
-            result.csv_part.unlink(missing_ok=True)
+            part.unlink(missing_ok=True)
         for directory in made:
             with suppress(OSError):  # not empty: something else wrote there
                 directory.rmdir()

@@ -288,6 +288,15 @@ def run_stream_length(nested: bool, n: int, noise: Optional[NoisyOracleSpec]) ->
     return _nested_plan(n, None, noise.failure_prob if noise else 0.0).stream if nested else 1
 
 
+def amplitude_rounds(nested: bool, n: int) -> int:
+    """Amplitudes times rounds + 1 that one statevector run on n values steps at the default
+    block size: ``nested``'s two searches, else the naive search over n^2 pairs."""
+    if nested:
+        _, blocks, r_outer, r_inner = _nested_shape(n, None)
+        return blocks * (r_outer + 1) + n * (r_inner + 1)
+    return n * n * (iteration_schedule(n * n, 1) + 1)
+
+
 def nested_walks(n: int, noise: NoisyOracleSpec, streams: np.ndarray) -> list:
     """Per run stream, a noisy nested run's ``walk``: its outer search's ``dropout_walks`` row."""
     plan = _nested_plan(n, None, noise.failure_prob)

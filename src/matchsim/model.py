@@ -36,8 +36,10 @@ _M32 = 0xFFFFFFFF
 # lists and the sorted copy of their union) fit in a few hundred MB.
 MAX_INSTANCE_SIZE = 1 << 22
 # Largest sweep SweepConfig accepts, in trials_per_n * sum(2n + TRIAL_WORK): 4095 trials at
-# MAX_INSTANCE_SIZE or 3.3e7 at n = 2, 15-35 min either way on a 2-core x86-64 VM.
-MAX_SWEEP_WORK, TRIAL_WORK = 1 << 35, 1 << 10
+# MAX_INSTANCE_SIZE or 3.3e7 at n = 2, 15-35 min either way on a 2-core x86-64 VM.  A statevector
+# amplified trial adds its amplitude rounds over AMPLITUDE_ROUNDS_PER_WORK (about 1 ns each at
+# 2^20 amplitudes): 651 naive trials at n = 1024 (8-11 min), 2.7e7 at n = 16 (34-49 min).
+MAX_SWEEP_WORK, TRIAL_WORK, AMPLITUDE_ROUNDS_PER_WORK = 1 << 35, 1 << 10, 16
 
 # _repeats filters by 32-bit key up to 2^17 values (m random ones repeat about
 # m^2 / 2^33 keys) and 8 repeated keys; beyond, a plain sort costs as little

@@ -11,14 +11,19 @@ own private functions.
   instance and check every structural invariant of one.
 - ``record_generation`` hooks a sweep's instance generation, one seed or
   a batch at a time.
+- ``sweep_csv`` runs a sweep into a directory and reads its CSV back: the
+  one way the tests take a sweep's CSV text.
 """
 
+import dataclasses
 import math
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from matchsim import experiments
+from matchsim.experiments import SweepConfig, TrialRow, load_rows, run_sweep
 from matchsim.grover import _check_counts, _masses, success_probability
 from matchsim.matchers import NestedConfig, _failure_prob, _nested_plan, _nested_shape
 from matchsim.model import MatchInstance, ResourceLimitError, _as_values, _repeats
@@ -161,3 +166,11 @@ def record_generation(monkeypatch, record) -> None:
 
     monkeypatch.setattr(experiments, "generate_instance", generate_instance)
     monkeypatch.setattr(experiments, "generate_instances", generate_instances)
+
+
+def sweep_csv(config: SweepConfig, directory: Path) -> tuple[str, list[TrialRow]]:
+    """Run ``config`` with its output at ``directory / "rows.csv"`` (the aggregate JSON
+    beside it): the CSV file's exact text, and ``load_rows`` of it."""
+    path = directory / "rows.csv"
+    run_sweep(dataclasses.replace(config, output=str(path)), keep_rows=False)
+    return path.read_bytes().decode("utf-8"), load_rows(path)

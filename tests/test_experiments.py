@@ -38,7 +38,7 @@ from matchsim.experiments import (
 from matchsim.grover import DEFAULT_STATEVECTOR_CAP, ResourceLimitError, statevector_cap_from_env
 from matchsim.matchers import NestedConfig, run_stream_length
 from matchsim.model import ACCESS_KINDS, MAX_INSTANCE_SIZE, generate_instance
-from references import record_generation
+from references import record_generation, sweep_csv
 
 
 def _never_drawn(*args, **kwargs):
@@ -166,6 +166,20 @@ class TestSweepConfig:
         with pytest.raises(ResourceLimitError, match=f"the cap of {model.MAX_SWEEP_WORK}$"):
             SweepConfig(algorithm="nested", n_values=n_values, trials_per_n=trials + 1)
 
+    @pytest.mark.parametrize(
+        "algorithm,n,trials",
+        # naive: 2^20 pairs for 804 rounds, 52 756 480 units a trial; nested: 1024
+        # blocks for 25 rounds and 2^20 values for 804, 52 758 144 units a trial
+        [("naive_grover", 1024, 651), ("nested", 2**20, 626)],
+    )
+    def test_the_work_cap_counts_statevector_amplitude_rounds(self, algorithm, n, trials):
+        doc = {"algorithm": algorithm, "n_values": (n,), "engine": "statevector"}
+        assert SweepConfig(**doc, trials_per_n=trials)
+        with pytest.raises(ResourceLimitError, match=f"the cap of {model.MAX_SWEEP_WORK}$"):
+            SweepConfig(**doc, trials_per_n=trials + 1)
+        # the reduced engine steps no amplitudes
+        assert SweepConfig(**{**doc, "engine": "auto"}, trials_per_n=20 * trials)
+
     @pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_from_dict_rejects_wrong_types(self, doc):
         with pytest.raises(ValueError):
@@ -258,15 +272,15 @@ class TestRunSweep:
         ],
         ids=["nested_inv_n", "naive_grover_auto"],
     )
-    def test_outputs_pinned(self, config, digest, monkeypatch):
+    def test_outputs_pinned(self, config, digest, monkeypatch, tmp_path):
         # digests of the CSV text from the full-statevector engine these
         # sweeps ran on before auto moved to the reduced engine
         monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
-        text = run_sweep(config).to_csv_text()
+        text, _ = sweep_csv(config, tmp_path)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("preset", ["inv_n", "inv_sqrt_n"])
-    def test_noisy_nested_rows_agree_across_engines(self, preset, monkeypatch):
+    def test_noisy_nested_rows_agree_across_engines(self, preset, monkeypatch, tmp_path):
         # the reference statevector runner and the reduced one read the same
         # uniforms, so every row and the aggregate agree; at n = 17 the last of
         # the four blocks holds 2 values, and at n = 100 ten blocks hold 10 each
@@ -277,8 +291,9 @@ class TestRunSweep:
                 algorithm="nested", n_values=(16, 17, 64, 100, 256), trials_per_n=24,
                 base_seed=5, engine=engine, noise_preset=preset,
             )
-            result = run_sweep(config)
-            outputs.append((result.to_csv_text(), json.dumps(result.aggregate(), sort_keys=True)))
+            text, _ = sweep_csv(config, tmp_path)
+            doc = json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))
+            outputs.append((text, doc["aggregate"]))
         assert outputs[0] == outputs[1]
 
     def test_rows_are_immutable(self):
@@ -288,20 +303,28 @@ class TestRunSweep:
                 setattr(row, name, 0)
 
     @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
-    def test_csv_bytes_equal_str_of_every_field(self, algorithm):
-        # the writer's own conversion (repr for a float) against str per field
+    def test_csv_bytes_equal_str_of_every_field(self, algorithm, tmp_path, monkeypatch):
+        # the writer's own conversion (repr for a float) against str per field,
+        # with odd predicted successes in the first six of the nine rows
         config = SweepConfig(
             algorithm=algorithm, n_values=(4, 9, 16), trials_per_n=3, noise_preset="inv_n"
         )
-        result = run_sweep(config)
         odd = [0.1, 1e-20, 1.0, 2.0 / 3.0, 5e-324, 0.9999999999999999]
-        result.rows.extend(row._replace(predicted_success=p) for row, p in zip(result.rows, odd))
+        odd_left, run_trial = iter(odd), experiments._run_trial
+
+        def odd_trial(*args):
+            row = run_trial(*args)
+            return row._replace(predicted_success=next(odd_left, row.predicted_success))
+
+        monkeypatch.setattr(experiments, "_run_trial", odd_trial)
+        text, rows = sweep_csv(config, tmp_path)
+        assert [row.predicted_success for row in rows[:6]] == odd
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in result.rows:
+        for row in rows:
             writer.writerow([str(getattr(row, column)) for column in CSV_COLUMNS])
-        assert result.to_csv_text() == buf.getvalue()
+        assert text == buf.getvalue()
 
     def test_row_grid_is_complete(self):
         config = SweepConfig(algorithm="sort_scan", n_values=(4, 16), trials_per_n=3)
@@ -327,9 +350,9 @@ class TestRunSweep:
         assert out.read_bytes() == first
         assert (tmp_path / "sweep.json").read_bytes() == first_json
 
-    def test_csv_header_schema(self):
+    def test_csv_header_schema(self, tmp_path):
         config = SweepConfig(algorithm="exhaustive", n_values=(4,))
-        text = run_sweep(config).to_csv_text()
+        text, _ = sweep_csv(config, tmp_path)
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_distinct_trials_use_distinct_instances(self):
@@ -733,8 +756,6 @@ class TestSweepMemory:
         assert peaks[1] - peaks[0] < 2 * 16 * 9000
         assert result.aggregate()["per_n"][0]["trials"] == 10000
         assert result.rows is None
-        with pytest.raises(ValueError, match="kept no rows"):
-            result.to_csv_text()
 
     def test_a_tally_does_not_grow_with_its_trials(self):
         tally = experiments.SizeTally()
@@ -827,7 +848,7 @@ class TestSweepMemory:
             result = run_sweep(config, keep_rows=keep_rows)
             outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
         assert outputs[0] == outputs[1]
-        assert outputs[0][0] == result.to_csv_text().encode("utf-8")
+        assert load_rows(out) == result.rows
         assert len(result.rows) == 3000
 
     def test_a_raising_sweep_leaves_no_file(self, tmp_path, monkeypatch):
@@ -876,15 +897,6 @@ class TestSweepMemory:
             run_sweep(config)
         left = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
         assert left == ["new", "new/other.txt"]
-
-    def test_write_outputs_writes_kept_rows(self, tmp_path):
-        config = SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3)
-        result = run_sweep(config)
-        paths = result.write_outputs(tmp_path / "rows.csv")
-        assert paths == (tmp_path / "rows.csv", tmp_path / "rows.json")
-        assert paths[0].read_text(encoding="utf-8") == result.to_csv_text()
-        assert paths[1].read_text(encoding="utf-8") == result.to_json_text()
-        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
 class TestRunMatcher:
@@ -1312,6 +1324,17 @@ class TestCli:
         work = 10**30 * (2 * 16 + model.TRIAL_WORK)
         assert out.stderr.startswith(f"error: sweep work {work} ")
         assert str(model.MAX_SWEEP_WORK) in out.stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_a_statevector_sweep_of_hours_is_refused_before_anything_is_drawn(self, tmp_path):
+        # a trial steps 2^20 amplitudes for 805 rounds in about 1 s: these would take 3180 h
+        doc = {
+            "algorithm": "naive_grover", "n_values": [1024], "engine": "statevector",
+            "trials_per_n": 11184810,
+        }
+        out = self.sweep_in_a_subprocess(doc, tmp_path)
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: sweep work ")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_a_cost_beyond_the_float_range_is_exit_two_and_writes_nothing(self, tmp_path, capsys):

@@ -29,6 +29,7 @@ from matchsim.grover import (
     Search,
     iteration_schedule,
     run_analytic,
+    run_statevector,
     success_probability,
 )
 from matchsim.matchers import (
@@ -688,6 +689,45 @@ class TestGivenUniforms:
                 stats = walked.engine_stats
                 outcomes.add(stats["outer_measured_block"] == stats["outer_marked_block"])
         assert outcomes == ({True, False} if n > 2 else {True})
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 64, 100])
+    def test_a_missed_outer_search_samples_an_inner_search_with_nothing_marked(
+        self, n, monkeypatch
+    ):
+        # failure_prob 1.0 drops every outer round, so the measured block is uniform.  Where
+        # it is not the marked one, the walked run and both runners' runs must measure the
+        # j_hat that either runner measures on Search(n, ()) from the stream's last uniform
+        noise, r_inner = NoisyOracleSpec(1.0), matchers._nested_shape(n, None)[3]
+        k = run_stream_length(True, n, noise)
+        streams = np.array([seeded_rng(seed).random(k) for seed in range(40)])
+        walks = matchers.nested_walks(n, noise, streams)
+        measured = []  # what each spied call measured, the inner search's last
+
+        def spy(measure):
+            def spied(*args):
+                out = measure(*args)
+                measured.append(out[0] if isinstance(out, tuple) else out)
+                return out
+            return spied
+
+        for name in ("_sample_reduced", "run_analytic", "run_statevector"):
+            monkeypatch.setattr(matchers, name, spy(getattr(matchers, name)))
+        missed = 0
+        for seed, walk in enumerate(walks):
+            inst, uniforms = generate_instance(n, seed), streams[seed].tolist()
+            j_hats = []
+            for engine, given in (("analytic", walk), ("analytic", None), ("statevector", None)):
+                config = NestedConfig(engine=engine, noise=noise, rng_seed=seed)
+                report = nested_grover_match(inst, config, uniforms=uniforms, walk=given)
+                j_hats.append(measured[-1])
+            stats = report.engine_stats
+            if stats["outer_measured_block"] != stats["outer_marked_block"]:
+                missed += 1
+                unmarked = Search(n, ())
+                expected = run_analytic(unmarked, r_inner, uniforms[-1:])[0]
+                assert run_statevector(unmarked, r_inner, uniforms[-1:])[0] == expected
+                assert j_hats == [expected] * 3
+        assert missed >= 10
 
     @pytest.mark.parametrize("preset", NOISE_PRESETS)
     def test_a_stream_of_another_length_is_refused(self, preset):

@@ -29,6 +29,7 @@ from matchsim.experiments import ALGORITHMS, CSV_COLUMNS, SweepConfig, TrialRow,
 from matchsim.grover import NoisyOracleSpec
 from matchsim.matchers import NestedConfig, nested_grover_match
 from matchsim.model import generate_instance
+from references import sweep_csv
 from test_benchmark_hooks import load_perfbench
 
 WORKLOADS = load_perfbench("workloads")
@@ -39,14 +40,17 @@ def sha256(texts):
     return hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()
 
 
-def sweep_output(configs):
+def sweep_output(configs, directory):
     """(CSV sha256, JSON sha256, summed total_cost) of sweeps run in order."""
-    results = [run_sweep(dataclasses.replace(config, output=None)) for config in configs]
-    return (
-        sha256(result.to_csv_text() for result in results),
-        sha256(result.to_json_text() for result in results),
-        sum(row.total_cost for result in results for row in result.rows),
-    )
+    texts, jsons, cost = [], [], 0
+    for config in configs:
+        text, rows = sweep_csv(config, directory)
+        texts.append(text)
+        # the JSON digests were recorded from configs with no output
+        output = json.dumps(str(directory / "rows.csv"))
+        jsons.append((directory / "rows.json").read_text(encoding="utf-8").replace(output, "null"))
+        cost += sum(row.total_cost for row in rows)
+    return sha256(texts), sha256(jsons), cost
 
 
 # (workload, seed) -> output; a one-config workload's CSV digest is its
@@ -238,14 +242,14 @@ def _default_cap(monkeypatch):
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_workload_output_pinned(name, seed, tmp_path):
     configs = WORKLOADS.build_configs(WORKLOADS.WORKLOADS[name], seed, str(tmp_path))
-    assert sweep_output(configs) == WORKLOAD_PINS[name, seed]
+    assert sweep_output(configs, tmp_path) == WORKLOAD_PINS[name, seed]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_variant_output_pinned(name, seed):
+def test_variant_output_pinned(name, seed, tmp_path):
     config = SweepConfig(base_seed=seed, **VARIANTS[name])
-    assert sweep_output([config]) == VARIANT_PINS[name, seed]
+    assert sweep_output([config], tmp_path) == VARIANT_PINS[name, seed]
 
 
 def test_nested_at_block_size_5_pinned():
@@ -310,9 +314,7 @@ def writer_csv(rows):
 def assert_rows_format_as_csv_writer_does(config, tmp_path):
     path = tmp_path / "rows.csv"
     result = run_sweep(dataclasses.replace(config, output=str(path)))
-    expected = writer_csv(result.rows)
-    assert result.to_csv_text() == expected
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == writer_csv(result.rows).encode("utf-8")
     return result
 
 

@@ -5,6 +5,7 @@ argument lists."""
 
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -24,6 +25,7 @@ from matchsim.grover import (  # noqa: E402
     STATEVECTOR_CAP_ENV,
     NoisyOracleSpec,
     Search,
+    iteration_schedule,
     run_noisy_outer,
     statevector_amplitudes,
 )
@@ -33,6 +35,7 @@ from matchsim.matchers import (  # noqa: E402
     exhaustive_pairs,
 )
 from matchsim.model import (  # noqa: E402
+    AMPLITUDE_ROUNDS_PER_WORK,
     MAX_SWEEP_WORK,
     TRIAL_WORK,
     MatchInstance,
@@ -164,7 +167,7 @@ config_docs = st.fixed_dictionaries(
     {
         "algorithm": field(st.sampled_from(ALGORITHMS)),
         "n_values": field(
-            st.lists(st.integers(-2, 70) | st.integers(2, 2**23), max_size=4, unique=True)
+            st.lists(st.integers(-2, 70) | st.integers(2, 2**23), max_size=12, unique=True)
             .map(sorted)
         ),
     },
@@ -181,6 +184,25 @@ config_docs = st.fixed_dictionaries(
 )
 
 
+def sweep_work(doc: dict) -> int:
+    """A well-formed config's work: trials_per_n * sum(2n + TRIAL_WORK), and on the
+    statevector engine an amplified search's amplitudes times rounds + 1 (nested: both
+    searches, at blocks of ceil(sqrt(n))) over AMPLITUDE_ROUNDS_PER_WORK."""
+    trials, sizes, algorithm = doc.get("trials_per_n", 1), doc["n_values"], doc["algorithm"]
+    work = trials * sum(2 * n + TRIAL_WORK for n in sizes)
+    if doc.get("engine", "auto") != "statevector" or algorithm not in ("naive_grover", "nested"):
+        return work
+    steps = 0
+    for n in sizes:
+        if algorithm == "naive_grover":
+            steps += n * n * (iteration_schedule(n * n, 1) + 1)
+        else:
+            blocks = -(-n // math.ceil(math.sqrt(n)))
+            steps += blocks * (iteration_schedule(blocks, 1) + 1)
+            steps += n * (iteration_schedule(n, 1) + 1)
+    return work + trials * steps // AMPLITUDE_ROUNDS_PER_WORK
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(json_values | config_docs)
 def test_any_json_is_a_valid_config_or_a_value_error(doc):
@@ -189,10 +211,9 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
     except ValueError:
         return
     except ResourceLimitError:  # well formed, but over the sweep work cap
-        work = doc.get("trials_per_n", 1) * sum(2 * n + TRIAL_WORK for n in doc["n_values"])
-        assert work > MAX_SWEEP_WORK
+        assert sweep_work(doc) > MAX_SWEEP_WORK
         return
-    assert config.trials_per_n * sum(2 * n + TRIAL_WORK for n in config.n_values) <= MAX_SWEEP_WORK
+    assert sweep_work(config.as_dict()) <= MAX_SWEEP_WORK
     assert SweepConfig.from_dict(config.as_dict()) == config
     assert all(type(n) is int and n >= 2 for n in config.n_values)
     for value in (config.trials_per_n, config.base_seed, config.uncompute_factor):
@@ -201,7 +222,7 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
 
 # files every example finds in its working directory, plus one it never does
 CLI_FILES = (
-    "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "deep.json",
+    "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "over.json", "deep.json",
     "missing.csv",
 )
 small_ints = st.integers(-64, 64).map(str)
@@ -267,8 +288,17 @@ def cli_files(tmp_path_factory):
     configs = {
         "good.json": {"algorithm": "nested", "n_values": [4, 9], "output": "out.csv"},
         "bad.json": {"algorithm": "sort_scan", "n_values": [1]},
-        # refused by the amplitude cap before any amplitude is allocated
-        "limit.json": {"algorithm": "naive_grover", "n_values": [1025], "engine": "statevector"},
+        # refused by the amplitude cap before any amplitude is allocated, once the sweep
+        # has made its output's directory and temporary file
+        "limit.json": {
+            "algorithm": "naive_grover", "n_values": [1025], "engine": "statevector",
+            "output": "made/rows.csv",
+        },
+        # refused by the sweep work cap, before it makes its output's directories
+        "over.json": {
+            "algorithm": "nested", "n_values": [16], "trials_per_n": 10**30,
+            "output": "new/sub/rows.csv",
+        },
     }
     for name, doc in configs.items():
         (root / name).write_text(json.dumps(doc))
@@ -277,11 +307,21 @@ def cli_files(tmp_path_factory):
     return root
 
 
+def tree(root) -> list[str]:
+    """Every file and directory under root, by relative path."""
+    return sorted(
+        os.path.relpath(os.path.join(parent, name), root)
+        for parent, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(cli_argvs())
 @hypothesis.example(["fit", "--input", "short.csv"])
 @hypothesis.example(["compare", "good.csv", "short.csv"])
 @hypothesis.example(["sweep", "--config", "limit.json"])
+@hypothesis.example(["sweep", "--config", "over.json"])
 @hypothesis.example(["sweep", "--config", "deep.json"])
 def test_any_argv_exits_zero_two_or_three(cli_files, argv):
     # each example works in a fresh copy, so outputs never clobber inputs;
@@ -298,4 +338,7 @@ def test_any_argv_exits_zero_two_or_three(cli_files, argv):
             code = exit_.code
         finally:
             os.chdir(cwd)
+        left = tree(work)
     assert code in (0, 2, 3)
+    # a refused command leaves no CSV, JSON, temporary file or directory behind
+    assert code == 0 or left == tree(cli_files)
