@@ -19,7 +19,7 @@ from contextlib import suppress
 from functools import lru_cache
 from itertools import groupby, islice, repeat, takewhile
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +79,18 @@ def derive_seed(base_seed: int, n: int, trial: int, stream: str) -> int:
     digest = _seed_prefix(base_seed, n).copy()
     digest.update(f"{trial}:{stream}".encode())
     return int.from_bytes(digest.digest(), "big")
+
+
+def _seed_pairs(base_seed: int, cells: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Each (n, trial) cell's ``derive_seed`` instance and run seeds, from one digest of the
+    cell's key up to its stream, copied: a trial's two seeds hash its key once."""
+    for n, trial in cells:
+        digest = _seed_prefix(base_seed, n).copy()
+        digest.update(b"%d:" % trial)
+        run = digest.copy()
+        digest.update(b"instance")
+        run.update(b"run")
+        yield int.from_bytes(digest.digest(), "big"), int.from_bytes(run.digest(), "big")
 
 
 def noise_spec(preset: str, n: int) -> Optional[NoisyOracleSpec]:
@@ -359,6 +371,8 @@ class SweepResult:
     def write_outputs(self, csv_path: str | Path) -> tuple[Path, Path]:
         """Write the aggregate JSON next to ``csv_path``, then move the streamed CSV into place."""
         csv_path, json_path, part = output_paths(csv_path)
+        if not part.is_file():
+            raise ValueError(f"no streamed CSV {part} to move into place: nothing written")
         json_path.write_text(self.to_json_text(), encoding="utf-8")
         part.replace(csv_path)
         return csv_path, json_path
@@ -379,11 +393,11 @@ SWEEP_CHUNK = 1024
 # calls, and 4 seeds 75 against 50 us (2-core x86-64 VM).
 SEED_WORDS_BREAK_EVEN = 8
 
-# Batches of at most this many values (rows times 2n, a row counting at least 64): a key
-# matrix of at most 64 KB.  noisy_small_batch's sweep against batches of one, medians of 25
-# interleaved runs (2-core x86-64 VM): 2^10 x0.92, 2^12 x0.85, 2^14 x0.77, 2^16 x0.75.  Fewer
-# than 8 rows go one at a time: per row, 8 at n = 1024 took x0.89, 4 x0.99, 2 at n = 4096 x1.08.
-GENERATION_BATCH_VALUES = 1 << 14
+# Batches of at most this many values (rows times 2n, a row counting at least 64): keys of at
+# most 256 KB.  noisy_small_batch's sweep against batches of one, CPU time, medians of 40 runs
+# interleaved, twice (2-core x86-64 VM): 2^14 x0.77, 2^15 x0.75-0.76, 2^16 x0.76; earlier, 2^10
+# x0.92, 2^12 x0.85.  Fewer than 8 rows go one at a time: 8 at n = 1024 took x0.89, 4 x0.99.
+GENERATION_BATCH_VALUES = 1 << 16
 
 # Hashed chunks of at least this many amplified trials draw all run streams in one run_streams
 # pass; smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024,
@@ -401,9 +415,8 @@ def _run_chunk(
     ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first;
     if amplified, it checks and plans each size, then draws every run stream from its words, in
     one ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` trials.  A smaller chunk hashes none."""
-    base, count = config.base_seed, len(cells)
-    instance_seeds = [derive_seed(base, n, trial, "instance") for n, trial in cells]
-    run_seeds = [derive_seed(base, n, trial, "run") for n, trial in cells]
+    count = len(cells)
+    instance_seeds, run_seeds = map(list, zip(*_seed_pairs(config.base_seed, cells)))
     amplified = config.algorithm in AMPLIFIED
     drawn = instance_seeds + run_seeds if amplified else instance_seeds
     hashed = len(drawn) >= SEED_WORDS_BREAK_EVEN

@@ -306,10 +306,11 @@ def nested_walks(n: int, noise: NoisyOracleSpec, streams: np.ndarray) -> list:
 @lru_cache(maxsize=1024)
 def _nested_charges(
     block_size: int, r_outer: int, r_inner: int, u: int, block_len: int, verified: bool
-) -> tuple[tuple, tuple]:
+) -> tuple[tuple, tuple, tuple]:
     """A nested run's ledger parts (``CostLedger.part``), from the matcher's own charge code:
-    ``before``, the outer oracle evaluations and the measured block's copy and sort, which
-    leave the block live; ``after``, the probes, and the confirming queries if ``verified``."""
+    ``before``, the outer oracle evaluations and the block's copy and sort, which leave it live;
+    ``after``, the probes and, if ``verified``, the confirming queries; ``whole``, both, and the
+    block's release."""
     before, after = CostLedger(), CostLedger()
     if r_outer:  # with no outer rounds, no block is copied and no workspace is held
         _outer_oracle_charge(before, r_outer * u, block_size, r_inner)
@@ -322,7 +323,10 @@ def _nested_charges(
     )
     if verified:
         after.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-    return before.part(), after.part()
+    parts = before.part(), after.part()
+    before.merge(parts[1])
+    before.workspace_release(block_len)
+    return (*parts, before.part())
 
 
 def nested_grover_match(
@@ -345,8 +349,9 @@ def nested_grover_match(
     misses reports no match rather than guessing.  Both searches run
     through the configured engine's runner, on ``uniforms`` (by default
     the run seed's stream), or through none when given the run's row of
-    ``nested_walks`` as ``walk``; the outer charges are merged once the
-    block is measured, the probes once verification is known.
+    ``nested_walks`` as ``walk``.  A runner's outer charges are merged once
+    the block is measured, the probes once verification is known; a walk,
+    which cannot raise between the two, merges one part, the whole run's.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
@@ -369,9 +374,9 @@ def nested_grover_match(
     offset = beta * b
     block = instance.values1[offset : offset + b]
     shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
-    ledger.merge(_nested_charges(*shape, False)[0])  # before: the same whatever verifies
     marked = (instance.planted_pos2,) if beta == marked_block else ()
-    if walk is None:
+    if walk is None:  # before: the same whatever verifies
+        ledger.merge(_nested_charges(*shape, False)[0])
         j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
     else:
         j_hat = _sample_reduced(n, marked, *inner_masses[len(marked)], uniforms[-1])
@@ -383,8 +388,10 @@ def nested_grover_match(
         at = cells.find(key, at + 1)
     found = (offset + at // 8, j_hat) if at >= 0 else None
     inner_verified = found is not None
-    ledger.merge(_nested_charges(*shape, inner_verified)[1])
-    ledger.workspace_release(len(block))
+    _, after, whole = _nested_charges(*shape, inner_verified)
+    ledger.merge(after if walk is None else whole)
+    if walk is None:  # the block stayed live between the runner's two merges
+        ledger.workspace_release(len(block))
     stats = {
         "algorithm": "nested",
         "block_size": b,

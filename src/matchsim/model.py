@@ -609,7 +609,7 @@ def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> Ma
     lists[n + pos2] = planted
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
-    lists.flags.writeable = False
+    lists.setflags(write=False)
     return MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
 
 

@@ -634,6 +634,33 @@ class TestRunStreamsInSweeps:
         assert counts == [0, 2 * 90]
         assert outputs[0] == outputs[1]
 
+    def test_a_walked_trial_merges_one_part_and_the_sweep_reads_as_through_runners(
+        self, tmp_path, monkeypatch
+    ):
+        # sizes with a short last block (17, 100), trials that fail verification (inv_n
+        # drops rounds); a walked trial merges its whole part, a runner's trial two parts
+        out = tmp_path / "rows.csv"
+        config = SweepConfig(
+            algorithm="nested", n_values=(16, 17, 64, 100), trials_per_n=100, base_seed=9,
+            noise_preset="inv_n", output=str(out),
+        )
+        merges, merge = [], model.CostLedger.merge
+        outputs, counts = [], []
+        for break_even in (64, 401, 64, 401):  # walked; then a break-even above the chunk
+            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
+            rows = run_sweep(config).rows
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+            counts.append(len(merges))
+            merges.clear()
+            if len(outputs) == 2:  # every template built: count the trials' merges from here
+                monkeypatch.setattr(
+                    model.CostLedger, "merge",
+                    lambda ledger, part: merges.append(part) or merge(ledger, part),
+                )
+        assert counts[2:] == [400, 2 * 400]
+        assert outputs == [outputs[0]] * 4
+        assert 0 < sum(row.success for row in rows) < 400
+
     def test_a_size_split_across_chunks_walks_its_rows_in_each(self, tmp_path, monkeypatch):
         # chunks of 70: 50 + 20 walked, 30 + 40 walked, then 10, below the break-even
         out = tmp_path / "rows.csv"
@@ -774,9 +801,9 @@ class TestSweepMemory:
         assert tally.log_cost_sum == float_sum([math.log(40)] * 10001)
 
     def test_batches_give_the_rows_of_one_instance_at_a_time(self, monkeypatch):
-        # n = 256 draws 32 instances a batch, so its 40 trials take two
+        # n = 1024 draws 32 instances a batch, so its 40 trials take two
         config = SweepConfig(
-            algorithm="nested", n_values=(4, 16, 64, 256), trials_per_n=40,
+            algorithm="nested", n_values=(4, 16, 64, 256, 1024), trials_per_n=40,
             noise_preset="inv_sqrt_n",
         )
         batches = []
@@ -788,21 +815,24 @@ class TestSweepMemory:
 
         monkeypatch.setattr(experiments, "generate_instances", recording)
         batched = run_sweep(config)
-        assert batches == [(4, 40), (16, 40), (64, 40), (256, 32), (256, 8)]
+        assert batches == [(4, 40), (16, 40), (64, 40), (256, 40), (1024, 32), (1024, 8)]
         monkeypatch.setattr(experiments, "GENERATION_BATCH_VALUES", 1)
         one_at_a_time = run_sweep(config)
-        assert len(batches) == 5
+        assert len(batches) == 6
         assert batched.rows == one_at_a_time.rows
         assert batched.to_json_text() == one_at_a_time.to_json_text()
 
     def test_fewer_than_eight_rows_go_one_at_a_time(self, monkeypatch):
-        # the budget fits 4 rows at n = 2048, too few for a batch to pay
+        # the budget fits 4 rows at n = 8192, too few for a batch to pay; the
+        # chunk's 9 seeds are hashed, so only the row count keeps it from a batch
         def never(n, seeds, words):
             raise AssertionError(f"{len(seeds)} instances at n={n} drawn as a batch")
 
         monkeypatch.setattr(experiments, "generate_instances", never)
-        result = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(2048,), trials_per_n=5))
-        assert [row.trial for row in result.rows] == [0, 1, 2, 3, 4]
+        hashed = record_hashing(monkeypatch)
+        result = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(8192,), trials_per_n=9))
+        assert [len(seeds) for seeds in hashed] == [9]
+        assert [row.trial for row in result.rows] == list(range(9))
 
     @pytest.mark.parametrize("budget", [1, experiments.GENERATION_BATCH_VALUES])
     def test_no_instance_outlives_its_batch(self, monkeypatch, budget):
@@ -850,6 +880,14 @@ class TestSweepMemory:
         assert outputs[0] == outputs[1]
         assert load_rows(out) == result.rows
         assert len(result.rows) == 3000
+
+    def test_writing_outputs_with_no_streamed_csv_writes_nothing(self, tmp_path):
+        # a sweep with no output streamed no CSV: no JSON may be left without one
+        result = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4,)))
+        part = tmp_path / "rows.csv.tmp"
+        with pytest.raises(ValueError, match=re.escape(str(part))):
+            result.write_outputs(tmp_path / "rows.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_raising_sweep_leaves_no_file(self, tmp_path, monkeypatch):
         # the n=16 row reaches the temporary CSV; n=2048 needs 2^22 amplitudes

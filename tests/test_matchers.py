@@ -931,28 +931,58 @@ class TestNestedPlan:
         for n in (16, 64, 1024):
             assert predicted_total_cost(n).total_cost() > 0
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
-    def test_templates_equal_the_independent_prediction(self, n):
-        # before, after and the release, merged into a fresh ledger, are the
-        # ledger predicted_total_cost builds for the same block length and verdict
+    @staticmethod
+    def template_cases(n):
+        """Every (config, shape, verified) of a nested run on n values the template tests cover."""
         for block_size, u in itertools.product((None, 1, 5, n + 3), (1, 2)):
             config = NestedConfig(block_size=block_size, uncompute_factor=u)
             b, blocks, r_outer, r_inner = matchers._nested_shape(n, block_size)
             for block_len in sorted({min(b, n), n - (blocks - 1) * b}):
                 for verified in (False, True):
-                    shape = (b, r_outer, r_inner, u, block_len)
-                    before, _ = matchers._nested_charges(*shape, not verified)
-                    _, after = matchers._nested_charges(*shape, verified)
+                    yield config, (b, r_outer, r_inner, u, block_len), verified
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
+    def test_templates_equal_the_independent_prediction(self, n):
+        # before, after and the release, merged into a fresh ledger, are the
+        # ledger predicted_total_cost builds for the same block length and
+        # verdict; so is the whole part, merged alone
+        for config, shape, verified in self.template_cases(n):
+            block_len = shape[-1]
+            before = matchers._nested_charges(*shape, not verified)[0]
+            _, after, whole = matchers._nested_charges(*shape, verified)
+            ledger, merged = CostLedger(), CostLedger()
+            ledger.merge(before)
+            ledger.merge(after)
+            ledger.workspace_release(block_len)
+            merged.merge(whole)
+            expected = predicted_total_cost(n, config, block_len=block_len, verified=verified)
+            case = (config, block_len, verified)
+            assert ledger.as_dict() == merged.as_dict() == expected.as_dict(), case
+            assert ledger.live_workspace == merged.live_workspace == 0, case
+
+    @pytest.mark.parametrize("held", [(0, 0), (3, 0), (100, 97)])
+    def test_the_whole_part_is_both_parts_and_the_release(self, held):
+        # into a fresh ledger, one with live workspace, and one whose peak is
+        # past it: cells acquired, then released, before the run's merges
+        acquired, released = held
+        for n in (2, 3, 16, 17, 100, 257):
+            for _, shape, verified in self.template_cases(n):
+                before, after, whole = matchers._nested_charges(*shape, verified)
+                ledgers = []
+                for parts in ((before, after), (whole,)):
                     ledger = CostLedger()
-                    ledger.merge(before)
-                    ledger.merge(after)
-                    ledger.workspace_release(block_len)
-                    expected = predicted_total_cost(
-                        n, config, block_len=block_len, verified=verified
-                    )
-                    case = (block_size, u, block_len, verified)
-                    assert ledger.as_dict() == expected.as_dict(), case
-                    assert ledger.live_workspace == 0, case
+                    ledger.charge_batch("sort", l1_queries=5, mem_writes=2)
+                    ledger.workspace_acquire(acquired)
+                    ledger.workspace_release(released)
+                    for part in parts:
+                        ledger.merge(part)
+                    if len(parts) == 2:
+                        ledger.workspace_release(shape[-1])
+                    ledgers.append(ledger)
+                two_parts, one_part = ledgers
+                case = (n, shape, verified)
+                assert two_parts.as_dict() == one_part.as_dict(), case
+                assert two_parts.live_workspace == one_part.live_workspace == acquired - released
 
     def test_a_report_ledger_is_never_a_template(self):
         # mutating one report's ledger leaves the next trial's as it was

@@ -288,7 +288,8 @@ def test_compare_pinned(names, tmp_path, capsys):
 # the two sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
 CI_RERUN_CONFIGS = {
     "ci_nested": dict(
-        algorithm="nested", n_values=(16, 64, 256), trials_per_n=50, noise_preset="inv_sqrt_n",
+        algorithm="nested", n_values=(16, 64, 256, 1024), trials_per_n=50,
+        noise_preset="inv_sqrt_n",
     ),
     "ci_two_sort": dict(algorithm="two_sort", n_values=(4, 16, 64, 1024), trials_per_n=5),
 }

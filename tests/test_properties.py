@@ -19,7 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from matchsim.cli import main  # noqa: E402
-from matchsim.experiments import ALGORITHMS, NOISE_PRESETS, SweepConfig, run_sweep  # noqa: E402
+from matchsim import experiments  # noqa: E402
+from matchsim.experiments import (  # noqa: E402
+    ALGORITHMS,
+    NOISE_PRESETS,
+    SweepConfig,
+    derive_seed,
+    run_sweep,
+)
 from matchsim.grover import (  # noqa: E402
     ENGINES,
     STATEVECTOR_CAP_ENV,
@@ -61,6 +68,18 @@ def noisy_searches(draw):
     failure_prob = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return m, marked, r, failure_prob, seed
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.tuples(st.integers(2, 2**64), st.integers(0, 2**40)), max_size=8),
+)
+def test_paired_digests_are_the_two_derived_seeds(base_seed, cells):
+    assert list(experiments._seed_pairs(base_seed, cells)) == [
+        (derive_seed(base_seed, n, t, "instance"), derive_seed(base_seed, n, t, "run"))
+        for n, t in cells
+    ]
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

@@ -21,12 +21,12 @@ import matchsim
 
 SRC = str(Path(matchsim.__file__).resolve().parents[1])
 
-# a noisy nested sweep of 150 trials (one run-stream pass), one of 9 (a generator a
-# trial from its seed words) and a classical one, which reads the shared value
-# generation carries
+# a noisy nested sweep of 200 trials (one run-stream pass; its n = 1024 rows are drawn
+# in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words)
+# and a classical one, which reads the shared value generation carries
 RERUN_CONFIGS = {
     "nested": {
-        "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 50,
+        "algorithm": "nested", "n_values": [16, 64, 256, 1024], "trials_per_n": 50,
         "noise_preset": "inv_sqrt_n",
     },
     "small": {
