@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from contextlib import suppress
 from functools import lru_cache
@@ -34,7 +35,6 @@ from .matchers import (
     exhaustive_pairs,
     naive_grover_pairs,
     nested_grover_match,
-    nested_walks,
     run_stream_length,
 )
 from .model import (
@@ -216,12 +216,6 @@ class SweepConfig:
         return asdict(self)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("geometric mean of no values")
-    return _exp_mean(float_sum(map(math.log, values)), len(values))
-
-
 def _exp_mean(log_sum: float, count: int) -> float:
     """exp(log_sum / count), a geometric mean from its logs; ValueError past the float range."""
     try:
@@ -274,13 +268,13 @@ def fit_exponent(
 
 
 def run_matcher(
-    algorithm: str, instance: MatchInstance, run_config: NestedConfig, uniforms=None, walk=None
+    algorithm: str, instance: MatchInstance, run_config: NestedConfig, uniforms=None
 ) -> RunReport:
     """Run one matcher by algorithm name on a fresh ledger; the classical ones ignore config.
-    An amplified one measures on ``uniforms`` (nested: and ``walk``) if given, else its seed's."""
+    An amplified one measures on ``uniforms`` if given, else on its seed's stream."""
     matcher = globals()[MATCHERS[algorithm]]
     if algorithm in AMPLIFIED:
-        return matcher(instance, run_config, uniforms=uniforms, **({"walk": walk} if walk else {}))
+        return matcher(instance, run_config, uniforms=uniforms)
     return matcher(instance)
 
 
@@ -290,11 +284,11 @@ def _run_trial(
     trial: int,
     run_seed: int,
     noise: Optional[NoisyOracleSpec],
-    run: tuple,  # the run's uniforms and its nested_walks row, each None if not drawn
+    uniforms: Optional[list[float]],  # the run's stream, None if not drawn
 ) -> TrialRow:
     # by position, in field order (block_size first): keywords cost a dataclass more
     run_config = NestedConfig(None, config.engine, config.uncompute_factor, noise, run_seed)
-    report = run_matcher(config.algorithm, instance, run_config, *run)
+    report = run_matcher(config.algorithm, instance, run_config, uniforms)
     ledger = report.ledger
     # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
@@ -402,7 +396,8 @@ GENERATION_BATCH_VALUES = 1 << 16
 # Hashed chunks of at least this many amplified trials draw all run streams in one run_streams
 # pass; smaller ones build a generator a trial.  Noisy nested sweeps of T trials, n = 16..1024,
 # pass against generators, medians of 60 interleaved runs (2-core x86-64 VM): T = 16 x1.09,
-# 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.  Such chunks also take nested_walks.
+# 32 x1.05, 48 x0.99, 64 x0.99, 96 x0.96, 128 x0.94.  It gates only how streams are drawn:
+# each trial runs the same matcher path in every chunk.
 RUN_STREAM_BREAK_EVEN = 64
 
 
@@ -414,14 +409,15 @@ def _run_chunk(
     """The rows of the cells given, batch by batch.  A chunk that draws from at least
     ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first;
     if amplified, it checks and plans each size, then draws every run stream from its words, in
-    one ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` trials.  A smaller chunk hashes none."""
+    one ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` trials.  A smaller chunk hashes none.
+    However its streams were drawn, each trial is one matcher call on its own stream."""
     count = len(cells)
     instance_seeds, run_seeds = map(list, zip(*_seed_pairs(config.base_seed, cells)))
     amplified = config.algorithm in AMPLIFIED
     drawn = instance_seeds + run_seeds if amplified else instance_seeds
     hashed = len(drawn) >= SEED_WORDS_BREAK_EVEN
     words = seed_words(drawn) if hashed else [None] * count
-    streams, rows, walked = None, [], False
+    streams, rows = None, []
     try:
         if hashed and amplified:
             lengths = {}
@@ -432,15 +428,10 @@ def _run_chunk(
             run_words, longest = words[count:], max(lengths.values())
             if count >= RUN_STREAM_BREAK_EVEN:
                 streams = run_streams(run_words, longest)
-                walked = config.algorithm == "nested" and config.engine != "statevector"
             else:
                 rngs = map(seeded_rng, run_seeds, run_words)
                 streams = np.array([rng.random(longest) for rng in rngs])
         for n, group in groupby(zip(cells, run_seeds), key=lambda c: c[0][0]):
-            walks = repeat(None)
-            if walked and noises[n] is not None:  # its trials left, to the chunk's end
-                size_rows = streams[len(rows) :][: config.trials_per_n - cells[len(rows)][1]]
-                walks = iter(nested_walks(n, noises[n], size_rows))
             per_batch = GENERATION_BATCH_VALUES // max(2 * n, 64) if hashed else 1
             while batch := list(islice(group, per_batch if per_batch >= 8 else 1)):
                 # the batch's seeds, words and streams start where the rows so far end
@@ -451,9 +442,8 @@ def _run_chunk(
                 else:
                     instances = generate_instances(n, seeds, words[at])
                 uniforms = repeat(None) if streams is None else streams[at, : lengths[n]].tolist()
-                runs = zip(uniforms, walks)
-                for ((_, trial), run_seed), instance, run in zip(batch, instances, runs):
-                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], run))
+                for ((_, trial), run_seed), instance, stream in zip(batch, instances, uniforms):
+                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], stream))
                 del instances, instance  # not held while the next batch is drawn
     except ResourceLimitError as err:
         raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
@@ -555,23 +545,18 @@ def load_rows(csv_path: str | Path) -> list[TrialRow]:
     return list(rows.values())
 
 
-def rows_by_size(rows: Sequence[TrialRow]) -> dict[int, list[TrialRow]]:
-    """One algorithm's rows grouped by n: sizes ascending, each size's rows in order."""
+def geomean_costs(rows: Sequence[TrialRow]) -> dict[int, float]:
+    """The geometric-mean total cost per n of one algorithm's rows, n ascending, folded
+    through ``SizeTally`` as a sweep's JSON folds them."""
     if not rows:
         raise ValueError("no rows to group")
     algorithms = {r.algorithm for r in rows}
     if len(algorithms) != 1:
         raise ValueError(f"rows mix algorithms: {sorted(algorithms)}")
-    groups: dict[int, list[TrialRow]] = {}
+    sizes: defaultdict[int, SizeTally] = defaultdict(SizeTally)
     for row in rows:
-        groups.setdefault(row.n, []).append(row)
-    return {n: groups[n] for n in sorted(groups)}
-
-
-def geomean_costs(rows: Sequence[TrialRow]) -> dict[int, float]:
-    """The geometric-mean total cost per n of one algorithm's rows, n ascending."""
-    by_n = rows_by_size(rows)
-    return {n: geometric_mean([r.total_cost for r in group]) for n, group in by_n.items()}
+        sizes[row.n].add(row)
+    return {n: _exp_mean(sizes[n].log_cost_sum, sizes[n].trials) for n in sorted(sizes)}
 
 
 @dataclass(frozen=True)

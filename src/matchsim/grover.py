@@ -14,15 +14,14 @@ A search is the two-field value ``Search(space_size, marked)``, with
 runner, (search, iterations, uniforms, failure_prob) -> (measured_index,
 marked_mass, fire_pattern), that checks the search and charges nothing.
 The reduced runner (``run_analytic``) tracks c alone and samples the
-amplitude vector it implies, so its work does not grow with M, and
-``dropout_walks`` tracks c for many noisy runs of one search at once.  The
-statevector runner (``run_statevector``) simulates all M real amplitudes
-round by round; it is the independent reference the reduced runner is
-checked against and runs only when named.  Neither holds a generator:
-both read the caller's list of uniform floats in [0, 1) alike (one per
-round when dropout is on, then one inverse-CDF draw to measure), so on
-the same uniforms they measure the same index.  What a search's rounds
-cost is the caller's to charge.
+amplitude vector it implies, so its work does not grow with M; its c
+walk is ``walked_masses``, the only one a run takes.  The statevector
+runner (``run_statevector``) simulates all M real amplitudes round by
+round; it is the independent reference and runs only when named.
+Neither holds a generator: both read the caller's list of uniform
+floats in [0, 1) alike (one per round when dropout is on, then one
+inverse-CDF draw to measure), so on the same uniforms they measure the
+same index.  What a search's rounds cost is the caller's to charge.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -109,6 +109,18 @@ def _masses(space_size: int, marked_count: int, c: int) -> tuple[float, float]:
     return math.sin(angle) ** 2, unmarked
 
 
+@lru_cache(maxsize=4096)
+def walked_masses(
+    space_size: int, marked_count: int, iterations: int, fire_pattern: Optional[tuple[bool, ...]]
+) -> tuple[float, float]:
+    """Both masses ``_masses`` gives at the c a run ends on: 2r + 1 with no ``fire_pattern``,
+    else the walk from 1 that each fired round moves to c + 2 and each dropped one to 2 - c."""
+    c = 2 * iterations + 1 if fire_pattern is None else 1
+    for fires in fire_pattern or ():
+        c = c + 2 if fires else 2 - c
+    return _masses(space_size, marked_count, c)
+
+
 def _check_counts(space_size: int, marked_count: int, iterations: int) -> None:
     if space_size < 1:
         raise ValueError("space_size must be at least 1")
@@ -132,7 +144,7 @@ def noisy_success_probability(space_size: int, iterations: int, failure_prob: fl
     """Exact hit probability of a 1-marked search with per-round dropout.
 
     Averages the marked mass over the 2^r dropout patterns, each of
-    which moves the angle multiple c as in ``run_analytic``; the average
+    which moves the angle multiple c as in ``walked_masses``; the average
     collapses to a small distribution over c.
     """
     _check_counts(space_size, 1, iterations)
@@ -279,32 +291,13 @@ def run_analytic(
     """Reduced runner: track the state's angle and sample the outcome it implies.
 
     Measures what ``run_statevector`` measures on the same uniforms.
-    Noiseless, the angle is (2r + 1) * theta at once; with dropout, each
-    drawn round moves c as the module says.
     """
     _check_search(search)
     pattern = _fire_pattern(iterations, failure_prob, uniforms)
-    if pattern is None:
-        c = 2 * iterations + 1
-    else:
-        c = 1
-        for fires in pattern:
-            c = c + 2 if fires else 2 - c
     space_size, marked = search
-    marked_mass, unmarked_mass = _masses(space_size, len(marked), c)
+    marked_mass, unmarked_mass = walked_masses(space_size, len(marked), iterations, pattern)
     measured = _sample_reduced(space_size, marked, marked_mass, unmarked_mass, uniforms[-1])
     return measured, marked_mass, pattern
-
-
-def dropout_walks(space_size: int, draws: np.ndarray, failure_prob: float) -> list:
-    """Per row of a (T, rounds) array of one-marked dropout draws, what ``run_analytic`` walks
-    from it: the fire pattern, then both masses at the c it ends on (``_masses`` once per c)."""
-    fires = draws >= failure_prob
-    c = np.ones(len(draws), dtype=np.int64)
-    for fired in fires.T:
-        c = np.where(fired, c + 2, 2 - c)
-    masses = {k: _masses(space_size, 1, k) for k in set(c.tolist())}
-    return [(fire, *masses[k]) for fire, k in zip(map(tuple, fires.tolist()), c.tolist())]
 
 
 def run_noisy_outer(

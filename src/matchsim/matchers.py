@@ -13,11 +13,12 @@ against the same cost model, so their ledgers are directly comparable:
 
 No matcher performs the sorts and membership probes it is charged for:
 each charges them by the closed forms of ``sortsearch`` and finds what
-it reports by compare.  The amplified matchers run each search as a
-``Search`` through the configured engine's runner, looked up in this
-module at call time, on the run stream's uniforms: drawn in one call, or the
-caller's (``run_stream_length`` of them).  The nested matcher merges its
-charges from per-shape templates (``_nested_charges``).
+it reports by compare.  The amplified matchers measure on the run
+stream's uniforms: drawn in one call, or the caller's
+(``run_stream_length`` of them).  Each search runs as a ``Search``
+through its engine's runner, looked up here at call time, except the
+reduced nested ones, sampled from ``walked_masses``.  The nested matcher
+merges its charges from per-shape templates (``_nested_charges``).
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from .grover import (  # run_noisy_outer: unused, but the layer tracer patches i
     ENGINES,
     NoisyOracleSpec,
     Search,
-    _masses,
+    _fire_pattern,
     _sample_reduced,
-    dropout_walks,
     iteration_schedule,
     noisy_success_probability,
     run_analytic,
     run_noisy_outer,
     run_statevector,
     success_probability,
+    walked_masses,
 )
 from .model import CostLedger, MatchInstance, RunReport, seeded_rng
 # binary_membership, sort_instrumented: unused, but the layer tracer patches them here
@@ -268,7 +269,6 @@ class _NestedPlan(NamedTuple):
     r_inner: int
     predicted_success: float
     stream: int  # uniforms a run reads: the outer rounds when noisy, both measurements
-    inner_masses: tuple  # the inner search's masses, by its marked count: 0, then 1
 
 
 @lru_cache(maxsize=256)
@@ -277,9 +277,9 @@ def _nested_plan(n: int, block_size: Optional[int], failure_prob: float) -> _Nes
     b, blocks, r_outer, r_inner = _nested_shape(n, block_size)
     # with no dropout this is success_probability(blocks, 1, r_outer), bit for bit
     p_outer = noisy_success_probability(blocks, r_outer, failure_prob)
-    inner = tuple(_masses(n, k, 2 * r_inner + 1) for k in (0, 1))
     stream = r_outer + 2 if failure_prob else 2
-    return _NestedPlan(b, blocks, r_outer, r_inner, p_outer * inner[1][0], stream, inner)
+    predicted = p_outer * success_probability(n, 1, r_inner)
+    return _NestedPlan(b, blocks, r_outer, r_inner, predicted, stream)
 
 
 def run_stream_length(nested: bool, n: int, noise: Optional[NoisyOracleSpec]) -> int:
@@ -295,12 +295,6 @@ def amplitude_rounds(nested: bool, n: int) -> int:
         _, blocks, r_outer, r_inner = _nested_shape(n, None)
         return blocks * (r_outer + 1) + n * (r_inner + 1)
     return n * n * (iteration_schedule(n * n, 1) + 1)
-
-
-def nested_walks(n: int, noise: NoisyOracleSpec, streams: np.ndarray) -> list:
-    """Per run stream, a noisy nested run's ``walk``: its outer search's ``dropout_walks`` row."""
-    plan = _nested_plan(n, None, noise.failure_prob)
-    return dropout_walks(plan.blocks, streams[:, : plan.r_outer], noise.failure_prob)
 
 
 @lru_cache(maxsize=1024)
@@ -335,7 +329,6 @@ def nested_grover_match(
     ledger: Optional[CostLedger] = None,
     *,
     uniforms: Optional[list[float]] = None,
-    walk: Optional[tuple] = None,
 ) -> RunReport:
     """Amplified search over blocks of list1, then a final verify pass.
 
@@ -346,40 +339,44 @@ def nested_grover_match(
     more and direct queries confirming the pair, but sorts and probes
     nothing: the measured list2 value is looked up by compare in the
     block's unsorted slice of list1.  A run whose verification probe
-    misses reports no match rather than guessing.  Both searches run
-    through the configured engine's runner, on ``uniforms`` (by default
-    the run seed's stream), or through none when given the run's row of
-    ``nested_walks`` as ``walk``.  A runner's outer charges are merged once
-    the block is measured, the probes once verification is known; a walk,
-    which cannot raise between the two, merges one part, the whole run's.
+    misses reports no match rather than guessing.  Both searches measure
+    on ``uniforms``, by default the run seed's stream.  The reduced engine
+    samples each from its ``walked_masses`` and merges the run's whole
+    charges once.  The statevector engine runs both through its runner:
+    the outer charges are merged once the block is measured, the probes
+    once verification is known, so a refused inner search leaves the
+    outer charges and the block live.
     """
     config = config if config is not None else NestedConfig()
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     failure_prob = _failure_prob(config)
-    b, blocks, r_outer, r_inner, predicted_success, stream, inner_masses = _nested_plan(
+    b, blocks, r_outer, r_inner, predicted_success, stream = _nested_plan(
         n, config.block_size, failure_prob
     )
     engine, run = _engine(config)
+    reduced = engine == "analytic"
     # the run stream: the outer search's dropout rounds and measurement, then the inner one's
     if uniforms is None:
         uniforms = seeded_rng(config.rng_seed).random(stream).tolist()
     marked_block = instance.planted_pos1 // b
-    if walk is None:
+    if reduced:
+        fire_pattern = _fire_pattern(r_outer, failure_prob, uniforms[:-1])
+        outer_mass, unmarked_mass = walked_masses(blocks, 1, r_outer, fire_pattern)
+        beta = _sample_reduced(blocks, (marked_block,), outer_mass, unmarked_mass, uniforms[-2])
+    else:
         outer = Search(blocks, (marked_block,))
         beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
-    else:
-        fire_pattern, outer_mass, unmarked_mass = walk
-        beta = _sample_reduced(blocks, (marked_block,), outer_mass, unmarked_mass, uniforms[-2])
     offset = beta * b
     block = instance.values1[offset : offset + b]
     shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
     marked = (instance.planted_pos2,) if beta == marked_block else ()
-    if walk is None:  # before: the same whatever verifies
+    if reduced:
+        inner_masses = walked_masses(n, len(marked), r_inner, None)
+        j_hat = _sample_reduced(n, marked, *inner_masses, uniforms[-1])
+    else:  # before: the same whatever verifies
         ledger.merge(_nested_charges(*shape, False)[0])
         j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
-    else:
-        j_hat = _sample_reduced(n, marked, *inner_masses[len(marked)], uniforms[-1])
     v_hat = instance.values2.item(j_hat)
     # the verification probe, by compare: v_hat's bytes in the block's, at a cell's start
     cells, key = block.tobytes(), v_hat.to_bytes(8, sys.byteorder)
@@ -389,8 +386,8 @@ def nested_grover_match(
     found = (offset + at // 8, j_hat) if at >= 0 else None
     inner_verified = found is not None
     _, after, whole = _nested_charges(*shape, inner_verified)
-    ledger.merge(after if walk is None else whole)
-    if walk is None:  # the block stayed live between the runner's two merges
+    ledger.merge(whole if reduced else after)
+    if not reduced:  # the block stayed live between the runner's two merges
         ledger.workspace_release(len(block))
     stats = {
         "algorithm": "nested",

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from matchsim.experiments import (
     derive_seed,
     fit_exponent,
     float_sum,
-    geometric_mean,
+    geomean_costs,
     load_rows,
     noise_spec,
     run_matcher,
@@ -602,98 +603,75 @@ class TestRunStreamsInSweeps:
             assert uniforms == np.random.default_rng(seed).random(k).tolist()
 
     @staticmethod
-    def recorded_walks(monkeypatch):
-        """The (n, rows) of every nested_walks call the sweeps make from here on."""
-        walks, nested_walks = [], experiments.nested_walks
+    def counted_runs(monkeypatch):
+        """The runner calls the sweeps make from here on, counted by runner name."""
+        runs = Counter()
+        for name in ("run_analytic", "run_statevector"):
+            runner = getattr(matchers, name)
+            counting = lambda *args, _name=name, _runner=runner: (
+                runs.update([_name]) or _runner(*args)
+            )
+            monkeypatch.setattr(matchers, name, counting)
+        return runs
 
-        def walking(n, noise, streams):
-            walks.append((n, len(streams)))
-            return nested_walks(n, noise, streams)
-
-        monkeypatch.setattr(experiments, "nested_walks", walking)
-        return walks
-
-    def test_a_noisy_analytic_chunk_walks_each_size_once_and_calls_no_runner(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("noise", ["none", "inv_sqrt_n"])
+    def test_every_chunk_regime_reads_the_same_and_runs_one_path_per_engine(
+        self, noise, tmp_path, monkeypatch
     ):
+        # chunks of 3 trials hash no seed (6 < SEED_WORDS_BREAK_EVEN); chunks of 7 hash
+        # theirs and build a generator a trial (7 < RUN_STREAM_BREAK_EVEN); a chunk of
+        # 1024 draws every stream in one run_streams pass.  Each gives the same bytes, and
+        # in each the reduced engine calls no runner and the statevector engine two a trial
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
         out = tmp_path / "rows.csv"
-        config = SweepConfig(
-            algorithm="nested", n_values=(16, 17, 100), trials_per_n=30, base_seed=4,
-            noise_preset="inv_sqrt_n", output=str(out),
+        hashed, passes, run_streams = record_hashing(monkeypatch), [], experiments.run_streams
+        monkeypatch.setattr(
+            experiments, "run_streams",
+            lambda words, k: passes.append(len(words)) or run_streams(words, k),
         )
-        walks, runs, run_analytic = self.recorded_walks(monkeypatch), [], matchers.run_analytic
-        monkeypatch.setattr(matchers, "run_analytic", lambda *a: runs.append(a) or run_analytic(*a))
-        outputs, counts = [], []
-        for break_even in (64, 91):  # a walk per size; then a break-even above the chunk
-            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            run_sweep(config)
-            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-            counts.append(len(runs))
-            runs.clear()
-        assert walks == [(16, 30), (17, 30), (100, 30)]
-        assert counts == [0, 2 * 90]
-        assert outputs[0] == outputs[1]
+        runs = self.counted_runs(monkeypatch)
+        csvs, jsons = [], {}
+        for engine, chunk in itertools.product(("auto", "statevector"), (3, 7, 1024)):
+            monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
+            hashed.clear(), passes.clear(), runs.clear()
+            run_sweep(SweepConfig(
+                algorithm="nested", n_values=(16, 17, 64, 100), trials_per_n=20, base_seed=3,
+                engine=engine, noise_preset=noise, output=str(out),
+            ))
+            csvs.append(out.read_bytes())
+            jsons.setdefault(engine, []).append(out.with_suffix(".json").read_bytes())
+            # 80 trials: chunks of 3 hash nothing; 11 chunks of 7 hash 14 seeds each and the
+            # last 3 trials none; one chunk of 80 hashes all 160
+            expected_hashed = {3: [], 7: [14] * 11, 1024: [160]}[chunk]
+            assert [len(seeds) for seeds in hashed] == expected_hashed
+            assert passes == ([80] if chunk == 1024 else [])
+            assert runs == (Counter() if engine == "auto" else Counter(run_statevector=2 * 80))
+        assert csvs == [csvs[0]] * 6
+        assert all(texts == [texts[0]] * 3 for texts in jsons.values())
 
-    def test_a_walked_trial_merges_one_part_and_the_sweep_reads_as_through_runners(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_reduced_trial_merges_one_part_and_a_statevector_trial_two(self, monkeypatch):
         # sizes with a short last block (17, 100), trials that fail verification (inv_n
-        # drops rounds); a walked trial merges its whole part, a runner's trial two parts
-        out = tmp_path / "rows.csv"
-        config = SweepConfig(
+        # drops rounds), each engine below and above the run-stream break-even
+        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
+        config = dict(
             algorithm="nested", n_values=(16, 17, 64, 100), trials_per_n=100, base_seed=9,
-            noise_preset="inv_n", output=str(out),
+            noise_preset="inv_n",
         )
+        for engine in ("auto", "statevector"):  # every template built before counting
+            run_sweep(SweepConfig(engine=engine, **config))
         merges, merge = [], model.CostLedger.merge
-        outputs, counts = [], []
-        for break_even in (64, 401, 64, 401):  # walked; then a break-even above the chunk
+        monkeypatch.setattr(
+            model.CostLedger, "merge", lambda ledger, part: merges.append(part) or merge(ledger, part)
+        )
+        outputs = []
+        for engine, break_even in itertools.product(("auto", "statevector"), (64, 401)):
             monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            rows = run_sweep(config).rows
-            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-            counts.append(len(merges))
             merges.clear()
-            if len(outputs) == 2:  # every template built: count the trials' merges from here
-                monkeypatch.setattr(
-                    model.CostLedger, "merge",
-                    lambda ledger, part: merges.append(part) or merge(ledger, part),
-                )
-        assert counts[2:] == [400, 2 * 400]
+            rows = run_sweep(SweepConfig(engine=engine, **config)).rows
+            assert len(merges) == (400 if engine == "auto" else 2 * 400)
+            outputs.append(rows)
         assert outputs == [outputs[0]] * 4
         assert 0 < sum(row.success for row in rows) < 400
-
-    def test_a_size_split_across_chunks_walks_its_rows_in_each(self, tmp_path, monkeypatch):
-        # chunks of 70: 50 + 20 walked, 30 + 40 walked, then 10, below the break-even
-        out = tmp_path / "rows.csv"
-        config = SweepConfig(
-            algorithm="nested", n_values=(16, 17, 100), trials_per_n=50, base_seed=6,
-            noise_preset="inv_n", output=str(out),
-        )
-        walks = self.recorded_walks(monkeypatch)
-        monkeypatch.setattr(experiments, "SWEEP_CHUNK", 70)
-        outputs = []
-        for break_even in (64, 71):
-            monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            run_sweep(config)
-            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
-        assert walks == [(16, 50), (17, 20), (17, 30), (100, 40)]
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize(
-        "engine,noise,trials",
-        [("statevector", "inv_sqrt_n", 40), ("auto", "none", 40), ("auto", "inv_sqrt_n", 31)],
-    )
-    def test_no_other_chunk_walks(self, engine, noise, trials, monkeypatch):
-        # a statevector chunk, a noiseless one, and a noisy one below the break-even
-        def never(*args):
-            raise AssertionError("the chunk walked")
-
-        monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
-        monkeypatch.setattr(experiments, "nested_walks", never)
-        config = SweepConfig(
-            algorithm="nested", n_values=(16, 64), trials_per_n=trials, engine=engine,
-            noise_preset=noise,
-        )
-        assert len(run_sweep(config).rows) == 2 * trials
 
     def test_the_longest_stream_is_the_noisy_nested_one_at_the_size_cap(self):
         noise = noise_spec("inv_sqrt_n", MAX_INSTANCE_SIZE)
@@ -986,22 +964,35 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent([(16, 100.0), (16, 110.0), (16, 90.0)])
 
-    def test_geometric_mean(self):
-        assert geometric_mean([4.0, 16.0]) == pytest.approx(8.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
+    @staticmethod
+    def rows_costing(algorithm, costs_by_n):
+        """One row a cost, each cost all list1 queries, in the given order."""
+        return [
+            experiments.TrialRow(algorithm, n, trial, 0, 1, cost, cost, 0, 0, 0, 0, 1.0)
+            for n, costs in costs_by_n.items()
+            for trial, cost in enumerate(costs)
+        ]
+
+    def test_geomean_costs(self):
+        rows = self.rows_costing("nested", {64: [4, 16], 16: [3]})
+        assert geomean_costs(rows) == {16: pytest.approx(3.0), 64: pytest.approx(8.0)}
+        assert list(geomean_costs(rows)) == [16, 64]  # n ascending
+        with pytest.raises(ValueError, match="no rows to group"):
+            geomean_costs([])
+        mixed = rows + self.rows_costing("sort_scan", {16: [5]})
+        with pytest.raises(ValueError, match="rows mix algorithms"):
+            geomean_costs(mixed)
 
     def test_float_sums_run_left_to_right(self):
         # sum compensates floats from Python 3.12 (here, as fsum, 1.0 and
         # ...141e+37); the outputs keep the left-to-right sums of 3.11
         assert float_sum([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
         assert float_sum([]) == 0.0 and type(float_sum([])) is float
-        values = [
-            4.737939778949821, 4.591438622719958e299, 9.26506623785866e-301, 2.931522914819005e150
-        ]
-        logs = [math.log(v) for v in values]
+        costs = [3428111516103001, 59, 77, 4]
+        logs = [math.log(cost) for cost in costs]
         left_to_right = math.exp((((logs[0] + logs[1]) + logs[2]) + logs[3]) / 4)
-        assert geometric_mean(values) == left_to_right == 4.930262414517071e37
+        rows = self.rows_costing("nested", {16: costs})
+        assert geomean_costs(rows) == {16: left_to_right} == {16: 88841.20025682554}
         assert math.exp(math.fsum(logs) / 4) != left_to_right
 
     def test_a_fit_sums_left_to_right(self, monkeypatch):

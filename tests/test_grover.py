@@ -496,26 +496,32 @@ class TestNoisyEngine:
             assert np.allclose(amps, state, atol=1e-12)
 
 
-class TestDropoutWalks:
+class TestWalkedMasses:
+    # c by hand: 1, then c + 2 on a fired round and 2 - c on a dropped one
+    HAND_WALKED = {
+        (): 1, (True,): 3, (False,): 1, (True, True): 5, (True, False): -1,
+        (False, True): 3, (True, False, True): 1, (True, True, False): -3,
+        (True, True, False, True): -1, (False, False, False): 1,
+    }
+
     @pytest.mark.parametrize("space_size", [1, 4, 17, 100])
-    def test_each_row_is_the_scalar_walk(self, space_size):
-        # the same draws through run_analytic and through the array walk: the same
-        # pattern of Python bools, the same masses bit for bit, the same measured index
-        rng = np.random.default_rng(space_size)
-        marked = (space_size // 3,)
-        for iterations in range(7):
-            probs = (1 / space_size, 1 / math.sqrt(space_size), 0.5, 1.0)
-            for failure_prob in probs:
-                draws = rng.random((60, iterations + 1))
-                # a draw equal to failure_prob fires, in both walks
-                draws[:, :iterations][rng.random((60, iterations)) < 0.3] = failure_prob
-                walks = grover.dropout_walks(space_size, draws[:, :iterations], failure_prob)
-                assert len(walks) == len(draws)
-                for row, (pattern, marked_mass, unmarked_mass) in zip(draws.tolist(), walks):
-                    search = Search(space_size, marked)
-                    measured, mass, fires = run_analytic(search, iterations, row, failure_prob)
-                    assert pattern == fires and all(type(f) is bool for f in pattern)
-                    assert marked_mass == mass
-                    assert grover._sample_reduced(
-                        space_size, marked, marked_mass, unmarked_mass, row[-1]
-                    ) == measured
+    def test_a_run_ends_at_the_hand_walked_c(self, space_size):
+        for k in sorted({0, 1, min(2, space_size), space_size}):
+            for pattern, c in self.HAND_WALKED.items():
+                walked = grover.walked_masses(space_size, k, len(pattern), pattern)
+                assert walked == grover._masses(space_size, k, c), (k, pattern)
+            for r in range(5):  # noiseless: c = 2r + 1
+                walked = grover.walked_masses(space_size, k, r, None)
+                assert walked == grover._masses(space_size, k, 2 * r + 1)
+
+    @pytest.mark.parametrize("space_size", [2, 5, 16, 33])
+    def test_both_masses_are_the_statevectors_for_the_same_pattern(self, space_size):
+        for k in (1, 2):
+            search = first_k(space_size, k)
+            for r in range(6):
+                patterns = [None, *itertools.product((True, False), repeat=r)]
+                for pattern in patterns:
+                    amps = statevector_amplitudes(search, r, pattern)
+                    marked_mass, unmarked_mass = grover.walked_masses(space_size, k, r, pattern)
+                    assert marked_mass == pytest.approx(np.sum(amps[:k] ** 2), abs=1e-12)
+                    assert unmarked_mass == pytest.approx(np.sum(amps[k:] ** 2), abs=1e-12)

@@ -672,22 +672,37 @@ class TestGivenUniforms:
                 assert json.dumps(given.as_dict()) == json.dumps(matcher(inst, config).as_dict())
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 100])
-    def test_a_walked_run_reports_what_the_runners_report(self, n):
-        # the chunk's array walk in place of both runner calls, on runs whose outer
-        # search measures the marked block and (from two blocks on) runs where it does not
+    def test_a_reduced_run_measures_what_run_analytic_measures(self, n):
+        # the reduced engine samples both searches with no runner: on the same stream,
+        # run_analytic measures the same block, masses, pattern and list2 index, on runs
+        # whose outer search measures the marked block and (from two blocks on) runs where
+        # it does not
         outcomes = set()
-        for preset in ("inv_n", "inv_sqrt_n"):
+        b, blocks, r_outer, r_inner = matchers._nested_shape(n, None)
+        for preset, seed in itertools.product(NOISE_PRESETS, range(60)):
             noise = noise_spec(preset, n)
-            k = run_stream_length(True, n, noise)
-            streams = np.array([seeded_rng(seed).random(k) for seed in range(100)])
-            for seed, walk in enumerate(matchers.nested_walks(n, noise, streams)):
-                inst, config = generate_instance(n, seed), NestedConfig(noise=noise, rng_seed=seed)
-                uniforms = streams[seed].tolist()
-                walked = nested_grover_match(inst, config, uniforms=uniforms, walk=walk)
-                run = nested_grover_match(inst, config)
-                assert json.dumps(walked.as_dict()) == json.dumps(run.as_dict())
-                stats = walked.engine_stats
-                outcomes.add(stats["outer_measured_block"] == stats["outer_marked_block"])
+            failure_prob = noise.failure_prob if noise else 0.0
+            uniforms = seeded_rng(seed).random(run_stream_length(True, n, noise)).tolist()
+            inst = generate_instance(n, seed)
+            config = NestedConfig(noise=noise, rng_seed=seed)
+            report = nested_grover_match(inst, config, uniforms=uniforms)
+            stats = report.engine_stats
+            marked_block = inst.planted_pos1 // b
+            outer = run_analytic(
+                Search(blocks, (marked_block,)), r_outer, uniforms[:-1], failure_prob
+            )
+            assert outer == (
+                stats["outer_measured_block"], stats["outer_marked_mass"],
+                stats["outer_fire_pattern"],
+            )
+            marked = (inst.planted_pos2,) if outer[0] == marked_block else ()
+            j_hat = run_analytic(Search(n, marked), r_inner, uniforms[-1:])[0]
+            v_hat = int(inst.values2[j_hat])
+            block = inst.values1[outer[0] * b : (outer[0] + 1) * b].tolist()
+            assert stats["inner_verified"] == (v_hat in block)
+            if report.found is not None:
+                assert report.found[1] == j_hat
+            outcomes.add(outer[0] == marked_block)
         assert outcomes == ({True, False} if n > 2 else {True})
 
     @pytest.mark.parametrize("n", [3, 16, 17, 64, 100])
@@ -695,12 +710,10 @@ class TestGivenUniforms:
         self, n, monkeypatch
     ):
         # failure_prob 1.0 drops every outer round, so the measured block is uniform.  Where
-        # it is not the marked one, the walked run and both runners' runs must measure the
-        # j_hat that either runner measures on Search(n, ()) from the stream's last uniform
+        # it is not the marked one, both engines must measure the j_hat that either runner
+        # measures on Search(n, ()) from the stream's last uniform
         noise, r_inner = NoisyOracleSpec(1.0), matchers._nested_shape(n, None)[3]
         k = run_stream_length(True, n, noise)
-        streams = np.array([seeded_rng(seed).random(k) for seed in range(40)])
-        walks = matchers.nested_walks(n, noise, streams)
         measured = []  # what each spied call measured, the inner search's last
 
         def spy(measure):
@@ -710,15 +723,15 @@ class TestGivenUniforms:
                 return out
             return spied
 
-        for name in ("_sample_reduced", "run_analytic", "run_statevector"):
+        for name in ("_sample_reduced", "run_statevector"):
             monkeypatch.setattr(matchers, name, spy(getattr(matchers, name)))
         missed = 0
-        for seed, walk in enumerate(walks):
-            inst, uniforms = generate_instance(n, seed), streams[seed].tolist()
+        for seed in range(40):
+            inst, uniforms = generate_instance(n, seed), seeded_rng(seed).random(k).tolist()
             j_hats = []
-            for engine, given in (("analytic", walk), ("analytic", None), ("statevector", None)):
+            for engine in ("analytic", "statevector"):
                 config = NestedConfig(engine=engine, noise=noise, rng_seed=seed)
-                report = nested_grover_match(inst, config, uniforms=uniforms, walk=given)
+                report = nested_grover_match(inst, config, uniforms=uniforms)
                 j_hats.append(measured[-1])
             stats = report.engine_stats
             if stats["outer_measured_block"] != stats["outer_marked_block"]:
@@ -726,7 +739,7 @@ class TestGivenUniforms:
                 unmarked = Search(n, ())
                 expected = run_analytic(unmarked, r_inner, uniforms[-1:])[0]
                 assert run_statevector(unmarked, r_inner, uniforms[-1:])[0] == expected
-                assert j_hats == [expected] * 3
+                assert j_hats == [expected] * 2
         assert missed >= 10
 
     @pytest.mark.parametrize("preset", NOISE_PRESETS)
@@ -897,11 +910,11 @@ class TestNestedPlan:
         # the warm-up built the plan and the charges through the wrapped names
         assert {"iteration_schedule", "sort_charges"} <= set(calls)
         calls.clear()
-        # a warm call neither plans nor charges a block oracle: it merges the templates
+        # a warm call neither plans nor charges a block oracle: it merges the whole template
         ledger = CountingLedger()
         nested_grover_match(inst, NestedConfig(noise=NoisyOracleSpec(1 / 16), rng_seed=1), ledger)
         assert calls == []
-        assert ledger.calls == 1  # the block's release; both parts came in by merge
+        assert ledger.calls == 0  # the release came in by merge too
 
     @pytest.mark.parametrize("engine", ["analytic", "statevector"])
     def test_each_call_builds_one_search_per_stage(self, monkeypatch, engine):
@@ -917,7 +930,9 @@ class TestNestedPlan:
         nested_grover_match(inst, config)  # warm the plan before counting
         monkeypatch.setattr(matchers, "Search", counting)
         nested_grover_match(inst, config)
-        assert built == [8, 64]  # the outer search over 8 blocks, the inner one over list2
+        # the statevector engine runs the outer search over 8 blocks, the inner one over
+        # list2; the reduced engine samples both from their masses and builds none
+        assert built == ([8, 64] if engine == "statevector" else [])
         built.clear()
         naive_grover_pairs(inst, config)
         assert built == [64 * 64]

@@ -285,11 +285,14 @@ def test_compare_pinned(names, tmp_path, capsys):
     assert (printed, sha256([table.read_text(encoding="utf-8")])) == COMPARE_PINS[names]
 
 
-# the two sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
+# three of the sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
 CI_RERUN_CONFIGS = {
     "ci_nested": dict(
         algorithm="nested", n_values=(16, 64, 256, 1024), trials_per_n=50,
         noise_preset="inv_sqrt_n",
+    ),
+    "ci_tiny": dict(
+        algorithm="nested", n_values=(16, 64, 256), trials_per_n=1, noise_preset="inv_sqrt_n"
     ),
     "ci_two_sort": dict(algorithm="two_sort", n_values=(4, 16, 64, 1024), trials_per_n=5),
 }

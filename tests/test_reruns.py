@@ -22,8 +22,9 @@ import matchsim
 SRC = str(Path(matchsim.__file__).resolve().parents[1])
 
 # a noisy nested sweep of 200 trials (one run-stream pass; its n = 1024 rows are drawn
-# in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words)
-# and a classical one, which reads the shared value generation carries
+# in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words),
+# one of 3 (6 seeds, none hashed: each matcher draws its own stream) and a classical one,
+# which reads the shared value generation carries
 RERUN_CONFIGS = {
     "nested": {
         "algorithm": "nested", "n_values": [16, 64, 256, 1024], "trials_per_n": 50,
@@ -31,6 +32,10 @@ RERUN_CONFIGS = {
     },
     "small": {
         "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 3,
+        "noise_preset": "inv_sqrt_n",
+    },
+    "tiny": {
+        "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 1,
         "noise_preset": "inv_sqrt_n",
     },
     "two_sort": {"algorithm": "two_sort", "n_values": [4, 16, 64, 1024], "trials_per_n": 5},
