@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from contextlib import suppress
 from functools import lru_cache
 from itertools import groupby, islice, repeat, takewhile
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -63,7 +64,7 @@ MATCHERS = {
     "nested": "nested_grover_match",
 }
 ALGORITHMS = tuple(MATCHERS)
-# the algorithms that take a run config and draw from its run seed
+# the algorithms that take a run config and measure on a run stream
 AMPLIFIED = ("naive_grover", "nested")
 NOISE_PRESETS = ("none", "inv_n", "inv_sqrt_n")
 
@@ -283,12 +284,13 @@ def _run_trial(
     instance: MatchInstance,
     trial: int,
     run_seed: int,
-    noise: Optional[NoisyOracleSpec],
-    uniforms: Optional[list[float]],  # the run's stream, None if not drawn
+    run_config: NestedConfig,
+    uniforms: Optional[list[float]],
 ) -> TrialRow:
-    # by position, in field order (block_size first): keywords cost a dataclass more
-    run_config = NestedConfig(None, config.engine, config.uncompute_factor, noise, run_seed)
+    """One matcher call's row; an amplified run measures on ``uniforms``, from ``run_seed``."""
     report = run_matcher(config.algorithm, instance, run_config, uniforms)
+    if uniforms is not None:
+        report.rng_seed = run_seed
     ledger = report.ledger
     # by position, in column order: keywords cost a NamedTuple twice as much
     return TrialRow(
@@ -308,9 +310,9 @@ def _run_trial(
 
 
 class SizeTally:
-    """One size's running aggregates, folded from its rows in sweep order: its float
-    sums, of log(total_cost) and of predicted success, add left to right, as
-    ``float_sum`` adds a list, and its size does not grow with its trials."""
+    """One size's running aggregates, folded from its rows in sweep order a run at a time: its
+    float sums, of log(total_cost) and of predicted success, add left to right, as ``float_sum``
+    adds a list, and its size does not grow with its trials."""
 
     __slots__ = ("trials", "successes", "max_peak_workspace", "log_cost_sum", "predicted_sum")
 
@@ -318,12 +320,14 @@ class SizeTally:
         self.trials = self.successes = self.max_peak_workspace = 0
         self.log_cost_sum = self.predicted_sum = 0.0
 
-    def add(self, row: TrialRow) -> None:
-        self.trials += 1
-        self.successes += row.success
-        self.max_peak_workspace = max(self.max_peak_workspace, row.peak_workspace)
-        self.log_cost_sum += math.log(row.total_cost)
-        self.predicted_sum += row.predicted_success
+    def fold(self, rows: Sequence[TrialRow]) -> None:
+        """Add ``rows``, this size's next rows in sweep order."""
+        _, _, _, _, successes, costs, _, _, _, _, peaks, predicted = zip(*rows)
+        self.trials += len(rows)
+        self.successes += sum(successes)
+        self.max_peak_workspace = max(self.max_peak_workspace, *peaks)
+        self.log_cost_sum = float_sum(map(math.log, costs), self.log_cost_sum)
+        self.predicted_sum = float_sum(predicted, self.predicted_sum)
 
 
 @dataclass
@@ -404,29 +408,30 @@ RUN_STREAM_BREAK_EVEN = 64
 def _run_chunk(
     config: SweepConfig,
     cells: list[tuple[int, int]],
-    noises: dict[int, Optional[NoisyOracleSpec]],
+    run_configs: dict[int, NestedConfig],
 ) -> list[TrialRow]:
     """The rows of the cells given, batch by batch.  A chunk that draws from at least
-    ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first;
-    if amplified, it checks and plans each size, then draws every run stream from its words, in
-    one ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` trials.  A smaller chunk hashes none.
-    However its streams were drawn, each trial is one matcher call on its own stream."""
+    ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first.
+    If amplified, it checks and plans each size, then draws every run stream: in one
+    ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` hashed trials, else by a generator a trial,
+    from its seed's words if hashed.  Each trial is one matcher call with its size's config."""
     count = len(cells)
     instance_seeds, run_seeds = map(list, zip(*_seed_pairs(config.base_seed, cells)))
     amplified = config.algorithm in AMPLIFIED
     drawn = instance_seeds + run_seeds if amplified else instance_seeds
     hashed = len(drawn) >= SEED_WORDS_BREAK_EVEN
-    words = seed_words(drawn) if hashed else [None] * count
+    words = seed_words(drawn) if hashed else [None] * len(drawn)
     streams, rows = None, []
     try:
-        if hashed and amplified:
+        if amplified:
             lengths = {}
             for n, trial in cells:  # each size checked before it is planned
                 if n not in lengths:
                     check_instance_size(n)
-                    lengths[n] = run_stream_length(config.algorithm == "nested", n, noises[n])
+                    noise = run_configs[n].noise
+                    lengths[n] = run_stream_length(config.algorithm == "nested", n, noise)
             run_words, longest = words[count:], max(lengths.values())
-            if count >= RUN_STREAM_BREAK_EVEN:
+            if hashed and count >= RUN_STREAM_BREAK_EVEN:
                 streams = run_streams(run_words, longest)
             else:
                 rngs = map(seeded_rng, run_seeds, run_words)
@@ -442,8 +447,9 @@ def _run_chunk(
                 else:
                     instances = generate_instances(n, seeds, words[at])
                 uniforms = repeat(None) if streams is None else streams[at, : lengths[n]].tolist()
+                run_config = run_configs[n]
                 for ((_, trial), run_seed), instance, stream in zip(batch, instances, uniforms):
-                    rows.append(_run_trial(config, instance, trial, run_seed, noises[n], stream))
+                    rows.append(_run_trial(config, instance, trial, run_seed, run_config, stream))
                 del instances, instance  # not held while the next batch is drawn
     except ResourceLimitError as err:
         raise ResourceLimitError(f"n={n}, trial={trial}: {err}") from err
@@ -453,20 +459,20 @@ def _run_chunk(
 def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     """Run every (n, trial) cell of the sweep deterministically.
 
-    Trials run in chunks of up to ``SWEEP_CHUNK`` consecutive cells.  A
-    chunk's instance and run seeds are derived before its first trial.
-    A chunk that draws from enough seeds hashes them in one pass and hands
-    each trial its seed's words (``_run_chunk``).  Its rows are
-    then folded into per-size aggregates, appended to ``<output>.tmp``
-    when the config names an output, and kept only with ``keep_rows``,
-    so without them memory follows one chunk and not the sweep.  That
-    stream is a sweep's only CSV; ``write_outputs`` writes the JSON and
-    renames it.  A sweep that raises deletes its temporary file, and each
+    Each size's run config is built once.  Trials run in chunks of up to ``SWEEP_CHUNK``
+    consecutive cells.  A chunk's instance and run seeds are derived before its first trial.
+    A chunk that draws from enough seeds hashes them in one pass; an amplified chunk draws
+    each trial's run stream from its run seed, which the report names (``_run_chunk``).  Its
+    rows are then folded into per-size aggregates, appended to ``<output>.tmp`` when the
+    config names an output, and kept only with ``keep_rows``, so without them memory follows
+    one chunk and not the sweep.  That stream is a sweep's only CSV; ``write_outputs`` writes
+    the JSON and renames it.  A sweep that raises deletes its temporary file, and each
     directory it made for it that is empty, and leaves no output.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)
-    noises = {n: noise_spec(config.noise_preset, n) for n in config.n_values}
+    knobs = (config.engine, config.uncompute_factor)  # a size's trials share one run config
+    run_configs = {n: NestedConfig(None, *knobs, noise_spec(config.noise_preset, n)) for n in sizes}
     # a generator: itertools.product would hold every trial number as an int
     cells = ((n, trial) for n in config.n_values for trial in range(config.trials_per_n))
     stream, made = None, []
@@ -479,11 +485,11 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
             stream = open(part, "w", encoding="utf-8")
             stream.write(_CSV_HEADER)
         while chunk := list(islice(cells, SWEEP_CHUNK)):
-            rows = _run_chunk(config, chunk, noises)
+            rows = _run_chunk(config, chunk, run_configs)
             if stream is not None:
                 stream.write("".join([_ROW_FORMAT % row for row in rows]))
-            for row in rows:
-                sizes[row.n].add(row)
+            for n, run in groupby(rows, key=itemgetter(1)):
+                sizes[n].fold(list(run))
             if keep_rows:
                 result.rows.extend(rows)
             del rows  # not held while the next chunk runs
@@ -554,8 +560,8 @@ def geomean_costs(rows: Sequence[TrialRow]) -> dict[int, float]:
     if len(algorithms) != 1:
         raise ValueError(f"rows mix algorithms: {sorted(algorithms)}")
     sizes: defaultdict[int, SizeTally] = defaultdict(SizeTally)
-    for row in rows:
-        sizes[row.n].add(row)
+    for n, run in groupby(rows, key=itemgetter(1)):
+        sizes[n].fold(list(run))
     return {n: _exp_mean(sizes[n].log_cost_sum, sizes[n].trials) for n in sorted(sizes)}
 
 

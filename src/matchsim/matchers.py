@@ -341,14 +341,13 @@ def nested_grover_match(
     block's unsorted slice of list1.  A run whose verification probe
     misses reports no match rather than guessing.  Both searches measure
     on ``uniforms``, by default the run seed's stream.  The reduced engine
-    samples each from its ``walked_masses`` and merges the run's whole
-    charges once.  The statevector engine runs both through its runner:
-    the outer charges are merged once the block is measured, the probes
-    once verification is known, so a refused inner search leaves the
-    outer charges and the block live.
+    samples each from its ``walked_masses`` and adds the run's whole
+    charges once, as the ledger itself if none is given.  The statevector
+    engine runs both through its runner: the outer charges are merged once
+    the block is measured, the probes once verification is known, so a
+    refused inner search leaves the outer charges and the block live.
     """
     config = config if config is not None else NestedConfig()
-    ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     failure_prob = _failure_prob(config)
     b, blocks, r_outer, r_inner, predicted_success, stream = _nested_plan(
@@ -375,6 +374,7 @@ def nested_grover_match(
         inner_masses = walked_masses(n, len(marked), r_inner, None)
         j_hat = _sample_reduced(n, marked, *inner_masses, uniforms[-1])
     else:  # before: the same whatever verifies
+        ledger = ledger if ledger is not None else CostLedger()
         ledger.merge(_nested_charges(*shape, False)[0])
         j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
     v_hat = instance.values2.item(j_hat)
@@ -386,9 +386,13 @@ def nested_grover_match(
     found = (offset + at // 8, j_hat) if at >= 0 else None
     inner_verified = found is not None
     _, after, whole = _nested_charges(*shape, inner_verified)
-    ledger.merge(whole if reduced else after)
     if not reduced:  # the block stayed live between the runner's two merges
+        ledger.merge(after)
         ledger.workspace_release(len(block))
+    elif ledger is None:
+        ledger = CostLedger.from_part(whole)
+    else:
+        ledger.merge(whole)
     stats = {
         "algorithm": "nested",
         "block_size": b,

@@ -5,12 +5,13 @@ values that share exactly one value.  Every matcher draws its inputs
 only through list queries and workspace reads/writes, and all of those
 accesses are recorded in a :class:`CostLedger`.
 
-Every generator is built from a seed by :func:`seeded_rng`, which gives
-the stream ``np.random.default_rng(seed)`` gives.  A caller that knows its
-seeds ahead (a sweep) hashes them in one numpy pass (:func:`seed_words`) and
-hands each seed's row down with it, so no seed is hashed twice.  Short
-streams need no generator: :func:`run_streams` runs PCG64 over many rows.
-numpy.random itself is imported on the first generator built.  Generation,
+Every generator is built from a seed by :func:`seeded_rng`, which gives the
+stream ``np.random.default_rng(seed)`` gives, or is its bare PCG64 bit generator
+(:func:`seeded_bits`, which it wraps), all that a batch of instances draws from.
+A caller that knows its seeds ahead (a sweep) hashes them in one numpy pass
+(:func:`seed_words`) and hands each seed's row down with it, so no seed is hashed
+twice.  Short streams need no generator: :func:`run_streams` runs PCG64 over many
+rows.  numpy.random itself is imported on the first generator built.  Generation,
 one instance or a batch (:func:`generate_instances`), and a hand-built instance's
 ``shared_values`` find repeats with :func:`_repeats`.
 """
@@ -46,9 +47,9 @@ MAX_SWEEP_WORK, TRIAL_WORK, AMPLITUDE_ROUNDS_PER_WORK = 1 << 35, 1 << 10, 16
 _KEYED_VALUES, _KEY_PASSES = 1 << 17, 8
 
 
-def float_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right, as ``sum`` adds floats until Python 3.12 compensates."""
-    return reduce(add, values, 0.0)
+def float_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``values`` added left to right to ``start``: ``sum`` compensates floats from Python 3.12."""
+    return reduce(add, values, start)
 
 
 class ResourceLimitError(RuntimeError):
@@ -80,6 +81,7 @@ class CostLedger:
     the high-water mark of simultaneously live auxiliary cells.  The
     input lists are static and never count as workspace.  The per-phase
     counters are one flat list, ``phase_breakdown`` a snapshot of it.
+    ``part`` is what one recorded, for ``merge`` or ``from_part`` to take.
     """
 
     __slots__ = (*ACCESS_KINDS, "peak_workspace", "live_workspace", "_by_phase")
@@ -148,10 +150,18 @@ class CostLedger:
 
     def part(self) -> tuple:
         """What this ledger recorded since it was built, as ``merge`` takes it: the four counters,
-        the nonzero per-phase counts as (offset, count) pairs, the peak and the live cells."""
-        phases = tuple((at, count) for at, count in enumerate(self._by_phase) if count)
+        the per-phase counters as a tuple in their list's order, the peak and the live cells."""
         counters = (self.l1_queries, self.l2_queries, self.mem_reads, self.mem_writes)
-        return (*counters, phases, self.peak_workspace, self.live_workspace)
+        return (*counters, tuple(self._by_phase), self.peak_workspace, self.live_workspace)
+
+    @classmethod
+    def from_part(cls, part: tuple) -> "CostLedger":
+        """The ledger that ``CostLedger()`` followed by ``merge(part)`` gives, built in one step."""
+        self = cls.__new__(cls)
+        (self.l1_queries, self.l2_queries, self.mem_reads, self.mem_writes, phases,
+         self.peak_workspace, self.live_workspace) = part
+        self._by_phase = list(phases)
+        return self
 
     def merge(self, part: tuple) -> None:
         """Add a ``part``: its peak counts from the live level here, and its live cells stay."""
@@ -160,9 +170,7 @@ class CostLedger:
         self.l2_queries += l2_queries
         self.mem_reads += mem_reads
         self.mem_writes += mem_writes
-        counts = self._by_phase
-        for at, count in phases:
-            counts[at] += count
+        self._by_phase = list(map(add, self._by_phase, phases))
         peak += self.live_workspace
         if peak > self.peak_workspace:
             self.peak_workspace = peak
@@ -537,16 +545,21 @@ def _generator_parts() -> tuple:
     return Generator, PCG64, _SeedWords
 
 
+def seeded_bits(seed: int, words: np.ndarray):
+    """The PCG64 that ``default_rng(seed)`` wraps, built from ``words``, its ``seed_words`` row."""
+    _, pcg64, seed_words_shim = _generator_parts()
+    return pcg64(seed_words_shim(words))
+
+
 def seeded_rng(seed: int, words: Optional[np.ndarray] = None) -> np.random.Generator:
     """The generator ``np.random.default_rng(seed)`` builds, state for state.
 
     Given ``words``, the seed's row of ``seed_words``, it skips SeedSequence's
-    hashing and builds PCG64 from them.  Every call returns a new generator.
+    hashing and wraps ``seeded_bits``.  Every call returns a new generator.
     """
     if words is None:
         return np.random.default_rng(seed)
-    generator, pcg64, seed_words_shim = _generator_parts()
-    return generator(pcg64(seed_words_shim(words)))
+    return _generator_parts()[0](seeded_bits(seed, words))
 
 
 def check_instance_size(n: int) -> None:
@@ -587,7 +600,7 @@ def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[
     rejected half, is drawn alone."""
     check_instance_size(n)
     length = max(16, 2 * n - 1) + 1
-    draws = [seeded_rng(s, w).bit_generator.random_raw(length) for s, w in zip(seeds, words)]
+    draws = [seeded_bits(s, w).random_raw(length) for s, w in zip(seeds, words)]
     keys = np.concatenate(draws, dtype=np.uint32, casting="unsafe")  # the low words
     keys = keys.reshape(len(seeds), -1)[:, : 2 * n - 1]
     keys.sort(axis=1)
@@ -613,7 +626,7 @@ def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> Ma
     return MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     """Outcome of one matcher run.
 

@@ -586,7 +586,7 @@ class TestRunStreamsInSweeps:
 
         def recording(instance, config, **kwargs):
             report = matcher(instance, config, **kwargs)
-            runs.append((instance.n, config.rng_seed, kwargs["uniforms"], report.rng_seed))
+            runs.append((instance.n, kwargs["uniforms"], report))
             return report
 
         monkeypatch.setattr(experiments, attr, recording)
@@ -597,10 +597,55 @@ class TestRunStreamsInSweeps:
         run_sweep(config)
         cells = [(n, trial) for n in (16, 64) for trial in range(3)]
         assert len(runs) == len(cells)
-        for (n, trial), (run_n, seed, uniforms, reported) in zip(cells, runs):
-            assert run_n == n and seed == reported == derive_seed(8, n, trial, "run")
+        # the sweep names the seed on the report once the call returns
+        for (n, trial), (run_n, uniforms, report) in zip(cells, runs):
+            seed = derive_seed(8, n, trial, "run")
+            assert run_n == n and report.rng_seed == seed
             k = run_stream_length(algorithm == "nested", n, noise_spec("inv_sqrt_n", n))
             assert uniforms == np.random.default_rng(seed).random(k).tolist()
+
+    @pytest.mark.parametrize("algorithm", experiments.AMPLIFIED)
+    def test_every_chunk_regime_shares_a_sizes_config_and_hands_each_trial_its_stream(
+        self, algorithm, tmp_path, monkeypatch
+    ):
+        # chunks of 3 trials hash no seed, chunks of 7 build a generator a trial from their
+        # seeds' words, a chunk of 1024 draws its 72 streams in one run_streams pass
+        out, sizes = tmp_path / "rows.csv", (16, 17, 64)
+        config = SweepConfig(
+            algorithm=algorithm, n_values=sizes, trials_per_n=24, base_seed=4,
+            noise_preset="inv_sqrt_n", output=str(out),
+        )
+        built, runs, outputs = [], [], []
+        nested_config, attr = experiments.NestedConfig, experiments.MATCHERS[algorithm]
+        monkeypatch.setattr(
+            experiments, "NestedConfig",
+            lambda *args: built.append(nested_config(*args)) or built[-1],
+        )
+        matcher = getattr(experiments, attr)
+
+        def recording(instance, run_config, **kwargs):
+            report = matcher(instance, run_config, **kwargs)
+            runs.append((instance.n, run_config, kwargs["uniforms"], report))
+            return report
+
+        monkeypatch.setattr(experiments, attr, recording)
+        for chunk in (3, 7, 1024):
+            monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
+            built.clear(), runs.clear()
+            run_sweep(config)
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+            assert [run_config.noise for run_config in built] == [
+                noise_spec("inv_sqrt_n", n) for n in sizes
+            ]
+            cells = [(n, trial) for n in sizes for trial in range(24)]
+            assert len(runs) == len(cells)
+            for (n, trial), (run_n, run_config, uniforms, report) in zip(cells, runs):
+                seed = derive_seed(4, n, trial, "run")
+                k = run_stream_length(algorithm == "nested", n, run_config.noise)
+                assert run_n == n and run_config is built[sizes.index(n)]
+                assert uniforms == np.random.default_rng(seed).random(k).tolist()
+                assert report.rng_seed == seed
+        assert outputs == [outputs[0]] * 3
 
     @staticmethod
     def counted_runs(monkeypatch):
@@ -649,7 +694,9 @@ class TestRunStreamsInSweeps:
         assert csvs == [csvs[0]] * 6
         assert all(texts == [texts[0]] * 3 for texts in jsons.values())
 
-    def test_a_reduced_trial_merges_one_part_and_a_statevector_trial_two(self, monkeypatch):
+    def test_a_reduced_trial_builds_its_ledger_from_one_part_and_a_statevector_trial_merges_two(
+        self, monkeypatch
+    ):
         # sizes with a short last block (17, 100), trials that fail verification (inv_n
         # drops rounds), each engine below and above the run-stream break-even
         monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
@@ -663,12 +710,16 @@ class TestRunStreamsInSweeps:
         monkeypatch.setattr(
             model.CostLedger, "merge", lambda ledger, part: merges.append(part) or merge(ledger, part)
         )
+        built, from_part = [], model.CostLedger.from_part
+        monkeypatch.setattr(
+            model.CostLedger, "from_part", lambda part: built.append(part) or from_part(part)
+        )
         outputs = []
         for engine, break_even in itertools.product(("auto", "statevector"), (64, 401)):
             monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
-            merges.clear()
+            merges.clear(), built.clear()
             rows = run_sweep(SweepConfig(engine=engine, **config)).rows
-            assert len(merges) == (400 if engine == "auto" else 2 * 400)
+            assert (len(built), len(merges)) == ((400, 0) if engine == "auto" else (0, 2 * 400))
             outputs.append(rows)
         assert outputs == [outputs[0]] * 4
         assert 0 < sum(row.success for row in rows) < 400
@@ -765,11 +816,11 @@ class TestSweepMemory:
     def test_a_tally_does_not_grow_with_its_trials(self):
         tally = experiments.SizeTally()
         row = experiments.TrialRow("nested", 16, 0, 1, 1, 40, 30, 10, 0, 0, 4, 0.3)
-        tally.add(row)
+        tally.fold([row])
         tracemalloc.start()
         try:
             for _ in range(10000):
-                tally.add(row)
+                tally.fold([row])
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -1321,6 +1372,25 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"n={MAX_INSTANCE_SIZE + 1}" in err and str(MAX_INSTANCE_SIZE) in err
+
+    def test_an_unhashed_noisy_sweep_over_size_cap_is_refused_before_it_is_planned(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # one trial's two seeds are not hashed, and the sweep draws its stream itself
+        def never(*args):
+            raise AssertionError("hashed or planned an over-cap size")
+
+        monkeypatch.setattr(experiments, "seed_words", never)
+        monkeypatch.setattr(experiments, "run_stream_length", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "algorithm": "nested", "n_values": [MAX_INSTANCE_SIZE + 1],
+            "noise_preset": "inv_sqrt_n", "output": str(tmp_path / "out" / "rows.csv"),
+        }))
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"n={MAX_INSTANCE_SIZE + 1}, trial=0" in err and str(MAX_INSTANCE_SIZE) in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @staticmethod
     def sweep_in_a_subprocess(doc, tmp_path):

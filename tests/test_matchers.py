@@ -999,6 +999,19 @@ class TestNestedPlan:
                 assert two_parts.as_dict() == one_part.as_dict(), case
                 assert two_parts.live_workspace == one_part.live_workspace == acquired - released
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
+    def test_a_ledger_from_a_part_is_a_fresh_ledger_that_merged_it(self, n):
+        for _, shape, verified in self.template_cases(n):
+            for part in matchers._nested_charges(*shape, verified):
+                merged = CostLedger()
+                merged.merge(part)
+                built = CostLedger.from_part(part)
+                case = (n, shape, verified, part)
+                assert built.as_dict() == merged.as_dict(), case
+                assert built.phase_breakdown == merged.phase_breakdown, case
+                assert built.live_workspace == merged.live_workspace, case
+                assert built.part() == merged.part() == part, case
+
     def test_a_report_ledger_is_never_a_template(self):
         # mutating one report's ledger leaves the next trial's as it was
         inst = generate_instance(64, 5)

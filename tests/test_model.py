@@ -299,7 +299,15 @@ class TestGenerateInstances:
         words = [0xC0000000_00000000, 0x00000000_80000000]
         rejected_stream = [*range(100, 100 + 2 * n - 1), *words, 77]
         scripted = {101: repeat_stream, 102: rejected_stream}
-        seeded_rng = model.seeded_rng
+        # the batch draws from bare bit generators; a row drawn alone, from a generator
+        seeded_bits, seeded_rng, built = model.seeded_bits, model.seeded_rng, []
+        monkeypatch.setattr(
+            model, "seeded_bits",
+            lambda seed, words: built.append(seed) or (
+                ScriptedRng(scripted[seed]).bit_generator if seed in scripted
+                else seeded_bits(seed, words)
+            ),
+        )
         monkeypatch.setattr(
             model, "seeded_rng",
             lambda seed, words=None: (
@@ -308,6 +316,7 @@ class TestGenerateInstances:
         )
         seeds = [0, 101, 1, 2**63 + 5, 102, 2]
         batch = model.generate_instances(n, seeds, model.seed_words(seeds))
+        assert built == seeds
         expected = {
             101: (reference_draw_distinct(ScriptedRng(repeat_stream), 2 * n - 1), (4, 6)),
             102: (rejected_stream[: 2 * n - 1], (6, 4)),
@@ -346,15 +355,22 @@ class TestGenerateInstances:
         streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
         made = []
 
-        def scripted(seed, words=None):
-            made.append((seed, ScriptedRng(streams[seed])))
-            return made[-1][1]
+        def scripted(builder):
+            def build(seed, words=None):
+                made.append((builder, seed, ScriptedRng(streams[seed])))
+                rng = made[-1][2]
+                return rng.bit_generator if builder == "bits" else rng
 
-        monkeypatch.setattr(model, "seeded_rng", scripted)
+            return build
+
+        monkeypatch.setattr(model, "seeded_bits", scripted("bits"))
+        monkeypatch.setattr(model, "seeded_rng", scripted("rng"))
         monkeypatch.setattr(model, "_draw_distinct", _never_redrawn)
         inst = model.generate_instances(n, [7, 8], model.seed_words([7, 8]))[0]
-        # seed 7 drawn in the batch, then alone
-        assert [(seed, rng.calls) for seed, rng in made] == [(7, [18]), (8, [18]), (7, [18])]
+        # seed 7 drawn in the batch from a bare bit generator, then alone from a generator
+        assert [(builder, seed, rng.calls) for builder, seed, rng in made] == [
+            ("bits", 7, [18]), ("bits", 8, [18]), ("rng", 7, [18])
+        ]
         values = np.array(values, dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, n // 2, 3 * n // 4))
 

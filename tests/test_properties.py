@@ -45,6 +45,7 @@ from matchsim.model import (  # noqa: E402
     AMPLITUDE_ROUNDS_PER_WORK,
     MAX_SWEEP_WORK,
     TRIAL_WORK,
+    CostLedger,
     MatchInstance,
     ResourceLimitError,
 )
@@ -80,6 +81,28 @@ def test_paired_digests_are_the_two_derived_seeds(base_seed, cells):
         (derive_seed(base_seed, n, t, "instance"), derive_seed(base_seed, n, t, "run"))
         for n, t in cells
     ]
+
+
+@st.composite
+def ledger_parts(draw):
+    """Parts as ``CostLedger.merge`` takes them: four counters, 16 per-phase counters, and a
+    peak at least the live cells."""
+    counters = draw(st.tuples(*[st.integers(0, 2**70)] * 4))
+    phases = draw(st.tuples(*[st.integers(0, 2**64) | st.just(0)] * 16))
+    live = draw(st.integers(0, 2**40))
+    return (*counters, phases, live + draw(st.integers(0, 2**40)), live)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(ledger_parts())
+def test_a_ledger_from_a_part_is_a_fresh_ledger_that_merged_it(part):
+    merged = CostLedger()
+    merged.merge(part)
+    built = CostLedger.from_part(part)
+    assert built.as_dict() == merged.as_dict()
+    assert built.phase_breakdown == merged.phase_breakdown
+    assert built.live_workspace == merged.live_workspace
+    assert built.part() == merged.part()
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@
 Criterion 8 checks reruns within one process.  Here each sweep runs as
 ``python -m matchsim.cli sweep`` in two fresh interpreters, under
 ``PYTHONHASHSEED`` 1 and 2, and its CSV and JSON must match byte for
-byte.  The noisy nested sweeps also run on the statevector engine, whose
+byte.  The amplified sweeps also run on the statevector engine, whose
 reference runner reads the same uniforms: its CSV must equal the reduced
 engine's.  These are the sweeps and comparisons of CI's "Reruns match
 across processes" step, which runs them through the installed command.
@@ -18,13 +18,14 @@ from pathlib import Path
 import pytest
 
 import matchsim
+from matchsim.experiments import AMPLIFIED
 
 SRC = str(Path(matchsim.__file__).resolve().parents[1])
 
 # a noisy nested sweep of 200 trials (one run-stream pass; its n = 1024 rows are drawn
 # in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words),
-# one of 3 (6 seeds, none hashed: each matcher draws its own stream) and a classical one,
-# which reads the shared value generation carries
+# one of 3 and a naive one of 3 (6 seeds each, none hashed: a generator a trial from its
+# seed) and a classical one, which reads the shared value generation carries
 RERUN_CONFIGS = {
     "nested": {
         "algorithm": "nested", "n_values": [16, 64, 256, 1024], "trials_per_n": 50,
@@ -38,6 +39,7 @@ RERUN_CONFIGS = {
         "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 1,
         "noise_preset": "inv_sqrt_n",
     },
+    "naive_grover": {"algorithm": "naive_grover", "n_values": [16, 32, 64], "trials_per_n": 1},
     "two_sort": {"algorithm": "two_sort", "n_values": [4, 16, 64, 1024], "trials_per_n": 5},
 }
 
@@ -64,6 +66,6 @@ def test_reruns_match_across_processes(name, tmp_path):
     doc = RERUN_CONFIGS[name]
     first = sweep(doc, tmp_path, "1")
     assert sweep(doc, tmp_path, "2") == first
-    if doc["algorithm"] == "nested":
+    if doc["algorithm"] in AMPLIFIED:
         statevector_csv, _ = sweep({**doc, "engine": "statevector"}, tmp_path)
         assert statevector_csv == first[0]
