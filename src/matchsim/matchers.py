@@ -120,27 +120,21 @@ def exhaustive_pairs(instance: MatchInstance, ledger: Optional[CostLedger] = Non
     """Probe all n^2 pairs; the ground-truth baseline.
 
     Charges the full pair scan (2 accesses per pair) up front; the pair
-    the scan would reach first is the smallest list1 position holding a
-    shared value, with that value's list2 position.
+    the scan reaches is the shared value's position in each list.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
     ledger.charge_batch("outer_search", l1_queries=n * n, l2_queries=n * n)
-    values1, values2 = instance.values1, instance.values2
-    found = None
-    shared = instance.shared_values
-    if len(shared):
-        i = int(np.isin(values1, shared, kind="sort").argmax())
-        found = (i, int((values2 == values1[i]).argmax()))
+    v = instance.shared_values[0]
+    found = (int((instance.values1 == v).argmax()), int((instance.values2 == v).argmax()))
     return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "exhaustive"})
 
 
 def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = None) -> RunReport:
     """Sort list1, then probe every list2 value against the sorted copy.
 
-    Both are charged by closed forms.  The last hit wins, as in a
-    forward scan: the last list2 position holding a shared value
-    (``instance.shared_values``), with that value's list1 position.
+    Both are charged by closed forms.  The one hit is the shared value
+    (``instance.shared_values``), at its position in each list.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
@@ -151,12 +145,8 @@ def classical_sort_scan(instance: MatchInstance, ledger: Optional[CostLedger] = 
     ledger.charge_batch(
         "final_verify", l2_queries=n, mem_reads=2 * membership_probe_depth(n) * n
     )
-    values1, values2 = instance.values1, instance.values2
-    found = None
-    shared = instance.shared_values
-    if len(shared):
-        j = int(np.flatnonzero(np.isin(values2, shared, kind="sort"))[-1])
-        found = (int((values1 == values2[j]).argmax()), j)
+    v = instance.shared_values[0]
+    found = (int((instance.values1 == v).argmax()), int((instance.values2 == v).argmax()))
     ledger.workspace_release(n)
     return RunReport(found, _is_correct(instance, found), ledger, {"algorithm": "sort_scan"})
 
@@ -167,10 +157,8 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     The walk advances past the smaller head until the heads are equal,
     so its length is a closed form in ranks.  It stops at the smallest
     shared value v* after p1 = #{list1 < v*} plus p2 = #{list2 < v*}
-    advances and one matching step.  With no shared value it stops when
-    one list runs out: the list whose largest value is the smaller one,
-    after every value of the other list below that largest value.  The
-    sorts are only charged; ranks are compares against either value.
+    advances and one matching step.  The sorts are only charged; ranks
+    are compares against v*.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n = instance.n
@@ -180,16 +168,9 @@ def classical_two_sort_merge(instance: MatchInstance, ledger: Optional[CostLedge
     charge_sort(n, ledger)
     charge_sort(n, ledger)
     values1, values2 = instance.values1, instance.values2
-    found = None
-    shared = instance.shared_values
-    if len(shared):
-        v = shared[0]
-        found = (int((values1 == v).argmax()), int((values2 == v).argmax()))
-        steps = int(np.count_nonzero(values1 < v) + np.count_nonzero(values2 < v)) + 1
-    else:
-        max1, max2 = values1.max(), values2.max()
-        ended_max, other = (max2, values1) if max1 > max2 else (max1, values2)
-        steps = n + int(np.count_nonzero(other < ended_max))
+    v = instance.shared_values[0]
+    found = (int((values1 == v).argmax()), int((values2 == v).argmax()))
+    steps = int(np.count_nonzero(values1 < v) + np.count_nonzero(values2 < v)) + 1
     # 2 reads per step: each step reads both heads
     ledger.charge_batch("final_verify", mem_reads=2 * steps)
     ledger.workspace_release(2 * n)

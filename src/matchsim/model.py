@@ -11,15 +11,15 @@ stream ``np.random.default_rng(seed)`` gives, or is its bare PCG64 bit generator
 A caller that knows its seeds ahead (a sweep) hashes them in one numpy pass
 (:func:`seed_words`) and hands each seed's row down with it, so no seed is hashed
 twice.  Short streams need no generator: :func:`run_streams` runs PCG64 over many
-rows.  numpy.random itself is imported on the first generator built.  Generation,
-one instance or a batch (:func:`generate_instances`), and a hand-built instance's
-``shared_values`` find repeats with :func:`_repeats`.
+rows.  numpy.random itself is imported on the first generator built.  Generation
+finds repeats with :func:`_repeats`, one instance at a time, or with one row-wise
+key sort for a batch (:func:`generate_instances`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -29,7 +29,6 @@ import numpy as np
 ACCESS_KINDS = ("l1_queries", "l2_queries", "mem_reads", "mem_writes")
 PHASES = ("sort", "inner_search", "outer_search", "final_verify")
 
-_VALUE_BOUND = 1 << 64
 _M32 = 0xFFFFFFFF
 
 # Largest list length generate_instance accepts: above the 4^10 sweep
@@ -195,49 +194,20 @@ class MatchInstance:
     ``list2[planted_pos2]`` and nowhere else; no other value occurs in
     both lists, and neither list repeats a value internally.
 
-    The lists are held as read-only uint64 arrays, ``values1`` and
-    ``values2``, which the kernels read; a generated instance keeps both
-    in one read-only buffer, list1 first.  ``list1`` and ``list2`` are
-    the same values as tuples of Python ints, built on each read and
-    never kept (a Python int costs about five times its uint64 cell), and
-    ``shared_values`` the values both lists hold: generation sets it, and
-    a hand-built instance, which may share none or several, computes it.  The
-    constructor takes any sequence of Python or numpy ints for either
-    list and takes ``n`` from their length.  It raises ValueError for
-    lists of unequal length, any other value (a bool included) or one
-    outside [0, 2**64).  It keeps a read-only uint64 array whose owner
-    is read-only too, and copies anything else, so no writeable array
-    shares memory with an instance.  Two instances are equal when all
-    their fields hold the same values.
+    Generation builds every instance (``_assembled``) over ``lists``, one
+    read-only uint64 buffer that owns its memory, list1 first; nothing is
+    copied or checked.  The kernels read its halves, ``values1`` and
+    ``values2``.  ``list1`` and ``list2`` are the same values as tuples of
+    Python ints, built on each read and never kept (a Python int costs
+    about five times its uint64 cell), and ``shared_values`` is a view of
+    the one value both lists hold.
     """
 
-    def __init__(
-        self,
-        list1,
-        list2,
-        planted_value: int,
-        planted_pos1: int,
-        planted_pos2: int,
-        seed: Optional[int] = None,
-    ) -> None:
-        values1, values2 = _as_values(list1), _as_values(list2)
-        if len(values1) != len(values2):
-            raise ValueError("lists must have equal length")
-        self.values1, self.values2, self.n = values1, values2, len(values1)
-        self.planted_value, self.planted_pos1 = planted_value, planted_pos1
-        self.planted_pos2, self.seed = planted_pos2, seed
-
-    @classmethod
-    def _of_frozen(cls, lists: np.ndarray, n: int, planted: int, pos1: int, pos2: int, seed: int):
-        """The generated instance over the halves of ``lists``, a read-only uint64
-        buffer that owns its memory, list1 first: nothing is copied or checked."""
-        self = cls.__new__(cls)
-        # __init__'s fields in its order: every instance shares one set of dict keys
+    def __init__(self, lists: np.ndarray, n: int, planted: int, pos1: int, pos2: int, seed: int):
         self.values1, self.values2, self.n, self.planted_value = lists[:n], lists[n:], n, planted
         self.planted_pos1, self.planted_pos2, self.seed = pos1, pos2, seed
         # 2n - 1 distinct values were drawn, and only the planted one is in both lists
         self.shared_values = lists[pos1 : pos1 + 1]
-        return self
 
     @property
     def list1(self) -> tuple[int, ...]:
@@ -247,110 +217,26 @@ class MatchInstance:
     def list2(self) -> tuple[int, ...]:
         return tuple(self.values2.tolist())
 
-    @cached_property
-    def shared_values(self) -> np.ndarray:
-        """The values both lists hold, ascending, distinct and read-only.
 
-        ``generate_instance`` sets them from its own distinctness check.
-        Any other instance finds them on first use with ``_repeats`` over
-        both lists: one repeated value is shared unless a list holds it
-        twice; with more, np.intersect1d keeps the cost O(n log n).
-        """
-        values1, values2 = self.values1, self.values2
-        twins = _repeats(values1, values2)
-        if len(twins) > 1:
-            twins = np.intersect1d(values1, values2)
-        elif len(twins) and not ((values1 == twins[0]).any() and (values2 == twins[0]).any()):
-            twins = twins[:0]
-        twins.flags.writeable = False
-        return twins
-
-    def _scalars(self) -> tuple:
-        return (self.n, self.planted_value, self.planted_pos1, self.planted_pos2, self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatchInstance):
-            return NotImplemented
-        return (
-            self._scalars() == other._scalars()
-            and np.array_equal(self.values1, other.values1)
-            and np.array_equal(self.values2, other.values2)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MatchInstance(n={self.n}, planted_value={self.planted_value}, "
-            f"planted_pos1={self.planted_pos1}, planted_pos2={self.planted_pos2}, "
-            f"seed={self.seed})"
-        )
-
-
-def _frozen(array: np.ndarray) -> bool:
-    """Whether ``array`` and every array it views are read-only."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    # a foreign owner (bytes, mmap, ...) may be written through another handle
-    return array is None
-
-
-def _as_values(values) -> np.ndarray:
-    """``values`` as a read-only uint64 array that no writeable array shares.
-
-    A read-only uint64 array over read-only owners is kept as it is;
-    anything else is copied.  Raises ValueError for a value that is not
-    a Python or numpy integer (a bool is not), or lies outside [0, 2**64).
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
-        if _frozen(values):
-            return values
-        values = values.copy()
-    else:
-        try:
-            values = tuple(values)
-        except TypeError:
-            raise ValueError("values must be a sequence of integers") from None
-        # np.array would truncate a float, take a bool as 0 or 1, and raise
-        # TypeError on a string
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-            raise ValueError("values must be integers")
-        # checked here: numpy would raise OverflowError, or wrap a negative int64
-        if values and not (0 <= min(values) and max(values) < _VALUE_BOUND):
-            raise ValueError("values must fit in 64 bits")
-        values = np.array(values, dtype=np.uint64)
-    values.flags.writeable = False
-    return values
-
-
-def _repeats(*parts: np.ndarray) -> np.ndarray:
-    """The distinct values that occur more than once across ``parts``, ascending.
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """The distinct values that occur more than once in ``values``, ascending.
 
     Up to ``_KEYED_VALUES`` values, it sorts one uint32 key per value (its first
     32-bit half in memory) and, if at most ``_KEY_PASSES`` keys repeat, sorts
     only the values under them.  Otherwise it sorts all values.
     """
-    if sum(len(p) for p in parts) <= _KEYED_VALUES:
-        words = [np.ascontiguousarray(p).view(np.uint32)[::2] for p in parts]
-        keys = _joined(words)
-        keys.sort()
+    if len(values) <= _KEYED_VALUES:
+        words = np.ascontiguousarray(values).view(np.uint32)[::2]
+        keys = np.sort(words)
         if not np.count_nonzero(keys[1:] == keys[:-1]):
             return np.empty(0, dtype=np.uint64)
         twin_keys = _twins(keys)
         if len(twin_keys) <= _KEY_PASSES:  # np.isin would copy strided words: page faults
-            hits = [w == twin_keys[0] for w in words]
+            hit = words == twin_keys[0]
             for key in twin_keys[1:]:
-                for hit, w in zip(hits, words):
-                    hit |= w == key
-            parts = tuple(p[hit] for p, hit in zip(parts, hits))
-    candidates = _joined(parts)
-    candidates.sort()
-    return _twins(candidates)
-
-
-def _joined(parts) -> np.ndarray:
-    """A new array of the parts end to end; one part is copied, which costs less."""
-    return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+                hit |= words == key
+            values = values[hit]
+    return _twins(np.sort(values))
 
 
 def _twins(ordered: np.ndarray) -> np.ndarray:
@@ -623,7 +509,7 @@ def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> Ma
     lists[:pos1] = lists[1 : pos1 + 1]
     lists[pos1] = planted
     lists.setflags(write=False)
-    return MatchInstance._of_frozen(lists, n, planted, pos1, pos2, seed)
+    return MatchInstance(lists, n, planted, pos1, pos2, seed)
 
 
 @dataclass(slots=True)

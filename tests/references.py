@@ -7,26 +7,50 @@ own private functions.
   sampled outcomes are checked against.
 - ``composed_success_probability`` and ``failure_probability`` read the
   closed forms the matchers and runners already compute.
-- ``instance_from_lists`` and ``check_instance`` build a hand-written
-  instance and check every structural invariant of one.
+- ``instance_from_lists`` builds an instance from hand-written lists, on
+  the constructor generation uses, and ``check_instance`` checks every
+  structural invariant of one; ``instance_fields`` is what two instances
+  compare equal by.
 - ``record_generation`` hooks a sweep's instance generation, one seed or
   a batch at a time.
 - ``sweep_csv`` runs a sweep into a directory and reads its CSV back: the
   one way the tests take a sweep's CSV text.
+- ``reference_sweep`` is a sweep's CSV and JSON text computed one cell at a
+  time, with none of ``run_sweep``'s fast paths.
 """
 
+import csv
 import dataclasses
+import io
+import json
 import math
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from matchsim import experiments
-from matchsim.experiments import SweepConfig, TrialRow, load_rows, run_sweep
+from matchsim import experiments, matchers
+from matchsim.experiments import (
+    AMPLIFIED,
+    CSV_COLUMNS,
+    MATCHERS,
+    SweepConfig,
+    TrialRow,
+    derive_seed,
+    fit_exponent,
+    load_rows,
+    noise_spec,
+    run_sweep,
+)
 from matchsim.grover import _check_counts, _masses, success_probability
 from matchsim.matchers import NestedConfig, _failure_prob, _nested_plan, _nested_shape
-from matchsim.model import MatchInstance, ResourceLimitError, _as_values, _repeats
+from matchsim.model import (
+    CostLedger,
+    MatchInstance,
+    ResourceLimitError,
+    _repeats,
+    generate_instance,
+)
 
 
 def failure_probability(space_size: int, marked_count: int, iterations: int) -> float:
@@ -52,7 +76,7 @@ def check_instance(inst: MatchInstance) -> None:
         raise ValueError("instance size must be at least 2")
     if len(_repeats(inst.values1)) or len(_repeats(inst.values2)):
         raise ValueError("lists must not repeat values internally")
-    if _repeats(inst.values1, inst.values2).tolist() != [inst.planted_value]:
+    if np.intersect1d(inst.values1, inst.values2).tolist() != [inst.planted_value]:
         raise ValueError("lists must share exactly the planted value")
     if not (0 <= inst.planted_pos1 < inst.n and 0 <= inst.planted_pos2 < inst.n):
         raise ValueError("planted positions out of range")
@@ -63,22 +87,25 @@ def check_instance(inst: MatchInstance) -> None:
 
 
 def instance_from_lists(list1, list2, seed: Optional[int] = None) -> MatchInstance:
-    """Build an instance from explicit lists, locating the shared value."""
-    a1, a2 = _as_values(list1), _as_values(list2)
-    shared = np.intersect1d(a1, a2)
+    """The instance over two explicit lists of equal length that share exactly one value:
+    both in one read-only uint64 buffer, list1 first, as generation builds it, and checked."""
+    n = len(list1)
+    if len(list2) != n:
+        raise ValueError("lists must have equal length")
+    lists = np.concatenate((np.asarray(list1, np.uint64), np.asarray(list2, np.uint64)))
+    lists.setflags(write=False)
+    shared = np.intersect1d(lists[:n], lists[n:])
     if len(shared) != 1:
         raise ValueError(f"lists must share exactly one value, found {len(shared)}")
-    value = shared[0]
-    inst = MatchInstance(
-        list1=a1,
-        list2=a2,
-        planted_value=int(value),
-        planted_pos1=int(np.argmax(a1 == value)),
-        planted_pos2=int(np.argmax(a2 == value)),
-        seed=seed,
-    )
+    pos1, pos2 = (int((half == shared[0]).argmax()) for half in (lists[:n], lists[n:]))
+    inst = MatchInstance(lists, n, int(shared[0]), pos1, pos2, seed)
     check_instance(inst)
     return inst
+
+
+def instance_fields(inst: MatchInstance) -> dict:
+    """An instance's fields in their order, arrays as lists: what two instances compare by."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(inst).items()}
 
 
 MAX_JOINT_CELLS = 1 << 16
@@ -174,3 +201,57 @@ def sweep_csv(config: SweepConfig, directory: Path) -> tuple[str, list[TrialRow]
     path = directory / "rows.csv"
     run_sweep(dataclasses.replace(config, output=str(path)), keep_rows=False)
     return path.read_bytes().decode("utf-8"), load_rows(path)
+
+
+def reference_sweep(config: SweepConfig) -> tuple[str, str]:
+    """The CSV and aggregate JSON text ``run_sweep`` writes for ``config``, each cell computed
+    alone: its seeds by two ``derive_seed`` calls, its instance by ``generate_instance`` from
+    the seed alone, and its matcher run on a ledger of its own, an amplified one drawing its
+    stream from ``rng_seed``.  The CSV goes through ``csv.writer``; the JSON's sums are plain
+    left-to-right loops."""
+    matcher = getattr(matchers, MATCHERS[config.algorithm])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    per_n = []
+    for n in config.n_values:
+        successes = peak = 0
+        log_cost_sum = predicted_sum = 0.0
+        for trial in range(config.trials_per_n):
+            seed = derive_seed(config.base_seed, n, trial, "instance")
+            run_config = NestedConfig(
+                engine=config.engine,
+                uncompute_factor=config.uncompute_factor,
+                noise=noise_spec(config.noise_preset, n),
+                rng_seed=derive_seed(config.base_seed, n, trial, "run"),
+            )
+            instance, ledger = generate_instance(n, seed), CostLedger()
+            if config.algorithm in AMPLIFIED:
+                report = matcher(instance, run_config, ledger)
+            else:
+                report = matcher(instance, ledger)
+            writer.writerow([
+                config.algorithm, n, trial, seed, int(report.correct), ledger.total_cost(),
+                ledger.l1_queries, ledger.l2_queries, ledger.mem_reads, ledger.mem_writes,
+                ledger.peak_workspace, report.predicted_success,
+            ])
+            successes += report.correct
+            peak = max(peak, ledger.peak_workspace)
+            log_cost_sum += math.log(ledger.total_cost())
+            predicted_sum += report.predicted_success
+        trials = config.trials_per_n
+        per_n.append({
+            "n": n,
+            "trials": trials,
+            "geomean_cost": math.exp(log_cost_sum / trials),
+            "success_rate": successes / trials,
+            "mean_predicted_success": predicted_sum / trials,
+            "max_peak_workspace": peak,
+        })
+    aggregate = {"algorithm": config.algorithm, "per_n": per_n}
+    points = [(entry["n"], entry["geomean_cost"]) for entry in per_n]
+    for key, log_normalize in (("fit", False), ("fit_log_normalized", True)):
+        fit = fit_exponent(points, log_normalize) if len(points) >= 3 else None
+        aggregate[key] = fit and dataclasses.asdict(fit)
+    doc = {"config": dataclasses.asdict(config), "aggregate": aggregate}
+    return out.getvalue(), json.dumps(doc, indent=2, sort_keys=True) + "\n"

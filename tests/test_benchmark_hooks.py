@@ -11,7 +11,6 @@ import ast
 import importlib.util
 import inspect
 import sys
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -197,52 +196,3 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used and (module, name) not in pinned
         }
         assert not unused, (path.name, sorted(unused))
-
-
-def identifiers(tree):
-    """How often each name, attribute or string constant occurs in a tree."""
-    found = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found[node.value] += 1
-    return found
-
-
-def definitions(tree):
-    """Each top-level function or class of a module, and each method not a dunder."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
-        if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
-                    yield member
-
-
-def test_every_src_function_is_reached_outside_the_tests():
-    # src/ holds what a command or the benchmark runs: every definition is
-    # named outside its own body by a package module (re-exports aside) or by
-    # the benchmark; a string counts, since run_matcher and the layer sites
-    # look names up by string
-    package = Path(matchsim.__file__).parent
-    trees = [
-        ast.parse(path.read_text())
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
-    ]
-    in_src = sum((identifiers(tree) for tree in trees), Counter())
-    in_perfbench = Counter()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        if not path.name.startswith("test_"):
-            in_perfbench += identifiers(ast.parse(path.read_text()))
-    unreached = {
-        node.name
-        for tree in trees
-        for node in definitions(tree)
-        if in_src[node.name] == identifiers(node)[node.name] and not in_perfbench[node.name]
-    }
-    assert not unreached, sorted(unreached)

@@ -48,6 +48,7 @@ from matchsim.sortsearch import binary_membership, membership_probe_depth, sort_
 from references import (
     MAX_JOINT_CELLS,
     composed_success_probability,
+    instance_fields,
     instance_from_lists,
     two_level_outcome_distribution,
 )
@@ -239,46 +240,6 @@ class TestClassicalSortScan:
         report = classical_sort_scan(inst)
         assert report.found == (4, 15)
 
-    def test_last_hit_wins_over_the_full_64_bit_range(self):
-        # two shared values (not a valid instance): the later list2 position
-        # is reported, and values past 2**63 order as unsigned
-        top = 2**64 - 1
-        inst = MatchInstance(
-            list1=(2**63, top, 5, 1), list2=(top, 7, 2**63, 9),
-            planted_value=top, planted_pos1=1, planted_pos2=0,
-        )
-        assert classical_sort_scan(inst).found == (0, 2)
-
-    @pytest.mark.parametrize(
-        "list1,list2",
-        [
-            # 7 repeats within list1 but never reaches list2
-            ((7, 3, 7, 9), (1, 9, 4, 2)),
-            # the only repeated value is list1's own: nothing is shared
-            ((7, 3, 7, 9), (1, 8, 4, 2)),
-            # every list1 value twice, three of them shared
-            (tuple(3 * (k // 2) for k in range(512)), (*range(1000, 1509), 30, 600, 3)),
-        ],
-    )
-    def test_lists_that_repeat_values_match_the_references(self, list1, list2):
-        inst = MatchInstance(
-            list1=list1, list2=list2,
-            planted_value=list1[0], planted_pos1=0, planted_pos2=0,
-        )
-        assert classical_sort_scan(inst).found == reference_sort_scan(inst)
-        assert exhaustive_pairs(inst).found == brute_force_match(inst)
-        report = classical_two_sort_merge(inst)
-        found, ledger = reference_two_sort_merge(inst)
-        assert report.found == found
-        assert report.ledger.as_dict() == ledger.as_dict()
-
-    def test_missed_probe_reports_nothing(self):
-        inst = MatchInstance(
-            list1=(4, 8, 2**64 - 1), list2=(1, 9, 2**64 - 2),
-            planted_value=4, planted_pos1=0, planted_pos2=0,
-        )
-        assert classical_sort_scan(inst).found is None
-
     def test_cost_bound(self):
         n = 1024
         led = CostLedger()
@@ -337,6 +298,45 @@ class TestClassicalTwoSortMerge:
         classical_two_sort_merge(generate_instance(128, 2), led)
         assert led.peak_workspace == 3 * 128  # two held copies + sort buffer
         assert led.live_workspace == 0
+
+
+TOP = 2**64 - 1
+
+# hand-built lists sharing one value, at the ends of the lists and of the 64-bit range
+HAND_BUILT = {
+    "smallest": ([8, 3], [3, 14]),
+    "shared_at_both_starts": ([7, 1, 2, 3], [7, 9, 10, 11]),
+    "shared_at_both_ends": ([1, 2, 3, 7], [9, 10, 11, 7]),
+    "shared_zero": ([5, 0, 9], [TOP, 4, 0]),
+    # values past 2**63 order as unsigned: every other value is below the shared one
+    "shared_top_of_range": ([2**63, TOP, 5, 1], [TOP, 7, 2**63 + 1, 9]),
+    # 0 and 2**63 share their low 32-bit word
+    "shared_beside_its_low_word_twin": ([0, 2**63, 2**32], [2**63, 1, 2**32 + 2**63]),
+    "low_words_repeat_across_lists": ([1 + 2**32, 5, 2**40], [1, 5 + 2**33, 2**40]),
+    "smallest_of_list1_largest_of_list2": ([50, 60, 70, 40], [10, 20, 30, 40]),
+}
+
+CLASSICAL_REFERENCES = {
+    "exhaustive": (exhaustive_pairs, lambda inst: (brute_force_match(inst), None)),
+    "sort_scan": (classical_sort_scan, lambda inst: (reference_sort_scan(inst), None)),
+    "two_sort": (classical_two_sort_merge, reference_two_sort_merge),
+}
+
+
+class TestHandBuiltInstances:
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("algorithm", sorted(CLASSICAL_REFERENCES))
+    def test_classical_matchers_equal_their_references(self, algorithm, case):
+        inst = instance_from_lists(*HAND_BUILT[case])
+        matcher, reference = CLASSICAL_REFERENCES[algorithm]
+        found, ledger = reference(inst)
+        report = matcher(inst)
+        assert report.found == found == (inst.planted_pos1, inst.planted_pos2)
+        assert report.correct
+        if ledger is None:
+            # the cost is a closed form in n alone
+            ledger = matcher(generate_instance(inst.n, 0)).ledger
+        assert report.ledger.as_dict() == ledger.as_dict()
 
 
 class TestNaiveGroverPairs:
@@ -758,13 +758,15 @@ class TestVerificationProbe:
     """The measured list2 value is looked up in the measured block by its bytes,
     at cell boundaries only: two cells may hold its bytes across theirs."""
 
-    def run(self, list1, list2, pos1, pos2):
+    def run(self, list1, list2, j):
+        """Measure block 0, which must hold the planted value, then list2[j]."""
         n = len(list1)  # 16: four blocks of four, which one outer round finds for sure
-        inst = MatchInstance(list1, list2, list2[pos2], pos1, pos2)
+        inst = instance_from_lists(list1, list2)
         b, blocks, r_outer, r_inner = matchers._nested_shape(n, None)
+        assert inst.planted_pos1 < b
         uniforms = [
-            uniform_measuring(Search(blocks, (pos1 // b,)), r_outer, pos1 // b),
-            uniform_measuring(Search(n, (pos2,)), r_inner, pos2),
+            uniform_measuring(Search(blocks, (0,)), r_outer, 0),
+            uniform_measuring(Search(n, (inst.planted_pos2,)), r_inner, j),
         ]
         return nested_grover_match(inst, NestedConfig(rng_seed=0), uniforms=uniforms)
 
@@ -772,15 +774,16 @@ class TestVerificationProbe:
         value = 0x0102030405060708
         list1 = [*straddling(value), value, 900, *range(1000, 1012)]
         list2 = [*range(2000, 2005), value, *range(2006, 2016)]
-        report = self.run(list1, list2, 2, 5)
+        report = self.run(list1, list2, 5)
         assert report.found == (2, 5) and report.correct
         assert report.engine_stats["inner_verified"]
 
     def test_its_bytes_across_two_cells_are_no_match(self):
         value = 0x0102030405060708
+        # the block holds the planted value, 900, and value's bytes across two cells
         list1 = [*straddling(value), 900, 901, *range(1000, 1012)]
-        list2 = [*range(2000, 2005), value, *range(2006, 2016)]
-        report = self.run(list1, list2, 2, 5)
+        list2 = [*range(2000, 2005), value, *range(2006, 2015), 900]
+        report = self.run(list1, list2, 5)
         assert report.engine_stats["outer_measured_block"] == 0
         assert report.found is None and not report.correct
         assert not report.engine_stats["inner_verified"]
@@ -1269,13 +1272,13 @@ class TestArrayPaths:
         for n, seed in ((2, 0), (17, 1), (64, 2), (1024, 3)):
             inst = generate_instance(n, seed)
             strided = MatchInstance(
-                frozen_strided(inst.values1), frozen_strided(inst.values2),
+                frozen_strided(inst.values1.base), n,
                 inst.planted_value, inst.planted_pos1, inst.planted_pos2, seed,
             )
             for values in (strided.values1, strided.values2):
                 assert values.strides == (16,) and not values.flags.writeable
             assert matcher(strided).as_dict() == matcher(inst).as_dict()
-            assert strided == inst
+            assert instance_fields(strided) == instance_fields(inst)
 
 
 class TestNothingSortedOrProbed:

@@ -25,7 +25,7 @@ from matchsim.model import (
     check_instance_size,
     generate_instance,
 )
-from references import check_instance, instance_from_lists
+from references import check_instance, instance_fields, instance_from_lists
 
 
 def reference_draw_distinct(rng, count):
@@ -112,6 +112,13 @@ def reference_assembly(values, n, pos1, pos2):
     return l1, l2
 
 
+# every instance sets its fields in one order, so all of them share one set of dict keys
+INSTANCE_FIELDS = (
+    "values1", "values2", "n", "planted_value", "planted_pos1", "planted_pos2", "seed",
+    "shared_values",
+)
+
+
 def assert_one_buffer(inst, l1, l2):
     """Both lists are the halves of one read-only buffer, list1 first."""
     buffer = inst.values1.base
@@ -119,25 +126,12 @@ def assert_one_buffer(inst, l1, l2):
     assert not buffer.flags.writeable and buffer.base is None
     assert np.array_equal(buffer, np.concatenate((l1, l2)))
     assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
-
-
-def assert_equals_checked_construction(inst):
-    """Generation's unchecked constructor builds what __init__ builds from its arrays."""
-    assert model._frozen(inst.values1) and model._frozen(inst.values2)
-    checked = MatchInstance(
-        inst.values1, inst.values2, inst.planted_value,
-        inst.planted_pos1, inst.planted_pos2, inst.seed,
-    )
-    assert checked == inst
-    # kept as they are, and the fields in one order: the instances share dict keys
-    assert checked.values1 is inst.values1 and checked.values2 is inst.values2
-    assert list(vars(checked)) == list(vars(inst))[:-1] and list(vars(inst))[-1] == "shared_values"
-    assert np.array_equal(checked.shared_values, inst.shared_values)
+    assert tuple(vars(inst)) == INSTANCE_FIELDS
 
 
 def assert_carries_its_shared_value(inst):
     """Generation set ``shared_values``: the planted value alone, read-only."""
-    assert "shared_values" in vars(inst)  # not left to be computed on first use
+    assert "shared_values" in vars(inst)
     shared = inst.shared_values
     assert np.array_equal(shared, np.intersect1d(inst.values1, inst.values2))
     assert shared.tolist() == [inst.planted_value]
@@ -159,10 +153,11 @@ class TestGenerateInstance:
     def test_deterministic_for_fixed_seed(self):
         a = generate_instance(16, 1)
         b = generate_instance(16, 1)
-        assert a == b
+        assert instance_fields(a) == instance_fields(b)
 
     def test_different_seeds_differ(self):
-        assert generate_instance(16, 1) != generate_instance(16, 2)
+        a, b = generate_instance(16, 1), generate_instance(16, 2)
+        assert instance_fields(a) != instance_fields(b)
 
     def test_smallest_size(self):
         inst = generate_instance(2, 7)
@@ -223,7 +218,6 @@ class TestGenerateInstance:
             inst = generate_instance(n, seed)
             assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
             assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
-            assert_equals_checked_construction(inst)
 
     @pytest.mark.parametrize("n, stream", REPEAT_STREAMS, ids=["first_batch", "small_count"])
     def test_one_buffer_on_the_repeat_path(self, n, stream, monkeypatch):
@@ -236,7 +230,6 @@ class TestGenerateInstance:
         assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
         check_instance(inst)
         assert_carries_its_shared_value(inst)
-        assert_equals_checked_construction(inst)
 
     @pytest.mark.parametrize("n, seed", PINNED_INSTANCES, ids=str)
     def test_instances_pinned(self, n, seed):
@@ -331,7 +324,7 @@ class TestGenerateInstances:
             assert (inst.planted_pos1, inst.planted_pos2) == positions
             values = np.array(values, dtype=np.uint64)
             assert_one_buffer(inst, *reference_assembly(values, n, *positions))
-            assert inst == model.generate_instance(n, inst.seed)
+            assert instance_fields(inst) == instance_fields(model.generate_instance(n, inst.seed))
             check_instance(inst)
             assert_carries_its_shared_value(inst)
         # each instance owns its own buffer of 2n words
@@ -343,9 +336,7 @@ class TestGenerateInstances:
         seeds = [*range(60), 2**63 + 5, 2**64 - 1]
         batch = model.generate_instances(n, seeds, model.seed_words(seeds))
         for inst, seed in zip(batch, seeds, strict=True):
-            alone = generate_instance(n, seed)
-            assert inst == alone and "shared_values" in vars(inst)
-            assert np.array_equal(inst.shared_values, alone.shared_values)
+            assert instance_fields(inst) == instance_fields(generate_instance(n, seed))
 
     def test_a_row_whose_low_word_repeats_is_drawn_alone(self, monkeypatch):
         # the planted value and another share their low word, not their value:
@@ -408,40 +399,11 @@ class TestSharedValues:
         for matcher in CLASSICAL_MATCHERS:
             assert matcher(inst).correct
 
-    # hand-built lists with no shared value and with two (9 and 5); each
-    # matcher's (found, total_cost), recorded before generation carried the value
-    @pytest.mark.parametrize(
-        "list1, list2, outcomes",
-        [
-            ([9, 3, 2**64 - 1, 1], [4, 7, 6, 8], [(None, 32), (None, 62), (None, 80)]),
-            ([9, 3, 5, 1], [4, 9, 5, 8], [((0, 1), 32), ((2, 2), 62), ((2, 2), 76)]),
-        ],
-        ids=["none_shared", "two_shared"],
-    )
-    def test_hand_built_instances_compute_theirs_once_on_first_use(
-        self, list1, list2, outcomes, monkeypatch
-    ):
-        calls = []
-        repeats = model._repeats
 
-        def counted(*parts):
-            calls.append(len(parts))
-            return repeats(*parts)
-
-        monkeypatch.setattr(model, "_repeats", counted)
-        inst = MatchInstance(list1, list2, 9, 0, 1)
-        assert "shared_values" not in vars(inst) and not calls
-        reports = [matcher(inst) for matcher in CLASSICAL_MATCHERS]
-        assert [(r.found, r.ledger.total_cost()) for r in reports] == outcomes
-        assert calls == [2]  # one search over both lists, then the cached result
-        assert np.array_equal(inst.shared_values, np.intersect1d(list1, list2))
-        assert not inst.shared_values.flags.writeable
-
-
-def reference_repeats(*parts):
-    """The values occurring more than once across ``parts``, by np.unique."""
-    values, counts = np.unique(np.concatenate(parts), return_counts=True)
-    return values[counts > 1]
+def reference_repeats(values):
+    """The values occurring more than once in ``values``, by np.unique."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return distinct[counts > 1]
 
 
 def frozen_strided(values):
@@ -458,61 +420,53 @@ class TestRepeats:
         if request.param == "sorted":
             monkeypatch.setattr(model, "_KEYED_VALUES", 0)
 
-    @pytest.mark.parametrize(
-        "sizes",
-        [(0,), (1,), (2,), (17,), (4097,), (0, 0), (1, 1), (2, 17), (17, 4097),
-         (0, 1, 2), (1, 17, 2), (17, 4097, 17)],
-        ids=str,
-    )
-    def test_equals_unique_counts(self, sizes):
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 19, 20, 4097, 4114, 4131, 4194, 8211])
+    def test_equals_unique_counts(self, size):
         for seed in range(4):
-            rng = np.random.default_rng([seed, *sizes])
-            pool = rng.integers(0, 1 << 64, sum(sizes), dtype=np.uint64)
-            if len(pool) > 1:
-                # copy values over others, within and across parts, some thrice
-                sources, targets = rng.integers(len(pool), size=(2, 1 + len(pool) // 8))
-                pool[targets] = pool[sources]
-            parts = np.split(pool, np.cumsum(sizes)[:-1])
-            out = model._repeats(*parts)
+            rng = np.random.default_rng([seed, size])
+            values = rng.integers(0, 1 << 64, size, dtype=np.uint64)
+            if size > 1:
+                # copy values over others, some thrice
+                sources, targets = rng.integers(size, size=(2, 1 + size // 8))
+                values[targets] = values[sources]
+            out = model._repeats(values)
             assert out.dtype == np.uint64
-            assert np.array_equal(out, reference_repeats(*parts))
+            assert np.array_equal(out, reference_repeats(values))
 
     def test_every_value_sharing_one_low_word(self):
         shared = np.arange(4097, dtype=np.uint64) << np.uint64(32)
-        for parts in [(shared,), (shared, shared[::3]), (shared[:17], shared[17:], shared[5:9])]:
-            out = model._repeats(*parts)
-            assert np.array_equal(out, reference_repeats(*parts))
+        for values in [np.concatenate((shared, shared[::3])), shared[::3], shared[5:9].repeat(3)]:
+            out = model._repeats(values)
+            assert np.array_equal(out, reference_repeats(values))
         assert not len(model._repeats(shared))
 
     def test_values_at_the_top_of_the_range(self):
         # 2**63 shares its low word with 0, 2**64 - 1 with 2**32 - 1
         top = [2**64 - 1, 2**63, 0, 2**32 - 1, 2**63 + 1, 2**64 - 2]
-        for parts in [(top, top[:2]), (top, [2**63, 5]), (top[:3], top[3:], [2**64 - 1])]:
-            parts = [np.array(p, dtype=np.uint64) for p in parts]
-            assert np.array_equal(model._repeats(*parts), reference_repeats(*parts))
+        for values in [top + top[:2], top + [2**63, 5], top + [2**64 - 1]]:
+            values = np.array(values, dtype=np.uint64)
+            assert np.array_equal(model._repeats(values), reference_repeats(values))
         assert model._repeats(np.array(top, dtype=np.uint64)).tolist() == []
-        assert model._repeats(*parts).tolist() == [2**64 - 1]
+        assert model._repeats(values).tolist() == [2**64 - 1]
 
-    def test_read_only_strided_parts(self):
+    def test_read_only_strided_values(self):
         rng = np.random.default_rng(5)
         pool = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
         pool[[7, 150, 299]] = pool[[0, 1, 150]]
         pool.flags.writeable = False
-        parts = [frozen_strided(pool[:100]), frozen_strided(pool[100:]), pool[::-1][:50]]
-        for part in parts:
-            assert not part.flags.writeable and not part.flags.c_contiguous
-        out = model._repeats(*parts)
-        assert np.array_equal(out, reference_repeats(*parts))
-        assert np.array_equal(out, model._repeats(*[p.copy() for p in parts]))
+        for values in (frozen_strided(pool), pool[::-1]):
+            assert not values.flags.writeable and not values.flags.c_contiguous
+            out = model._repeats(values)
+            assert np.array_equal(out, reference_repeats(values))
+            assert np.array_equal(out, model._repeats(values.copy()))
 
 
 def test_repeats_either_side_of_the_key_filter_bound():
     rng = np.random.default_rng(7)
     for total in (model._KEYED_VALUES, model._KEYED_VALUES + 1):
-        pool = rng.integers(0, 1 << 64, total, dtype=np.uint64)
-        pool[[-1, 9]] = pool[[0, 5]]
-        parts = (pool[: total // 2], pool[total // 2 :])
-        assert np.array_equal(model._repeats(*parts), reference_repeats(*parts))
+        values = rng.integers(0, 1 << 64, total, dtype=np.uint64)
+        values[[-1, 9]] = values[[0, 5]]
+        assert np.array_equal(model._repeats(values), reference_repeats(values))
 
 
 class TestDrawDistinct:
@@ -759,52 +713,28 @@ class TestMatchInstance:
 
     def test_validate_rejects_internal_duplicate(self):
         inst = generate_instance(8, 1)
+        lists = np.concatenate((inst.values1[:-1], inst.values1[:1], inst.values2))
         tampered = MatchInstance(
-            list1=inst.list1[:-1] + (inst.list1[0],),
-            list2=inst.list2,
-            planted_value=inst.planted_value,
-            planted_pos1=inst.planted_pos1,
-            planted_pos2=inst.planted_pos2,
+            lists, inst.n, inst.planted_value, inst.planted_pos1, inst.planted_pos2, inst.seed
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="internally"):
             check_instance(tampered)
 
     def test_validate_rejects_wrong_position(self):
         inst = generate_instance(8, 1)
         wrong = (inst.planted_pos1 + 1) % inst.n
         tampered = MatchInstance(
-            list1=inst.list1,
-            list2=inst.list2,
-            planted_value=inst.planted_value,
-            planted_pos1=wrong,
-            planted_pos2=inst.planted_pos2,
+            inst.values1.base, inst.n, inst.planted_value, wrong, inst.planted_pos2, inst.seed
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="planted_pos1"):
             check_instance(tampered)
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
-    def test_from_lists_rejects_values_outside_64_bits(self, bad):
-        with pytest.raises(ValueError, match="64 bits"):
-            instance_from_lists([bad, 1, 2], [2, 5, 6])
-        with pytest.raises(ValueError, match="64 bits"):
-            instance_from_lists([1, 2, 3], [4, 3, bad])
-
-    @pytest.mark.parametrize("bad", [-1, 2**64])
-    def test_direct_construction_rejects_values_outside_64_bits(self, bad):
-        with pytest.raises(ValueError, match="64 bits"):
-            MatchInstance(
-                list1=(bad, 1), list2=(1, 5),
-                planted_value=1, planted_pos1=1, planted_pos2=0,
-            )
-
     def test_size_is_the_lists_length(self):
-        inst = MatchInstance([1, 2, 3, 4], [4, 5, 6, 7], 4, 3, 0)
-        assert inst.n == 4
+        inst = instance_from_lists([1, 2, 3, 4], [4, 5, 6, 7])
+        assert (inst.n, inst.planted_pos1, inst.planted_pos2) == (4, 3, 0)
         check_instance(inst)
 
     def test_lists_of_unequal_length_are_refused(self):
-        with pytest.raises(ValueError, match="equal length"):
-            MatchInstance([1, 2, 3, 4], [4, 5, 6], 4, 3, 0)
         with pytest.raises(ValueError, match="equal length"):
             instance_from_lists([1, 2, 3], [3, 4])
 
@@ -852,13 +782,6 @@ class TestMatchInstance:
             assert not values.flags.writeable
             assert not np.shares_memory(values, owner)
 
-    def test_read_only_array_over_a_read_only_owner_is_kept(self):
-        owner = np.array([5, 6, 7, 7, 8, 9], dtype=np.uint64)
-        owner.flags.writeable = False
-        halves = owner[:3], owner[3:]
-        inst = instance_from_lists(*halves)
-        assert inst.values1 is halves[0] and inst.values2 is halves[1]
-
     def test_generated_lists_share_no_writeable_memory(self):
         inst = generate_instance(16, 3)
         for values in (inst.values1, inst.values2):
@@ -867,31 +790,6 @@ class TestMatchInstance:
                 values[0] = 1
             with pytest.raises(ValueError):
                 values.base[0] = 1
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [1.5, 2],
-            [True, 2],
-            [np.bool_(True), 2],
-            ["7", 2],
-            [None, 2],
-            np.array([1.0, 2.0]),
-            np.array([True, False]),
-        ],
-        ids=["float", "bool", "numpy_bool", "str", "none", "float_array", "bool_array"],
-    )
-    def test_values_that_are_not_integers_are_refused(self, bad):
-        with pytest.raises(ValueError, match="integers"):
-            instance_from_lists(bad, [2, 3])
-        with pytest.raises(ValueError, match="integers"):
-            MatchInstance(
-                list1=(2, 3), list2=bad, planted_value=2, planted_pos1=0, planted_pos2=1,
-            )
-
-    def test_a_non_sequence_is_refused(self):
-        with pytest.raises(ValueError, match="integers"):
-            instance_from_lists(7, [7, 8])
 
     @pytest.mark.parametrize(
         "values",
@@ -906,21 +804,6 @@ class TestMatchInstance:
         inst = instance_from_lists(values, [9, 7, 8])
         assert inst.values1.dtype == np.uint64 and inst.values1.tolist() == [5, 6, 7]
         assert (inst.planted_value, inst.planted_pos1, inst.planted_pos2) == (7, 2, 1)
-
-    def test_equality_is_by_value(self):
-        inst = generate_instance(8, 1)
-        same = MatchInstance(
-            list1=list(inst.list1), list2=inst.list2,
-            planted_value=inst.planted_value, planted_pos1=inst.planted_pos1,
-            planted_pos2=inst.planted_pos2, seed=inst.seed,
-        )
-        assert same == inst
-        swapped = MatchInstance(
-            list1=inst.list2, list2=inst.list1,
-            planted_value=inst.planted_value, planted_pos1=inst.planted_pos2,
-            planted_pos2=inst.planted_pos1, seed=inst.seed,
-        )
-        assert swapped != inst
 
 
 class TestCostLedger:

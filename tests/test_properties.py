@@ -1,8 +1,9 @@
 """Property tests: the reduced engine against the full statevector, the
-array kernels against their step-by-step references, sweep-config
-parsing against arbitrary JSON, and the command line against arbitrary
-argument lists."""
+array kernels against their step-by-step references, sweeps against the
+cell-by-cell reference, sweep-config parsing against arbitrary JSON, and
+the command line against arbitrary argument lists."""
 
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,11 +48,10 @@ from matchsim.model import (  # noqa: E402
     MAX_SWEEP_WORK,
     TRIAL_WORK,
     CostLedger,
-    MatchInstance,
     ResourceLimitError,
 )
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
-from references import instance_from_lists  # noqa: E402
+from references import instance_from_lists, reference_sweep  # noqa: E402
 from search_record import draw_uniforms  # noqa: E402
 from test_matchers import (  # noqa: E402
     brute_force_match,
@@ -143,38 +144,30 @@ def arrange(draw, values):
 
 @st.composite
 def walk_instances(draw):
-    """Instances sharing 1 value (instance_from_lists), or 0 or 2-4 (built directly).
+    """Instances sharing one value, built by instance_from_lists.
 
-    Each list holds distinct values.  The shared values are the
-    smallest, the largest or any of the drawn values, and each list
-    comes shuffled, sorted or reversed.
+    Each list holds distinct values.  The shared value is the smallest,
+    the largest or any of the drawn values, and each list comes
+    shuffled, sorted or reversed.
     """
     n = draw(st.integers(2, 24))
-    shared = min(n, draw(st.sampled_from((1, 1, 0, 2, 3, 4))))
-    pool = draw(st.lists(values_64, min_size=2 * n - shared, max_size=2 * n - shared, unique=True))
+    pool = draw(st.lists(values_64, min_size=2 * n - 1, max_size=2 * n - 1, unique=True))
     where = draw(st.sampled_from(("smallest", "largest", "any")))
     if where == "any":
         pool = draw(st.permutations(pool))
     else:
         pool = sorted(pool, reverse=where == "largest")
-    common, rest = pool[:shared], draw(st.permutations(pool[shared:]))
-    list1 = arrange(draw, common + rest[: n - shared])
-    list2 = arrange(draw, common + rest[n - shared :])
-    if shared == 1:
-        return instance_from_lists(list1, list2)
-    first = common[0] if common else list1[0]
-    return MatchInstance(
-        list1=list1, list2=list2, planted_value=first,
-        planted_pos1=list1.index(first), planted_pos2=list2.index(first) if common else 0,
-    )
+    common, rest = pool[:1], draw(st.permutations(pool[1:]))
+    list1 = arrange(draw, common + rest[: n - 1])
+    list2 = arrange(draw, common + rest[n - 1 :])
+    return instance_from_lists(list1, list2)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(walk_instances())
-# three shared values on both sides of 2**63, where a signed compare flips
-@hypothesis.example(MatchInstance(
-    list1=(2**63, 2**64 - 1, 5, 2**63 - 1), list2=(2**64 - 1, 7, 2**63, 2**63 - 1),
-    planted_value=2**63, planted_pos1=0, planted_pos2=2,
+# values on both sides of 2**63, where a signed compare flips
+@hypothesis.example(instance_from_lists(
+    (2**63, 2**64 - 1, 5, 2**63 - 1), (2**64 - 2, 7, 2**63, 2**63 + 1),
 ))
 def test_classical_kernels_match_their_step_by_step_references(instance):
     report = classical_two_sort_merge(instance)
@@ -384,3 +377,41 @@ def test_any_argv_exits_zero_two_or_three(cli_files, argv):
     assert code in (0, 2, 3)
     # a refused command leaves no CSV, JSON, temporary file or directory behind
     assert code == 0 or left == tree(cli_files)
+
+
+# sweeps over every algorithm, engine and preset, small enough to run many; nested, which
+# crosses the most fast paths (stream regimes, per-size noise, ledgers from cached parts),
+# about half the time
+sweep_configs = st.builds(
+    SweepConfig,
+    algorithm=st.just("nested") | st.sampled_from(ALGORITHMS),
+    n_values=st.lists(st.integers(2, 40), min_size=1, max_size=4, unique=True).map(sorted),
+    trials_per_n=st.integers(1, 70),
+    base_seed=st.integers(0, 2**64 - 1),
+    engine=st.sampled_from(ENGINES),
+    noise_preset=st.sampled_from(NOISE_PRESETS),
+    uncompute_factor=st.integers(1, 3),
+)
+
+# each fast path's switch, on either side of every regime and chunk boundary
+fast_path_switches = st.fixed_dictionaries(
+    {
+        "SWEEP_CHUNK": st.sampled_from((1, 3, 7, 64, 1024)),
+        "SEED_WORDS_BREAK_EVEN": st.sampled_from((1, 2, 8, 64)),
+        "RUN_STREAM_BREAK_EVEN": st.sampled_from((1, 5, 64)),
+        "GENERATION_BATCH_VALUES": st.sampled_from((64, 512, 1 << 16)),
+    }
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(sweep_configs, fast_path_switches)
+def test_a_sweep_writes_what_the_cell_by_cell_reference_computes(config, switches):
+    with tempfile.TemporaryDirectory() as work, mock.patch.multiple(experiments, **switches):
+        config = dataclasses.replace(config, output=str(Path(work) / "rows.csv"))
+        with mock.patch.dict(os.environ):
+            os.environ.pop(STATEVECTOR_CAP_ENV, None)
+            run_sweep(config, keep_rows=False)
+            expected = reference_sweep(config)
+        written = Path(work, "rows.csv").read_bytes(), Path(work, "rows.json").read_bytes()
+    assert written == tuple(text.encode() for text in expected)
