@@ -24,7 +24,6 @@ merges its charges from per-shape templates (``_nested_charges``).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -318,9 +317,11 @@ def nested_grover_match(
     membership search of list2 against it.  The final pass is charged as
     a copy and sort of the measured block, the membership search once
     more and direct queries confirming the pair, but sorts and probes
-    nothing: the measured list2 value is looked up by compare in the
-    block's unsorted slice of list1.  A run whose verification probe
-    misses reports no match rather than guessing.  Both searches measure
+    nothing: the measured list2 value (``MatchInstance.value2``) is looked
+    up by compare in the block's unsorted slice of list1
+    (``MatchInstance.find1``), so the run reads the instance's raw draw and
+    lays out no list.  A run whose verification probe misses reports no
+    match rather than guessing.  Both searches measure
     on ``uniforms``, by default the run seed's stream.  The reduced engine
     samples each from its ``walked_masses`` and adds the run's whole
     charges once, as the ledger itself if none is given.  The statevector
@@ -348,8 +349,8 @@ def nested_grover_match(
         outer = Search(blocks, (marked_block,))
         beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
     offset = beta * b
-    block = instance.values1[offset : offset + b]
-    shape = (b, r_outer, r_inner, config.uncompute_factor, len(block))
+    stop = min(offset + b, n)
+    shape = (b, r_outer, r_inner, config.uncompute_factor, stop - offset)
     marked = (instance.planted_pos2,) if beta == marked_block else ()
     if reduced:
         inner_masses = walked_masses(n, len(marked), r_inner, None)
@@ -358,18 +359,15 @@ def nested_grover_match(
         ledger = ledger if ledger is not None else CostLedger()
         ledger.merge(_nested_charges(*shape, False)[0])
         j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
-    v_hat = instance.values2.item(j_hat)
-    # the verification probe, by compare: v_hat's bytes in the block's, at a cell's start
-    cells, key = block.tobytes(), v_hat.to_bytes(8, sys.byteorder)
-    at = cells.find(key)
-    while at % 8 and at >= 0:  # across two cells: not a value the block holds
-        at = cells.find(key, at + 1)
-    found = (offset + at // 8, j_hat) if at >= 0 else None
+    # the verification probe, by compare: v_hat in the block's slice of list1
+    v_hat = instance.value2(j_hat)
+    i_hat = instance.find1(v_hat, offset, stop)
+    found = (i_hat, j_hat) if i_hat is not None else None
     inner_verified = found is not None
     _, after, whole = _nested_charges(*shape, inner_verified)
     if not reduced:  # the block stayed live between the runner's two merges
         ledger.merge(after)
-        ledger.workspace_release(len(block))
+        ledger.workspace_release(stop - offset)
     elif ledger is None:
         ledger = CostLedger.from_part(whole)
     else:

@@ -13,11 +13,15 @@ A caller that knows its seeds ahead (a sweep) hashes them in one numpy pass
 twice.  Short streams need no generator: :func:`run_streams` runs PCG64 over many
 rows.  numpy.random itself is imported on the first generator built.  Generation
 finds repeats with :func:`_repeats`, one instance at a time, or with one row-wise
-key sort for a batch (:func:`generate_instances`).
+key sort for a batch (:func:`generate_instances`), and keeps each raw draw as it
+came: an instance lays its lists out on their first read, and its two raw reads
+(``MatchInstance.find1`` and ``value2``) read either layout, so a nested run lays
+out nothing.  An instance's byte layout is known here alone.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from operator import add
@@ -194,20 +198,43 @@ class MatchInstance:
     ``list2[planted_pos2]`` and nowhere else; no other value occurs in
     both lists, and neither list repeats a value internally.
 
-    Generation builds every instance (``_assembled``) over ``lists``, one
-    read-only uint64 buffer that owns its memory, list1 first; nothing is
-    copied or checked.  The kernels read its halves, ``values1`` and
-    ``values2``.  ``list1`` and ``list2`` are the same values as tuples of
-    Python ints, built on each read and never kept (a Python int costs
-    about five times its uint64 cell), and ``shared_values`` is a view of
-    the one value both lists hold.
+    An instance holds the raw draw that generation made: the planted value,
+    list1's other n - 1 values, list2's other n - 1, then any others.  A
+    list1 cell i is draw word i + 1 below ``pos1`` and word i above it; a
+    list2 cell j is word n + j below ``pos2`` and n + j - 1 above it.
+    ``find1`` and ``value2`` read list1 and list2 through that map, so a
+    nested run lays nothing out.  The first read of ``values1``, ``values2``,
+    ``shared_values``, ``list1`` or ``list2`` lays the lists out in place
+    (``__getattr__``): the planted value moves into both slots, and the draw
+    becomes one read-only uint64 buffer, list1 first, whose halves are the
+    kernels' two arrays.  The recorded slots become -1 and n, which makes
+    the map the identity: both layouts share one read path.
+    ``list1`` and ``list2`` are the same values as tuples of Python ints,
+    built on each read and never kept (a Python int costs about five times
+    its uint64 cell), and ``shared_values`` is a view of the one value both
+    lists hold.
     """
 
-    def __init__(self, lists: np.ndarray, n: int, planted: int, pos1: int, pos2: int, seed: int):
-        self.values1, self.values2, self.n, self.planted_value = lists[:n], lists[n:], n, planted
-        self.planted_pos1, self.planted_pos2, self.seed = pos1, pos2, seed
+    def __init__(self, words: np.ndarray, n: int, pos1: int, pos2: int, seed: Optional[int]):
+        self.n, self.planted_value, self.planted_pos1, self.planted_pos2 = n, words.item(0), pos1, pos2
+        self.seed, self._words, self._slot1, self._slot2 = seed, words, pos1, pos2
+
+    def __getattr__(self, name: str):
+        """Lay the lists out on the first read of one of them (see the class)."""
+        if name not in ("values1", "values2", "shared_values"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        words, n, pos1, pos2 = self._words, self.n, self.planted_pos1, self.planted_pos2
+        # shift list2's tail right and list1's head left: a slot for the planted value in each
+        words[n + pos2 + 1 : 2 * n] = words[n + pos2 : 2 * n - 1]
+        words[n + pos2] = self.planted_value
+        words[:pos1] = words[1 : pos1 + 1]
+        words[pos1] = self.planted_value
+        words.setflags(write=False)
+        self._slot1, self._slot2 = -1, n
+        self.values1, self.values2 = words[:n], words[n : 2 * n]
         # 2n - 1 distinct values were drawn, and only the planted one is in both lists
-        self.shared_values = lists[pos1 : pos1 + 1]
+        self.shared_values = words[pos1 : pos1 + 1]
+        return vars(self)[name]
 
     @property
     def list1(self) -> tuple[int, ...]:
@@ -216,6 +243,27 @@ class MatchInstance:
     @property
     def list2(self) -> tuple[int, ...]:
         return tuple(self.values2.tolist())
+
+    def find1(self, value: int, start: int, stop: int) -> Optional[int]:
+        """The index of ``value`` in ``list1[start:stop]``, or None: a compare with the planted
+        value if its slot is in the slice, and a byte search of the one run of words holding
+        the slice's other cells."""
+        pos1, slot = self.planted_pos1, self._slot1
+        if start <= pos1 < stop and value == self.planted_value:
+            return pos1
+        lo, key = start + (start <= slot), value.to_bytes(8, sys.byteorder)
+        cells = self._words[lo : stop + (stop <= slot)].tobytes()
+        at = cells.find(key)
+        while at % 8 and at >= 0:  # across two cells: not a value the slice holds
+            at = cells.find(key, at + 1)
+        r = lo + at // 8  # the run's word at byte ``at``: list1 cell r - 1 up to the slot
+        return r - (r <= slot) if at >= 0 else None
+
+    def value2(self, j: int) -> int:
+        """``list2[j]`` as an int."""
+        if j == self.planted_pos2:
+            return self.planted_value
+        return self._words.item(self.n + j - (j > self._slot2))
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -464,7 +512,7 @@ def generate_instance(n: int, seed: int, words: Optional[np.ndarray] = None) -> 
     Draws 2n - 1 distinct 64-bit values, plants the first at a uniform position in each
     list, and fills the rest disjointly.  The size is checked before anything is drawn.
     One raw draw holds the values, the rest of ``_draw_distinct``'s first batch and the
-    positions' word, and becomes the buffer; a repeat redraws through ``_draw_distinct``.
+    positions' word, and is the instance's draw; a repeat redraws through ``_draw_distinct``.
     Given ``words``, the seed's row of ``seed_words``, the seed is not hashed.
     """
     check_instance_size(n)
@@ -474,9 +522,9 @@ def generate_instance(n: int, seed: int, words: Optional[np.ndarray] = None) -> 
     raw = int(drawn[-1])
     if len(_repeats(drawn[:count])):
         rng, raw = seeded_rng(seed, words), None
-        # the last word is a placeholder that the moves below overwrite
+        # the last word is a placeholder that a layout overwrites
         drawn = np.append(_draw_distinct(rng, count), drawn[:1])
-    return _assembled(drawn, n, *_draw_positions(rng, n, raw), seed)
+    return MatchInstance(drawn, n, *_draw_positions(rng, n, raw), seed)
 
 
 def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[MatchInstance]:
@@ -495,21 +543,8 @@ def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[
     scaled = np.stack((raw & _M32, raw >> 32)) * np.uint64(n)
     alone = (keys[:, 1:] == keys[:, :-1]).any(1) | ((scaled & _M32) < (1 << 32) % n).any(0)
     rows = zip(seeds, words, draws, (scaled >> 32).T.tolist(), alone.tolist())
-    return [generate_instance(n, s, w) if a else _assembled(d, n, *p, s) for s, w, d, p, a in rows]
-
-
-def _assembled(words: np.ndarray, n: int, pos1: int, pos2: int, seed: int) -> MatchInstance:
-    """The instance over ``words``, 2n - 1 distinct values and then any others,
-    the first planted at ``pos1`` and ``pos2``: moved in place and frozen."""
-    lists = words if len(words) == 2 * n else words[: 2 * n].copy()
-    planted = int(lists[0])
-    # shift list2's tail right and list1's head left: a slot for the planted value in each
-    lists[n + pos2 + 1 :] = lists[n + pos2 : -1]
-    lists[n + pos2] = planted
-    lists[:pos1] = lists[1 : pos1 + 1]
-    lists[pos1] = planted
-    lists.setflags(write=False)
-    return MatchInstance(lists, n, planted, pos1, pos2, seed)
+    return [generate_instance(n, s, w) if a else MatchInstance(d, n, *p, s)
+            for s, w, d, p, a in rows]
 
 
 @dataclass(slots=True)

@@ -8,9 +8,9 @@ own private functions.
 - ``composed_success_probability`` and ``failure_probability`` read the
   closed forms the matchers and runners already compute.
 - ``instance_from_lists`` builds an instance from hand-written lists, on
-  the constructor generation uses, and ``check_instance`` checks every
-  structural invariant of one; ``instance_fields`` is what two instances
-  compare equal by.
+  the constructor generation uses, from their ``raw_draw``, and
+  ``check_instance`` checks every structural invariant of one;
+  ``instance_fields`` is what two instances compare equal by.
 - ``record_generation`` hooks a sweep's instance generation, one seed or
   a batch at a time.
 - ``sweep_csv`` runs a sweep into a directory and reads its CSV back: the
@@ -86,26 +86,37 @@ def check_instance(inst: MatchInstance) -> None:
         raise ValueError("planted_pos2 does not point at planted_value")
 
 
+def raw_draw(values1, values2, pos1: int, pos2: int) -> np.ndarray:
+    """The raw draw that lays out to two uint64 lists whose shared value sits at ``pos1`` and
+    ``pos2``: that value, list1 and then list2 without it, and one filler word."""
+    planted, filler = values1[pos1 : pos1 + 1], np.zeros(1, np.uint64)
+    return np.concatenate((planted, np.delete(values1, pos1), np.delete(values2, pos2), filler))
+
+
 def instance_from_lists(list1, list2, seed: Optional[int] = None) -> MatchInstance:
     """The instance over two explicit lists of equal length that share exactly one value:
-    both in one read-only uint64 buffer, list1 first, as generation builds it, and checked."""
+    built from their ``raw_draw`` by the constructor generation uses, laid out and checked."""
     n = len(list1)
     if len(list2) != n:
         raise ValueError("lists must have equal length")
-    lists = np.concatenate((np.asarray(list1, np.uint64), np.asarray(list2, np.uint64)))
-    lists.setflags(write=False)
-    shared = np.intersect1d(lists[:n], lists[n:])
+    values1, values2 = np.asarray(list1, np.uint64), np.asarray(list2, np.uint64)
+    shared = np.intersect1d(values1, values2)
     if len(shared) != 1:
         raise ValueError(f"lists must share exactly one value, found {len(shared)}")
-    pos1, pos2 = (int((half == shared[0]).argmax()) for half in (lists[:n], lists[n:]))
-    inst = MatchInstance(lists, n, int(shared[0]), pos1, pos2, seed)
+    pos1, pos2 = (int((values == shared[0]).argmax()) for values in (values1, values2))
+    inst = MatchInstance(raw_draw(values1, values2, pos1, pos2), n, pos1, pos2, seed)
     check_instance(inst)
     return inst
 
 
 def instance_fields(inst: MatchInstance) -> dict:
-    """An instance's fields in their order, arrays as lists: what two instances compare by."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(inst).items()}
+    """An instance's public fields once its lists are laid out, in their order, arrays as
+    lists: what two instances compare by.  The raw draw's words past 2n are not compared."""
+    inst.values1  # the first read lays the lists out
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in vars(inst).items() if not k.startswith("_")
+    }
 
 
 MAX_JOINT_CELLS = 1 << 16

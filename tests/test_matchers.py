@@ -50,10 +50,10 @@ from references import (
     composed_success_probability,
     instance_fields,
     instance_from_lists,
+    raw_draw,
     two_level_outcome_distribution,
 )
 from search_record import GroverProblem, draw_uniforms, run_record
-from test_model import frozen_strided
 from test_sortsearch import block_view
 
 
@@ -1271,9 +1271,10 @@ class TestArrayPaths:
         # the twin search reads 32-bit keys through a contiguous view
         for n, seed in ((2, 0), (17, 1), (64, 2), (1024, 3)):
             inst = generate_instance(n, seed)
+            # a layout moves the words in place, in the strided view it is handed
+            draw = raw_draw(inst.values1, inst.values2, inst.planted_pos1, inst.planted_pos2)
             strided = MatchInstance(
-                frozen_strided(inst.values1.base), n,
-                inst.planted_value, inst.planted_pos1, inst.planted_pos2, seed,
+                draw.repeat(2)[::2], n, inst.planted_pos1, inst.planted_pos2, seed
             )
             for values in (strided.values1, strided.values2):
                 assert values.strides == (16,) and not values.flags.writeable

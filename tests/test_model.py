@@ -25,7 +25,7 @@ from matchsim.model import (
     check_instance_size,
     generate_instance,
 )
-from references import check_instance, instance_fields, instance_from_lists
+from references import check_instance, instance_fields, instance_from_lists, raw_draw
 
 
 def reference_draw_distinct(rng, count):
@@ -112,27 +112,33 @@ def reference_assembly(values, n, pos1, pos2):
     return l1, l2
 
 
-# every instance sets its fields in one order, so all of them share one set of dict keys
-INSTANCE_FIELDS = (
-    "values1", "values2", "n", "planted_value", "planted_pos1", "planted_pos2", "seed",
-    "shared_values",
+# every instance sets its fields in one order, so all of them share one set of dict keys:
+# the raw draw's on construction, the laid-out lists' on their first read
+RAW_FIELDS = (
+    "n", "planted_value", "planted_pos1", "planted_pos2", "seed", "_words", "_slot1", "_slot2",
 )
+INSTANCE_FIELDS = (*RAW_FIELDS, "values1", "values2", "shared_values")
 
 
 def assert_one_buffer(inst, l1, l2):
-    """Both lists are the halves of one read-only buffer, list1 first."""
+    """Generation laid nothing out; a first read lays both lists out in the first 2n words of
+    the instance's own draw, list1 first, and every array a caller can reach is read-only."""
+    assert tuple(vars(inst)) == RAW_FIELDS
     buffer = inst.values1.base
-    assert buffer is inst.values2.base and buffer is not None
-    assert not buffer.flags.writeable and buffer.base is None
-    assert np.array_equal(buffer, np.concatenate((l1, l2)))
-    assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
     assert tuple(vars(inst)) == INSTANCE_FIELDS
+    assert buffer is inst.values2.base is inst.shared_values.base and buffer is not None
+    assert not buffer.flags.writeable and buffer.base is None
+    assert np.array_equal(buffer[: 2 * inst.n], np.concatenate((l1, l2)))
+    assert np.array_equal(inst.values1, l1) and np.array_equal(inst.values2, l2)
+    for values in (inst.values1, inst.values2, inst.shared_values):
+        assert not values.flags.writeable
 
 
 def assert_carries_its_shared_value(inst):
-    """Generation set ``shared_values``: the planted value alone, read-only."""
-    assert "shared_values" in vars(inst)
+    """A first read of ``shared_values`` keeps it as a field: the planted value alone,
+    read-only, found by no search."""
     shared = inst.shared_values
+    assert vars(inst)["shared_values"] is shared
     assert np.array_equal(shared, np.intersect1d(inst.values1, inst.values2))
     assert shared.tolist() == [inst.planted_value]
     assert not shared.flags.writeable
@@ -256,8 +262,8 @@ class TestOneDraw:
         assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
         values = np.array(values, dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
-        # below n = 9 the draw holds discarded words; from n = 9 it is the buffer
-        assert len(inst.values1.base) == 2 * n
+        # the draw is the buffer: below n = 9 it holds words past the lists
+        assert len(inst.values1.base) == max(16, 2 * n - 1) + 1
         check_instance(inst)
         assert_carries_its_shared_value(inst)
 
@@ -327,7 +333,7 @@ class TestGenerateInstances:
             assert instance_fields(inst) == instance_fields(model.generate_instance(n, inst.seed))
             check_instance(inst)
             assert_carries_its_shared_value(inst)
-        # each instance owns its own buffer of 2n words
+        # each row owns its draw, which its lists are laid out in
         assert len({id(inst.values1.base) for inst in batch}) == len(batch)
         assert all(len(inst.values1.base) == 2 * n for inst in batch)
 
@@ -343,6 +349,19 @@ class TestGenerateInstances:
         # the row is drawn again as one seed is, and _repeats clears it
         n = 9
         values = [(1 << 32) | 5, (2 << 32) | 5, *range(100, 100 + 2 * n - 3)]
+        self.assert_drawn_alone(n, values, monkeypatch)
+
+    def test_a_row_whose_last_value_repeats_a_low_word_is_drawn_alone(self, monkeypatch):
+        # the only repeated key is the last drawn value's (index 2n - 2): the key sort
+        # covers every value of the row, not the words after them
+        n = 9
+        values = [*range(100, 100 + 2 * n - 2), (3 << 32) | 103]
+        self.assert_drawn_alone(n, values, monkeypatch)
+
+    @staticmethod
+    def assert_drawn_alone(n, values, monkeypatch):
+        """A batch of two scripted rows, the first drawing ``values``: that row is drawn
+        again alone, and its lists are ``values`` laid out."""
         streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
         made = []
 
@@ -713,19 +732,17 @@ class TestMatchInstance:
 
     def test_validate_rejects_internal_duplicate(self):
         inst = generate_instance(8, 1)
-        lists = np.concatenate((inst.values1[:-1], inst.values1[:1], inst.values2))
-        tampered = MatchInstance(
-            lists, inst.n, inst.planted_value, inst.planted_pos1, inst.planted_pos2, inst.seed
-        )
+        words = raw_draw(inst.values1, inst.values2, inst.planted_pos1, inst.planted_pos2)
+        words[2] = words[1]  # two of list1's unplanted cells
+        tampered = MatchInstance(words, inst.n, inst.planted_pos1, inst.planted_pos2, inst.seed)
         with pytest.raises(ValueError, match="internally"):
             check_instance(tampered)
 
     def test_validate_rejects_wrong_position(self):
-        inst = generate_instance(8, 1)
-        wrong = (inst.planted_pos1 + 1) % inst.n
-        tampered = MatchInstance(
-            inst.values1.base, inst.n, inst.planted_value, wrong, inst.planted_pos2, inst.seed
-        )
+        # a layout plants the value where the positions say: only a later write moves one
+        tampered = generate_instance(8, 1)
+        check_instance(tampered)
+        tampered.planted_pos1 = (tampered.planted_pos1 + 1) % tampered.n
         with pytest.raises(ValueError, match="planted_pos1"):
             check_instance(tampered)
 

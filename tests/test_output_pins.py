@@ -285,7 +285,7 @@ def test_compare_pinned(names, tmp_path, capsys):
     assert (printed, sha256([table.read_text(encoding="utf-8")])) == COMPARE_PINS[names]
 
 
-# four of the sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
+# five of the sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
 CI_RERUN_CONFIGS = {
     "ci_nested": dict(
         algorithm="nested", n_values=(16, 64, 256, 1024), trials_per_n=50,
@@ -293,6 +293,9 @@ CI_RERUN_CONFIGS = {
     ),
     "ci_tiny": dict(
         algorithm="nested", n_values=(16, 64, 256), trials_per_n=1, noise_preset="inv_sqrt_n"
+    ),
+    "ci_ragged": dict(
+        algorithm="nested", n_values=(17, 100, 1000), trials_per_n=20, noise_preset="inv_sqrt_n"
     ),
     "ci_naive_grover": dict(algorithm="naive_grover", n_values=(16, 32, 64), trials_per_n=1),
     "ci_two_sort": dict(algorithm="two_sort", n_values=(4, 16, 64, 1024), trials_per_n=5),

@@ -1,7 +1,8 @@
 """Property tests: the reduced engine against the full statevector, the
-array kernels against their step-by-step references, sweeps against the
-cell-by-cell reference, sweep-config parsing against arbitrary JSON, and
-the command line against arbitrary argument lists."""
+array kernels against their step-by-step references, an instance's raw
+reads against its laid-out lists, sweeps against the cell-by-cell
+reference, sweep-config parsing against arbitrary JSON, and the command
+line against arbitrary argument lists."""
 
 import dataclasses
 import io
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -49,6 +51,7 @@ from matchsim.model import (  # noqa: E402
     TRIAL_WORK,
     CostLedger,
     ResourceLimitError,
+    generate_instance,
 )
 from matchsim.sortsearch import sort_instrumented  # noqa: E402
 from references import instance_from_lists, reference_sweep  # noqa: E402
@@ -176,6 +179,56 @@ def test_classical_kernels_match_their_step_by_step_references(instance):
     assert report.ledger.as_dict() == ledger.as_dict()
     assert classical_sort_scan(instance).found == reference_sort_scan(instance)
     assert exhaustive_pairs(instance).found == brute_force_match(instance)
+
+
+def straddles(cells, shift):
+    """The values whose 8 bytes start ``shift`` bytes into each cell and end in the next."""
+    raw = b"".join(cell.to_bytes(8, sys.byteorder) for cell in cells)
+    return [int.from_bytes(raw[at : at + 8], sys.byteorder) for at in range(shift, len(raw) - 8, 8)]
+
+
+def raw_reads(inst, blocks, probes):
+    """``find1`` of each block's probe values in it, then ``value2`` of every index."""
+    found = [
+        [inst.find1(v, start, stop) for v in values] for (start, stop), values in zip(blocks, probes)
+    ]
+    return found, [inst.value2(j) for j in range(inst.n)]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    st.integers(2, 300).flatmap(lambda n: st.tuples(
+        st.just(n), st.one_of(st.just(math.isqrt(n - 1) + 1), st.integers(1, n)),
+    )),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 7),
+)
+@hypothesis.example((2, 1), 0, 4)
+@hypothesis.example((7, 3), 5, 1)  # the draw is longer than 2n below n = 9
+@hypothesis.example((17, 5), 3, 7)  # non-square: the last block holds 2 cells
+@hypothesis.example((300, 18), 11, 3)
+def test_raw_reads_equal_the_laid_out_lists(shape, seed, shift):
+    # every block's find1 of every list1 and list2 value, the planted value and values
+    # across two cells (the laid-out and the raw run's neighbours), and value2 of every
+    # index, on the same instance before and after its lists are laid out
+    n, b = shape
+    twin = generate_instance(n, seed)
+    list1, list2, planted = twin.list1, twin.list2, twin.planted_value
+    where = {v: i for i, v in enumerate(list1)}
+    blocks = [(start, min(start + b, n)) for start in range(0, n, b)]
+    probes, expected = [], []
+    for start, stop in blocks:
+        cells = list1[start:stop]
+        unplanted = [v for v in cells if v != planted]
+        values = [*list1, *list2, planted, *straddles(cells, shift), *straddles(unplanted, shift)]
+        probes.append(values)
+        expected.append([where[v] if start <= where.get(v, -1) < stop else None for v in values])
+    expected = expected, list(list2)
+    inst = generate_instance(n, seed)
+    assert "values1" not in vars(inst)
+    assert raw_reads(inst, blocks, probes) == expected
+    assert inst.list1 == list1
+    assert raw_reads(inst, blocks, probes) == expected
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

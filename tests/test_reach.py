@@ -43,7 +43,7 @@ UNREACHED = {
         "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
     ("model.generate_instance", "drawn = np.append(_draw_distinct(rng, count), drawn[:1])"):
         "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
-    ("matchers.nested_grover_match", "at = cells.find(key, at + 1)"):
+    ("model.MatchInstance.find1", "at = cells.find(key, at + 1)"):
         "the measured value's 8 bytes sit across two cells of the block: about n^2 / 2^64",
     ("grover._sample_reduced", "return marked[-1]"):
         "a float guard: a draw past the marked mass when every index is marked",

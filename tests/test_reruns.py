@@ -25,7 +25,8 @@ SRC = str(Path(matchsim.__file__).resolve().parents[1])
 # a noisy nested sweep of 200 trials (one run-stream pass; its n = 1024 rows are drawn
 # in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words),
 # one of 3 and a naive one of 3 (6 seeds each, none hashed: a generator a trial from its
-# seed) and a classical one, which reads the shared value generation carries
+# seed), a ragged one at non-square n (a short last block of list1, read from each raw
+# draw) and a classical one, which reads the shared value generation carries
 RERUN_CONFIGS = {
     "nested": {
         "algorithm": "nested", "n_values": [16, 64, 256, 1024], "trials_per_n": 50,
@@ -37,6 +38,10 @@ RERUN_CONFIGS = {
     },
     "tiny": {
         "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 1,
+        "noise_preset": "inv_sqrt_n",
+    },
+    "ragged": {
+        "algorithm": "nested", "n_values": [17, 100, 1000], "trials_per_n": 20,
         "noise_preset": "inv_sqrt_n",
     },
     "naive_grover": {"algorithm": "naive_grover", "n_values": [16, 32, 64], "trials_per_n": 1},
