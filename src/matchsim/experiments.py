@@ -2,9 +2,10 @@
 
 A sweep runs one matcher over a grid of sizes with per-trial seeds
 derived deterministically from a base seed, so identical configs yield
-byte-identical outputs.  Fits are ordinary least squares on log-log
-points, optionally dividing costs by ceil(log2 n) first to separate a
-pure power law from a power law with a log factor.
+byte-identical outputs, written a chunk of rows at a time with each
+distinct row tail formatted once.  Fits are ordinary least squares on
+log-log points, optionally dividing costs by ceil(log2 n) first to
+separate a pure power law from a power law with a log factor.
 """
 
 from __future__ import annotations
@@ -84,14 +85,17 @@ def derive_seed(base_seed: int, n: int, trial: int, stream: str) -> int:
 
 def _seed_pairs(base_seed: int, cells: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     """Each (n, trial) cell's ``derive_seed`` instance and run seeds, from one digest of the
-    cell's key up to its stream, copied: a trial's two seeds hash its key once."""
-    for n, trial in cells:
-        digest = _seed_prefix(base_seed, n).copy()
-        digest.update(b"%d:" % trial)
-        run = digest.copy()
-        digest.update(b"instance")
-        run.update(b"run")
-        yield int.from_bytes(digest.digest(), "big"), int.from_bytes(run.digest(), "big")
+    cell's key up to its stream, copied: a trial's two seeds hash its key once, and a run of
+    cells of one size looks its prefix up once."""
+    for n, run_of_cells in groupby(cells, key=itemgetter(0)):
+        prefix = _seed_prefix(base_seed, n)
+        for _, trial in run_of_cells:
+            digest = prefix.copy()
+            digest.update(b"%d:" % trial)
+            run = digest.copy()
+            digest.update(b"instance")
+            run.update(b"run")
+            yield int.from_bytes(digest.digest(), "big"), int.from_bytes(run.digest(), "big")
 
 
 def noise_spec(preset: str, n: int) -> Optional[NoisyOracleSpec]:
@@ -124,9 +128,24 @@ class TrialRow(NamedTuple):
 
 CSV_COLUMNS = TrialRow._fields
 # one CSV line per row, the bytes csv.writer gives: the name, ten ints by
-# str, then a float by repr (what str gives), none of them quoted
-_ROW_FORMAT = "%s," + "%d," * 10 + "%r\n"
+# str, then a float by repr (what str gives), none of them quoted; a row's
+# head is algorithm to seed, its tail success to predicted_success
+_HEAD_FORMAT, _TAIL_FORMAT = "%s," + "%d," * 3, "%d," * 7 + "%r\n"
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+def _rows_text(rows: Sequence[TrialRow]) -> str:
+    """The CSV lines of ``rows``, each distinct tail formatted once: a noisy sweep's rows
+    repeat a few tails, and a call's memo holds at most its rows' tails."""
+    tails, lines = {}, []
+    for row in rows:
+        tail = row[4:]
+        if (text := tails.get(tail)) is None:
+            text = _TAIL_FORMAT % tail
+            if tail[-1]:  # 0.0 and -0.0 are one key but two texts: a zero is not kept
+                tails[tail] = text
+        lines.append(_HEAD_FORMAT % row[:4] + text)
+    return "".join(lines)
 
 
 # the JSON types each config key accepts, matched exactly: a JSON boolean
@@ -487,7 +506,7 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
         while chunk := list(islice(cells, SWEEP_CHUNK)):
             rows = _run_chunk(config, chunk, run_configs)
             if stream is not None:
-                stream.write("".join([_ROW_FORMAT % row for row in rows]))
+                stream.write(_rows_text(rows))
             for n, run in groupby(rows, key=itemgetter(1)):
                 sizes[n].fold(list(run))
             if keep_rows:

@@ -83,10 +83,6 @@ class NestedConfig:
             raise ValueError("uncompute_factor must be at least 1")
 
 
-def _failure_prob(config: NestedConfig) -> float:
-    return config.noise.failure_prob if config.noise is not None else 0.0
-
-
 def _engine(config: NestedConfig) -> tuple[str, Callable]:
     """The engine that runs (auto runs the reduced one) and its runner."""
     if config.engine == "statevector":
@@ -321,22 +317,23 @@ def nested_grover_match(
     up by compare in the block's unsorted slice of list1
     (``MatchInstance.find1``), so the run reads the instance's raw draw and
     lays out no list.  A run whose verification probe misses reports no
-    match rather than guessing.  Both searches measure
-    on ``uniforms``, by default the run seed's stream.  The reduced engine
-    samples each from its ``walked_masses`` and adds the run's whole
-    charges once, as the ledger itself if none is given.  The statevector
-    engine runs both through its runner: the outer charges are merged once
-    the block is measured, the probes once verification is known, so a
-    refused inner search leaves the outer charges and the block live.
+    match rather than guessing.  Both searches measure on ``uniforms``, by
+    default the run seed's stream.  The reduced engine (any but
+    ``statevector``) samples each from its ``walked_masses``, calling no
+    runner, and adds the run's whole charges once, as the ledger itself if
+    none is given.  The statevector engine runs both through its runner:
+    the outer charges are merged once the block is measured, the probes
+    once verification is known, so a refused inner search leaves the outer
+    charges and the block live.
     """
     config = config if config is not None else NestedConfig()
-    n = instance.n
-    failure_prob = _failure_prob(config)
+    n, noise = instance.n, config.noise
+    failure_prob = noise.failure_prob if noise is not None else 0.0
     b, blocks, r_outer, r_inner, predicted_success, stream = _nested_plan(
         n, config.block_size, failure_prob
     )
-    engine, run = _engine(config)
-    reduced = engine == "analytic"
+    reduced = config.engine != "statevector"  # auto runs the reduced engine
+    engine = "analytic" if reduced else "statevector"
     # the run stream: the outer search's dropout rounds and measurement, then the inner one's
     if uniforms is None:
         uniforms = seeded_rng(config.rng_seed).random(stream).tolist()
@@ -347,7 +344,7 @@ def nested_grover_match(
         beta = _sample_reduced(blocks, (marked_block,), outer_mass, unmarked_mass, uniforms[-2])
     else:
         outer = Search(blocks, (marked_block,))
-        beta, outer_mass, fire_pattern = run(outer, r_outer, uniforms[:-1], failure_prob)
+        beta, outer_mass, fire_pattern = run_statevector(outer, r_outer, uniforms[:-1], failure_prob)
     offset = beta * b
     stop = min(offset + b, n)
     shape = (b, r_outer, r_inner, config.uncompute_factor, stop - offset)
@@ -358,7 +355,7 @@ def nested_grover_match(
     else:  # before: the same whatever verifies
         ledger = ledger if ledger is not None else CostLedger()
         ledger.merge(_nested_charges(*shape, False)[0])
-        j_hat = run(Search(n, marked), r_inner, uniforms[-1:])[0]
+        j_hat = run_statevector(Search(n, marked), r_inner, uniforms[-1:])[0]
     # the verification probe, by compare: v_hat in the block's slice of list1
     v_hat = instance.value2(j_hat)
     i_hat = instance.find1(v_hat, offset, stop)

@@ -528,20 +528,23 @@ def generate_instance(n: int, seed: int, words: Optional[np.ndarray] = None) -> 
 
 
 def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[MatchInstance]:
-    """``generate_instance(n, seed, row)`` for each seed and its row of ``words``: one
-    row-wise sort of the values' low 32-bit words as a (seeds, 2n - 1) matrix, and one
-    positions pass over the draws' last words.  A row whose word repeats, or with a
-    rejected half, is drawn alone."""
+    """``generate_instance(n, seed, row)`` for each seed and its row of ``words``: one in-place
+    row-wise sort of the whole draws' low 32-bit words as a (seeds, length) matrix, one flat
+    compare of adjacent keys with the row boundaries masked, and one positions pass over the
+    draws' last words.  A row whose word repeats (a filler or positions word too: drawn alone,
+    it is the same instance), or with a rejected half, is drawn alone."""
     check_instance_size(n)
     length = max(16, 2 * n - 1) + 1
     draws = [seeded_bits(s, w).random_raw(length) for s, w in zip(seeds, words)]
     keys = np.concatenate(draws, dtype=np.uint32, casting="unsafe")  # the low words
-    keys = keys.reshape(len(seeds), -1)[:, : 2 * n - 1]
-    keys.sort(axis=1)
+    keys.reshape(len(seeds), length).sort(axis=1)
+    same = keys[1:] == keys[:-1]
+    same[length - 1 :: length] = False  # a row's last key and the next row's first
     # Lemire's method on each last word, low half first, as _draw_positions takes them
     raw = np.array([drawn[-1] for drawn in draws])
     scaled = np.stack((raw & _M32, raw >> 32)) * np.uint64(n)
-    alone = (keys[:, 1:] == keys[:, :-1]).any(1) | ((scaled & _M32) < (1 << 32) % n).any(0)
+    alone = ((scaled & _M32) < (1 << 32) % n).any(0)
+    alone[np.flatnonzero(same) // length] = True
     rows = zip(seeds, words, draws, (scaled >> 32).T.tolist(), alone.tolist())
     return [generate_instance(n, s, w) if a else MatchInstance(d, n, *p, s)
             for s, w, d, p, a in rows]

@@ -43,7 +43,7 @@ from matchsim.experiments import (
     run_sweep,
 )
 from matchsim.grover import _check_counts, _masses, success_probability
-from matchsim.matchers import NestedConfig, _failure_prob, _nested_plan, _nested_shape
+from matchsim.matchers import NestedConfig, _nested_plan, _nested_shape
 from matchsim.model import (
     CostLedger,
     MatchInstance,
@@ -67,7 +67,8 @@ def failure_probability(space_size: int, marked_count: int, iterations: int) -> 
 def composed_success_probability(n: int, config: Optional[NestedConfig] = None) -> float:
     """Predicted success of the nested matcher: outer hit times final verify."""
     config = config if config is not None else NestedConfig()
-    return _nested_plan(n, config.block_size, _failure_prob(config)).predicted_success
+    failure_prob = config.noise.failure_prob if config.noise is not None else 0.0
+    return _nested_plan(n, config.block_size, failure_prob).predicted_success
 
 
 def check_instance(inst: MatchInstance) -> None:

@@ -353,16 +353,51 @@ class TestGenerateInstances:
 
     def test_a_row_whose_last_value_repeats_a_low_word_is_drawn_alone(self, monkeypatch):
         # the only repeated key is the last drawn value's (index 2n - 2): the key sort
-        # covers every value of the row, not the words after them
+        # covers the whole draw, every value of the row among its words
         n = 9
         values = [*range(100, 100 + 2 * n - 2), (3 << 32) | 103]
         self.assert_drawn_alone(n, values, monkeypatch)
 
+    def test_a_second_rows_last_value_repeating_its_smallest_key_is_drawn_alone(
+        self, monkeypatch
+    ):
+        # the repeat is the second row's first adjacent pair of sorted keys: the flat
+        # compare's first index in that row, which names that row and not the one before
+        n = 9
+        values = [*range(100, 100 + 2 * n - 2), (3 << 32) | 100]
+        self.assert_drawn_alone(n, values, monkeypatch, second=True)
+
+    def test_a_value_repeating_the_positions_words_low_word_is_drawn_alone(self, monkeypatch):
+        # the positions word joins the key sort: its low word equals the last value's, the
+        # second row's largest two keys, so the row is drawn alone, as the same instance
+        n = 9
+        values = [*range(100, 100 + 2 * n - 2), (7 << 32) | (POSITION_WORD & 0xFFFFFFFF)]
+        self.assert_drawn_alone(n, values, monkeypatch, second=True)
+
+    def test_a_rows_largest_key_may_equal_the_next_rows_smallest(self, monkeypatch):
+        # each row's largest key, its positions word's low word, is the next row's smallest,
+        # a value's: the flat compare meets both equal pairs across a row boundary, and no
+        # row repeats a key of its own, so none is drawn alone
+        n = 9
+        streams = {
+            7: [*range(1000, 1017), 0xC0000000_00000000 | 2000],
+            8: [(5 << 32) | 2000, *range(2001, 2017), 0xC0000000_00000000 | 3000],
+            9: [(5 << 32) | 3000, *range(3001, 3017), POSITION_WORD],
+        }
+        batch, made = self.scripted_batch(n, streams, monkeypatch)
+        assert made == [("bits", 7, [18]), ("bits", 8, [18]), ("bits", 9, [18])]
+        for inst, stream in zip(batch, streams.values(), strict=True):
+            word = stream[-1]
+            positions = ((word & 0xFFFFFFFF) * n >> 32, (word >> 32) * n >> 32)
+            assert (inst.planted_pos1, inst.planted_pos2) == positions
+            values = np.array(stream[:-1], dtype=np.uint64)
+            assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+
     @staticmethod
-    def assert_drawn_alone(n, values, monkeypatch):
-        """A batch of two scripted rows, the first drawing ``values``: that row is drawn
-        again alone, and its lists are ``values`` laid out."""
-        streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
+    def scripted_batch(n, streams, monkeypatch):
+        """``generate_instances`` over the seeds of ``streams``, in order, each drawing its
+        stream, with no row redrawn by ``_draw_distinct``: the batch, and each generator it
+        built as (builder, seed, the sizes it drew), in the order built."""
         made = []
 
         def scripted(builder):
@@ -376,12 +411,21 @@ class TestGenerateInstances:
         monkeypatch.setattr(model, "seeded_bits", scripted("bits"))
         monkeypatch.setattr(model, "seeded_rng", scripted("rng"))
         monkeypatch.setattr(model, "_draw_distinct", _never_redrawn)
-        inst = model.generate_instances(n, [7, 8], model.seed_words([7, 8]))[0]
+        seeds = list(streams)
+        batch = model.generate_instances(n, seeds, model.seed_words(seeds))
+        return batch, [(builder, seed, rng.calls) for builder, seed, rng in made]
+
+    @classmethod
+    def assert_drawn_alone(cls, n, values, monkeypatch, second=False):
+        """A batch of two scripted rows, the first (or ``second``) drawing ``values``: that
+        row is drawn again alone, and its lists are ``values`` laid out."""
+        streams = {7: [*values, POSITION_WORD], 8: [*range(500, 517), POSITION_WORD]}
+        seeds = [8, 7] if second else [7, 8]
+        batch, made = cls.scripted_batch(n, {seed: streams[seed] for seed in seeds}, monkeypatch)
         # seed 7 drawn in the batch from a bare bit generator, then alone from a generator
-        assert [(builder, seed, rng.calls) for builder, seed, rng in made] == [
-            ("bits", 7, [18]), ("bits", 8, [18]), ("rng", 7, [18])
-        ]
+        assert made == [("bits", seeds[0], [18]), ("bits", seeds[1], [18]), ("rng", 7, [18])]
         values = np.array(values, dtype=np.uint64)
+        inst = batch[seeds.index(7)]
         assert_one_buffer(inst, *reference_assembly(values, n, n // 2, 3 * n // 4))
 
     def test_the_size_is_checked_before_anything_is_drawn(self, monkeypatch):

@@ -285,7 +285,7 @@ def test_compare_pinned(names, tmp_path, capsys):
     assert (printed, sha256([table.read_text(encoding="utf-8")])) == COMPARE_PINS[names]
 
 
-# five of the sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
+# seven of the sweeps CI reruns under two string-hash seeds (.github/workflows/tests.yml)
 CI_RERUN_CONFIGS = {
     "ci_nested": dict(
         algorithm="nested", n_values=(16, 64, 256, 1024), trials_per_n=50,
@@ -299,6 +299,11 @@ CI_RERUN_CONFIGS = {
     ),
     "ci_naive_grover": dict(algorithm="naive_grover", n_values=(16, 32, 64), trials_per_n=1),
     "ci_two_sort": dict(algorithm="two_sort", n_values=(4, 16, 64, 1024), trials_per_n=5),
+    # 1200 cells: two chunks of rows, the first ending inside n = 64
+    "ci_chunked": dict(
+        algorithm="nested", n_values=(16, 64), trials_per_n=600, noise_preset="inv_sqrt_n"
+    ),
+    "ci_two_sort_chunked": dict(algorithm="two_sort", n_values=(4, 16), trials_per_n=600),
 }
 
 # rows at the edges of what the row format meets: the largest seed, a cost near
@@ -349,3 +354,31 @@ def test_edge_rows_format_as_csv_writer_does(tmp_path, monkeypatch):
     result = assert_rows_format_as_csv_writer_does(config, tmp_path)
     assert result.rows == EDGE_ROWS
     assert {row.algorithm for row in result.rows} == set(ALGORITHMS)
+
+
+def test_repeated_and_signed_zero_tails_format_as_csv_writer_does(tmp_path, monkeypatch):
+    # one chunk whose rows repeat three tails across two sizes; two of the tails differ only
+    # in the sign of a zero predicted_success, which compare equal but print apart
+    tails = cycle([
+        (1, 7, 1, 2, 3, 1, 2, 0.5), (0, 7, 1, 2, 3, 1, 2, 0.0), (0, 7, 1, 2, 3, 1, 2, -0.0),
+        (1, 7, 1, 2, 3, 1, 2, 0.5), (0, 7, 1, 2, 3, 1, 2, -0.0), (0, 7, 1, 2, 3, 1, 2, 0.0),
+    ])
+    monkeypatch.setattr(
+        experiments, "_run_trial",
+        lambda config, instance, trial, *rest: TrialRow(
+            config.algorithm, instance.n, trial, instance.seed, *next(tails)
+        ),
+    )
+    config = SweepConfig(algorithm="exhaustive", n_values=(2, 3), trials_per_n=6)
+    rows = assert_rows_format_as_csv_writer_does(config, tmp_path).rows
+    assert [row[4:] for row in rows[:6]] == [row[4:] for row in rows[6:]]
+    assert [str(row.predicted_success) for row in rows[:6]] == [
+        "0.5", "0.0", "-0.0", "0.5", "-0.0", "0.0"
+    ]
+
+
+def test_a_chunk_of_distinct_tails_formats_as_csv_writer_does(tmp_path):
+    # a two_sort row's tail holds its merge walk's length, which depends on ranks
+    config = SweepConfig(algorithm="two_sort", n_values=(1024, 4096), trials_per_n=16)
+    rows = assert_rows_format_as_csv_writer_does(config, tmp_path).rows
+    assert len({row[4:] for row in rows}) == len(rows) == 32

@@ -26,7 +26,9 @@ SRC = str(Path(matchsim.__file__).resolve().parents[1])
 # in two generation batches, 32 + 18), one of 9 (a generator a trial from its seed words),
 # one of 3 and a naive one of 3 (6 seeds each, none hashed: a generator a trial from its
 # seed), a ragged one at non-square n (a short last block of list1, read from each raw
-# draw) and a classical one, which reads the shared value generation carries
+# draw), a classical one, which reads the shared value generation carries, and a nested
+# and a classical one of 1200 trials each, whose rows run in two chunks, the first
+# ending inside their second size
 RERUN_CONFIGS = {
     "nested": {
         "algorithm": "nested", "n_values": [16, 64, 256, 1024], "trials_per_n": 50,
@@ -46,6 +48,11 @@ RERUN_CONFIGS = {
     },
     "naive_grover": {"algorithm": "naive_grover", "n_values": [16, 32, 64], "trials_per_n": 1},
     "two_sort": {"algorithm": "two_sort", "n_values": [4, 16, 64, 1024], "trials_per_n": 5},
+    "chunked": {
+        "algorithm": "nested", "n_values": [16, 64], "trials_per_n": 600,
+        "noise_preset": "inv_sqrt_n",
+    },
+    "two_sort_chunked": {"algorithm": "two_sort", "n_values": [4, 16], "trials_per_n": 600},
 }
 
 
