@@ -386,12 +386,17 @@ class SweepResult:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def write_outputs(self, csv_path: str | Path) -> tuple[Path, Path]:
-        """Write the aggregate JSON next to ``csv_path``, then move the streamed CSV into place."""
+        """Write the aggregate JSON next to ``csv_path``, then move the streamed CSV into place;
+        a failed move deletes the JSON."""
         csv_path, json_path, part = output_paths(csv_path)
         if not part.is_file():
             raise ValueError(f"no streamed CSV {part} to move into place: nothing written")
         json_path.write_text(self.to_json_text(), encoding="utf-8")
-        part.replace(csv_path)
+        try:
+            part.replace(csv_path)
+        except BaseException:
+            json_path.unlink(missing_ok=True)
+            raise
         return csv_path, json_path
 
 
@@ -485,8 +490,9 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     rows are then folded into per-size aggregates, appended to ``<output>.tmp`` when the
     config names an output, and kept only with ``keep_rows``, so without them memory follows
     one chunk and not the sweep.  That stream is a sweep's only CSV; ``write_outputs`` writes
-    the JSON and renames it.  A sweep that raises deletes its temporary file, and each
-    directory it made for it that is empty, and leaves no output.
+    the JSON and renames it.  An output that is a directory is refused before anything runs.
+    A sweep that raises deletes its temporary file, and each directory it made for it that is
+    empty, and leaves no output.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)
@@ -497,6 +503,8 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     stream, made = None, []
     try:
         if config.output is not None:
+            if Path(config.output).is_dir():  # "", "." and ".." too
+                raise ValueError(f"output {config.output!r} is a directory")
             part = output_paths(config.output)[2]
             # the missing directories, deepest first
             made = list(takewhile(lambda d: not d.exists(), part.parents))

@@ -18,7 +18,7 @@ stream's uniforms: drawn in one call, or the caller's
 (``run_stream_length`` of them).  Each search runs as a ``Search``
 through its engine's runner, looked up here at call time, except the
 reduced nested ones, sampled from ``walked_masses``.  The nested matcher
-merges its charges from per-shape templates (``_nested_charges``).
+adds its charges as one cached part per shape (``_nested_charges``).
 """
 
 from __future__ import annotations
@@ -276,27 +276,24 @@ def amplitude_rounds(nested: bool, n: int) -> int:
 @lru_cache(maxsize=1024)
 def _nested_charges(
     block_size: int, r_outer: int, r_inner: int, u: int, block_len: int, verified: bool
-) -> tuple[tuple, tuple, tuple]:
-    """A nested run's ledger parts (``CostLedger.part``), from the matcher's own charge code:
-    ``before``, the outer oracle evaluations and the block's copy and sort, which leave it live;
-    ``after``, the probes and, if ``verified``, the confirming queries; ``whole``, both, and the
-    block's release."""
-    before, after = CostLedger(), CostLedger()
+) -> tuple:
+    """A nested run's whole ledger part (``CostLedger.part``), from the matcher's own charge code:
+    the outer oracle evaluations, the measured block's copy and sort, the probes and, if
+    ``verified``, the confirming queries, then the block's release."""
+    ledger = CostLedger()
     if r_outer:  # with no outer rounds, no block is copied and no workspace is held
-        _outer_oracle_charge(before, r_outer * u, block_size, r_inner)
-    before.charge_batch("sort", l1_queries=block_len, mem_writes=block_len)
-    before.workspace_acquire(block_len)
-    charge_sort(block_len, before)
+        _outer_oracle_charge(ledger, r_outer * u, block_size, r_inner)
+    ledger.charge_batch("sort", l1_queries=block_len, mem_writes=block_len)
+    ledger.workspace_acquire(block_len)
+    charge_sort(block_len, ledger)
     probes = r_inner * u + 1
-    after.charge_batch(
+    ledger.charge_batch(
         "inner_search", l2_queries=probes, mem_reads=2 * membership_probe_depth(block_len) * probes
     )
     if verified:
-        after.charge_batch("final_verify", l1_queries=1, l2_queries=1)
-    parts = before.part(), after.part()
-    before.merge(parts[1])
-    before.workspace_release(block_len)
-    return (*parts, before.part())
+        ledger.charge_batch("final_verify", l1_queries=1, l2_queries=1)
+    ledger.workspace_release(block_len)
+    return ledger.part()
 
 
 def nested_grover_match(
@@ -320,11 +317,10 @@ def nested_grover_match(
     match rather than guessing.  Both searches measure on ``uniforms``, by
     default the run seed's stream.  The reduced engine (any but
     ``statevector``) samples each from its ``walked_masses``, calling no
-    runner, and adds the run's whole charges once, as the ledger itself if
-    none is given.  The statevector engine runs both through its runner:
-    the outer charges are merged once the block is measured, the probes
-    once verification is known, so a refused inner search leaves the outer
-    charges and the block live.
+    runner; the statevector engine runs both through its runner.  Either
+    way the run's charges are one part (``_nested_charges``), added once
+    verification is known: as the ledger itself if none is given, else
+    merged into the given one, which a refused search leaves as it was.
     """
     config = config if config is not None else NestedConfig()
     n, noise = instance.n, config.noise
@@ -342,30 +338,24 @@ def nested_grover_match(
         fire_pattern = _fire_pattern(r_outer, failure_prob, uniforms[:-1])
         outer_mass, unmarked_mass = walked_masses(blocks, 1, r_outer, fire_pattern)
         beta = _sample_reduced(blocks, (marked_block,), outer_mass, unmarked_mass, uniforms[-2])
+        marked = (instance.planted_pos2,) if beta == marked_block else ()
+        inner_masses = walked_masses(n, len(marked), r_inner, None)
+        j_hat = _sample_reduced(n, marked, *inner_masses, uniforms[-1])
     else:
         outer = Search(blocks, (marked_block,))
         beta, outer_mass, fire_pattern = run_statevector(outer, r_outer, uniforms[:-1], failure_prob)
+        marked = (instance.planted_pos2,) if beta == marked_block else ()
+        j_hat = run_statevector(Search(n, marked), r_inner, uniforms[-1:])[0]
     offset = beta * b
     stop = min(offset + b, n)
-    shape = (b, r_outer, r_inner, config.uncompute_factor, stop - offset)
-    marked = (instance.planted_pos2,) if beta == marked_block else ()
-    if reduced:
-        inner_masses = walked_masses(n, len(marked), r_inner, None)
-        j_hat = _sample_reduced(n, marked, *inner_masses, uniforms[-1])
-    else:  # before: the same whatever verifies
-        ledger = ledger if ledger is not None else CostLedger()
-        ledger.merge(_nested_charges(*shape, False)[0])
-        j_hat = run_statevector(Search(n, marked), r_inner, uniforms[-1:])[0]
     # the verification probe, by compare: v_hat in the block's slice of list1
     v_hat = instance.value2(j_hat)
     i_hat = instance.find1(v_hat, offset, stop)
     found = (i_hat, j_hat) if i_hat is not None else None
     inner_verified = found is not None
-    _, after, whole = _nested_charges(*shape, inner_verified)
-    if not reduced:  # the block stayed live between the runner's two merges
-        ledger.merge(after)
-        ledger.workspace_release(stop - offset)
-    elif ledger is None:
+    u = config.uncompute_factor
+    whole = _nested_charges(b, r_outer, r_inner, u, stop - offset, inner_verified)
+    if ledger is None:
         ledger = CostLedger.from_part(whole)
     else:
         ledger.merge(whole)

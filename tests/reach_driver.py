@@ -109,6 +109,7 @@ def commands(tmp: Path):
         {"algorithm": "nested", "n_values": [4], "trials_per_n": True},
         {"algorithm": "nested", "n_values": [4, 2]},
         {"algorithm": "nested", "n_values": [4], "output": str(tmp / "x.json")},
+        {"algorithm": "nested", "n_values": [4], "output": str(tmp)},
     ]
     for i, doc in enumerate(bad_configs):
         yield sweep(f"bad-{i}", **doc), 2, {}

@@ -694,9 +694,7 @@ class TestRunStreamsInSweeps:
         assert csvs == [csvs[0]] * 6
         assert all(texts == [texts[0]] * 3 for texts in jsons.values())
 
-    def test_a_reduced_trial_builds_its_ledger_from_one_part_and_a_statevector_trial_merges_two(
-        self, monkeypatch
-    ):
+    def test_a_nested_trial_builds_its_ledger_from_one_part_on_either_engine(self, monkeypatch):
         # sizes with a short last block (17, 100), trials that fail verification (inv_n
         # drops rounds), each engine below and above the run-stream break-even
         monkeypatch.delenv("MATCH_SIM_STATEVECTOR_CAP", raising=False)
@@ -719,7 +717,7 @@ class TestRunStreamsInSweeps:
             monkeypatch.setattr(experiments, "RUN_STREAM_BREAK_EVEN", break_even)
             merges.clear(), built.clear()
             rows = run_sweep(SweepConfig(engine=engine, **config)).rows
-            assert (len(built), len(merges)) == ((400, 0) if engine == "auto" else (0, 2 * 400))
+            assert (len(built), len(merges)) == (400, 0)
             outputs.append(rows)
         assert outputs == [outputs[0]] * 4
         assert 0 < sum(row.success for row in rows) < 400
@@ -917,6 +915,35 @@ class TestSweepMemory:
         with pytest.raises(ValueError, match=re.escape(str(part))):
             result.write_outputs(tmp_path / "rows.csv")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output", ["", ".", "taken.csv"])
+    def test_an_output_that_is_a_directory_is_refused_before_anything_runs(
+        self, output, tmp_path, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran a trial")
+
+        monkeypatch.setattr(experiments, experiments.MATCHERS["sort_scan"], never)
+        monkeypatch.setattr(experiments, "_seed_pairs", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken.csv").mkdir()
+        config = SweepConfig(algorithm="sort_scan", n_values=(4, 8), output=output)
+        with pytest.raises(ValueError, match="is a directory"):
+            run_sweep(config)
+        assert list(tmp_path.iterdir()) == [tmp_path / "taken.csv"]
+        assert list((tmp_path / "taken.csv").iterdir()) == []
+
+    def test_a_failed_move_of_the_csv_leaves_no_json(self, tmp_path):
+        # the CSV path became a directory after the sweep checked it
+        out = tmp_path / "rows.csv"
+        result = run_sweep(SweepConfig(algorithm="sort_scan", n_values=(4,), output=str(out)))
+        out.unlink()
+        out.with_suffix(".json").unlink()
+        Path(f"{out}.tmp").write_text("a streamed CSV")
+        out.mkdir()
+        with pytest.raises(OSError):
+            result.write_outputs(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.csv.tmp"]
 
     def test_a_raising_sweep_leaves_no_file(self, tmp_path, monkeypatch):
         # the n=16 row reaches the temporary CSV; n=2048 needs 2^22 amplitudes

@@ -601,18 +601,22 @@ class TestNestedGroverMatch:
             assert json.dumps(report.as_dict()) == json.dumps(expected.as_dict()), case
             assert ledger.as_dict() == reference_ledger.as_dict(), case
 
-    def test_refused_inner_statevector_leaves_the_reference_ledger(self, monkeypatch):
+    def test_a_refused_inner_statevector_search_leaves_a_passed_ledger_as_it_was(
+        self, monkeypatch
+    ):
         # the outer search fits under the cap, the inner one does not
         monkeypatch.setenv("MATCH_SIM_STATEVECTOR_CAP", "64")
         inst = generate_instance(100, 4)
         config = NestedConfig(engine="statevector", noise=noise_spec("inv_n", 100), rng_seed=4)
-        ledgers = []
-        for matcher in (nested_grover_match, reference_nested_match):
-            ledgers.append(CostLedger())
-            with pytest.raises(ResourceLimitError):
-                matcher(inst, config, ledgers[-1])
-        assert ledgers[0].as_dict() == ledgers[1].as_dict()
-        assert sum(ledgers[0].phase_breakdown["outer_search"].as_dict().values()) > 0
+        ledger = CostLedger()
+        ledger.charge_batch("sort", l1_queries=5, mem_writes=2)
+        ledger.workspace_acquire(7)
+        ledger.workspace_release(4)
+        held = ledger.as_dict()
+        with pytest.raises(ResourceLimitError):
+            nested_grover_match(inst, config, ledger)
+        assert ledger.as_dict() == held
+        assert ledger.live_workspace == 3
 
     def test_config_is_frozen_slotted_and_still_a_dataclass(self):
         config = NestedConfig(3, "statevector", 2, NoisyOracleSpec(0.25), 9)
@@ -959,61 +963,40 @@ class TestNestedPlan:
                 for verified in (False, True):
                     yield config, (b, r_outer, r_inner, u, block_len), verified
 
+    @pytest.mark.parametrize("held", [(0, 0), (3, 0), (100, 97)])
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
-    def test_templates_equal_the_independent_prediction(self, n):
-        # before, after and the release, merged into a fresh ledger, are the
-        # ledger predicted_total_cost builds for the same block length and
-        # verdict; so is the whole part, merged alone
+    def test_templates_equal_the_independent_prediction(self, n, held):
+        # the whole part, merged into a ledger with no live workspace, one with some and one
+        # whose peak is past it (cells acquired, then released, before the merge), adds the
+        # ledger predicted_total_cost builds for the same block length and verdict
+        acquired, released = held
+        live = acquired - released
         for config, shape, verified in self.template_cases(n):
             block_len = shape[-1]
-            before = matchers._nested_charges(*shape, not verified)[0]
-            _, after, whole = matchers._nested_charges(*shape, verified)
-            ledger, merged = CostLedger(), CostLedger()
-            ledger.merge(before)
-            ledger.merge(after)
-            ledger.workspace_release(block_len)
-            merged.merge(whole)
+            ledger = CostLedger()
+            ledger.charge_batch("sort", l1_queries=5, mem_writes=2)
+            ledger.workspace_acquire(acquired)
+            ledger.workspace_release(released)
+            ledger.merge(matchers._nested_charges(*shape, verified))
             expected = predicted_total_cost(n, config, block_len=block_len, verified=verified)
+            expected.charge_batch("sort", l1_queries=5, mem_writes=2)
+            expected.peak_workspace = max(acquired, live + expected.peak_workspace)
             case = (config, block_len, verified)
-            assert ledger.as_dict() == merged.as_dict() == expected.as_dict(), case
-            assert ledger.live_workspace == merged.live_workspace == 0, case
-
-    @pytest.mark.parametrize("held", [(0, 0), (3, 0), (100, 97)])
-    def test_the_whole_part_is_both_parts_and_the_release(self, held):
-        # into a fresh ledger, one with live workspace, and one whose peak is
-        # past it: cells acquired, then released, before the run's merges
-        acquired, released = held
-        for n in (2, 3, 16, 17, 100, 257):
-            for _, shape, verified in self.template_cases(n):
-                before, after, whole = matchers._nested_charges(*shape, verified)
-                ledgers = []
-                for parts in ((before, after), (whole,)):
-                    ledger = CostLedger()
-                    ledger.charge_batch("sort", l1_queries=5, mem_writes=2)
-                    ledger.workspace_acquire(acquired)
-                    ledger.workspace_release(released)
-                    for part in parts:
-                        ledger.merge(part)
-                    if len(parts) == 2:
-                        ledger.workspace_release(shape[-1])
-                    ledgers.append(ledger)
-                two_parts, one_part = ledgers
-                case = (n, shape, verified)
-                assert two_parts.as_dict() == one_part.as_dict(), case
-                assert two_parts.live_workspace == one_part.live_workspace == acquired - released
+            assert ledger.as_dict() == expected.as_dict(), case
+            assert ledger.live_workspace == live, case
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 100, 257])
     def test_a_ledger_from_a_part_is_a_fresh_ledger_that_merged_it(self, n):
         for _, shape, verified in self.template_cases(n):
-            for part in matchers._nested_charges(*shape, verified):
-                merged = CostLedger()
-                merged.merge(part)
-                built = CostLedger.from_part(part)
-                case = (n, shape, verified, part)
-                assert built.as_dict() == merged.as_dict(), case
-                assert built.phase_breakdown == merged.phase_breakdown, case
-                assert built.live_workspace == merged.live_workspace, case
-                assert built.part() == merged.part() == part, case
+            part = matchers._nested_charges(*shape, verified)
+            merged = CostLedger()
+            merged.merge(part)
+            built = CostLedger.from_part(part)
+            case = (n, shape, verified, part)
+            assert built.as_dict() == merged.as_dict(), case
+            assert built.phase_breakdown == merged.phase_breakdown, case
+            assert built.live_workspace == merged.live_workspace, case
+            assert built.part() == merged.part() == part, case
 
     def test_a_report_ledger_is_never_a_template(self):
         # mutating one report's ledger leaves the next trial's as it was

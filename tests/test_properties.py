@@ -311,7 +311,7 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
 # files every example finds in its working directory, plus one it never does
 CLI_FILES = (
     "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "over.json", "deep.json",
-    "missing.csv",
+    "into_dir.json", "taken.csv", "missing.csv",
 )
 small_ints = st.integers(-64, 64).map(str)
 
@@ -387,11 +387,17 @@ def cli_files(tmp_path_factory):
             "algorithm": "nested", "n_values": [16], "trials_per_n": 10**30,
             "output": "new/sub/rows.csv",
         },
+        # refused before any trial runs: its output is a directory
+        "into_dir.json": {
+            "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 50,
+            "output": "taken.csv",
+        },
     }
     for name, doc in configs.items():
         (root / name).write_text(json.dumps(doc))
     # nested past the JSON decoder's recursion limit
     (root / "deep.json").write_text("[" * 100_000)
+    (root / "taken.csv").mkdir()
     return root
 
 
@@ -411,6 +417,7 @@ def tree(root) -> list[str]:
 @hypothesis.example(["sweep", "--config", "limit.json"])
 @hypothesis.example(["sweep", "--config", "over.json"])
 @hypothesis.example(["sweep", "--config", "deep.json"])
+@hypothesis.example(["sweep", "--config", "into_dir.json"])
 def test_any_argv_exits_zero_two_or_three(cli_files, argv):
     # each example works in a fresh copy, so outputs never clobber inputs;
     # the default cap keeps limit.json from allocating its amplitudes

@@ -37,7 +37,11 @@ UNREACHED = {
     ("experiments.run_sweep", "result.rows.extend(rows)"):
         "perfbench/passes.py: reads a sweep's rows, which no command keeps",
     ("matchers.nested_grover_match", "ledger.merge(whole)"):
-        "perfbench/test_perfbench.py: passes a ledger to a reduced run, which no command does",
+        "perfbench/test_perfbench.py: passes a ledger to a run, which no command does",
+    "model.CostLedger.merge":
+        "perfbench/test_perfbench.py: merges a nested run into the ledger it passes",
+    ("experiments.SweepResult.write_outputs", "json_path.unlink(missing_ok=True)"):
+        "a failed rename: the CSV path became a directory after the sweep checked it",
     "model._draw_distinct": "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
     ("model.generate_instance", "rng, raw = seeded_rng(seed, words), None"):
         "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
