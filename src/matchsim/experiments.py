@@ -186,6 +186,7 @@ class SweepConfig:
             raise ValueError("all n_values must be at least 2")
         if list(values) != sorted(set(values)):
             raise ValueError("n_values must be strictly ascending")
+        check_instance_size(values[-1])
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be at least 1")
         if self.base_seed < 0:
@@ -436,7 +437,7 @@ def _run_chunk(
 ) -> list[TrialRow]:
     """The rows of the cells given, batch by batch.  A chunk that draws from at least
     ``SEED_WORDS_BREAK_EVEN`` seeds hashes them in one ``seed_words`` call, instance seeds first.
-    If amplified, it checks and plans each size, then draws every run stream: in one
+    If amplified, it plans each size, then draws every run stream: in one
     ``run_streams`` pass from ``RUN_STREAM_BREAK_EVEN`` hashed trials, else by a generator a trial,
     from its seed's words if hashed.  Each trial is one matcher call with its size's config."""
     count = len(cells)
@@ -448,12 +449,8 @@ def _run_chunk(
     streams, rows = None, []
     try:
         if amplified:
-            lengths = {}
-            for n, trial in cells:  # each size checked before it is planned
-                if n not in lengths:
-                    check_instance_size(n)
-                    noise = run_configs[n].noise
-                    lengths[n] = run_stream_length(config.algorithm == "nested", n, noise)
+            nested, sizes = config.algorithm == "nested", {n for n, _ in cells}
+            lengths = {n: run_stream_length(nested, n, run_configs[n].noise) for n in sizes}
             run_words, longest = words[count:], max(lengths.values())
             if hashed and count >= RUN_STREAM_BREAK_EVEN:
                 streams = run_streams(run_words, longest)
@@ -490,9 +487,9 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
     rows are then folded into per-size aggregates, appended to ``<output>.tmp`` when the
     config names an output, and kept only with ``keep_rows``, so without them memory follows
     one chunk and not the sweep.  That stream is a sweep's only CSV; ``write_outputs`` writes
-    the JSON and renames it.  An output that is a directory is refused before anything runs.
-    A sweep that raises deletes its temporary file, and each directory it made for it that is
-    empty, and leaves no output.
+    the JSON and renames it.  An output or JSON path that is a directory is refused before
+    anything runs.  A sweep that raises deletes its temporary file, and each directory it made
+    for it that is empty, and leaves no output.
     """
     sizes = {n: SizeTally() for n in config.n_values}
     result = SweepResult(config, [] if keep_rows else None, sizes)
@@ -505,7 +502,9 @@ def run_sweep(config: SweepConfig, keep_rows: bool = True) -> SweepResult:
         if config.output is not None:
             if Path(config.output).is_dir():  # "", "." and ".." too
                 raise ValueError(f"output {config.output!r} is a directory")
-            part = output_paths(config.output)[2]
+            _, json_path, part = output_paths(config.output)
+            if json_path.is_dir():
+                raise ValueError(f"the sweep's JSON {str(json_path)!r} is a directory")
             # the missing directories, deepest first
             made = list(takewhile(lambda d: not d.exists(), part.parents))
             part.parent.mkdir(parents=True, exist_ok=True)

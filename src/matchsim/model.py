@@ -12,11 +12,13 @@ A caller that knows its seeds ahead (a sweep) hashes them in one numpy pass
 (:func:`seed_words`) and hands each seed's row down with it, so no seed is hashed
 twice.  Short streams need no generator: :func:`run_streams` runs PCG64 over many
 rows.  numpy.random itself is imported on the first generator built.  Generation
-finds repeats with :func:`_repeats`, one instance at a time, or with one row-wise
-key sort for a batch (:func:`generate_instances`), and keeps each raw draw as it
-came: an instance lays its lists out on their first read, and its two raw reads
-(``MatchInstance.find1`` and ``value2``) read either layout, so a nested run lays
-out nothing.  An instance's byte layout is known here alone.
+has one draw rule: a row in which two values are equal is drawn again, whole, from its
+own stream.  :func:`_repeats` says whether a row repeats a value; a batch flags rows by
+one row-wise key sort (:func:`generate_instances`) and draws each flagged row alone.
+Each raw draw is kept as it came: an instance lays its lists out on their first
+read, and its two raw reads (``MatchInstance.find1`` and ``value2``) read either
+layout, so a nested run lays out nothing.  An instance's byte layout is known here
+alone.
 """
 
 from __future__ import annotations
@@ -266,51 +268,28 @@ class MatchInstance:
         return self._words.item(self.n + j - (j > self._slot2))
 
 
-def _repeats(values: np.ndarray) -> np.ndarray:
-    """The distinct values that occur more than once in ``values``, ascending.
+def _repeats(values: np.ndarray) -> bool:
+    """Whether any value occurs more than once in ``values``.
 
     Up to ``_KEYED_VALUES`` values, it sorts one uint32 key per value (its first
-    32-bit half in memory) and, if at most ``_KEY_PASSES`` keys repeat, sorts
-    only the values under them.  Otherwise it sorts all values.
+    32-bit half in memory): no repeated key, no repeated value.  If at most
+    ``_KEY_PASSES`` sorted neighbours share a key, it sorts only the values under
+    those keys; otherwise it sorts all values.
     """
     if len(values) <= _KEYED_VALUES:
         words = np.ascontiguousarray(values).view(np.uint32)[::2]
         keys = np.sort(words)
-        if not np.count_nonzero(keys[1:] == keys[:-1]):
-            return np.empty(0, dtype=np.uint64)
-        twin_keys = _twins(keys)
+        same = keys[1:] == keys[:-1]
+        if not np.count_nonzero(same):
+            return False
+        twin_keys = keys[1:][same]
         if len(twin_keys) <= _KEY_PASSES:  # np.isin would copy strided words: page faults
             hit = words == twin_keys[0]
             for key in twin_keys[1:]:
                 hit |= words == key
             values = values[hit]
-    return _twins(np.sort(values))
-
-
-def _twins(ordered: np.ndarray) -> np.ndarray:
-    """The distinct values a sorted array repeats (np.unique allots ~1 MB, even for few)."""
-    twins = ordered[1:][ordered[1:] == ordered[:-1]]
-    return np.concatenate((twins[:1], twins[1:][twins[1:] != twins[:-1]]))
-
-
-def _draw_distinct(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` distinct 64-bit values, preserving draw order.
-
-    Values come straight from the raw stream of the PCG64 bit generator
-    that ``seeded_rng`` builds.  Over the full 64-bit range that stream
-    is what ``rng.integers(0, 2**64, dtype=np.uint64)`` returns, value
-    for value and with the same generator state after.  Each batch is
-    ``max(16, values still missing)`` draws; a repeat is skipped.
-    """
-    seen: set[int] = set()
-    out: list[int] = []
-    while True:
-        for v in rng.bit_generator.random_raw(max(16, count - len(out))).tolist():
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                if len(out) == count:
-                    return np.array(out, dtype=np.uint64)
+    ordered = np.sort(values)
+    return bool(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
 def _draw_positions(rng: np.random.Generator, n: int, raw: Optional[int] = None) -> tuple[int, int]:
@@ -511,20 +490,19 @@ def generate_instance(n: int, seed: int, words: Optional[np.ndarray] = None) -> 
 
     Draws 2n - 1 distinct 64-bit values, plants the first at a uniform position in each
     list, and fills the rest disjointly.  The size is checked before anything is drawn.
-    One raw draw holds the values, the rest of ``_draw_distinct``'s first batch and the
-    positions' word, and is the instance's draw; a repeat redraws through ``_draw_distinct``.
+    One raw draw holds the values, filler words and, last, the positions' word, and is the
+    instance's draw.  While two of its values are equal, the same stream's next words, as
+    many, replace the whole draw, so the values stay uniform over distinct ones.
     Given ``words``, the seed's row of ``seed_words``, the seed is not hashed.
     """
     check_instance_size(n)
     rng = seeded_rng(seed, words)
     count = 2 * n - 1
+    # the 16 matters only below n = 9, where it fixes which word gives the pinned positions
     drawn = rng.bit_generator.random_raw(max(16, count) + 1)
-    raw = int(drawn[-1])
-    if len(_repeats(drawn[:count])):
-        rng, raw = seeded_rng(seed, words), None
-        # the last word is a placeholder that a layout overwrites
-        drawn = np.append(_draw_distinct(rng, count), drawn[:1])
-    return MatchInstance(drawn, n, *_draw_positions(rng, n, raw), seed)
+    while _repeats(drawn[:count]):
+        drawn = rng.bit_generator.random_raw(len(drawn))
+    return MatchInstance(drawn, n, *_draw_positions(rng, n, int(drawn[-1])), seed)
 
 
 def generate_instances(n: int, seeds: Sequence[int], words: np.ndarray) -> list[MatchInstance]:

@@ -110,12 +110,14 @@ def commands(tmp: Path):
         {"algorithm": "nested", "n_values": [4, 2]},
         {"algorithm": "nested", "n_values": [4], "output": str(tmp / "x.json")},
         {"algorithm": "nested", "n_values": [4], "output": str(tmp)},
+        {"algorithm": "nested", "n_values": [4], "output": str(tmp / "clash.csv")},
     ]
+    (tmp / "clash.json").mkdir()  # the last config's aggregate JSON path
     for i, doc in enumerate(bad_configs):
         yield sweep(f"bad-{i}", **doc), 2, {}
     yield ["sweep", "--config", str(tmp / "missing.config")], 2, {}
-    # exit 3: the work cap, the size cap and the amplitude cap, the last two mid-sweep into
-    # directories the sweep made and removes again
+    # exit 3: the work cap and the size cap, both when the config is built, and the amplitude
+    # cap mid-sweep into directories the sweep made and removes again
     yield sweep("work", algorithm="sort_scan", n_values=[4], trials_per_n=2**40), 3, {}
     out = str(tmp / "made" / "deeper" / "rows.csv")
     yield sweep("size", algorithm="sort_scan", n_values=[2, 2**22 + 1], output=out), 3, {}

@@ -75,7 +75,7 @@ def check_instance(inst: MatchInstance) -> None:
     """Check every structural invariant of an instance; raise ValueError on failure."""
     if inst.n < 2:
         raise ValueError("instance size must be at least 2")
-    if len(_repeats(inst.values1)) or len(_repeats(inst.values2)):
+    if _repeats(inst.values1) or _repeats(inst.values2):
         raise ValueError("lists must not repeat values internally")
     if np.intersect1d(inst.values1, inst.values2).tolist() != [inst.planted_value]:
         raise ValueError("lists must share exactly the planted value")

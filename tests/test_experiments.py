@@ -43,7 +43,13 @@ from references import record_generation, sweep_csv
 
 
 def _never_drawn(*args, **kwargs):
-    raise AssertionError("drew values for an over-cap instance")
+    raise AssertionError("derived seeds or drew values for an over-cap instance")
+
+
+# what a sweep whose largest size is over the size cap is refused with
+_OVER_CAP = (
+    f"instance size {MAX_INSTANCE_SIZE + 1} exceeds the cap of {MAX_INSTANCE_SIZE} values per list"
+)
 
 
 # configs from_dict must reject with ValueError, keyed by what is wrong
@@ -885,14 +891,22 @@ class TestSweepMemory:
         run_sweep(SweepConfig(algorithm="nested", n_values=(16, 64), trials_per_n=3), keep_rows=False)
         assert len(made) == 6
 
-    def test_a_refused_batch_names_its_first_cell(self, monkeypatch):
-        # a budget that draws the over-cap size's 5 trials as one batch
-        monkeypatch.setattr(experiments, "GENERATION_BATCH_VALUES", 1 << 30)
-        config = SweepConfig(
-            algorithm="sort_scan", n_values=(16, MAX_INSTANCE_SIZE + 1), trials_per_n=5
-        )
-        with pytest.raises(ResourceLimitError, match=f"^n={MAX_INSTANCE_SIZE + 1}, trial=0: "):
-            run_sweep(config)
+    @pytest.mark.parametrize(
+        "n_values, trials",
+        # each under the work cap, with sizes at or under the size cap before the over-cap one
+        [((MAX_INSTANCE_SIZE, MAX_INSTANCE_SIZE + 1), 2000), ((16, 64, MAX_INSTANCE_SIZE + 1), 40)],
+        ids=["at_the_cap_first", "small_sizes_first"],
+    )
+    def test_an_over_cap_size_is_refused_before_any_seed_is_derived(
+        self, n_values, trials, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep derived a seed or ran a trial")
+
+        monkeypatch.setattr(experiments, experiments.MATCHERS["sort_scan"], never)
+        monkeypatch.setattr(experiments, "_seed_pairs", never)
+        with pytest.raises(ResourceLimitError, match=f"^{_OVER_CAP}$"):
+            run_sweep(SweepConfig(algorithm="sort_scan", n_values=n_values, trials_per_n=trials))
 
     def test_unkept_rows_change_no_byte(self, tmp_path):
         # 3000 trials in 3 chunks: one boundary inside a size, one across sizes
@@ -932,6 +946,23 @@ class TestSweepMemory:
             run_sweep(config)
         assert list(tmp_path.iterdir()) == [tmp_path / "taken.csv"]
         assert list((tmp_path / "taken.csv").iterdir()) == []
+
+    @pytest.mark.parametrize("output", ["rows.csv", "rows"])
+    def test_an_output_whose_json_is_a_directory_is_refused_before_anything_runs(
+        self, output, tmp_path, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran a trial")
+
+        monkeypatch.setattr(experiments, experiments.MATCHERS["sort_scan"], never)
+        monkeypatch.setattr(experiments, "_seed_pairs", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rows.json").mkdir()
+        config = SweepConfig(algorithm="sort_scan", n_values=(4, 8), output=output)
+        with pytest.raises(ValueError, match="'rows.json' is a directory"):
+            run_sweep(config)
+        assert list(tmp_path.iterdir()) == [tmp_path / "rows.json"]
+        assert list((tmp_path / "rows.json").iterdir()) == []
 
     def test_a_failed_move_of_the_csv_leaves_no_json(self, tmp_path):
         # the CSV path became a directory after the sweep checked it
@@ -1393,20 +1424,22 @@ class TestCli:
         assert str(MAX_INSTANCE_SIZE) in capsys.readouterr().err
 
     def test_sweep_over_size_cap_is_exit_three(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(model, "seeded_rng", _never_drawn)
+        # refused when the config is built, before any seed is derived
+        monkeypatch.setattr(experiments, "_seed_pairs", _never_drawn)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algorithm": "nested", "n_values": [MAX_INSTANCE_SIZE + 1]}))
         assert main(["sweep", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert f"n={MAX_INSTANCE_SIZE + 1}" in err and str(MAX_INSTANCE_SIZE) in err
+        assert err == f"error: {_OVER_CAP}\n"
 
     def test_an_unhashed_noisy_sweep_over_size_cap_is_refused_before_it_is_planned(
         self, tmp_path, monkeypatch, capsys
     ):
-        # one trial's two seeds are not hashed, and the sweep draws its stream itself
+        # one trial's two seeds would not be hashed, and the sweep would draw its stream itself
         def never(*args):
-            raise AssertionError("hashed or planned an over-cap size")
+            raise AssertionError("derived, hashed or planned an over-cap size")
 
+        monkeypatch.setattr(experiments, "_seed_pairs", never)
         monkeypatch.setattr(experiments, "seed_words", never)
         monkeypatch.setattr(experiments, "run_stream_length", never)
         cfg = tmp_path / "cfg.json"
@@ -1416,7 +1449,7 @@ class TestCli:
         }))
         assert main(["sweep", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert f"n={MAX_INSTANCE_SIZE + 1}, trial=0" in err and str(MAX_INSTANCE_SIZE) in err
+        assert err == f"error: {_OVER_CAP}\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
     @staticmethod
@@ -1431,15 +1464,15 @@ class TestCli:
 
     @pytest.mark.parametrize("trials", [4, 64])
     def test_a_far_over_cap_size_is_refused_before_it_is_planned(self, trials, tmp_path):
-        # planning n = 10^30 would run its noisy outer rounds one by one; its work
-        # alone is over the sweep cap, so the config is refused before anything runs
+        # planning n = 10^30 would run its noisy outer rounds one by one; the size is
+        # over the size cap, so the config is refused before anything runs
         doc = {
             "algorithm": "nested", "n_values": [16, 10**30], "trials_per_n": trials,
             "noise_preset": "inv_n",
         }
         out = self.sweep_in_a_subprocess(doc, tmp_path)
         assert out.returncode == 3
-        assert out.stderr.startswith("error: sweep work ")
+        assert out.stderr.startswith(f"error: instance size {10**30} exceeds the cap ")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_endless_trials_are_refused_before_anything_is_drawn(self, tmp_path):

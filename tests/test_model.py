@@ -28,27 +28,11 @@ from matchsim.model import (
 from references import check_instance, instance_fields, instance_from_lists, raw_draw
 
 
-def reference_draw_distinct(rng, count):
-    """The per-value loop ``_draw_distinct`` must reproduce exactly."""
-    seen = set()
-    out = []
-    while len(out) < count:
-        batch = rng.integers(0, 1 << 64, size=max(16, count - len(out)), dtype=np.uint64)
-        for v in batch.tolist():
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                if len(out) == count:
-                    break
-    return out
-
-
 class ScriptedRng:
     """Stands in for a Generator that hands out a fixed stream in order.
 
-    The reference loop draws with ``integers(0, 2**64, size, np.uint64)``
-    and ``_draw_distinct`` with ``bit_generator.random_raw(size)``; both
-    take the next ``size`` values of the stream and record ``size``.
+    Generation draws with ``bit_generator.random_raw(size)``, which takes
+    the next ``size`` values of the stream and records ``size``.
     """
 
     def __init__(self, stream):
@@ -64,10 +48,6 @@ class ScriptedRng:
             raise AssertionError("scripted stream exhausted")
         batch, self.stream = self.stream[:count], self.stream[count:]
         return batch[0] if size is None else np.array(batch, dtype=np.uint64)
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
-        return self._take(size)
 
 
 # sha256 of json.dumps([list1, list2, planted_value, planted_pos1,
@@ -144,15 +124,27 @@ def assert_carries_its_shared_value(inst):
     assert not shared.flags.writeable
 
 
-# raw streams that send _draw_distinct down its per-value loop: the values,
-# then one raw word whose low and high halves give the two positions
+# a raw word whose low and high halves give the positions n // 2 and 3n // 4, and one whose
+# halves give n // 4 twice; both are accepted for n = 3 and n = 9
 POSITION_WORD = 0xC0000000_80000000
-REPEAT_STREAMS = [
-    # n = 9 draws 17 values: a repeat in the first batch, one value from a second
-    (9, [*range(100, 108), 103, *range(108, 132), POSITION_WORD]),
-    # n = 3 draws 5 values: a repeat among them, filled from the first batch
-    (3, [7, 8, 7, 9, 10, 11, *range(50, 60), POSITION_WORD]),
-]
+OTHER_POSITION_WORD = 0x40000000_40000000
+# scripted rows, each a list of whole draws of max(16, 2n - 1) + 1 words: while a draw's first
+# 2n - 1 words repeat a value, the next draw replaces it, and the last draw is the instance's
+REDRAWN_ROWS = {
+    # n = 9 draws 18 words: a repeat among its 17 values, then a draw of distinct ones
+    "repeat_in_values": (9, [
+        [*range(100, 108), 103, *range(108, 116), OTHER_POSITION_WORD],
+        [*range(200, 217), POSITION_WORD],
+    ]),
+    # n = 3 draws 17 words for 5 values: two draws repeat one, the third is distinct
+    "two_repeating_draws": (3, [
+        [7, 8, 7, 9, 10, *range(11, 22), OTHER_POSITION_WORD],
+        [30, 31, 32, 33, 30, *range(34, 45), OTHER_POSITION_WORD],
+        [*range(50, 66), POSITION_WORD],
+    ]),
+    # a filler word equal to a value is no repeat: the first draw is the instance's
+    "repeat_in_filler": (3, [[7, 8, 9, 10, 11, 7, 11, *range(12, 21), POSITION_WORD]]),
+}
 
 
 class TestGenerateInstance:
@@ -217,22 +209,32 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 1000, 1024, 4097, 65536, 4**9])
     def test_one_buffer_equals_two_concatenates(self, n):
+        # the instance's draw is default_rng(seed)'s first max(16, 2n - 1) + 1 raw words, and
+        # the positions are what two rng.integers(n) calls give from its last one
+        length = max(16, 2 * n - 1) + 1
         for seed in (0, 1, 2, 2**63 + 5):
-            rng = model.seeded_rng(seed)
-            values = model._draw_distinct(rng, 2 * n - 1)
+            drawn = np.random.default_rng(seed).bit_generator.random_raw(length)
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.random_raw(length - 1)
             pos1, pos2 = int(rng.integers(n)), int(rng.integers(n))
             inst = generate_instance(n, seed)
+            assert np.array_equal(inst._words, drawn)
             assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
-            assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
+            assert_one_buffer(inst, *reference_assembly(drawn[: 2 * n - 1], n, pos1, pos2))
 
-    @pytest.mark.parametrize("n, stream", REPEAT_STREAMS, ids=["first_batch", "small_count"])
-    def test_one_buffer_on_the_repeat_path(self, n, stream, monkeypatch):
-        monkeypatch.setattr(model, "seeded_rng", lambda seed, words=None: ScriptedRng(stream))
+    @pytest.mark.parametrize("n, draws", REDRAWN_ROWS.values(), ids=REDRAWN_ROWS)
+    def test_a_repeated_value_redraws_the_whole_row(self, n, draws, monkeypatch):
+        scripted = ScriptedRng([word for draw in draws for word in draw])
+        monkeypatch.setattr(model, "seeded_rng", lambda seed, words=None: scripted)
         inst = generate_instance(n, 0)
-        values = np.array(reference_draw_distinct(ScriptedRng(stream), 2 * n - 1), dtype=np.uint64)
+        assert scripted.calls == [max(16, 2 * n - 1) + 1] * len(draws) and not scripted.stream
+        # the last draw is the instance's, and its last word gives the positions
+        last = draws[-1]
+        assert inst._words.tolist() == last
         # half and three quarters of 2**32, scaled by n; neither is redrawn
         pos1, pos2 = n // 2, 3 * n // 4
         assert (inst.planted_pos1, inst.planted_pos2) == (pos1, pos2)
+        values = np.array(last[: 2 * n - 1], dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, pos1, pos2))
         check_instance(inst)
         assert_carries_its_shared_value(inst)
@@ -282,19 +284,29 @@ class TestOneDraw:
         values = np.array(stream[:count], dtype=np.uint64)
         assert_one_buffer(inst, *reference_assembly(values, n, *positions))
 
+    @pytest.mark.parametrize("size", [16, 31, 2047, 131071])
+    def test_raw_stream_is_the_full_range_integers_stream(self, size):
+        # the draw is what numpy gives as uniform 64-bit integers
+        for seed in range(5):
+            raw_rng = np.random.default_rng(seed)
+            int_rng = np.random.default_rng(seed)
+            raw = raw_rng.bit_generator.random_raw(size)
+            ints = int_rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+            assert raw.dtype == np.uint64
+            assert np.array_equal(raw, ints)
+            assert raw_rng.bit_generator.state == int_rng.bit_generator.state
+
 
 class TestGenerateInstances:
     """A batch gives, seed for seed, what generate_instance gives."""
 
     def test_a_mixed_batch_equals_each_seed_alone(self, monkeypatch):
-        # seeds 101 and 102 are scripted.  101 repeats a value, and both halves
-        # of its last word are accepted, so only the repeat can send it to
-        # _draw_distinct (which takes that word as a value); 102 draws a last
-        # word with a rejected low half, so its positions take another word
-        n, word = 9, 0x40000000_40000000
-        repeat_stream = [
-            *range(100, 108), 103, *range(108, 116), word, *range(116, 131), POSITION_WORD
-        ]
+        # seeds 101 and 102 are scripted.  101 repeats a value, and both halves of its last
+        # word are accepted, so only the repeat sends it to be drawn alone, where its second
+        # whole draw is the instance and gives the positions; 102 draws a last word with a
+        # rejected low half, so its positions take another word
+        n, (first, second) = 9, REDRAWN_ROWS["repeat_in_values"][1]
+        repeat_stream = [*first, *second]
         words = [0xC0000000_00000000, 0x00000000_80000000]
         rejected_stream = [*range(100, 100 + 2 * n - 1), *words, 77]
         scripted = {101: repeat_stream, 102: rejected_stream}
@@ -316,13 +328,10 @@ class TestGenerateInstances:
         seeds = [0, 101, 1, 2**63 + 5, 102, 2]
         batch = model.generate_instances(n, seeds, model.seed_words(seeds))
         assert built == seeds
-        expected = {
-            101: (reference_draw_distinct(ScriptedRng(repeat_stream), 2 * n - 1), (4, 6)),
-            102: (rejected_stream[: 2 * n - 1], (6, 4)),
-        }
+        expected = {101: (second[: 2 * n - 1], (4, 6)), 102: (rejected_stream[: 2 * n - 1], (6, 4))}
         for seed in (0, 1, 2**63 + 5, 2):
             rng = seeded_rng(seed)
-            values = model._draw_distinct(rng, 2 * n - 1)
+            values = rng.bit_generator.random_raw(max(16, 2 * n - 1))[: 2 * n - 1]
             expected[seed] = values, (int(rng.integers(n)), int(rng.integers(n)))
         assert [inst.seed for inst in batch] == seeds
         for inst in batch:
@@ -396,8 +405,8 @@ class TestGenerateInstances:
     @staticmethod
     def scripted_batch(n, streams, monkeypatch):
         """``generate_instances`` over the seeds of ``streams``, in order, each drawing its
-        stream, with no row redrawn by ``_draw_distinct``: the batch, and each generator it
-        built as (builder, seed, the sizes it drew), in the order built."""
+        stream: the batch, and each generator it built as (builder, seed, the sizes it drew),
+        in the order built."""
         made = []
 
         def scripted(builder):
@@ -410,7 +419,6 @@ class TestGenerateInstances:
 
         monkeypatch.setattr(model, "seeded_bits", scripted("bits"))
         monkeypatch.setattr(model, "seeded_rng", scripted("rng"))
-        monkeypatch.setattr(model, "_draw_distinct", _never_redrawn)
         seeds = list(streams)
         batch = model.generate_instances(n, seeds, model.seed_words(seeds))
         return batch, [(builder, seed, rng.calls) for builder, seed, rng in made]
@@ -439,10 +447,6 @@ class TestGenerateInstances:
             model.generate_instances(1, [0, 1], model.seed_words([0, 1]))
 
 
-def _never_redrawn(*args):
-    raise AssertionError("a row whose values are distinct was redrawn")
-
-
 CLASSICAL_MATCHERS = (exhaustive_pairs, classical_sort_scan, classical_two_sort_merge)
 
 
@@ -464,9 +468,8 @@ class TestSharedValues:
 
 
 def reference_repeats(values):
-    """The values occurring more than once in ``values``, by np.unique."""
-    distinct, counts = np.unique(values, return_counts=True)
-    return distinct[counts > 1]
+    """Whether a value occurs more than once in ``values``, by np.unique."""
+    return len(np.unique(values)) < len(values)
 
 
 def frozen_strided(values):
@@ -477,6 +480,8 @@ def frozen_strided(values):
 
 
 class TestRepeats:
+    """``_repeats`` answers with a bool, the same one the np.unique reference gives."""
+
     @pytest.fixture(autouse=True, params=["keyed", "sorted"])
     def path(self, request, monkeypatch):
         """Run each check through the 32-bit key filter and through the plain sort."""
@@ -492,25 +497,22 @@ class TestRepeats:
                 # copy values over others, some thrice
                 sources, targets = rng.integers(size, size=(2, 1 + size // 8))
                 values[targets] = values[sources]
-            out = model._repeats(values)
-            assert out.dtype == np.uint64
-            assert np.array_equal(out, reference_repeats(values))
+            assert model._repeats(values) is reference_repeats(values)
 
     def test_every_value_sharing_one_low_word(self):
         shared = np.arange(4097, dtype=np.uint64) << np.uint64(32)
         for values in [np.concatenate((shared, shared[::3])), shared[::3], shared[5:9].repeat(3)]:
-            out = model._repeats(values)
-            assert np.array_equal(out, reference_repeats(values))
-        assert not len(model._repeats(shared))
+            assert model._repeats(values) is reference_repeats(values)
+        assert model._repeats(shared) is False
 
     def test_values_at_the_top_of_the_range(self):
         # 2**63 shares its low word with 0, 2**64 - 1 with 2**32 - 1
         top = [2**64 - 1, 2**63, 0, 2**32 - 1, 2**63 + 1, 2**64 - 2]
         for values in [top + top[:2], top + [2**63, 5], top + [2**64 - 1]]:
             values = np.array(values, dtype=np.uint64)
-            assert np.array_equal(model._repeats(values), reference_repeats(values))
-        assert model._repeats(np.array(top, dtype=np.uint64)).tolist() == []
-        assert model._repeats(values).tolist() == [2**64 - 1]
+            assert model._repeats(values) is reference_repeats(values)
+        assert model._repeats(np.array(top, dtype=np.uint64)) is False
+        assert model._repeats(values) is True
 
     def test_read_only_strided_values(self):
         rng = np.random.default_rng(5)
@@ -519,9 +521,8 @@ class TestRepeats:
         pool.flags.writeable = False
         for values in (frozen_strided(pool), pool[::-1]):
             assert not values.flags.writeable and not values.flags.c_contiguous
-            out = model._repeats(values)
-            assert np.array_equal(out, reference_repeats(values))
-            assert np.array_equal(out, model._repeats(values.copy()))
+            assert model._repeats(values) is reference_repeats(values)
+            assert model._repeats(values.copy()) is reference_repeats(values)
 
 
 def test_repeats_either_side_of_the_key_filter_bound():
@@ -529,57 +530,7 @@ def test_repeats_either_side_of_the_key_filter_bound():
     for total in (model._KEYED_VALUES, model._KEYED_VALUES + 1):
         values = rng.integers(0, 1 << 64, total, dtype=np.uint64)
         values[[-1, 9]] = values[[0, 5]]
-        assert np.array_equal(model._repeats(values), reference_repeats(values))
-
-
-class TestDrawDistinct:
-    @pytest.mark.parametrize("count", [1, 3, 15, 16, 17, 1023, 4097])
-    def test_matches_reference_on_real_generator(self, count):
-        for seed in range(3):
-            fast_rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            out = model._draw_distinct(fast_rng, count)
-            assert out.dtype == np.uint64
-            assert out.tolist() == reference_draw_distinct(ref_rng, count)
-            # both leave the generator in the same state
-            assert fast_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
-
-    @pytest.mark.parametrize(
-        "count, stream",
-        [
-            # a repeat inside the first batch: one more batch of 16 fills the gap
-            (20, [*range(100, 110), 103, *range(110, 119), *range(200, 216)]),
-            # the second batch repeats values from the first before a new one
-            (20, [*range(100, 119), 100, 105, 100, 118, 300, *range(301, 313)]),
-            # count below 16: a repeat within the first count values
-            (5, [7, 8, 7, 9, 10, 11, *range(50, 60)]),
-            # count below 16: repeats only after the first count values
-            (5, [7, 8, 9, 10, 11, 7, 8, *range(50, 59)]),
-            # a whole second batch of repeats forces a third batch
-            (18, [*range(17), 0, *range(16), *range(500, 516)]),
-            # values at the top of the 64-bit range compare as unsigned
-            (4, [2**64 - 1, 2**63, 2**64 - 1, 2**63 + 1, 5, *range(600, 611), *range(700, 716)]),
-        ],
-        ids=["repeat_in_first", "second_repeats_first", "small_count",
-             "small_count_late_repeat", "third_batch", "top_bits"],
-    )
-    def test_scripted_repeats_match_reference(self, count, stream):
-        fast, ref = ScriptedRng(stream), ScriptedRng(stream)
-        out = model._draw_distinct(fast, count).tolist()
-        assert out == reference_draw_distinct(ref, count)
-        assert fast.calls == ref.calls
-        assert len(set(out)) == count
-
-    @pytest.mark.parametrize("size", [16, 31, 2047, 131071])
-    def test_raw_stream_is_the_full_range_integers_stream(self, size):
-        for seed in range(5):
-            raw_rng = np.random.default_rng(seed)
-            int_rng = np.random.default_rng(seed)
-            raw = raw_rng.bit_generator.random_raw(size)
-            ints = int_rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-            assert raw.dtype == np.uint64
-            assert np.array_equal(raw, ints)
-            assert raw_rng.bit_generator.state == int_rng.bit_generator.state
+        assert model._repeats(values) is reference_repeats(values)
 
 
 class CountingRaw:

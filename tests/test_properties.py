@@ -47,6 +47,7 @@ from matchsim.matchers import (  # noqa: E402
 )
 from matchsim.model import (  # noqa: E402
     AMPLITUDE_ROUNDS_PER_WORK,
+    MAX_INSTANCE_SIZE,
     MAX_SWEEP_WORK,
     TRIAL_WORK,
     CostLedger,
@@ -293,14 +294,16 @@ def sweep_work(doc: dict) -> int:
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(json_values | config_docs)
+@hypothesis.example({"algorithm": "exhaustive", "n_values": [MAX_INSTANCE_SIZE + 1]})
 def test_any_json_is_a_valid_config_or_a_value_error(doc):
     try:
         config = SweepConfig.from_dict(doc)
     except ValueError:
         return
-    except ResourceLimitError:  # well formed, but over the sweep work cap
-        assert sweep_work(doc) > MAX_SWEEP_WORK
+    except ResourceLimitError:  # well formed, but over the instance size cap or the work cap
+        assert max(doc["n_values"]) > MAX_INSTANCE_SIZE or sweep_work(doc) > MAX_SWEEP_WORK
         return
+    assert max(config.n_values) <= MAX_INSTANCE_SIZE
     assert sweep_work(config.as_dict()) <= MAX_SWEEP_WORK
     assert SweepConfig.from_dict(config.as_dict()) == config
     assert all(type(n) is int and n >= 2 for n in config.n_values)
@@ -311,7 +314,7 @@ def test_any_json_is_a_valid_config_or_a_value_error(doc):
 # files every example finds in its working directory, plus one it never does
 CLI_FILES = (
     "good.csv", "short.csv", "good.json", "bad.json", "limit.json", "over.json", "deep.json",
-    "into_dir.json", "taken.csv", "missing.csv",
+    "into_dir.json", "json_dir.json", "taken.csv", "missing.csv",
 )
 small_ints = st.integers(-64, 64).map(str)
 
@@ -392,12 +395,18 @@ def cli_files(tmp_path_factory):
             "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 50,
             "output": "taken.csv",
         },
+        # refused before any trial runs: its aggregate JSON path is a directory
+        "json_dir.json": {
+            "algorithm": "nested", "n_values": [16, 64, 256], "trials_per_n": 50,
+            "output": "clash.csv",
+        },
     }
     for name, doc in configs.items():
         (root / name).write_text(json.dumps(doc))
     # nested past the JSON decoder's recursion limit
     (root / "deep.json").write_text("[" * 100_000)
     (root / "taken.csv").mkdir()
+    (root / "clash.json").mkdir()
     return root
 
 
@@ -418,6 +427,7 @@ def tree(root) -> list[str]:
 @hypothesis.example(["sweep", "--config", "over.json"])
 @hypothesis.example(["sweep", "--config", "deep.json"])
 @hypothesis.example(["sweep", "--config", "into_dir.json"])
+@hypothesis.example(["sweep", "--config", "json_dir.json"])
 def test_any_argv_exits_zero_two_or_three(cli_files, argv):
     # each example works in a fresh copy, so outputs never clobber inputs;
     # the default cap keeps limit.json from allocating its amplitudes

@@ -42,10 +42,7 @@ UNREACHED = {
         "perfbench/test_perfbench.py: merges a nested run into the ledger it passes",
     ("experiments.SweepResult.write_outputs", "json_path.unlink(missing_ok=True)"):
         "a failed rename: the CSV path became a directory after the sweep checked it",
-    "model._draw_distinct": "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
-    ("model.generate_instance", "rng, raw = seeded_rng(seed, words), None"):
-        "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
-    ("model.generate_instance", "drawn = np.append(_draw_distinct(rng, count), drawn[:1])"):
+    ("model.generate_instance", "drawn = rng.bit_generator.random_raw(len(drawn))"):
         "a redraw: two of a row's 2n - 1 random 64-bit values are equal",
     ("model.MatchInstance.find1", "at = cells.find(key, at + 1)"):
         "the measured value's 8 bytes sit across two cells of the block: about n^2 / 2^64",
