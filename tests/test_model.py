@@ -125,7 +125,7 @@ def assert_carries_its_shared_value(inst):
 
 
 # a raw word whose low and high halves give the positions n // 2 and 3n // 4, and one whose
-# halves give n // 4 twice; both are accepted for n = 3 and n = 9
+# halves give n // 4 twice; both are accepted for n = 3, 9 and 17
 POSITION_WORD = 0xC0000000_80000000
 OTHER_POSITION_WORD = 0x40000000_40000000
 # scripted rows, each a list of whole draws of max(16, 2n - 1) + 1 words: while a draw's first
@@ -144,6 +144,25 @@ REDRAWN_ROWS = {
     ]),
     # a filler word equal to a value is no repeat: the first draw is the instance's
     "repeat_in_filler": (3, [[7, 8, 9, 10, 11, 7, 11, *range(12, 21), POSITION_WORD]]),
+    # nor is a positions word equal to a value
+    "positions_word_is_a_value": (3, [[POSITION_WORD, 8, 9, 10, 11, *range(12, 23), POSITION_WORD]]),
+    # two values sharing their low 32-bit word, not their value, are no repeat
+    "shared_low_word": (3, [[(1 << 32) | 5, (2 << 32) | 5, 6, 7, 8, *range(12, 23), POSITION_WORD]]),
+    # values at the top of the 64-bit range compare as unsigned: 2**64 - 1 repeats
+    "top_bits": (3, [
+        [2**64 - 1, 2**63, 2**64 - 1, 2**63 + 1, 5, *range(600, 611), OTHER_POSITION_WORD],
+        [*range(700, 716), POSITION_WORD],
+    ]),
+    # the last value (index 2n - 2) repeats the first
+    "repeat_at_the_last_value": (9, [
+        [*range(100, 116), 100, OTHER_POSITION_WORD],
+        [*range(200, 217), POSITION_WORD],
+    ]),
+    # n = 17 draws 34 words, 33 values and no filler
+    "no_filler": (17, [
+        [*range(0, 16), 5, *range(16, 32), OTHER_POSITION_WORD],
+        [*range(100, 133), POSITION_WORD],
+    ]),
 }
 
 
@@ -345,6 +364,31 @@ class TestGenerateInstances:
         # each row owns its draw, which its lists are laid out in
         assert len({id(inst.values1.base) for inst in batch}) == len(batch)
         assert all(len(inst.values1.base) == 2 * n for inst in batch)
+
+    @pytest.mark.parametrize("n, draws", REDRAWN_ROWS.values(), ids=REDRAWN_ROWS)
+    def test_a_redrawn_row_in_a_batch_equals_it_drawn_alone(self, n, draws, monkeypatch):
+        # seed 7 draws the scripted row between two rows of distinct words.  Each of its
+        # first draws repeats a low word, so the batch sends it to be drawn alone, where its
+        # last whole draw is the instance and that draw's last word gives the positions
+        length = max(16, 2 * n - 1) + 1
+        streams = {
+            8: [*range(500, 500 + length - 1), POSITION_WORD],
+            7: [word for draw in draws for word in draw],
+            9: [*range(900, 900 + length - 1), POSITION_WORD],
+        }
+        batch, made = self.scripted_batch(n, streams, monkeypatch)
+        assert made == [
+            ("bits", 8, [length]), ("bits", 7, [length]), ("bits", 9, [length]),
+            ("rng", 7, [length] * len(draws)),
+        ]
+        positions = n // 2, 3 * n // 4
+        for inst, stream in zip(batch, [streams[8], draws[-1], streams[9]], strict=True):
+            assert inst._words.tolist() == stream
+            assert (inst.planted_pos1, inst.planted_pos2) == positions
+            values = np.array(stream[: 2 * n - 1], dtype=np.uint64)
+            assert_one_buffer(inst, *reference_assembly(values, n, *positions))
+            check_instance(inst)
+        assert instance_fields(batch[1]) == instance_fields(generate_instance(n, 7))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17, 100, 1024])
     def test_batches_equal_one_seed_at_a_time(self, n):
